@@ -33,28 +33,31 @@ log = logging.getLogger(__name__)
 _DENSE_LIMIT = 2000
 
 
+# Index names in the comments: a, b, c, d frame ranks; A, B operator ranks;
+# p, q vector ranks; i, j mode indices.
+
 def _advance_op(L, vb, Ab, wb):
     """Push an operator interface through one block triple: (r,R,r') frames."""
-    tmp = np.einsum("aAc,aib->bAic", L, vb, optimize=True)
-    tmp = np.einsum("bAic,AijB->bBjc", tmp, Ab, optimize=True)
-    return np.einsum("bBjc,cjd->bBd", tmp, wb, optimize=True)
+    tmp = np.tensordot(L, vb, axes=(0, 0))                        # A c i b
+    tmp = np.tensordot(tmp, Ab, axes=((0, 2), (0, 1)))            # c b j B
+    return np.tensordot(tmp, wb, axes=((0, 2), (0, 1)))           # b B d
 
 
 def _advance_vec(L, vb, bb):
     """Push a vector interface (r, rho) through one block pair."""
-    tmp = np.einsum("ap,aib->bip", L, vb, optimize=True)
-    return np.einsum("bip,piq->bq", tmp, bb, optimize=True)
+    tmp = np.tensordot(L, vb, axes=(0, 0))                        # p i b
+    return np.tensordot(tmp, bb, axes=((0, 1), (0, 1)))           # b q
 
 
 def _retreat_op(R, vb, Ab, wb):
-    tmp = np.einsum("bBd,aib->aBid", R, vb, optimize=True)
-    tmp = np.einsum("aBid,AijB->aAjd", tmp, Ab, optimize=True)
-    return np.einsum("aAjd,cjd->aAc", tmp, wb, optimize=True)
+    tmp = np.tensordot(vb, R, axes=(2, 0))                        # a i B d
+    tmp = np.tensordot(tmp, Ab, axes=((1, 2), (1, 3)))            # a d A j
+    return np.tensordot(tmp, wb, axes=((1, 3), (2, 1)))           # a A c
 
 
 def _retreat_vec(R, vb, bb):
-    tmp = np.einsum("bq,aib->aiq", R, vb, optimize=True)
-    return np.einsum("aiq,piq->ap", tmp, bb, optimize=True)
+    tmp = np.tensordot(vb, R, axes=(2, 0))                        # a i q
+    return np.tensordot(tmp, bb, axes=((1, 2), (1, 2)))           # a p
 
 
 def _check_frame_orthogonality(v: TTTensor, k: int, tol: float = 1e-8) -> None:
@@ -90,7 +93,7 @@ def reduce_system(A: TTMatrix, b: TTTensor, v: TTTensor, k: int):
         RA = _retreat_op(RA, v.blocks[j], A.blocks[j], v.blocks[j])
         Rb = _retreat_vec(Rb, v.blocks[j], b.blocks[j])
     H = _local_matrix(LA, A.blocks[k], RA)
-    g = _local_rhs(Lb, b.blocks[k], Rb)
+    g = _local_rhs(Lb, b.blocks[k], Rb).reshape(-1)
     return H, g
 
 
@@ -98,13 +101,21 @@ def _local_matrix(LA, Ab, RA):
     r0 = LA.shape[0]
     r1 = RA.shape[0]
     n = Ab.shape[1]
-    H = np.einsum("aAc,AijB,bBd->aibcjd", LA, Ab, RA, optimize=True)
+    H = np.tensordot(np.tensordot(LA, Ab, axes=(1, 0)), RA, axes=(4, 1))
+    H = H.transpose(0, 2, 4, 1, 3, 5)                             # a i b c j d
     return H.reshape(r0 * n * r1, r0 * n * r1)
 
 
 def _local_rhs(Lb, bb, Rb):
-    g = np.einsum("ap,piq,bq->aib", Lb, bb, Rb, optimize=True)
-    return g.reshape(-1)
+    """Block (a, i, b) of a vector projected onto the frames around it."""
+    return np.tensordot(np.tensordot(Lb, bb, axes=(1, 0)), Rb, axes=(2, 1))
+
+
+def _apply_local(LA, Ab, RA, x):
+    """Local operator applied to a block x (c, j, d) -> (a, i, b)."""
+    tmp = np.tensordot(LA, x, axes=(2, 0))                        # a A j d
+    tmp = np.tensordot(tmp, Ab, axes=((1, 2), (0, 2)))            # a d i B
+    return np.tensordot(tmp, RA, axes=((1, 3), (2, 1)))           # a i b
 
 
 def _fit_combination(A: TTMatrix | None, v: TTTensor | None, terms,
@@ -138,12 +149,10 @@ def _fit_combination(A: TTMatrix | None, v: TTTensor | None, terms,
         for k in range(d):
             blk = None
             for i, (coef, t) in enumerate(terms):
-                piece = coef * np.einsum("ap,piq,bq->aib", Lts[i], t.blocks[k],
-                                         Rts[i][k + 1], optimize=True)
+                piece = coef * _local_rhs(Lts[i], t.blocks[k], Rts[i][k + 1])
                 blk = piece if blk is None else blk + piece
             if A is not None:
-                piece = np.einsum("aAc,AijB,cjd,bBd->aib", LAv, A.blocks[k],
-                                  v.blocks[k], RAv[k + 1], optimize=True)
+                piece = _apply_local(LAv, A.blocks[k], RAv[k + 1], v.blocks[k])
                 blk = -piece if blk is None else blk - piece
             if k == d - 1:
                 blocks[k] = blk
@@ -203,21 +212,24 @@ def enrich(v: TTTensor, k: int, z_block: np.ndarray, acc: Accuracy) -> TTTensor:
 
 
 def _solve_local(H_parts, g, shift, x0, delta):
-    """Solve (H + shift I) x = g; dense below _DENSE_LIMIT, else GMRES."""
+    """Solve (H + shift I) x = g; dense below _DENSE_LIMIT, else GMRES.
+
+    Returns (x, norm of the local residual).
+    """
     LA, Ab, RA = H_parts
     size = g.size
     if size <= _DENSE_LIMIT:
         H = _local_matrix(LA, Ab, RA)
         H[np.diag_indices_from(H)] += shift
         try:
-            return np.linalg.solve(H, g)
+            x = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(H, g, rcond=None)[0]
+            x = np.linalg.lstsq(H, g, rcond=None)[0]
+        return x, float(np.linalg.norm(H @ x - g))
     r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
 
     def matvec(x):
-        xc = x.reshape(r0, n, r1)
-        y = np.einsum("aAc,AijB,bBd,cjd->aib", LA, Ab, RA, xc, optimize=True)
+        y = _apply_local(LA, Ab, RA, x.reshape(r0, n, r1))
         return y.reshape(-1) + shift * x
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec)
@@ -226,7 +238,7 @@ def _solve_local(H_parts, g, shift, x0, delta):
                                         atol=0.0, restart=60, maxiter=300)
     if info > 0:
         log.warning("local GMRES stopped at maxiter (size %d)", size)
-    return x
+    return x, float(np.linalg.norm(matvec(x) - g))
 
 
 def amen_solve_shifted(
@@ -279,17 +291,12 @@ def amen_solve_shifted(
         blocks = list(v.blocks)
         max_local_res = 0.0
         for k in range(d):
-            g = _local_rhs(Lb, b.blocks[k], Rb[k + 1])
-            g = g + shift * _local_rhs(Lp, v_prev.blocks[k], Rp[k + 1])
-            x = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
-                             blocks[k], acc.delta)
+            g = (_local_rhs(Lb, b.blocks[k], Rb[k + 1])
+                 + shift * _local_rhs(Lp, v_prev.blocks[k], Rp[k + 1])).reshape(-1)
+            x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
+                                        blocks[k], acc.delta)
+            max_local_res = max(max_local_res, local_res)
             r0, n, r1 = blocks[k].shape
-            if g.size <= _DENSE_LIMIT:
-                H = _local_matrix(LA, A.blocks[k], RA[k + 1])
-                max_local_res = max(
-                    max_local_res,
-                    float(np.linalg.norm(H @ x + shift * x - g)),
-                )
             if k == d - 1:
                 blocks[k] = x.reshape(r0, n, r1)
                 break
@@ -299,7 +306,7 @@ def amen_solve_shifted(
             u = u[:, :keep]
             carry = s[:keep, None] * vt[:keep]
             # enrichment: project the global residual onto the left frame
-            zb = np.einsum("as,sip->aip", Lz, res.blocks[k], optimize=True)
+            zb = np.tensordot(Lz, res.blocks[k], axes=(1, 0))
             aug = np.concatenate([u, zb.reshape(r0 * n, -1)], axis=1)
             rho_k = aug.shape[1] - keep
             q, rm = np.linalg.qr(aug)

@@ -108,7 +108,8 @@ def project_to_basis(t: TTTensor, basis: SpectralBasis) -> TTTensor:
 def _weighted_block(blk, basis: SpectralBasis, deriv: bool):
     right = basis.dphi if deriv else basis.phi
     wphi = basis.weights[:, None] * basis.phi
-    return np.einsum("aqb,qi,qj->aijb", blk, wphi, right, optimize=True)
+    out = np.tensordot(blk, wphi[:, :, None] * right[:, None, :], axes=(1, 0))
+    return out.transpose(0, 2, 3, 1)
 
 
 def assemble_drift_part(f_tt: TTTensor, p: int, basis: SpectralBasis) -> TTMatrix:
@@ -192,7 +193,7 @@ def tt_matmat(A: TTMatrix, B: TTMatrix) -> TTMatrix:
     for ab, bb in zip(A.blocks, B.blocks):
         R0, n, _, R1 = ab.shape
         S0, _, q, S1 = bb.shape
-        blk = np.einsum("aijb,cjkd->acikbd", ab, bb, optimize=True)
+        blk = np.tensordot(ab, bb, axes=(2, 1)).transpose(0, 3, 1, 4, 2, 5)
         blocks.append(blk.reshape(R0 * S0, n, q, R1 * S1))
     return TTMatrix(blocks)
 

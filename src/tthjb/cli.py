@@ -29,9 +29,9 @@ from .policy import (
     policy_iterate,
 )
 from .rollout import (
-    compare,
     comparison_to_json,
     rollout,
+    score,
     trajectory_to_csv,
 )
 from .tt import load_tt, save_tt
@@ -45,6 +45,9 @@ EXIT_DIVERGENCE = 3
 EXIT_ROLLOUT = 4
 
 _SOLVER_FIELDS = {f.name for f in dataclass_fields(SolverConfig)}
+
+# the sources whose bytes key the value-function cache
+_PACKAGE_DIR = Path(__file__).resolve().parent
 
 DEFAULT_CONFIG = {
     "model": {"name": "allen_cahn_1d", "d": 10},
@@ -97,6 +100,9 @@ def resolve_config(preset: str | None = None, config_path=None,
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         cfg = _deep_merge(cfg, PRESETS[preset])
+        # a preset names its own model: the default model's parameters
+        # would reach that model's constructor as unknown arguments
+        cfg["model"] = copy.deepcopy(PRESETS[preset]["model"])
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -159,12 +165,20 @@ def _resolve_x0(cfg: dict, model) -> np.ndarray:
 
 
 def _cache_key(cfg: dict) -> str:
-    payload = json.dumps(
+    """Digest of the solve's config and of the package sources.
+
+    Any change to the solver changes its round-off, so a value function
+    cached by other code is never served.
+    """
+    h = hashlib.sha256(json.dumps(
         {"model": cfg["model"], "solver": cfg["solver"],
          "seed": cfg.get("seed", 0), "version": __version__},
         sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    ).encode())
+    for path in sorted(_PACKAGE_DIR.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:24]
 
 
 def _json_default(x):
@@ -230,25 +244,24 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
                   if model.name == "fokker_planck" else model)
     horizon = cfg["rollout"].get("horizon") or eval_model.horizon
     tol = float(cfg["rollout"].get("tolerance", 1e-8))
-    controllers = {"hjb": lambda x: feedback(V, model, x)}
+    controllers = {"hjb": lambda X: feedback(V, model, X)}
     if eval_model.admissible_uncontrolled:
         controllers["uncontrolled"] = None
     try:
         lqr = solve_riccati(eval_model.lin_A, eval_model.lin_B,
                             eval_model.cost_matrix, eval_model.gamma)
-        controllers["lqr"] = lambda x: float(-(lqr.K @ np.asarray(x))[0])
+        controllers["lqr"] = lambda X: -(np.asarray(X) @ lqr.K[0])
     except (ValueError, RuntimeError):
         log.info("no LQR baseline (linearization not stabilizable)")
 
     store_states = bool(cfg["outputs"].get("store_states", False))
-    report = {}
     trajectories = {}
     for name, ctrl in controllers.items():
         traj = rollout(eval_model, ctrl, x0, horizon, tol=tol)
         trajectories[name] = traj
         trajectory_to_csv(traj, out / f"trajectory_{name}.csv",
                           include_states=store_states)
-    report = compare(eval_model, controllers, x0, horizon, tol=tol)
+    report = {name: score(traj) for name, traj in trajectories.items()}
     comparison_to_json(report, out / "comparison.json")
 
     summary = {

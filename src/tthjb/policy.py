@@ -95,6 +95,12 @@ class PolicyIterationState:
     converged: bool = False
 
 
+def _slices(blk: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-point block slices sum_i table[N, i] blk[:, i, :], (N, r, s), in one GEMM."""
+    r, n, s = blk.shape
+    return (table @ blk.transpose(1, 0, 2).reshape(n, r * s)).reshape(-1, r, s)
+
+
 class ValueFunction:
     """Value approximation V(x) = sum_i v_i prod_k phi_{i_k}(x_k)."""
 
@@ -120,11 +126,10 @@ class ValueFunction:
 
     def eval(self, X: np.ndarray) -> np.ndarray:
         X, vals, _ = self._tables(X, deriv=False)
-        cur = np.ones((X.shape[0], 1))
+        cur = np.ones((X.shape[0], 1, 1))
         for k, blk in enumerate(self.v.blocks):
-            mat = np.einsum("rns,Nn->Nrs", blk, vals[:, k, :], optimize=True)
-            cur = np.einsum("Nr,Nrs->Ns", cur, mat, optimize=True)
-        return cur[:, 0]
+            cur = cur @ _slices(blk, vals[:, k, :])
+        return cur[:, 0, 0]
 
     def gradient(self, X: np.ndarray):
         """All d partial derivatives from one pass of shared contractions.
@@ -133,25 +138,18 @@ class ValueFunction:
         """
         X, vals, ders = self._tables(X, deriv=True)
         N, d = X.shape
-        mats = [
-            np.einsum("rns,Nn->Nrs", blk, vals[:, k, :], optimize=True)
-            for k, blk in enumerate(self.v.blocks)
-        ]
-        left = [np.ones((N, 1))]
+        mats = [_slices(blk, vals[:, k, :]) for k, blk in enumerate(self.v.blocks)]
+        left = [np.ones((N, 1, 1))]
         for k in range(d - 1):
-            left.append(np.einsum("Nr,Nrs->Ns", left[-1], mats[k], optimize=True))
-        acc = np.ones((N, 1))
+            left.append(left[-1] @ mats[k])
         rights = [None] * d
-        rights[d - 1] = acc
+        rights[d - 1] = np.ones((N, 1, 1))
         for k in range(d - 1, 0, -1):
-            acc = np.einsum("Nrs,Ns->Nr", mats[k], acc, optimize=True)
-            rights[k - 1] = acc
+            rights[k - 1] = mats[k] @ rights[k]
         grads = np.empty((N, d))
         for p in range(d):
-            dm = np.einsum("rns,Nn->Nrs", self.v.blocks[p], ders[:, p, :],
-                           optimize=True)
-            mid = np.einsum("Nr,Nrs->Ns", left[p], dm, optimize=True)
-            grads[:, p] = np.einsum("Ns,Ns->N", mid, rights[p], optimize=True)
+            dm = _slices(self.v.blocks[p], ders[:, p, :])
+            grads[:, p] = (left[p] @ dm @ rights[p])[:, 0, 0]
         flags = np.any(np.abs(X) > self.basis.a, axis=1)
         return grads, flags
 
@@ -175,15 +173,21 @@ def value_gradient(V: ValueFunction, x: np.ndarray) -> np.ndarray:
     return g[0]
 
 
-def feedback(V: ValueFunction, model: ControlledDynamics, x: np.ndarray) -> float:
-    """Optimal (possibly saturated) scalar control at a state point."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    g, _ = V.gradient(x)
-    raw = -(0.5 / model.gamma) * float(np.sum(model.channel_eval(x)[0] * g[0]))
+def feedback(V: ValueFunction, model: ControlledDynamics, X: np.ndarray):
+    """Optimal (possibly saturated) scalar control from one gradient pass.
+
+    A batch of states (N, d) gives controls (N,); a single state (d,) gives
+    a float.
+    """
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 1
+    X = X.reshape(1, -1) if single else X
+    g, _ = V.gradient(X)
+    u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * g, axis=1)
     cap = model.penalty.clip
-    if cap is None:
-        return raw
-    return cap * np.tanh(raw / cap)
+    if cap is not None:
+        u = cap * np.tanh(u / cap)
+    return float(u[0]) if single else u
 
 
 def _needs_warm_start(model: ControlledDynamics) -> bool:

@@ -17,6 +17,7 @@ __all__ = [
     "Trajectory",
     "rollout",
     "interpolate_controller",
+    "score",
     "compare",
     "trajectory_to_csv",
     "comparison_to_json",
@@ -49,10 +50,12 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
             max_points: int = 2001) -> Trajectory:
     """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law.
 
-    controller is a map x -> scalar u, or None for the uncontrolled system.
-    Controls and running costs are recorded on a uniform grid of at most
-    max_points times; the total cost is their trapezoid quadrature.  On
-    integrator failure the partial trajectory is returned with failed=True.
+    controller is a batch map from states (N, d) to controls (N,), or None
+    for the uncontrolled system.  The integrator calls it with one state at
+    a time (N = 1); the controls and running costs are then recorded on a
+    uniform grid of at most max_points times in a single call, and the total
+    cost is their trapezoid quadrature.  On integrator failure the partial
+    trajectory is returned with failed=True.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.dim:
@@ -60,12 +63,11 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
     if np.max(np.abs(x0)) > model.a:
         warnings.warn("initial state lies outside the value-function domain",
                       stacklevel=2)
-    ctrl = (lambda x: 0.0) if controller is None else controller
+    ctrl = (lambda X: np.zeros(len(X))) if controller is None else controller
 
     def rhs(t, x):
-        u = ctrl(x)
-        dx = (model.drift(x.reshape(1, -1))[0]
-              + model.channel_eval(x.reshape(1, -1))[0] * u)
+        x = x[None]
+        dx = model.drift(x)[0] + model.channel_eval(x)[0] * ctrl(x)[0]
         # NaN poisons the integrator's step-size control (NaN error norm ->
         # NaN step -> infinite loop), so fail hard instead
         if not np.all(np.isfinite(dx)):
@@ -85,7 +87,10 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, max_points)
     X = sol.sol(ts).T
-    us = np.array([ctrl(X[i]) for i in range(len(ts))], dtype=float)
+    us = np.asarray(ctrl(X), dtype=float)
+    if us.shape != ts.shape:
+        raise ValueError(f"controller returned shape {us.shape} for "
+                         f"{len(ts)} states; it must map (N, d) to (N,)")
     cost = model.state_cost(X) + penalty_cost(us, model.penalty)
     total = float(np.trapezoid(cost, ts))
     failed = not sol.success or not np.all(np.isfinite(X))
@@ -129,8 +134,8 @@ def interpolate_controller(V, coarse_model: ControlledDynamics,
             P[i] = r / np.sum(r)
     R = P @ Ef   # fine interior values -> coarse interior values
 
-    def controller(x):
-        return coarse_feedback(V, coarse_model, R @ np.asarray(x, dtype=float))
+    def controller(X):
+        return coarse_feedback(V, coarse_model, np.asarray(X, dtype=float) @ R.T)
 
     return controller
 
@@ -147,19 +152,24 @@ def _decay_rate(traj: Trajectory) -> float:
     return float(slope)
 
 
+def score(traj: Trajectory) -> dict:
+    """Comparison entry of one trajectory: cost, decay rate, steps, failure."""
+    return {
+        "total_cost": traj.total_cost,
+        "decay_rate": _decay_rate(traj),
+        "steps": int(traj.times.size),
+        "failed": traj.failed,
+    }
+
+
 def compare(model: ControlledDynamics, controllers: dict, x0, T: float,
             tol: float = 1e-8, method: str = "RK45") -> dict:
-    """Roll out each named controller; failures are isolated per controller."""
+    """Roll out and score each named controller; failures are isolated."""
     report = {}
     for name, ctrl in controllers.items():
         try:
-            traj = rollout(model, ctrl, x0, T, tol=tol, method=method)
-            report[name] = {
-                "total_cost": traj.total_cost,
-                "decay_rate": _decay_rate(traj),
-                "steps": int(traj.times.size),
-                "failed": traj.failed,
-            }
+            report[name] = score(rollout(model, ctrl, x0, T, tol=tol,
+                                         method=method))
         except Exception as exc:  # noqa: BLE001 - isolate per controller
             log.warning("controller %s failed: %s", name, exc)
             report[name] = {"total_cost": np.nan, "decay_rate": np.nan,

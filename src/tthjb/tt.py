@@ -351,13 +351,24 @@ def tt_dot(a: TTTensor, b: TTTensor) -> float:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     cur = np.ones((1, 1))
     for ab, bb in zip(a.blocks, b.blocks):
-        cur = np.einsum("ab,aic,bid->cd", cur, ab, bb, optimize=True)
+        cur = np.tensordot(np.tensordot(cur, ab, axes=(0, 0)), bb,
+                           axes=((0, 1), (0, 1)))
     return float(cur[0, 0])
 
 
 def tt_norm(a: TTTensor) -> float:
-    """2-norm of the orthogonalized block 0: policy_iterate and tt_cross stop on near-equal differences."""
-    return float(np.linalg.norm(orthogonalize_right(a, 1).blocks[0]))
+    """2-norm of block 0 after right-orthogonalization: policy_iterate and
+    tt_cross stop on near-equal differences.
+
+    The sweep is orthogonalize_right's, but the norm needs only the R
+    factors, so no Q factor is formed.
+    """
+    carry = a.blocks[-1]
+    for blk in a.blocks[-2::-1]:
+        r0, n, r1 = carry.shape
+        rm = np.linalg.qr(carry.reshape(r0, n * r1).T, mode="r")
+        carry = np.tensordot(blk, rm.T, axes=(2, 0))
+    return float(np.linalg.norm(carry))
 
 
 def tt_matvec(A: TTMatrix, v: TTTensor) -> TTTensor:
@@ -367,7 +378,7 @@ def tt_matvec(A: TTMatrix, v: TTTensor) -> TTTensor:
     for ab, vb in zip(A.blocks, v.blocks):
         R0, n, _, R1 = ab.shape
         r0, _, r1 = vb.shape
-        blk = np.einsum("bijc,ajd->baicd", ab, vb, optimize=True)
+        blk = np.tensordot(ab, vb, axes=(2, 1)).transpose(0, 3, 1, 2, 4)
         blocks.append(blk.reshape(R0 * r0, n, R1 * r1))
     return TTTensor(blocks)
 
@@ -380,7 +391,7 @@ def tt_hadamard(a: TTTensor, b: TTTensor) -> TTTensor:
     for ab, bb in zip(a.blocks, b.blocks):
         ra0, n, ra1 = ab.shape
         rb0, _, rb1 = bb.shape
-        blk = np.einsum("aib,cid->acibd", ab, bb, optimize=True)
+        blk = ab[:, None, :, :, None] * bb[None, :, :, None, :]
         blocks.append(blk.reshape(ra0 * rb0, n, ra1 * rb1))
     return TTTensor(blocks)
 

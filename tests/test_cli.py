@@ -1,13 +1,21 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tthjb
+from tthjb import cli
 from tthjb.cli import (
     EXIT_CONFIG,
     PRESETS,
     ConfigError,
+    _build_model,
+    _cache_key,
     _parse_sweep_arg,
     main,
     resolve_config,
@@ -56,6 +64,19 @@ class TestConfigResolution:
         for name in PRESETS:
             cfg = resolve_config(preset=name)
             assert cfg["model"]["name"]
+            assert _build_model(cfg).name == cfg["model"]["name"]
+
+    def test_cache_key_follows_package_sources(self, tmp_path, monkeypatch):
+        src = Path(cli.__file__).parent
+        for path in src.glob("*.py"):
+            shutil.copy(path, tmp_path / path.name)
+        monkeypatch.setattr(cli, "_PACKAGE_DIR", tmp_path)
+        cfg = resolve_config(overrides=FAST_LQ)
+        key = _cache_key(cfg)
+        assert _cache_key(cfg) == key
+        with open(tmp_path / "tt.py", "a") as fh:
+            fh.write("\n# changed\n")
+        assert _cache_key(cfg) != key
 
 
 class TestRun:
@@ -101,6 +122,23 @@ class TestRun:
         b.pop("wall_seconds")
         assert a == b
 
+    def test_one_rollout_per_controller(self, lq_run, tmp_path, monkeypatch):
+        _, out, cfg = lq_run
+        seen = []
+        original = cli.rollout
+
+        def counting(model, controller, *args, **kwargs):
+            seen.append(controller)
+            return original(model, controller, *args, **kwargs)
+
+        # compare() looks rollout up in its own module
+        for namespace in (cli, sys.modules["tthjb.rollout"]):
+            monkeypatch.setattr(namespace, "rollout", counting)
+        assert run(cfg, tmp_path / "o", cache_dir=out / "cache") == 0
+        report = json.loads((tmp_path / "o" / "comparison.json").read_text())
+        assert len(seen) == len(report) == 3
+        assert len({id(c) for c in seen}) == 3
+
     def test_config_error_exit_and_no_artifacts(self, tmp_path):
         out = tmp_path / "bad"
         cfg = resolve_config(overrides={"model": {"name": "no_such_model"}})
@@ -133,6 +171,19 @@ class TestMain:
                      "--store-states"]) == 0
         header = (out / "trajectory_hjb.csv").read_text().splitlines()[0]
         assert header.startswith("t,x_1,x_2,x_3,x_4,u")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_help(self):
+        env = dict(os.environ)
+        src = str(Path(tthjb.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "tthjb", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: tthjb")
 
 
 class TestSweep:

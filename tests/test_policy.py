@@ -81,6 +81,21 @@ class TestValueGradient:
         g = value_gradient(V, np.array([0.3, -0.2, 0.5, 0.0]))
         assert np.max(np.abs(g)) <= 1e-12
 
+    def test_matches_central_differences(self):
+        basis = build_basis(5, 1.0)
+        rng = np.random.default_rng(4)
+        V = ValueFunction(TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng), basis)
+        X = rng.uniform(-0.9, 0.9, size=(6, 4))
+        grads, flags = V.gradient(X)
+        h = 1e-5
+        fd = np.empty_like(grads)
+        for p in range(4):
+            e = np.zeros(4)
+            e[p] = h
+            fd[:, p] = (V.eval(X + e) - V.eval(X - e)) / (2 * h)
+        assert not np.any(flags)
+        assert np.max(np.abs(grads - fd)) <= 1e-6 * np.max(np.abs(grads))
+
     def test_extrapolation_flagged(self):
         basis = build_basis(3, 1.0)
         v = TTTensor.rank_one([np.ones(3)] * 2)
@@ -100,6 +115,17 @@ class TestFeedback:
             assert np.isclose(feedback(V, model, np.array([x])), -pi * x,
                               atol=1e-8)
 
+    def test_batch_matches_points(self):
+        model = lq(4)
+        basis = build_basis(4, model.a)
+        rng = np.random.default_rng(2)
+        V = ValueFunction(TTTensor.random((4,) * 4, [1, 3, 3, 3, 1], rng), basis)
+        X = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(20, 4))
+        batch = feedback(V, model, X)
+        points = np.array([feedback(V, model, x) for x in X])
+        assert batch.shape == (20,)
+        assert np.max(np.abs(batch - points)) <= 1e-14 * np.max(np.abs(points))
+
     def test_zero_gradient_zero_control(self):
         model = scalar_unstable_model()
         basis = build_basis(3, model.a)
@@ -114,6 +140,36 @@ class TestFeedback:
         u = feedback(V, model, np.array([1.5]))
         assert -2.0 < u < 2.0
         assert abs(u) > 1.9  # large gradient saturates
+
+
+class TestNoPathPlanning:
+    def test_solve_and_rollout_plan_no_einsum(self, monkeypatch):
+        """np.einsum(optimize=...) re-plans its path on every call, which
+        dominated small solves; no solver or evaluation path may use it."""
+        import inspect
+
+        from tthjb.rollout import rollout
+
+        calls = []
+        planner = np.einsum_path
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return planner(*args, **kwargs)
+
+        # np.einsum looks the planner up in its own module
+        monkeypatch.setattr(inspect.getmodule(np.einsum.__wrapped__),
+                            "einsum_path", counting)
+        monkeypatch.setattr(np, "einsum_path", counting)
+        a = np.ones((2, 2))
+        np.einsum("ij,jk->ik", a, a, optimize=True)
+        assert len(calls) == 1  # the counter sees planned contractions
+        calls.clear()
+        model = lq(3)
+        V, _ = policy_iterate(model, SolverConfig(delta=1e-4, n=3,
+                                                  max_policy_iters=3))
+        rollout(model, lambda X: feedback(V, model, X), model.x0_default, 1.0)
+        assert calls == []
 
 
 class TestSolverConfig:

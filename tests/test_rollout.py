@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -88,6 +89,38 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(model, None, np.zeros(3), 1.0)
 
+    def test_controller_calls_bounded_by_rhs_evaluations(self):
+        # one call per right-hand side evaluation plus one batched call that
+        # records the controls on the output grid
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        model = linear_model(A)
+        drift = model.drift
+        rhs_evals = []
+        shapes = []
+
+        def counting_drift(X):
+            rhs_evals.append(1)
+            return drift(X)
+
+        def ctrl(X):
+            shapes.append(X.shape)
+            return -0.3 * X[:, 0]
+
+        model = dataclasses.replace(model, drift=counting_drift)
+        traj = rollout(model, ctrl, np.array([1.0, -1.0]), 2.0)
+        assert not traj.failed
+        assert len(shapes) <= len(rhs_evals) + 1
+        assert shapes[-1] == traj.states.shape
+        assert np.allclose(traj.controls, -0.3 * traj.states[:, 0])
+
+    def test_column_controls_rejected(self):
+        # (N, 1) controls broadcast silently inside the dynamics; the
+        # recorded controls must be (N,)
+        model = linear_model(-np.eye(2))
+        with pytest.raises(ValueError, match="must map"):
+            rollout(model, lambda X: -(X @ np.ones((2, 1))),
+                    np.array([1.0, 0.0]), 0.5)
+
     def test_uncontrolled_allen_cahn_cost_plateaus(self):
         # the free system settles at the all-ones state, whose running cost
         # is its squared L2 norm, 2
@@ -101,7 +134,7 @@ class TestArtifacts:
     @pytest.fixture
     def traj(self):
         model = linear_model(-np.eye(2))
-        return rollout(model, lambda x: 0.1 * x[0], np.array([1.0, 1.0]), 1.0)
+        return rollout(model, lambda X: 0.1 * X[:, 0], np.array([1.0, 1.0]), 1.0)
 
     def test_csv_without_states(self, traj, tmp_path):
         path = tmp_path / "t.csv"
@@ -129,8 +162,8 @@ class TestArtifacts:
 class TestCompare:
     def test_deterministic_and_isolated(self):
         model = linear_model(np.array([[-1.0, 0.0], [0.0, -0.5]]))
-        ctrl = {"zero": None, "weak": lambda x: -0.1 * x[0],
-                "broken": lambda x: float("nan")}
+        ctrl = {"zero": None, "weak": lambda X: -0.1 * X[:, 0],
+                "broken": lambda X: np.full(len(X), np.nan)}
         x0 = np.array([1.0, 2.0])
         a = compare(model, ctrl, x0, 2.0)
         b = compare(model, ctrl, x0, 2.0)
