@@ -268,11 +268,14 @@ def amen_solve_shifted(
         return TTTensor([np.linalg.solve(H, g).reshape(1, -1, 1)])
     rng = np.random.default_rng(1)
     for sweep in range(sweeps):
+        start = v
         v = orthogonalize_right(v, 1)
-        # residual of the shifted system without forming (A + shift I) v
-        res = _fit_combination(
-            A, v, [(1.0, b), (shift, v_prev), (-shift, v)], rho, rng
-        )
+        # residual of the shifted system without forming (A + shift I) v;
+        # a sweep that starts from v_prev itself drops the cancelling shift terms
+        terms = [(1.0, b)]
+        if start is not v_prev:
+            terms += [(shift, v_prev), (-shift, v)]
+        res = _fit_combination(A, v, terms, rho, rng)
         # right interfaces of A, b, v_prev and the residual against v's frames
         RA = [None] * (d + 1)
         Rb = [None] * (d + 1)

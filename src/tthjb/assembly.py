@@ -12,13 +12,12 @@ regularize rather than destabilize the linear solves.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .cross import CrossResult, GridFunction, tt_cross
+from .cross import CrossResult, TTMap, tt_cross
 from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_round, tt_scale
 
 __all__ = [
@@ -252,14 +251,9 @@ def control_map(channel: ControlChannel, basis: SpectralBasis, gamma: float,
     return (-0.5 / gamma) * bmap
 
 
-def _square_via_cross(u_tt: TTTensor, scale: float, acc: Accuracy,
-                      grid, initial=None, seed=0) -> CrossResult:
-    def evaluator(indices):
-        vals = u_tt.eval(indices)
-        return scale * vals * vals
-
-    gf = GridFunction(evaluator=evaluator, grid=list(grid))
-    return tt_cross(gf, acc, initial=initial, seed=seed,
+def _cross_map(u_tt: TTTensor, func, acc: Accuracy, grid, initial, seed) -> CrossResult:
+    """TT-cross of the entrywise map func(u_tt) on the nodal grid."""
+    return tt_cross(TTMap(u_tt, func, grid), acc, initial=initial, seed=seed,
                     initial_rank=min(u_tt.max_rank + 2, 10))
 
 
@@ -269,13 +263,7 @@ def apply_constraint(u_tt: TTTensor, penalty: ControlPenalty, acc: Accuracy,
     if penalty.kind == "unconstrained":
         return None
     cap = penalty.clip
-
-    def evaluator(indices):
-        return cap * np.tanh(u_tt.eval(indices) / cap)
-
-    gf = GridFunction(evaluator=evaluator, grid=list(grid))
-    return tt_cross(gf, acc, initial=initial, seed=seed,
-                    initial_rank=min(u_tt.max_rank + 2, 10))
+    return _cross_map(u_tt, lambda u: cap * np.tanh(u / cap), acc, grid, initial, seed)
 
 
 @dataclass
@@ -308,22 +296,18 @@ class GalerkinSystem:
         coupling = assemble_coupling(u_tt, self.channel, self.basis, self.acc)
         return (self.drift + coupling).round(self.acc)
 
-    def rhs(self, u_tt: TTTensor | None, cross_state=None):
-        """(b, new cross state); the u-dependent part may go through cross."""
+    def rhs(self, u_tt: TTTensor | None, initial=None):
+        """(b, CrossResult or None); the u-dependent part may go through cross,
+        started from the index sets ``initial`` when given."""
         if u_tt is None:
             return self.ell_proj, None
-        state = None
+        res = None
         if self.penalty.kind == "unconstrained" and u_tt.max_rank <= _HADAMARD_RANK_LIMIT:
             pen = tt_scale(tt_round(tt_hadamard(u_tt, u_tt), self.acc),
                            self.penalty.gamma)
         else:
-            def evaluator(indices):
-                return penalty_cost(u_tt.eval(indices), self.penalty)
-
-            gf = GridFunction(evaluator=evaluator, grid=self.grid)
-            res = tt_cross(gf, self.acc, initial=cross_state, seed=self.seed,
-                           initial_rank=min(u_tt.max_rank + 2, 10))
+            res = _cross_map(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
+                             self.grid, initial, self.seed)
             pen = res.tensor
-            state = res.index_sets
         b = tt_round(self.ell_proj + project_to_basis(pen, self.basis), self.acc)
-        return b, state
+        return b, res

@@ -231,12 +231,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
                        "converged": converged}, fh)
 
     save_tt(V.v, out / "value_function.tt")
-    with open(out / "history.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["iteration", "rel_change", "max_rank", "shift", "seconds"]
-        )
-        writer.writeheader()
-        writer.writerows(history)
+    history_to_csv(history, out / "history.csv")
 
     # the destabilizing-shift model is solved shifted but judged on the
     # physical dynamics

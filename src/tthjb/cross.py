@@ -7,6 +7,7 @@ kept well conditioned by maxvol.  Blocks are assembled in interpolation form
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,7 +15,9 @@ import scipy.linalg
 
 from .tt import Accuracy, TTTensor, tt_norm
 
-__all__ = ["GridFunction", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt", "random_index_sets", "tt_function_cross"]
+__all__ = ["GridFunction", "TTMap", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt", "random_index_sets", "tt_function_cross"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -35,15 +38,22 @@ class GridFunction:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.grid)
 
+    def _count(self, n: int) -> None:
+        self.n_evals += n
+        if self.sweep_evals:
+            self.sweep_evals[-1] += n
+
     def __call__(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=int)
-        self.n_evals += indices.shape[0]
-        if self.sweep_evals:
-            self.sweep_evals[-1] += indices.shape[0]
+        self._count(indices.shape[0])
         vals = np.asarray(self.evaluator(indices), dtype=float).reshape(-1)
         if vals.size != indices.shape[0]:
             raise ValueError("evaluator returned wrong batch size")
         return vals
+
+    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
+        """Values on left rows x {0..n_k-1} x right rows, flattened row-major."""
+        return self(_combine_indices(left_rows, k, self.dims[k], right_rows, len(self.dims)))
 
     def points(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=int)
@@ -51,6 +61,36 @@ class GridFunction:
             [np.asarray(self.grid[k])[indices[:, k]] for k in range(indices.shape[1])],
             axis=1,
         )
+
+
+class TTMap(GridFunction):
+    """The entrywise map func(t) of a TT tensor t on its grid.
+
+    Fibres come from interface products instead of point-by-point
+    evaluation: the left rows pushed through blocks 0..k-1, the right rows
+    through blocks k+1..d-1, and two GEMMs with block k in between.
+    """
+
+    def __init__(self, tensor: TTTensor, func, grid):
+        super().__init__(evaluator=lambda indices: func(tensor.eval(indices)),
+                         grid=list(grid))
+        self.tensor = tensor
+        self.func = func
+
+    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
+        blocks = self.tensor.blocks
+        rl, rr = left_rows.shape[0], right_rows.shape[0]
+        left = np.ones((rl, 1, 1))                                     # row, 1, r_j
+        for j in range(k):
+            left = left @ blocks[j][:, left_rows[:, j], :].transpose(1, 0, 2)
+        right = np.ones((rr, 1, 1))                                    # row, r_j, 1
+        for j in range(self.tensor.d - 1, k, -1):
+            right = blocks[j][:, right_rows[:, j - k - 1], :].transpose(1, 0, 2) @ right
+        left, right = left[:, 0, :], right[:, :, 0].T
+        r0, m, r1 = blocks[k].shape
+        mid = (left @ blocks[k].reshape(r0, m * r1)).reshape(rl * m, r1)
+        self._count(rl * m * rr)
+        return np.asarray(self.func((mid @ right).reshape(-1)), dtype=float)
 
 
 def grid_function_from_pointwise(func, grid) -> GridFunction:
@@ -234,11 +274,8 @@ def _forward_pass(f: GridFunction, right_sets, delta: float):
     left_rows = np.zeros((1, 0), dtype=int)
     for k in range(d):
         right_rows = right_sets[k] if k < d - 1 else np.zeros((1, 0), dtype=int)
-        combos = _combine_indices(left_rows, k, dims[k], right_rows, d)
-        vals = f(combos)
-        rl = max(left_rows.shape[0], 1)
-        rr = right_rows.shape[0] if k < d - 1 else 1
-        F = vals.reshape(rl * dims[k], rr)
+        F = f.fibres(left_rows, k, right_rows).reshape(-1, right_rows.shape[0])
+        rl = left_rows.shape[0]
         if k == d - 1:
             cores.append(F.reshape(rl, dims[k], 1))
             break
@@ -246,8 +283,8 @@ def _forward_pass(f: GridFunction, right_sets, delta: float):
         sel = maxvol(q)
         core = q @ np.linalg.inv(q[sel])
         cores.append(core.reshape(rl, dims[k], q.shape[1]))
-        # combos are ordered left-major, so row index maps back directly
-        left_rows = combos[np.arange(combos.shape[0]).reshape(rl * dims[k], rr)[sel, 0]][:, : k + 1]
+        # rows of F enumerate (left, i_k) pairs in row-major order
+        left_rows = np.column_stack([left_rows[sel // dims[k]], sel % dims[k]])
         left_sets.append(left_rows)
     return cores, left_sets
 
@@ -260,23 +297,13 @@ def _backward_pass(f: GridFunction, left_sets, right_sets, delta: float):
     right_rows = np.zeros((1, 0), dtype=int)
     for k in range(d - 1, 0, -1):
         left_rows = left_sets[k - 1]
-        combos = _combine_indices(left_rows, k, dims[k], right_rows, d)
-        vals = f(combos)
-        rl = left_rows.shape[0]
-        rr = max(right_rows.shape[0], 1)
-        F = vals.reshape(rl, dims[k] * rr)
+        rr = right_rows.shape[0]
+        F = f.fibres(left_rows, k, right_rows).reshape(left_rows.shape[0], dims[k] * rr)
         q = _trimmed_basis(F.T, delta)
         sel = maxvol(q)
         # columns of F enumerate (i_k, right) pairs in row-major order
-        pair_idx = np.arange(dims[k] * rr)[sel]
-        ik = pair_idx // rr
-        rsel = pair_idx % rr
-        rows = np.empty((sel.size, d - k), dtype=int)
-        rows[:, 0] = ik
-        if right_rows.shape[1]:
-            rows[:, 1:] = right_rows[rsel]
-        new_right[k - 1] = rows
-        right_rows = rows
+        right_rows = np.column_stack([sel // rr, right_rows[sel % rr]])
+        new_right[k - 1] = right_rows
     return tuple(new_right)
 
 
@@ -295,7 +322,8 @@ def tt_cross(
     One sweep is a full left-to-right pass (which also assembles the TT
     blocks from the inverted intersection matrices) followed by a
     right-to-left pass.  Convergence is declared when the relative change of
-    the assembled iterate drops below acc.delta.
+    the assembled iterate drops below acc.delta; a cross that stops without
+    it logs a warning.  Values are requested fibre by fibre (f.fibres).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dims = f.dims
@@ -328,6 +356,9 @@ def tt_cross(
             state, saturated = rank_adapt(state, np.inf if change is None else change,
                                           acc, rng, kick_rank)
         prev = tensor
+    if not converged:
+        log.warning("TT-cross stopped unconverged after %d sweeps (%d evaluations, rank %d)",
+                    sweeps, f.n_evals, tensor.max_rank)
     return CrossResult(
         tensor=tensor,
         index_sets=state,

@@ -48,6 +48,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+_CROSS_FIELDS = ("cross_evals", "cross_sweeps", "cross_converged")
+
 
 class PolicyDivergence(RuntimeError):
     """Raised when the relative change grows for too many iterations."""
@@ -277,7 +279,8 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
             else:
                 u = u_raw
         A = system.operator(u)
-        b, cross_state = system.rhs(u, cross_state)
+        b, cross = system.rhs(u, cross_state)
+        cross_state = cross.index_sets if cross is not None else None
         v = amen_solve_shifted(A, b, v_prev, mu, acc,
                                sweeps=config.inner_sweeps,
                                rho=config.enrich_rank, v0=v_prev)
@@ -289,7 +292,10 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
         seconds = time.perf_counter() - t0
         state.history.append(
             {"iteration": s, "rel_change": rel, "max_rank": v.max_rank,
-             "shift": mu, "seconds": seconds}
+             "shift": mu, "seconds": seconds,
+             "cross_evals": cross.n_evals if cross else None,
+             "cross_sweeps": cross.sweeps if cross else None,
+             "cross_converged": cross.converged if cross else None}
         )
         state.v, state.v_prev, state.u_nodal = v, v_prev, u
         state.mu, state.iteration = mu, s + 1
@@ -312,11 +318,17 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
     return V, state
 
 
-def history_to_csv(state: PolicyIterationState, path) -> None:
+def history_to_csv(history, path) -> None:
+    """Write history rows (a list, or a PolicyIterationState's) as CSV.
+
+    The right-hand-side cross columns are written only when some iteration
+    ran a cross; empty cells mark iterations that did not.
+    """
+    rows = getattr(history, "history", history)
+    fields = ["iteration", "rel_change", "max_rank", "shift", "seconds"]
+    fields += [key for key in _CROSS_FIELDS
+               if any(row.get(key) is not None for row in rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["iteration", "rel_change", "max_rank", "shift", "seconds"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
-        for row in state.history:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -246,3 +246,27 @@ class TestCoupling:
         f_tts = [u * g[p] for p in range(d)]
         want = assemble_drift(f_tts, basis, ACC).to_dense()
         assert np.allclose(C, want, atol=1e-10)
+
+
+class TestCrossSamplesByInterfaces:
+    def test_rhs_and_constraint_never_evaluate_points(self, rng, monkeypatch):
+        from tthjb import tt
+        from tthjb.models import lq
+        from tthjb.policy import SolverConfig, _build_system
+
+        basis = build_basis(3, 1.0)
+        system = _build_system(lq(4), basis, SolverConfig(delta=1e-4, n=3))
+        u = TTTensor.random((basis.m,) * 4, [1, 6, 13, 6, 1], rng)
+        calls = []
+        original = tt.TTTensor.eval
+        monkeypatch.setattr(tt.TTTensor, "eval",
+                            lambda self, idx: calls.append(len(idx)) or original(self, idx))
+        u.eval(np.zeros((1, 4), dtype=int))
+        assert calls == [1]  # the counter sees a direct call
+        calls.clear()
+        b, res = system.rhs(u)
+        assert res is not None and res.n_evals > 0
+        pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=0.5)
+        res = apply_constraint(u, pen, Accuracy(1e-6), [basis.nodes] * 4)
+        assert res.n_evals > 0
+        assert calls == []

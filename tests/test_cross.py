@@ -5,6 +5,7 @@ import pytest
 
 from tthjb.cross import (
     GridFunction,
+    TTMap,
     grid_function_from_pointwise,
     maxvol,
     random_index_sets,
@@ -132,3 +133,48 @@ class TestRankAdapt:
         f = GridFunction(evaluator=t.eval, grid=grid)
         res = tt_cross(f, Accuracy(1e-10), seed=0, max_sweeps=4, initial_rank=2)
         assert max(res.tensor.ranks) >= 5
+
+
+class TestTTMap:
+    """Fibres of an entrywise map of a TT tensor from interface products."""
+
+    @staticmethod
+    def _pair(rng, func=np.tanh):
+        dims = (4, 5, 3, 6, 4)
+        t = TTTensor.random(dims, [1, 3, 4, 4, 3, 1], rng)
+        grid = [np.arange(float(n)) for n in dims]
+        pointwise = GridFunction(evaluator=lambda idx: func(t.eval(idx)), grid=grid)
+        return t, TTMap(t, func, grid), pointwise
+
+    def test_fibres_match_pointwise_at_every_position(self, rng):
+        t, fmap, pointwise = self._pair(rng)
+        d = t.d
+        for k in range(d):
+            left = (rng.integers(0, np.array(t.dims[:k]), size=(7, k)) if k
+                    else np.zeros((1, 0), dtype=int))
+            right = (rng.integers(0, np.array(t.dims[k + 1:]), size=(5, d - k - 1))
+                     if k < d - 1 else np.zeros((1, 0), dtype=int))
+            got = fmap.fibres(left, k, right)
+            want = pointwise.fibres(left, k, right)
+            assert got.shape == (left.shape[0] * t.dims[k] * right.shape[0],)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert fmap.n_evals == pointwise.n_evals
+
+    def test_cross_picks_same_pivots_as_pointwise(self, rng):
+        t, fmap, pointwise = self._pair(rng, func=lambda v: v * v)
+        a = tt_cross(fmap, Accuracy(1e-10), seed=2)
+        b = tt_cross(pointwise, Accuracy(1e-10), seed=2)
+        assert a.n_evals == b.n_evals and a.n_evals > 0
+        assert a.per_sweep_evals == b.per_sweep_evals
+        assert a.sweeps == b.sweeps and a.converged == b.converged
+        for x, y in zip(a.index_sets.left + a.index_sets.right,
+                        b.index_sets.left + b.index_sets.right):
+            assert np.array_equal(x, y)
+        assert tt_norm(a.tensor - b.tensor) <= 1e-12 * tt_norm(b.tensor)
+
+    def test_unconverged_cross_warns(self, rng, caplog):
+        _, fmap, _ = self._pair(rng)
+        with caplog.at_level("WARNING", logger="tthjb.cross"):
+            res = tt_cross(fmap, Accuracy(1e-10), max_sweeps=1)
+        assert not res.converged
+        assert "unconverged" in caplog.text

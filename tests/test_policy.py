@@ -237,3 +237,47 @@ class TestPolicyIterationLQ:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,rel_change,max_rank,shift,seconds"
         assert len(lines) == len(state.history) + 1
+
+
+class TestCrossHistory:
+    """Every history row reports the right-hand-side cross of its iteration."""
+
+    @staticmethod
+    def _solve(monkeypatch, **cross_kwargs):
+        import functools
+
+        from tthjb import assembly
+
+        # small u: force the cross path that large ranks take in production
+        monkeypatch.setattr(assembly, "_HADAMARD_RANK_LIMIT", 0)
+        monkeypatch.setattr(assembly, "tt_cross",
+                            functools.partial(assembly.tt_cross, **cross_kwargs))
+        config = SolverConfig(delta=1e-4, n=3, mu0=20.0, max_policy_iters=3)
+        return policy_iterate(lq(3), config)
+
+    def test_rows_carry_cross_outcome(self, monkeypatch, tmp_path):
+        from tthjb.policy import history_to_csv
+
+        _, state = self._solve(monkeypatch)
+        for row in state.history:
+            assert row["cross_evals"] > 0
+            assert 1 <= row["cross_sweeps"] <= 20
+            assert row["cross_converged"] is True
+        path = tmp_path / "hist.csv"
+        history_to_csv(state.history, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0].endswith(",cross_evals,cross_sweeps,cross_converged")
+        assert len(lines) == len(state.history) + 1
+
+    def test_unconverged_cross_flagged(self, monkeypatch, caplog):
+        with caplog.at_level("WARNING", logger="tthjb.cross"):
+            _, state = self._solve(monkeypatch, max_sweeps=1)
+        assert [row["cross_converged"] for row in state.history] == [False] * 3
+        assert all(row["cross_sweeps"] == 1 for row in state.history)
+        assert caplog.text.count("unconverged") >= 3
+
+    def test_hadamard_rows_leave_cross_empty(self):
+        config = SolverConfig(delta=1e-4, n=3, mu0=20.0, max_policy_iters=2)
+        _, state = policy_iterate(lq(3), config)
+        for row in state.history:
+            assert row["cross_evals"] is None and row["cross_converged"] is None
