@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SpectralBasis", "build_basis", "legendre_table", "eval_point", "eval_deriv_point"]
+__all__ = ["SpectralBasis", "build_basis", "legendre_table", "legendre_rows", "eval_point", "eval_deriv_point"]
 
 
 def legendre_table(t: np.ndarray, n: int):
@@ -17,18 +17,25 @@ def legendre_table(t: np.ndarray, n: int):
 
     Uses the three-term recurrence for values and
     P'_{k+1} = (2k+1) P_k + P'_{k-1} for derivatives; both are valid for any
-    real t, including |t| > 1 (polynomial extrapolation).
+    real t, including |t| > 1 (polynomial extrapolation).  Returns (M, n)
+    arrays; legendre_rows has the same numbers as (n, M).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.zeros((t.size, n))
-    ders = np.zeros((t.size, n))
-    vals[:, 0] = 1.0
+    vals, ders = legendre_rows(t, n)
+    return np.ascontiguousarray(vals.T), np.ascontiguousarray(ders.T)
+
+
+def legendre_rows(t: np.ndarray, n: int):
+    """legendre_table as (n, M) arrays: one contiguous row per degree."""
+    t = np.atleast_1d(np.asarray(t, dtype=float)).reshape(-1)
+    vals = np.zeros((n, t.size))
+    ders = np.zeros((n, t.size))
+    vals[0] = 1.0
     if n > 1:
-        vals[:, 1] = t
-        ders[:, 1] = 1.0
+        vals[1] = t
+        ders[1] = 1.0
     for k in range(1, n - 1):
-        vals[:, k + 1] = ((2 * k + 1) * t * vals[:, k] - k * vals[:, k - 1]) / (k + 1)
-        ders[:, k + 1] = (2 * k + 1) * vals[:, k] + ders[:, k - 1]
+        vals[k + 1] = ((2 * k + 1) * t * vals[k] - k * vals[k - 1]) / (k + 1)
+        ders[k + 1] = (2 * k + 1) * vals[k] + ders[k - 1]
     return vals, ders
 
 

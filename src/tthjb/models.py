@@ -49,7 +49,7 @@ class ControlledDynamics:
 
     def state_cost(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        return np.einsum("ni,ij,nj->n", X, self.cost_matrix, X)
+        return np.sum((X @ self.cost_matrix) * X, axis=1)
 
     def ell_tt(self, grids) -> TTTensor:
         return quadratic_to_tt(self.cost_matrix, grids)
@@ -536,7 +536,7 @@ class LQRSolution:
 
     def value(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        return np.einsum("ni,ij,nj->n", X, self.Pi, X)
+        return np.sum((X @ self.Pi) * X, axis=1)
 
     def feedback(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)

@@ -22,7 +22,7 @@ from .assembly import (
     control_map,
     project_to_basis,
 )
-from .basis import SpectralBasis, build_basis, legendre_table
+from .basis import SpectralBasis, build_basis, legendre_rows
 from .models import ControlledDynamics, solve_riccati
 from .tt import (
     Accuracy,
@@ -97,14 +97,13 @@ class PolicyIterationState:
     converged: bool = False
 
 
-def _slices(blk: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-point block slices sum_i table[N, i] blk[:, i, :], (N, r, s), in one GEMM."""
-    r, n, s = blk.shape
-    return (table @ blk.transpose(1, 0, 2).reshape(n, r * s)).reshape(-1, r, s)
-
-
 class ValueFunction:
-    """Value approximation V(x) = sum_i v_i prod_k phi_{i_k}(x_k)."""
+    """Value approximation V(x) = sum_i v_i prod_k phi_{i_k}(x_k).
+
+    Points run along the last axis of every intermediate, so each block is
+    met by one GEMM and one contraction with its basis table instead of one
+    small product per point.
+    """
 
     def __init__(self, v: TTTensor, basis: SpectralBasis):
         self.v = v
@@ -114,44 +113,48 @@ class ValueFunction:
     def d(self) -> int:
         return self.v.d
 
-    def _tables(self, X: np.ndarray, deriv: bool):
+    def _tables(self, X: np.ndarray):
+        """Scaled basis values and x-derivatives, (n, d, N) each."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals, ders = legendre_table(X.reshape(-1) / self.basis.a, self.basis.n)
-        scale = self.basis.scale()
-        vals = (vals * scale).reshape(X.shape[0], X.shape[1], self.basis.n)
-        if not deriv:
-            return X, vals, None
-        ders = (ders * scale / self.basis.a).reshape(
-            X.shape[0], X.shape[1], self.basis.n
-        )
+        N, d = X.shape
+        vals, ders = legendre_rows(X.T.reshape(-1) / self.basis.a, self.basis.n)
+        scale = self.basis.scale()[:, None]
+        vals = (vals * scale).reshape(-1, d, N)
+        ders = (ders * (scale / self.basis.a)).reshape(-1, d, N)
         return X, vals, ders
 
+    def _push_left(self, k: int, left: np.ndarray):
+        """Block k met by the left interfaces (r_k, N): (n, r_{k+1}, N)."""
+        r, n, s = self.v.blocks[k].shape
+        return (self.v.blocks[k].reshape(r, n * s).T @ left).reshape(n, s, -1)
+
     def eval(self, X: np.ndarray) -> np.ndarray:
-        X, vals, _ = self._tables(X, deriv=False)
-        cur = np.ones((X.shape[0], 1, 1))
-        for k, blk in enumerate(self.v.blocks):
-            cur = cur @ _slices(blk, vals[:, k, :])
-        return cur[:, 0, 0]
+        X, vals, _ = self._tables(X)
+        left = np.ones((1, X.shape[0]))
+        for k in range(self.d):
+            left = np.einsum("isn,in->sn", self._push_left(k, left), vals[:, k])
+        return left[0]
 
     def gradient(self, X: np.ndarray):
         """All d partial derivatives from one pass of shared contractions.
 
         Returns (grads (N, d), extrapolated flags (N,)).
         """
-        X, vals, ders = self._tables(X, deriv=True)
+        X, vals, ders = self._tables(X)
         N, d = X.shape
-        mats = [_slices(blk, vals[:, k, :]) for k, blk in enumerate(self.v.blocks)]
-        left = [np.ones((N, 1, 1))]
-        for k in range(d - 1):
-            left.append(left[-1] @ mats[k])
-        rights = [None] * d
-        rights[d - 1] = np.ones((N, 1, 1))
-        for k in range(d - 1, 0, -1):
-            rights[k - 1] = mats[k] @ rights[k]
+        right = np.ones((1, N))
+        mids = [None] * d                   # block k met by right interfaces, (r_k, n, N)
+        for k in range(d - 1, -1, -1):
+            r, n, s = self.v.blocks[k].shape
+            mids[k] = (self.v.blocks[k].reshape(r * n, s) @ right).reshape(r, n, N)
+            if k:
+                right = np.einsum("rin,in->rn", mids[k], vals[:, k])
         grads = np.empty((N, d))
-        for p in range(d):
-            dm = _slices(self.v.blocks[p], ders[:, p, :])
-            grads[:, p] = (left[p] @ dm @ rights[p])[:, 0, 0]
+        left = np.ones((1, N))
+        for k in range(d):
+            grads[:, k] = np.einsum("rn,rin,in->n", left, mids[k], ders[:, k])
+            if k < d - 1:
+                left = np.einsum("isn,in->sn", self._push_left(k, left), vals[:, k])
         flags = np.any(np.abs(X) > self.basis.a, axis=1)
         return grads, flags
 

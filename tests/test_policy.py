@@ -96,6 +96,25 @@ class TestValueGradient:
         assert not np.any(flags)
         assert np.max(np.abs(grads - fd)) <= 1e-6 * np.max(np.abs(grads))
 
+    @pytest.mark.parametrize("npts", [1, 7])
+    def test_eval_and_gradient_match_dense_sum(self, npts):
+        # ranks above and below n, so no block is square
+        basis = build_basis(4, 1.5)
+        rng = np.random.default_rng(6)
+        v = TTTensor.random((4,) * 3, [1, 2, 6, 1], rng)
+        V = ValueFunction(v, basis)
+        X = rng.uniform(-1.4, 1.4, size=(npts, 3))
+        dense = v.to_dense()
+        for x, val, grad in zip(X, V.eval(X), V.gradient(X)[0]):
+            phi = [basis.eval(xk)[0] for xk in x]
+            dphi = [basis.eval_deriv(xk)[0] for xk in x]
+            want = np.einsum("ijk,i,j,k->", dense, *phi)
+            want_grad = [np.einsum("ijk,i,j,k->", dense,
+                                   *[dphi[q] if q == p else phi[q] for q in range(3)])
+                         for p in range(3)]
+            assert abs(val - want) <= 1e-13 * np.abs(dense).sum()
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.abs(dense).sum()
+
     def test_extrapolation_flagged(self):
         basis = build_basis(3, 1.0)
         v = TTTensor.rank_one([np.ones(3)] * 2)
