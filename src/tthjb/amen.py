@@ -19,18 +19,18 @@ from .tt import (
     TTMatrix,
     TTTensor,
     orthogonalize_right,
-    tt_matvec,
-    tt_round,
     _svd,
     _chop,
 )
 
-__all__ = ["amen_solve_shifted", "reduce_system", "enrich", "residual_tt"]
+__all__ = ["amen_solve_shifted", "reduce_system"]
 
 log = logging.getLogger(__name__)
 
 # largest local system solved by dense factorization; bigger ones go to GMRES
 _DENSE_LIMIT = 2000
+# alternating sweeps of the rank-rho residual fit that drives enrichment
+_FIT_SWEEPS = 2
 
 
 # Index names in the comments: a, b, c, d frame ranks; A, B operator ranks;
@@ -118,19 +118,18 @@ def _apply_local(LA, Ab, RA, x):
     return np.tensordot(tmp, RA, axes=((1, 3), (2, 1)))           # a i b
 
 
-def _fit_combination(A: TTMatrix | None, v: TTTensor | None, terms,
-                     rho: int, rng, sweeps: int = 2) -> TTTensor:
+def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor:
     """Rank-rho alternating fit of sum_i c_i t_i - A v.
 
     The product A v is never materialized: every local update only needs
     interface contractions of A and v against the orthonormal frames of the
     iterate, so the cost stays linear in d even when A v has huge ranks.
     """
-    dims = terms[0][1].dims if terms else v.dims
+    dims = v.dims
     d = len(dims)
     ranks = [1] + [rho] * (d - 1) + [1]
     z = TTTensor.random(dims, ranks, rng)
-    for _ in range(sweeps):
+    for _ in range(_FIT_SWEEPS):
         z = orthogonalize_right(z, 1)
         RAv = [None] * (d + 1)
         Rts = [[None] * (d + 1) for _ in terms]
@@ -138,9 +137,7 @@ def _fit_combination(A: TTMatrix | None, v: TTTensor | None, terms,
         for i in range(len(terms)):
             Rts[i][d] = np.ones((1, 1))
         for j in range(d - 1, 0, -1):
-            if A is not None:
-                RAv[j] = _retreat_op(RAv[j + 1], z.blocks[j], A.blocks[j],
-                                     v.blocks[j])
+            RAv[j] = _retreat_op(RAv[j + 1], z.blocks[j], A.blocks[j], v.blocks[j])
             for i, (_, t) in enumerate(terms):
                 Rts[i][j] = _retreat_vec(Rts[i][j + 1], z.blocks[j], t.blocks[j])
         LAv = np.ones((1, 1, 1))
@@ -151,64 +148,18 @@ def _fit_combination(A: TTMatrix | None, v: TTTensor | None, terms,
             for i, (coef, t) in enumerate(terms):
                 piece = coef * _local_rhs(Lts[i], t.blocks[k], Rts[i][k + 1])
                 blk = piece if blk is None else blk + piece
-            if A is not None:
-                piece = _apply_local(LAv, A.blocks[k], RAv[k + 1], v.blocks[k])
-                blk = -piece if blk is None else blk - piece
+            blk = blk - _apply_local(LAv, A.blocks[k], RAv[k + 1], v.blocks[k])
             if k == d - 1:
                 blocks[k] = blk
                 break
             r0, _, r1 = blk.shape
             q, _ = np.linalg.qr(blk.reshape(r0 * dims[k], r1))
             blocks[k] = q.reshape(r0, dims[k], q.shape[1])
-            if A is not None:
-                LAv = _advance_op(LAv, blocks[k], A.blocks[k], v.blocks[k])
+            LAv = _advance_op(LAv, blocks[k], A.blocks[k], v.blocks[k])
             for i, (_, t) in enumerate(terms):
                 Lts[i] = _advance_vec(Lts[i], blocks[k], t.blocks[k])
         z = TTTensor(blocks)
     return z
-
-
-def residual_tt(A: TTMatrix, v: TTTensor, rhs: TTTensor, acc: Accuracy,
-                rho_max: int = 4, rng=None) -> TTTensor:
-    """Rank-capped approximation of rhs - A v, used only for basis enrichment.
-
-    Small products are rounded exactly; otherwise an alternating fit avoids
-    ever forming A v, whose ranks multiply.
-    """
-    if max(A.ranks) * max(v.ranks) <= 200:
-        res = rhs - tt_matvec(A, v)
-        return tt_round(res, Accuracy(delta=acc.delta, max_rank=rho_max))
-    rng = np.random.default_rng(0) if rng is None else rng
-    return _fit_combination(A, v, [(1.0, rhs)], rho_max, rng)
-
-
-def enrich(v: TTTensor, k: int, z_block: np.ndarray, acc: Accuracy) -> TTTensor:
-    """Append extra basis columns to block k, keeping the tensor unchanged.
-
-    The augmented block is re-orthonormalized by QR and the transform is
-    absorbed into block k+1, whose new rows are zero-padded so the
-    represented tensor is identical.
-    """
-    if k >= v.d - 1:
-        raise ValueError("cannot enrich the last block")
-    blocks = list(v.blocks)
-    r0, n, r1 = blocks[k].shape
-    z = np.asarray(z_block, dtype=float).reshape(r0, n, -1)
-    rho = z.shape[2]
-    if acc.max_rank is not None:
-        rho = min(rho, max(acc.max_rank - r1, 0))
-        z = z[:, :, :rho]
-    if rho == 0:
-        return v
-    aug = np.concatenate([blocks[k], z], axis=2).reshape(r0 * n, r1 + rho)
-    q, rm = np.linalg.qr(aug)
-    blocks[k] = q.reshape(r0, n, q.shape[1])
-    nxt = np.concatenate(
-        [blocks[k + 1], np.zeros((rho, blocks[k + 1].shape[1], blocks[k + 1].shape[2]))],
-        axis=0,
-    )
-    blocks[k + 1] = np.tensordot(rm, nxt, axes=(1, 0))
-    return TTTensor(blocks)
 
 
 def _solve_local(H_parts, g, shift, x0, delta):
@@ -249,31 +200,26 @@ def amen_solve_shifted(
     acc: Accuracy,
     sweeps: int = 1,
     rho: int = 4,
-    v0: TTTensor | None = None,
 ) -> TTTensor:
     """Sweeps of alternating solves for (A + shift I) v = b + shift v_prev.
 
-    v_prev seeds the iteration unless an explicit v0 is given.  Each sweep
-    runs left to right: local solve, SVD truncation to acc, residual-based
-    enrichment (rank at most rho), then an interface update.
+    v_prev seeds the iteration.  Each sweep runs left to right: local solve,
+    SVD truncation to acc, residual-based enrichment (rank at most rho),
+    then an interface update.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    v = v0 if v0 is not None else v_prev
+    if sweeps < 1:
+        raise ValueError("need at least one sweep")
+    v = v_prev
     d = v.d
-    if d == 1:
-        H, g = reduce_system(A, b, v, 0)
-        H[np.diag_indices_from(H)] += shift
-        g = g + shift * v_prev.blocks[0].reshape(-1)
-        return TTTensor([np.linalg.solve(H, g).reshape(1, -1, 1)])
     rng = np.random.default_rng(1)
     for sweep in range(sweeps):
-        start = v
         v = orthogonalize_right(v, 1)
         # residual of the shifted system without forming (A + shift I) v;
-        # a sweep that starts from v_prev itself drops the cancelling shift terms
+        # the first sweep starts from v_prev itself, so its shift terms cancel
         terms = [(1.0, b)]
-        if start is not v_prev:
+        if sweep:
             terms += [(shift, v_prev), (-shift, v)]
         res = _fit_combination(A, v, terms, rho, rng)
         # right interfaces of A, b, v_prev and the residual against v's frames

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, TTMap, tt_cross
-from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_round, tt_scale
+from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_scale
 
 __all__ = [
     "ControlPenalty",
@@ -121,67 +121,59 @@ def assemble_drift_part(f_tt: TTTensor, p: int, basis: SpectralBasis) -> TTMatri
     return TTMatrix(blocks)
 
 
+def _component_sum(tts, part, acc: Accuracy, what: str) -> TTMatrix:
+    """Sum of part(p, t) over the components t = tts[p] that are not None,
+    rounded after each addition."""
+    total = None
+    for p, t in enumerate(tts):
+        if t is None:
+            continue
+        term = part(p, t)
+        total = term if total is None else (total + term).round(acc)
+    if total is None:
+        raise ValueError(f"{what} has no nonzero components")
+    return total
+
+
 def assemble_drift(f_tts, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
     """Sum of all drift components with intermediate rounding."""
-    total = None
-    for p, f_tt in enumerate(f_tts):
-        if f_tt is None:
-            continue
-        part = assemble_drift_part(f_tt, p, basis)
-        total = part if total is None else (total + part).round(acc)
-    if total is None:
-        raise ValueError("drift has no nonzero components")
-    return total
+    return _component_sum(f_tts, lambda p, f: assemble_drift_part(f, p, basis), acc,
+                          "drift")
 
 
-def _coupling_constant(u_tt: TTTensor, g: np.ndarray, basis: SpectralBasis) -> TTMatrix:
-    """-< g u grad ., . > for a constant direction g; ranks only double.
+def _flag_chain(G: list, H: list) -> TTMatrix:
+    """sum_k G_0 x .. x H_k x .. x G_{d-1} from per-dimension operator blocks.
 
-    The chain carries a single flag for whether the derivative factor has
-    been spent, giving blocks [[G, g_k H], [0, G]] instead of a d-term sum.
+    The chain carries a single flag for whether the H factor has been spent,
+    giving blocks [[G, H], [0, G]] instead of a d-term sum; ranks only double.
     """
-    d = u_tt.d
-    blocks = []
-    for k, blk in enumerate(u_tt.blocks):
-        G = _weighted_block(blk, basis, deriv=False)
-        H = g[k] * _weighted_block(blk, basis, deriv=True)
-        r0, n, _, r1 = G.shape
-        if d == 1:
-            blocks.append(H)
-            continue
-        if k == 0:
-            blocks.append(np.concatenate([G, H], axis=3))
-        elif k == d - 1:
-            blocks.append(np.concatenate([H, G], axis=0))
-        else:
-            blk4 = np.zeros((2 * r0, n, n, 2 * r1))
-            blk4[:r0, :, :, :r1] = G
-            blk4[:r0, :, :, r1:] = H
-            blk4[r0:, :, :, r1:] = G
-            blocks.append(blk4)
-    blocks[0] = -blocks[0]
+    if len(G) == 1:
+        return TTMatrix(H)
+    blocks = [np.concatenate([G[0], H[0]], axis=3)]
+    for g, h in zip(G[1:-1], H[1:-1]):
+        r0, n, m, r1 = g.shape
+        blk = np.zeros((2 * r0, n, m, 2 * r1))
+        blk[:r0, :, :, :r1] = g
+        blk[:r0, :, :, r1:] = h
+        blk[r0:, :, :, r1:] = g
+        blocks.append(blk)
+    blocks.append(np.concatenate([H[-1], G[-1]], axis=0))
     return TTMatrix(blocks)
-
-
-def _coupling_generic(u_tt: TTTensor, channel: ControlChannel,
-                      basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
-    total = None
-    for p, g_tt in enumerate(channel.g_tts):
-        if g_tt is None:
-            continue
-        gu = tt_round(tt_hadamard(g_tt, u_tt), acc)
-        part = assemble_drift_part(gu, p, basis)
-        total = part if total is None else (total + part).round(acc)
-    if total is None:
-        raise ValueError("control channel has no nonzero components")
-    return total
 
 
 def assemble_coupling(u_tt: TTTensor, channel: ControlChannel,
                       basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
+    """-< g u grad ., . >: the drift assembly of the components g_p u."""
     if channel.constant is not None:
-        return _coupling_constant(u_tt, channel.constant, basis)
-    return _coupling_generic(u_tt, channel, basis, acc)
+        g = channel.constant
+        G = [_weighted_block(blk, basis, deriv=False) for blk in u_tt.blocks]
+        H = [g[k] * _weighted_block(blk, basis, deriv=True)
+             for k, blk in enumerate(u_tt.blocks)]
+        return -1.0 * _flag_chain(G, H)
+    return _component_sum(
+        channel.g_tts,
+        lambda p, g_tt: assemble_drift_part(tt_round(tt_hadamard(g_tt, u_tt), acc), p, basis),
+        acc, "control channel")
 
 
 def tt_matmat(A: TTMatrix, B: TTMatrix) -> TTMatrix:
@@ -222,32 +214,14 @@ def control_map(channel: ControlChannel, basis: SpectralBasis, gamma: float,
     """Operator taking value coefficients to nodal values of the minimizing
     control, u(x) = -(1 / 2 gamma) g(x) . grad V(x)."""
     if channel.constant is not None:
-        g = channel.constant
-        blocks = []
-        for k in range(d):
-            P = basis.phi.reshape(1, basis.m, basis.n, 1)
-            D = g[k] * basis.dphi.reshape(1, basis.m, basis.n, 1)
-            if d == 1:
-                blocks.append(D)
-                continue
-            if k == 0:
-                blocks.append(np.concatenate([P, D], axis=3))
-            elif k == d - 1:
-                blocks.append(np.concatenate([D, P], axis=0))
-            else:
-                blk = np.zeros((2, basis.m, basis.n, 2))
-                blk[0, :, :, 0] = basis.phi
-                blk[0, :, :, 1] = g[k] * basis.dphi
-                blk[1, :, :, 1] = basis.phi
-                blocks.append(blk)
-        bmap = TTMatrix(blocks)
+        P = basis.phi.reshape(1, basis.m, basis.n, 1)
+        D = basis.dphi.reshape(1, basis.m, basis.n, 1)
+        bmap = _flag_chain([P] * d, [channel.constant[k] * D for k in range(d)])
     else:
-        bmap = None
-        for p, g_tt in enumerate(channel.g_tts):
-            if g_tt is None:
-                continue
-            part = tt_matmat(diag_matrix(g_tt), _evaluation_matrix(basis, d, p))
-            bmap = part if bmap is None else (bmap + part).round(acc)
+        bmap = _component_sum(
+            channel.g_tts,
+            lambda p, g_tt: tt_matmat(diag_matrix(g_tt), _evaluation_matrix(basis, d, p)),
+            acc, "control channel")
     return (-0.5 / gamma) * bmap
 
 
@@ -286,8 +260,6 @@ class GalerkinSystem:
 
     def feedback(self, v: TTTensor) -> TTTensor:
         """Nodal values of the unconstrained minimizing control."""
-        from .tt import tt_matvec
-
         return tt_round(tt_matvec(self.bmap, v), self.acc)
 
     def operator(self, u_tt: TTTensor | None) -> TTMatrix:

@@ -245,7 +245,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     try:
         lqr = solve_riccati(eval_model.lin_A, eval_model.lin_B,
                             eval_model.cost_matrix, eval_model.gamma)
-        controllers["lqr"] = lambda X: -(np.asarray(X) @ lqr.K[0])
+        controllers["lqr"] = lqr.feedback
     except (ValueError, RuntimeError):
         log.info("no LQR baseline (linearization not stabilizable)")
 
@@ -273,7 +273,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
         pts = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(100, model.dim))
-        exact = np.einsum("ni,ij,nj->n", pts, sol.Pi, pts)
+        exact = sol.value(pts)
         approx = V.eval(pts)
         summary["riccati_match_error"] = float(
             np.max(np.abs(approx - exact) / np.abs(exact))

@@ -15,7 +15,8 @@ import scipy.linalg
 
 from .tt import Accuracy, TTTensor, tt_norm
 
-__all__ = ["GridFunction", "TTMap", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt", "random_index_sets", "tt_function_cross"]
+__all__ = ["GridFunction", "TTMap", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross",
+           "rank_adapt", "random_index_sets", "tt_function_cross"]
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +55,6 @@ class GridFunction:
     def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
         """Values on left rows x {0..n_k-1} x right rows, flattened row-major."""
         return self(_combine_indices(left_rows, k, self.dims[k], right_rows, len(self.dims)))
-
-    def points(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=int)
-        return np.stack(
-            [np.asarray(self.grid[k])[indices[:, k]] for k in range(indices.shape[1])],
-            axis=1,
-        )
 
 
 class TTMap(GridFunction):
@@ -314,8 +308,6 @@ def tt_cross(
     seed: int | np.random.Generator = 0,
     max_sweeps: int = 20,
     initial_rank: int = 2,
-    kick_rank: int = 2,
-    adapt: bool = True,
 ) -> CrossResult:
     """TT-Cross iteration with maxvol pivot selection and rank adaptation.
 
@@ -352,9 +344,8 @@ def tt_cross(
         state = replace(state, left=tuple(left_sets), right=new_right)
         # expansion must come after the backward pass: the maxvol reselection
         # sizes right sets by the left ranks, so earlier growth would be lost
-        if adapt and (change is None or change > acc.delta):
-            state, saturated = rank_adapt(state, np.inf if change is None else change,
-                                          acc, rng, kick_rank)
+        state, saturated = rank_adapt(state, np.inf if change is None else change,
+                                      acc, rng)
         prev = tensor
     if not converged:
         log.warning("TT-cross stopped unconverged after %d sweeps (%d evaluations, rank %d)",

@@ -5,7 +5,8 @@ evaluators for rollouts, and TT builders used by the Galerkin assembly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -146,6 +147,66 @@ def _cubic_reaction_tts(A_lin: np.ndarray, grids) -> list:
     return out
 
 
+def _constant_channel(B: np.ndarray) -> dict:
+    """Fields of a control direction B that does not depend on the state."""
+
+    def channel_eval(X):
+        X = np.atleast_2d(X)
+        return np.broadcast_to(B, X.shape)
+
+    return dict(lin_B=B.reshape(-1, 1), channel_eval=channel_eval,
+                channel_builder=lambda grids: ControlChannel(constant=B))
+
+
+def _allen_cahn(p: int, axes: int, sigma: float, omega, penalty: ControlPenalty,
+                a: float, extras: dict) -> ControlledDynamics:
+    """Allen-Cahn on the axes-fold tensor grid of p interior Chebyshev nodes.
+
+    Laplacian, actuator, quadrature weights and initial bump are the
+    Kronecker tensorizations of their one-dimensional versions.
+    """
+    if p < 3:
+        raise ValueError("need at least 3 interior nodes per axis for the "
+                         "boundary closure")
+    E, L, full = _neumann_closure(p)
+    xi = full[1 : p + 1]
+    eye = np.eye(p)
+    # Kronecker sum: L along each axis, the identity along the others
+    A = sigma * reduce(np.add, (reduce(np.kron, [L if j == k else eye for j in range(axes)])
+                                for k in range(axes)))
+    # tolerance so nodes landing exactly on the actuated boundary stay inside
+    ind = ((xi >= omega[0] - 1e-12) & (xi <= omega[1] + 1e-12)).astype(float)
+    w_full = _clenshaw_curtis_weights(full)
+    Q1 = E.T @ (w_full[:, None] * E)
+    Q1 = 0.5 * (Q1 + Q1.T)
+    bump = 1.0
+    for x in np.meshgrid(*[xi] * axes, indexing="ij"):
+        bump = bump * np.cos(2 * np.pi * x) * np.cos(np.pi * x)
+    A_lin = A + np.eye(p**axes)
+
+    def drift(X):
+        X = np.atleast_2d(X)
+        return X @ A.T + X * (1.0 - X * X)
+
+    return ControlledDynamics(
+        name=f"allen_cahn_{axes}d",
+        dim=p**axes,
+        gamma=penalty.gamma,
+        a=a,
+        penalty=penalty,
+        lin_A=A_lin,
+        cost_matrix=reduce(np.kron, [Q1] * axes),
+        drift=drift,
+        f_tt_builder=lambda grids: _cubic_reaction_tts(A_lin, grids),
+        admissible_uncontrolled=False,
+        x0_default=(2.0 + bump).reshape(-1),
+        horizon=3.2,
+        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
+                **extras},
+        **_constant_channel(reduce(np.kron, [ind] * axes)),
+    )
+
+
 def allen_cahn_1d(
     d: int,
     sigma: float = 0.2,
@@ -160,51 +221,11 @@ def allen_cahn_1d(
     Laplacian under homogeneous Neumann conditions and B the indicator of
     the actuated subinterval.
     """
-    if d < 3:
-        raise ValueError("need at least 3 interior nodes for the boundary closure")
-    E, L, full = _neumann_closure(d)
-    xi = full[1 : d + 1]
-    A = sigma * L
-    # tolerance so nodes landing exactly on the actuated boundary stay inside
-    B = ((xi >= omega[0] - 1e-12) & (xi <= omega[1] + 1e-12)).astype(float)
-    w_full = _clenshaw_curtis_weights(full)
-    Q = E.T @ (w_full[:, None] * E)
-    Q = 0.5 * (Q + Q.T)
-    A_lin = A + np.eye(d)
-
-    def drift(X):
-        X = np.atleast_2d(X)
-        return X @ A.T + X * (1.0 - X * X)
-
-    def channel_eval(X):
-        X = np.atleast_2d(X)
-        return np.broadcast_to(B, X.shape)
-
     if u_max is None:
         penalty = ControlPenalty(gamma=gamma)
     else:
         penalty = ControlPenalty(gamma=gamma, kind="tanh", u_max=u_max)
-
-    x0 = 2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi)
-    return ControlledDynamics(
-        name="allen_cahn_1d",
-        dim=d,
-        gamma=gamma,
-        a=a,
-        penalty=penalty,
-        lin_A=A_lin,
-        lin_B=B.reshape(-1, 1),
-        cost_matrix=Q,
-        drift=drift,
-        channel_eval=channel_eval,
-        f_tt_builder=lambda grids: _cubic_reaction_tts(A_lin, grids),
-        channel_builder=lambda grids: ControlChannel(constant=B),
-        admissible_uncontrolled=False,
-        x0_default=x0,
-        horizon=3.2,
-        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
-                "omega": tuple(omega)},
-    )
+    return _allen_cahn(d, 1, sigma, omega, penalty, a, {"omega": tuple(omega)})
 
 
 def allen_cahn_2d(
@@ -214,52 +235,9 @@ def allen_cahn_2d(
     a: float = 3.0,
 ) -> ControlledDynamics:
     """Tensorized variant on a points_per_axis^2 interior Chebyshev grid."""
-    p = points_per_axis
-    if p < 3:
-        raise ValueError("need at least 3 interior nodes per axis")
-    d = p * p
-    E, L, full = _neumann_closure(p)
-    xi = full[1 : p + 1]
-    eye = np.eye(p)
-    A = sigma * (np.kron(L, eye) + np.kron(eye, L))
-    ind = ((xi >= -0.5 - 1e-12) & (xi <= 0.2 + 1e-12)).astype(float)
-    B = np.kron(ind, ind)
-    w_full = _clenshaw_curtis_weights(full)
-    Q1 = E.T @ (w_full[:, None] * E)
-    Q1 = 0.5 * (Q1 + Q1.T)
-    Q = np.kron(Q1, Q1)
-    A_lin = A + np.eye(d)
-
-    def drift(X):
-        X = np.atleast_2d(X)
-        return X @ A.T + X * (1.0 - X * X)
-
-    def channel_eval(X):
-        X = np.atleast_2d(X)
-        return np.broadcast_to(B, X.shape)
-
-    x2, y2 = np.meshgrid(xi, xi, indexing="ij")
-    x0 = (2.0 + np.cos(2 * np.pi * x2) * np.cos(np.pi * x2)
-          * np.cos(2 * np.pi * y2) * np.cos(np.pi * y2)).reshape(-1)
-    return ControlledDynamics(
-        name="allen_cahn_2d",
-        dim=d,
-        gamma=gamma,
-        a=a,
-        penalty=ControlPenalty(gamma=gamma),
-        lin_A=A_lin,
-        lin_B=B.reshape(-1, 1),
-        cost_matrix=Q,
-        drift=drift,
-        channel_eval=channel_eval,
-        f_tt_builder=lambda grids: _cubic_reaction_tts(A_lin, grids),
-        channel_builder=lambda grids: ControlChannel(constant=B),
-        admissible_uncontrolled=False,
-        x0_default=x0,
-        horizon=3.2,
-        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
-                "points_per_axis": p},
-    )
+    return _allen_cahn(points_per_axis, 2, sigma, (-0.5, 0.2),
+                       ControlPenalty(gamma=gamma), a,
+                       {"points_per_axis": points_per_axis})
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +251,6 @@ def _ground_potential(xi):
 def _ground_potential_deriv(xi):
     xi = np.asarray(xi, dtype=float)
     return ((3.0 * xi**4 - 60.0 * xi**2 + 238.0) * xi + 28.0) / 200.0
-
-
-def _control_potential(xi):
-    """Ramp xi/12 capped at -1/2 and 1/2, blended by cubic Hermite pieces."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = xi / 12.0
-    out = np.where(xi <= -5.9, -0.5, out)
-    out = np.where(xi >= 5.9, 0.5, out)
-    for lo, hi, v_out in ((-5.9, -5.8, -0.5), (5.8, 5.9, 0.5)):
-        mask = (xi > lo) & (xi < hi)
-        if not np.any(mask):
-            continue
-        if v_out < 0:
-            x0, y0, m0 = lo, v_out, 0.0
-            x1, y1, m1 = hi, hi / 12.0, 1.0 / 12.0
-        else:
-            x0, y0, m0 = lo, lo / 12.0, 1.0 / 12.0
-            x1, y1, m1 = hi, v_out, 0.0
-        t = (xi[mask] - x0) / (x1 - x0)
-        h = x1 - x0
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        out[mask] = h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
-    return out
 
 
 def _control_potential_deriv(xi):
@@ -463,32 +415,14 @@ def fokker_planck(
 def fokker_planck_unshifted(model: ControlledDynamics) -> ControlledDynamics:
     """Physical (shift-free) variant used for closed-loop evaluation."""
     F0 = model.extras["F_unshifted"]
-    M = model.extras["M"]
-    c = model.extras["c"]
 
     def drift(Xz):
         Xz = np.atleast_2d(Xz)
         return Xz @ F0.T
 
-    out = ControlledDynamics(
-        name="fokker_planck_unshifted",
-        dim=model.dim,
-        gamma=model.gamma,
-        a=model.a,
-        penalty=model.penalty,
-        lin_A=F0,
-        lin_B=c.reshape(-1, 1),
-        cost_matrix=model.cost_matrix,
-        drift=drift,
-        channel_eval=model.channel_eval,
-        f_tt_builder=None,
-        channel_builder=None,
-        admissible_uncontrolled=True,
-        x0_default=model.x0_default,
-        horizon=model.horizon,
-        extras=dict(model.extras),
-    )
-    return out
+    return replace(model, name="fokker_planck_unshifted", lin_A=F0, drift=drift,
+                   f_tt_builder=None, channel_builder=None,
+                   admissible_uncontrolled=True, extras=dict(model.extras))
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +439,6 @@ def lq(d: int = 6, gamma: float = 1.0, a: float = 3.0) -> ControlledDynamics:
         X = np.atleast_2d(X)
         return X @ A.T
 
-    def channel_eval(X):
-        X = np.atleast_2d(X)
-        return np.broadcast_to(B, X.shape)
-
     return ControlledDynamics(
         name="lq",
         dim=d,
@@ -516,16 +446,14 @@ def lq(d: int = 6, gamma: float = 1.0, a: float = 3.0) -> ControlledDynamics:
         a=a,
         penalty=ControlPenalty(gamma=gamma),
         lin_A=A,
-        lin_B=B.reshape(-1, 1),
         cost_matrix=Q,
         drift=drift,
-        channel_eval=channel_eval,
         f_tt_builder=lambda grids: [linear_to_tt(A[p], grids) for p in range(d)],
-        channel_builder=lambda grids: ControlChannel(constant=B),
         admissible_uncontrolled=True,
         x0_default=np.ones(d),
         horizon=10.0,
         extras={},
+        **_constant_channel(B),
     )
 
 

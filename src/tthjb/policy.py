@@ -79,6 +79,8 @@ class SolverConfig:
             raise ValueError("q must lie in (0, 1)")
         if self.mu0 <= 0 or self.mu_min <= 0:
             raise ValueError("shifts must be positive")
+        if self.inner_sweeps < 1 or self.divergence_window < 1:
+            raise ValueError("inner_sweeps and divergence_window must be at least 1")
 
     @property
     def value_accuracy(self) -> Accuracy:
@@ -164,12 +166,15 @@ class ValueFunction:
         if v0 == 0.0:
             return self
         coeff = v0 * (2.0 * self.basis.a) ** (self.d / 2.0)
-        e0 = TTTensor.rank_one(
-            [np.eye(self.basis.n, 1).reshape(-1) for _ in range(self.d)]
-        )
+        e0 = _constant_mode(self.basis.n, self.d)
         return ValueFunction(
             tt_round(self.v - tt_scale(e0, coeff), Accuracy(1e-14)), self.basis
         )
+
+
+def _constant_mode(n: int, d: int) -> TTTensor:
+    """Coefficient tensor of the constant basis function."""
+    return TTTensor.rank_one([np.eye(n, 1).reshape(-1) for _ in range(d)])
 
 
 def value_gradient(V: ValueFunction, x: np.ndarray) -> np.ndarray:
@@ -260,7 +265,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
     # O(1/shift) per step and the relative change never falls below 1 - q.
     # Zeroing that coefficient after every solve fixes the gauge (the value is
     # re-anchored to V(0) = 0 at the end regardless).
-    e0 = TTTensor.rank_one([np.eye(basis.n, 1).reshape(-1) for _ in range(d)])
+    e0 = _constant_mode(basis.n, d)
     state = PolicyIterationState(v=v, v_prev=v, u_nodal=u, mu=config.mu0,
                                  iteration=0)
     cross_state = None
@@ -286,7 +291,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
         cross_state = cross.index_sets if cross is not None else None
         v = amen_solve_shifted(A, b, v_prev, mu, acc,
                                sweeps=config.inner_sweeps,
-                               rho=config.enrich_rank, v0=v_prev)
+                               rho=config.enrich_rank)
         c0 = tt_dot(v, e0)
         if c0 != 0.0:
             v = tt_round(v - tt_scale(e0, c0), acc)

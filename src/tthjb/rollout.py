@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .assembly import penalty_cost
-from .models import ControlledDynamics
+from .models import ControlledDynamics, _barycentric_weights
 
 __all__ = [
     "Trajectory",
@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# times at which a rollout records its controls and running cost
+_RECORD_POINTS = 2001
 
 
 class _NonFiniteDynamics(RuntimeError):
@@ -46,14 +49,13 @@ class Trajectory:
 
 
 def rollout(model: ControlledDynamics, controller, x0, T: float,
-            tol: float = 1e-8, method: str = "RK45",
-            max_points: int = 2001) -> Trajectory:
-    """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law.
+            tol: float = 1e-8) -> Trajectory:
+    """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law with RK45.
 
     controller is a batch map from states (N, d) to controls (N,), or None
     for the uncontrolled system.  The integrator calls it with one state at
     a time (N = 1); the controls and running costs are then recorded on a
-    uniform grid of at most max_points times in a single call, and the total
+    uniform grid of _RECORD_POINTS times in a single call, and the total
     cost is their trapezoid quadrature.  On integrator failure the partial
     trajectory is returned with failed=True.
     """
@@ -75,7 +77,7 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
         return dx
 
     try:
-        sol = solve_ivp(rhs, (0.0, T), x0, method=method, rtol=tol,
+        sol = solve_ivp(rhs, (0.0, T), x0, method="RK45", rtol=tol,
                         atol=tol * 1e-2, dense_output=True)
     except _NonFiniteDynamics as exc:
         log.warning("rollout aborted: %s", exc)
@@ -85,7 +87,7 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
                           total_cost=float("nan"), failed=True,
                           message=str(exc))
     t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, max_points)
+    ts = np.linspace(0.0, t_end, _RECORD_POINTS)
     X = sol.sol(ts).T
     us = np.asarray(ctrl(X), dtype=float)
     if us.shape != ts.shape:
@@ -119,9 +121,7 @@ def interpolate_controller(V, coarse_model: ControlledDynamics,
     Ef = fine_model.extras["extension"]
     fine_full = fine_model.extras["full_nodes"]
     coarse_xi = coarse_model.extras["xi"]
-    w = (-1.0) ** np.arange(fine_full.size)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _barycentric_weights(fine_full)
     # barycentric interpolation matrix from fine full nodes to coarse interior
     P = np.empty((coarse_xi.size, fine_full.size))
     for i, x in enumerate(coarse_xi):
@@ -163,13 +163,12 @@ def score(traj: Trajectory) -> dict:
 
 
 def compare(model: ControlledDynamics, controllers: dict, x0, T: float,
-            tol: float = 1e-8, method: str = "RK45") -> dict:
+            tol: float = 1e-8) -> dict:
     """Roll out and score each named controller; failures are isolated."""
     report = {}
     for name, ctrl in controllers.items():
         try:
-            report[name] = score(rollout(model, ctrl, x0, T, tol=tol,
-                                         method=method))
+            report[name] = score(rollout(model, ctrl, x0, T, tol=tol))
         except Exception as exc:  # noqa: BLE001 - isolate per controller
             log.warning("controller %s failed: %s", name, exc)
             report[name] = {"total_cost": np.nan, "decay_rate": np.nan,

@@ -162,9 +162,6 @@ class TTTensor:
     def norm(self) -> float:
         return tt_norm(self)
 
-    def dot(self, other: "TTTensor") -> float:
-        return tt_dot(self, other)
-
     def __add__(self, other):
         return tt_add(self, other)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tthjb.amen import amen_solve_shifted, enrich, reduce_system, residual_tt
+from tthjb.amen import amen_solve_shifted, reduce_system
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
@@ -9,7 +9,6 @@ from tthjb.tt import (
     orthogonalize_right,
     tt_from_dense,
     tt_matvec,
-    tt_norm,
     tt_round,
     tt_to_dense,
 )
@@ -81,61 +80,6 @@ class TestReduceSystem:
             reduce_system(A, TTTensor.zeros(dims), v, 0)
 
 
-class TestEnrich:
-    def test_zero_rho_identity(self, rng):
-        v = orthogonalize_right(TTTensor.random((3, 3, 3), [1, 2, 2, 1], rng), 1)
-        out = enrich(v, 0, np.zeros((1, 3, 0)), Accuracy(1e-12))
-        assert out is v
-
-    def test_tensor_unchanged(self, rng):
-        v = orthogonalize_right(TTTensor.random((4, 4, 3), [1, 2, 2, 1], rng), 1)
-        z = rng.standard_normal((1, 4, 2))
-        out = enrich(v, 0, z, Accuracy(1e-12))
-        assert out.ranks[1] == v.ranks[1] + 2
-        assert np.linalg.norm(tt_to_dense(out) - tt_to_dense(v)) \
-            <= 1e-12 * tt_norm(v)
-
-    def test_round_removes_redundancy(self, rng):
-        v = orthogonalize_right(TTTensor.random((3, 3, 3), [1, 2, 2, 1], rng), 1)
-        out = enrich(v, 1, rng.standard_normal((2, 3, 1)), Accuracy(1e-12))
-        back = tt_round(out, Accuracy(1e-12))
-        assert back.ranks == v.ranks
-
-    def test_last_block_rejected(self, rng):
-        v = TTTensor.random((3, 3), [1, 2, 1], rng)
-        with pytest.raises(ValueError):
-            enrich(v, 1, np.zeros((2, 3, 1)), Accuracy(1e-12))
-
-
-class TestResidual:
-    def test_exact_solution(self, rng):
-        dims = (3, 3, 3)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        v = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        b = tt_round(tt_matvec(A, v), Accuracy(1e-14))
-        r = residual_tt(A, v, b, Accuracy(1e-12), rho_max=8)
-        assert tt_norm(r) <= 1e-10 * tt_norm(b)
-
-    def test_zero_iterate(self, rng):
-        dims = (3, 3, 3)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        r = residual_tt(A, TTTensor.zeros(dims), b, Accuracy(1e-12), rho_max=8)
-        # dense comparison: checks every entry, not only the norm
-        assert np.linalg.norm(tt_to_dense(r) - tt_to_dense(b)) \
-            <= 1e-10 * tt_norm(b)
-
-    def test_dense_oracle_within_cap(self, rng):
-        dims = (3, 3, 3)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        v = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        r = residual_tt(A, v, b, Accuracy(1e-12), rho_max=27)
-        want = tt_to_dense(b).reshape(-1) - A.to_dense() @ tt_to_dense(v).reshape(-1)
-        assert np.allclose(tt_to_dense(r).reshape(-1), want,
-                           atol=1e-9 * np.linalg.norm(want))
-
-
 def spd_tt_matrix(rng, dims):
     """Diagonally dominant dense SPD matrix compressed into TT form."""
     N = int(np.prod(dims))
@@ -204,6 +148,26 @@ class TestAmenSolve:
         with pytest.raises(ValueError):
             amen_solve_shifted(A, b, b, -1.0, Accuracy(1e-10))
 
+    def test_zero_sweeps_rejected(self, rng):
+        # zero sweeps would hand back v_prev as if it were a solution
+        dims = (3, 3)
+        A = TTMatrix.identity(dims)
+        b = TTTensor.random(dims, [1, 2, 1], rng)
+        with pytest.raises(ValueError):
+            amen_solve_shifted(A, b, b, 1.0, Accuracy(1e-10), sweeps=0)
+
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_one_dimensional_dense_oracle(self, rng, sweeps):
+        # d = 1 runs the general sweep: one local solve of the whole system
+        n, mu = 5, 0.5
+        A = random_tt_matrix(rng, (n,), [1, 1]) + 8.0 * TTMatrix.identity((n,))
+        b = TTTensor.random((n,), [1, 1], rng)
+        v_prev = TTTensor.random((n,), [1, 1], rng)
+        v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-12), sweeps=sweeps)
+        want = np.linalg.solve(A.to_dense() + mu * np.eye(n),
+                               tt_to_dense(b) + mu * tt_to_dense(v_prev))
+        assert np.linalg.norm(tt_to_dense(v) - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_monotone_residual_on_spd(self, rng):
         # on SPD A the sweeps minimize the energy error ||v - v*||_A, i.e. the
         # residual in the A^{-1}-norm; it may rise only by the truncation at
@@ -222,7 +186,7 @@ class TestAmenSolve:
         floor = acc.delta * energy(want)
         errs = []
         for s in range(1, 5):
-            v = amen_solve_shifted(A, b, v_prev, 0.0, acc, sweeps=s, v0=v_prev)
+            v = amen_solve_shifted(A, b, v_prev, 0.0, acc, sweeps=s)
             errs.append(energy(tt_to_dense(v).reshape(-1) - want))
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev + floor

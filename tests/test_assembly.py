@@ -62,6 +62,20 @@ def dense_drift_oracle(f_funcs, basis, d):
     return A
 
 
+CHANNEL_FORMS = ("constant", "g_tts")
+
+
+def channel_of_form(form, g, m):
+    """The constant direction g as ControlChannel(constant=g), or as g_tts of
+    rank-one constant components on an m-point grid per dimension."""
+    if form == "constant":
+        return ControlChannel(constant=g)
+    d = len(g)
+    return ControlChannel(g_tts=tuple(
+        TTTensor.rank_one([np.full(m, g[p])] + [np.ones(m)] * (d - 1)) for p in range(d)
+    ))
+
+
 class TestDriftAssembly:
     def test_d1_constant_velocity(self):
         basis = build_basis(2, 1.0)
@@ -155,10 +169,7 @@ class TestControlMap:
         gamma = 0.1
         basis = build_basis(3, 1.0)
         g = rng.standard_normal(3)
-        channel = ControlChannel(constant=g)
-        bmap = control_map(channel, basis, gamma, 3, ACC)
         v = TTTensor.random((basis.n,) * 3, [1, 2, 2, 1], rng)
-        got = tt_matvec(bmap, v).to_dense().reshape(-1)
         # oracle: -(1/2 gamma) sum_p g_p dV/dx_p evaluated on the nodal grid
         from tthjb.policy import ValueFunction
 
@@ -167,7 +178,10 @@ class TestControlMap:
                         np.meshgrid(*([basis.nodes] * 3), indexing="ij")], axis=1)
         grads, _ = V.gradient(pts)
         want = -(0.5 / gamma) * grads @ g
-        assert np.allclose(got, want, atol=1e-10)
+        for form in CHANNEL_FORMS:
+            bmap = control_map(channel_of_form(form, g, basis.m), basis, gamma, 3, ACC)
+            got = tt_matvec(bmap, v).to_dense().reshape(-1)
+            assert np.allclose(got, want, atol=1e-10), form
 
 
 class TestConstraint:
@@ -236,16 +250,18 @@ class TestPenaltyCost:
 
 class TestCoupling:
     def test_matches_drift_of_gu(self, rng):
-        # coupling with control u equals the drift assembly of f_p = g_p * u
+        # coupling with control u equals the drift assembly of f_p = g_p * u;
+        # d = 3 reaches the middle [[G, H], [0, G]] block of the flag chain
         basis = build_basis(3, 1.0)
-        d = 2
-        g = rng.standard_normal(d)
-        u = TTTensor.random((basis.m,) * d, [1, 2, 1], rng)
-        channel = ControlChannel(constant=g)
-        C = assemble_coupling(u, channel, basis, ACC).to_dense()
-        f_tts = [u * g[p] for p in range(d)]
-        want = assemble_drift(f_tts, basis, ACC).to_dense()
-        assert np.allclose(C, want, atol=1e-10)
+        for d in (1, 2, 3):
+            g = rng.standard_normal(d)
+            u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
+            f_tts = [u * g[p] for p in range(d)]
+            want = assemble_drift(f_tts, basis, ACC).to_dense()
+            for form in CHANNEL_FORMS:
+                channel = channel_of_form(form, g, basis.m)
+                C = assemble_coupling(u, channel, basis, ACC).to_dense()
+                assert np.allclose(C, want, atol=1e-10), (d, form)
 
 
 class TestCrossSamplesByInterfaces:

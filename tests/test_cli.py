@@ -159,6 +159,14 @@ class TestMain:
         assert main(["--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["inner_sweeps", "divergence_window"])
+    def test_zero_sweep_count_exit_2(self, tmp_path, field):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 0}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["--preset", "bogus", "--out", str(tmp_path / "o")]) \
             == EXIT_CONFIG

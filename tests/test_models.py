@@ -102,6 +102,17 @@ class TestAllenCahn2D:
         J = fd_jacobian(m.drift, 16)
         assert np.allclose(J, m.lin_A, atol=1e-5)
 
+    @pytest.mark.parametrize("pts", [3, 4])
+    def test_tensorization_of_1d(self, pts):
+        m1, m2 = allen_cahn_1d(pts), allen_cahn_2d(pts)
+        eye = np.eye(pts)
+        L = m1.lin_A - eye
+        assert np.allclose(m2.lin_A - np.eye(pts * pts),
+                           np.kron(L, eye) + np.kron(eye, L), atol=1e-12)
+        assert np.allclose(m2.cost_matrix, np.kron(m1.cost_matrix, m1.cost_matrix),
+                           atol=1e-15)
+        assert np.array_equal(m2.lin_B, np.kron(m1.lin_B, m1.lin_B))
+
     def test_symmetry(self):
         # the operator commutes with the xi1 <-> xi2 swap
         pts = 5

@@ -200,6 +200,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
 
+    @pytest.mark.parametrize("field", ["inner_sweeps", "divergence_window"])
+    def test_zero_counts_rejected(self, field):
+        # zero inner sweeps would report convergence on an unsolved V; a zero
+        # window would call the first step divergent
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: 0})
+
+    def test_zero_policy_iterations_allowed(self):
+        assert SolverConfig(max_policy_iters=0).max_policy_iters == 0
+
     def test_value_accuracy_defaults_to_delta(self):
         c = SolverConfig(delta=1e-4, max_rank=7)
         assert c.value_accuracy.delta == 1e-4
