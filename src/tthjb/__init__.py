@@ -11,7 +11,6 @@ from .policy import (
     ValueFunction,
     feedback,
     policy_iterate,
-    value_gradient,
 )
 from .rollout import Trajectory, compare, interpolate_controller, rollout
 from .tt import Accuracy, TTMatrix, TTTensor, load_tt, save_tt, tt_round
@@ -43,6 +42,5 @@ __all__ = [
     "solve_riccati",
     "tt_cross",
     "tt_round",
-    "value_gradient",
     "__version__",
 ]

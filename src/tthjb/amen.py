@@ -23,7 +23,7 @@ from .tt import (
     _chop,
 )
 
-__all__ = ["amen_solve_shifted", "reduce_system"]
+__all__ = ["amen_solve_shifted"]
 
 log = logging.getLogger(__name__)
 
@@ -60,41 +60,20 @@ def _retreat_vec(R, vb, bb):
     return np.tensordot(tmp, bb, axes=((1, 2), (1, 2)))           # a p
 
 
-def _check_frame_orthogonality(v: TTTensor, k: int, tol: float = 1e-8) -> None:
-    for j in range(k):
-        r0, n, r1 = v.blocks[j].shape
-        m = v.blocks[j].reshape(r0 * n, r1)
-        if np.max(np.abs(m.T @ m - np.eye(r1))) > tol:
-            raise ValueError(f"block {j} is not left-orthonormal")
-    for j in range(k + 1, v.d):
-        r0, n, r1 = v.blocks[j].shape
-        m = v.blocks[j].reshape(r0, n * r1)
-        if np.max(np.abs(m @ m.T - np.eye(r0))) > tol:
-            raise ValueError(f"block {j} is not right-orthonormal")
+def _right_interfaces(x: TTTensor, A: TTMatrix, w: TTTensor, vecs):
+    """Right interfaces against the frames of x: of A (with w) and of vecs.
 
-
-def reduce_system(A: TTMatrix, b: TTTensor, v: TTTensor, k: int):
-    """Dense local system (H, g) at position k for a frame-orthogonal v.
-
-    v must be left-orthonormal up to k and right-orthonormal after k; the
-    Galerkin projection is only valid in that gauge, so this is enforced.
+    Entry j contracts blocks j..d-1, so block k meets entry k + 1; entry d is
+    the empty product.  Returns (interfaces of A, one list per vector).
     """
-    if not 0 <= k < v.d:
-        raise ValueError(f"position {k} out of range")
-    _check_frame_orthogonality(v, k)
-    LA = np.ones((1, 1, 1))
-    Lb = np.ones((1, 1))
-    for j in range(k):
-        LA = _advance_op(LA, v.blocks[j], A.blocks[j], v.blocks[j])
-        Lb = _advance_vec(Lb, v.blocks[j], b.blocks[j])
-    RA = np.ones((1, 1, 1))
-    Rb = np.ones((1, 1))
-    for j in range(v.d - 1, k, -1):
-        RA = _retreat_op(RA, v.blocks[j], A.blocks[j], v.blocks[j])
-        Rb = _retreat_vec(Rb, v.blocks[j], b.blocks[j])
-    H = _local_matrix(LA, A.blocks[k], RA)
-    g = _local_rhs(Lb, b.blocks[k], Rb).reshape(-1)
-    return H, g
+    d = x.d
+    RA = [None] * d + [np.ones((1, 1, 1))]
+    Rs = [[None] * d + [np.ones((1, 1))] for _ in vecs]
+    for j in range(d - 1, 0, -1):
+        RA[j] = _retreat_op(RA[j + 1], x.blocks[j], A.blocks[j], w.blocks[j])
+        for R, t in zip(Rs, vecs):
+            R[j] = _retreat_vec(R[j + 1], x.blocks[j], t.blocks[j])
+    return RA, Rs
 
 
 def _local_matrix(LA, Ab, RA):
@@ -106,9 +85,18 @@ def _local_matrix(LA, Ab, RA):
     return H.reshape(r0 * n * r1, r0 * n * r1)
 
 
-def _local_rhs(Lb, bb, Rb):
-    """Block (a, i, b) of a vector projected onto the frames around it."""
-    return np.tensordot(np.tensordot(Lb, bb, axes=(1, 0)), Rb, axes=(2, 1))
+def _project(terms, Ls, Rs, k):
+    """Block (a, i, b) of sum_i c_i t_i projected onto the frames around k.
+
+    Ls holds each term's left interface at k, Rs its right interface list;
+    the terms are summed in order.
+    """
+    out = None
+    for (coef, t), L, R in zip(terms, Ls, Rs):
+        piece = coef * np.tensordot(np.tensordot(L, t.blocks[k], axes=(1, 0)),
+                                    R[k + 1], axes=(2, 1))
+        out = piece if out is None else out + piece
+    return out
 
 
 def _apply_local(LA, Ab, RA, x):
@@ -129,35 +117,24 @@ def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor
     d = len(dims)
     ranks = [1] + [rho] * (d - 1) + [1]
     z = TTTensor.random(dims, ranks, rng)
+    vecs = [t for _, t in terms]
     for _ in range(_FIT_SWEEPS):
         z = orthogonalize_right(z, 1)
-        RAv = [None] * (d + 1)
-        Rts = [[None] * (d + 1) for _ in terms]
-        RAv[d] = np.ones((1, 1, 1))
-        for i in range(len(terms)):
-            Rts[i][d] = np.ones((1, 1))
-        for j in range(d - 1, 0, -1):
-            RAv[j] = _retreat_op(RAv[j + 1], z.blocks[j], A.blocks[j], v.blocks[j])
-            for i, (_, t) in enumerate(terms):
-                Rts[i][j] = _retreat_vec(Rts[i][j + 1], z.blocks[j], t.blocks[j])
-        LAv = np.ones((1, 1, 1))
-        Lts = [np.ones((1, 1)) for _ in terms]
+        RA, Rs = _right_interfaces(z, A, v, vecs)
+        LA = np.ones((1, 1, 1))
+        Ls = [np.ones((1, 1)) for _ in vecs]
         blocks = list(z.blocks)
         for k in range(d):
-            blk = None
-            for i, (coef, t) in enumerate(terms):
-                piece = coef * _local_rhs(Lts[i], t.blocks[k], Rts[i][k + 1])
-                blk = piece if blk is None else blk + piece
-            blk = blk - _apply_local(LAv, A.blocks[k], RAv[k + 1], v.blocks[k])
+            blk = (_project(terms, Ls, Rs, k)
+                   - _apply_local(LA, A.blocks[k], RA[k + 1], v.blocks[k]))
             if k == d - 1:
                 blocks[k] = blk
                 break
             r0, _, r1 = blk.shape
             q, _ = np.linalg.qr(blk.reshape(r0 * dims[k], r1))
             blocks[k] = q.reshape(r0, dims[k], q.shape[1])
-            LAv = _advance_op(LAv, blocks[k], A.blocks[k], v.blocks[k])
-            for i, (_, t) in enumerate(terms):
-                Lts[i] = _advance_vec(Lts[i], blocks[k], t.blocks[k])
+            LA = _advance_op(LA, blocks[k], A.blocks[k], v.blocks[k])
+            Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
         z = TTTensor(blocks)
     return z
 
@@ -214,34 +191,22 @@ def amen_solve_shifted(
     v = v_prev
     d = v.d
     rng = np.random.default_rng(1)
+    rhs = [(1.0, b), (shift, v_prev)]
+    vecs = [b, v_prev]
     for sweep in range(sweeps):
         v = orthogonalize_right(v, 1)
         # residual of the shifted system without forming (A + shift I) v;
         # the first sweep starts from v_prev itself, so its shift terms cancel
-        terms = [(1.0, b)]
-        if sweep:
-            terms += [(shift, v_prev), (-shift, v)]
+        terms = rhs + [(-shift, v)] if sweep else rhs[:1]
         res = _fit_combination(A, v, terms, rho, rng)
-        # right interfaces of A, b, v_prev and the residual against v's frames
-        RA = [None] * (d + 1)
-        Rb = [None] * (d + 1)
-        Rp = [None] * (d + 1)
-        RA[d] = np.ones((1, 1, 1))
-        Rb[d] = np.ones((1, 1))
-        Rp[d] = np.ones((1, 1))
-        for j in range(d - 1, 0, -1):
-            RA[j] = _retreat_op(RA[j + 1], v.blocks[j], A.blocks[j], v.blocks[j])
-            Rb[j] = _retreat_vec(Rb[j + 1], v.blocks[j], b.blocks[j])
-            Rp[j] = _retreat_vec(Rp[j + 1], v.blocks[j], v_prev.blocks[j])
+        RA, Rs = _right_interfaces(v, A, v, vecs)
         LA = np.ones((1, 1, 1))
-        Lb = np.ones((1, 1))
-        Lp = np.ones((1, 1))
+        Ls = [np.ones((1, 1)) for _ in vecs]
         Lz = np.ones((1, 1))
         blocks = list(v.blocks)
         max_local_res = 0.0
         for k in range(d):
-            g = (_local_rhs(Lb, b.blocks[k], Rb[k + 1])
-                 + shift * _local_rhs(Lp, v_prev.blocks[k], Rp[k + 1])).reshape(-1)
+            g = _project(rhs, Ls, Rs, k).reshape(-1)
             x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
                                         blocks[k], acc.delta)
             max_local_res = max(max_local_res, local_res)
@@ -263,8 +228,7 @@ def amen_solve_shifted(
             carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
             blocks[k + 1] = np.tensordot(carry, blocks[k + 1], axes=(1, 0))
             LA = _advance_op(LA, blocks[k], A.blocks[k], blocks[k])
-            Lb = _advance_vec(Lb, blocks[k], b.blocks[k])
-            Lp = _advance_vec(Lp, blocks[k], v_prev.blocks[k])
+            Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
             Lz = _advance_vec(Lz, blocks[k], res.blocks[k])
         v = TTTensor(blocks)
         log.debug(

@@ -247,6 +247,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
                             eval_model.cost_matrix, eval_model.gamma)
         controllers["lqr"] = lqr.feedback
     except (ValueError, RuntimeError):
+        lqr = None
         log.info("no LQR baseline (linearization not stabilizable)")
 
     store_states = bool(cfg["outputs"].get("store_states", False))
@@ -269,11 +270,11 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         "code_version": __version__,
         "seed": int(cfg.get("seed", 0)),
     }
-    if model.name == "lq":
-        sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
+    # lq is its own eval_model, so lqr solved the same Riccati equation
+    if model.name == "lq" and lqr is not None:
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
         pts = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(100, model.dim))
-        exact = sol.value(pts)
+        exact = lqr.value(pts)
         approx = V.eval(pts)
         summary["riccati_match_error"] = float(
             np.max(np.abs(approx - exact) / np.abs(exact))

@@ -41,7 +41,6 @@ __all__ = [
     "PolicyDivergence",
     "initial_policy",
     "policy_iterate",
-    "value_gradient",
     "feedback",
     "history_to_csv",
 ]
@@ -90,11 +89,7 @@ class SolverConfig:
 
 @dataclass
 class PolicyIterationState:
-    v: TTTensor
-    v_prev: TTTensor
-    u_nodal: TTTensor | None
-    mu: float
-    iteration: int
+    iteration: int = 0
     history: list = field(default_factory=list)
     converged: bool = False
 
@@ -175,12 +170,6 @@ class ValueFunction:
 def _constant_mode(n: int, d: int) -> TTTensor:
     """Coefficient tensor of the constant basis function."""
     return TTTensor.rank_one([np.eye(n, 1).reshape(-1) for _ in range(d)])
-
-
-def value_gradient(V: ValueFunction, x: np.ndarray) -> np.ndarray:
-    """Gradient at a single state point."""
-    g, _ = V.gradient(np.asarray(x, dtype=float).reshape(1, -1))
-    return g[0]
 
 
 def feedback(V: ValueFunction, model: ControlledDynamics, X: np.ndarray):
@@ -266,8 +255,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
     # Zeroing that coefficient after every solve fixes the gauge (the value is
     # re-anchored to V(0) = 0 at the end regardless).
     e0 = _constant_mode(basis.n, d)
-    state = PolicyIterationState(v=v, v_prev=v, u_nodal=u, mu=config.mu0,
-                                 iteration=0)
+    state = PolicyIterationState()
     cross_state = None
     constraint_state = None
     grow_count = 0
@@ -305,8 +293,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
              "cross_sweeps": cross.sweeps if cross else None,
              "cross_converged": cross.converged if cross else None}
         )
-        state.v, state.v_prev, state.u_nodal = v, v_prev, u
-        state.mu, state.iteration = mu, s + 1
+        state.iteration = s + 1
         log.info("policy iter %3d: rel=%.3e rank=%d shift=%.3g (%.2fs)",
                  s, rel, v.max_rank, mu, seconds)
         if rel <= config.delta:
@@ -321,7 +308,6 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig,
             )
     # drop enrichment leftovers the stopping tolerance cannot distinguish
     v = tt_round(v, Accuracy(delta=config.delta, max_rank=config.max_rank))
-    state.v = v
     V = ValueFunction(v, basis).anchored()
     return V, state
 

@@ -43,10 +43,6 @@ class Trajectory:
     failed: bool = False
     message: str = ""
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def rollout(model: ControlledDynamics, controller, x0, T: float,
             tol: float = 1e-8) -> Trajectory:

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from tthjb.amen import amen_solve_shifted, reduce_system
+from tthjb.amen import _fit_combination, amen_solve_shifted
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
     TTTensor,
-    orthogonalize_right,
     tt_from_dense,
-    tt_matvec,
-    tt_round,
     tt_to_dense,
 )
 
@@ -21,63 +18,22 @@ def random_tt_matrix(rng, dims, ranks):
     )
 
 
-def frame_matrix(v, k):
-    """Dense V_{!=k}: maps local block entries to the full tensor."""
-    d = v.d
-    left = np.ones((1, 1))
-    for j in range(k):
-        b = v.blocks[j]
-        left = np.einsum("Ia,aib->Iib", left.reshape(left.shape[0], -1), b)
-        left = left.reshape(-1, b.shape[2])
-    right = np.ones((1, 1))
-    for j in range(d - 1, k, -1):
-        b = v.blocks[j]
-        right = np.einsum("aib,bJ->aiJ", b, right.reshape(b.shape[2], -1))
-        right = right.reshape(b.shape[0], -1)
-    r0, n, r1 = v.blocks[k].shape
-    N = int(np.prod(v.dims))
-    V = np.einsum("Ia,ij,bJ->IiJajb", left, np.eye(n), right)
-    return V.reshape(N, r0 * n * r1)
-
-
-class TestReduceSystem:
-    def test_identity_operator(self, rng):
-        v = orthogonalize_right(TTTensor.random((3, 4, 3), [1, 2, 2, 1], rng), 0)
-        A = TTMatrix.identity((3, 4, 3))
-        H, _ = reduce_system(A, TTTensor.zeros((3, 4, 3)), v, 0)
-        assert np.allclose(H, np.eye(H.shape[0]), atol=1e-12)
-
-    def test_dense_frame_oracle(self, rng):
-        dims = (4, 4, 4)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        v = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        Ad = A.to_dense()
-        bd = tt_to_dense(b).reshape(-1)
-        from tthjb.tt import orthogonalize_left
-
-        for k in range(3):
-            w = orthogonalize_left(orthogonalize_right(v, max(k, 1)), k)
-            H, g = reduce_system(A, b, w, k)
-            V = frame_matrix(w, k)
-            assert np.allclose(H, V.T @ Ad @ V, atol=1e-10)
-            assert np.allclose(g, V.T @ bd, atol=1e-10)
-
-    def test_rhs_consistency(self, rng):
-        dims = (3, 3, 3)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        v = orthogonalize_right(TTTensor.random(dims, [1, 2, 2, 1], rng), 1)
-        b = tt_round(tt_matvec(A, v), Accuracy(1e-14))
-        H, g = reduce_system(A, b, v, 0)
-        vbar = v.blocks[0].reshape(-1)
-        assert np.allclose(g, H @ vbar, atol=1e-10)
-
-    def test_rejects_non_orthogonal_gauge(self, rng):
-        dims = (3, 3, 3)
-        A = TTMatrix.identity(dims)
-        v = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        with pytest.raises(ValueError):
-            reduce_system(A, TTTensor.zeros(dims), v, 0)
+class TestResidualFit:
+    @pytest.mark.parametrize("shifted", [False, True], ids=["one_term", "three_terms"])
+    def test_matches_dense_residual(self, rng, shifted):
+        # rho above every rank of a (3, 4, 3) tensor: the fit is exact, so it
+        # must reproduce the dense residual, shift terms included
+        dims, ranks, mu = (3, 4, 3), [1, 2, 2, 1], 0.7
+        A = random_tt_matrix(rng, dims, ranks)
+        v, b, v_prev = (TTTensor.random(dims, ranks, rng) for _ in range(3))
+        terms = [(1.0, b)]
+        if shifted:
+            terms += [(mu, v_prev), (-mu, v)]
+        res = _fit_combination(A, v, terms, 12, rng)
+        want = sum(c * tt_to_dense(t).reshape(-1) for c, t in terms)
+        want = want - A.to_dense() @ tt_to_dense(v).reshape(-1)
+        got = tt_to_dense(res).reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def spd_tt_matrix(rng, dims):

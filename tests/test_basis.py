@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tthjb.basis import build_basis, eval_deriv_point, eval_point, legendre_table
+from tthjb.basis import build_basis, legendre_rows
+from tthjb.policy import ValueFunction
+from tthjb.tt import TTTensor
 
 
 class TestQuadrature:
@@ -34,60 +36,57 @@ class TestOrthonormality:
         assert np.allclose(gram, np.eye(n), atol=1e-12)
 
 
+def value_1d(basis, coeffs):
+    """sum_i coeffs_i phi_i as a d = 1 value function."""
+    return ValueFunction(TTTensor.rank_one([np.asarray(coeffs, dtype=float)]), basis)
+
+
 class TestEvaluation:
     def test_constant_mode(self):
         b = build_basis(4, 2.0)
-        coeffs = np.eye(4)[0]
-        for x in (-1.5, 0.0, 0.7):
-            val, flag = eval_point(b, coeffs, x)
-            assert np.isclose(val, 1.0 / np.sqrt(4.0))
-            assert not flag
+        X = np.array([[-1.5], [0.0], [0.7]])
+        V = value_1d(b, np.eye(4)[0])
+        assert np.allclose(V.eval(X), 1.0 / np.sqrt(4.0))
+        assert not np.any(V.gradient(X)[1])
 
     def test_linear_reproduction(self):
         b = build_basis(4, 3.0)
         # project f(x) = 2x + 1 by quadrature, then evaluate off-grid
         f = 2.0 * b.nodes + 1.0
         coeffs = b.phi.T @ (b.weights * f)
-        for x in (-2.4, 0.3, 1.9):
-            val, _ = eval_point(b, coeffs, x)
-            assert np.isclose(val, 2.0 * x + 1.0, atol=1e-12)
+        X = np.array([[-2.4], [0.3], [1.9]])
+        assert np.allclose(value_1d(b, coeffs).eval(X), 2.0 * X[:, 0] + 1.0, atol=1e-12)
 
     def test_cubic_derivative(self):
         b = build_basis(5, 1.0)
         coeffs = b.phi.T @ (b.weights * b.nodes**3)
-        val, flag = eval_deriv_point(b, coeffs, 0.5)
-        assert abs(val - 0.75) <= 1e-10
-        assert not flag
+        grads, flags = value_1d(b, coeffs).gradient(np.array([[0.5]]))
+        assert abs(grads[0, 0] - 0.75) <= 1e-10
+        assert not flags[0]
 
     def test_extrapolation_flag(self):
         b = build_basis(3, 1.0)
-        _, flag = eval_point(b, np.ones(3), 1.5)
-        assert flag
+        _, flags = value_1d(b, np.ones(3)).gradient(np.array([[1.5]]))
+        assert flags[0]
 
     def test_derivative_matches_finite_differences(self):
         b = build_basis(6, 2.0)
         h = 1e-6
+        X = np.array([[-1.0], [0.2], [1.3]])
         for i in range(b.n):
-            coeffs = np.eye(b.n)[i]
-            for x in (-1.0, 0.2, 1.3):
-                d, _ = eval_deriv_point(b, coeffs, x)
-                fp, _ = eval_point(b, coeffs, x + h)
-                fm, _ = eval_point(b, coeffs, x - h)
-                assert abs(d - (fp - fm) / (2 * h)) <= 1e-5 * max(1.0, abs(d))
-
-    def test_length_check(self):
-        b = build_basis(3, 1.0)
-        with pytest.raises(ValueError):
-            eval_point(b, np.ones(4), 0.0)
+            V = value_1d(b, np.eye(b.n)[i])
+            d = V.gradient(X)[0][:, 0]
+            fd = (V.eval(X + h) - V.eval(X - h)) / (2 * h)
+            assert np.all(np.abs(d - fd) <= 1e-5 * np.maximum(1.0, np.abs(d)))
 
 
 class TestLegendreTable:
     def test_recurrence_against_numpy(self):
         t = np.linspace(-1, 1, 11)
-        vals, _ = legendre_table(t, 6)
+        vals, _ = legendre_rows(t, 6)
         for k in range(6):
             ref = np.polynomial.legendre.Legendre.basis(k)(t)
-            assert np.allclose(vals[:, k], ref, atol=1e-12)
+            assert np.allclose(vals[k], ref, atol=1e-12)
 
     def test_invalid_build_args(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from tthjb.policy import (
     feedback,
     initial_policy,
     policy_iterate,
-    value_gradient,
 )
 from tthjb.tt import TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
 
@@ -70,15 +69,14 @@ class TestValueGradient:
         v = project_to_basis(quadratic_to_tt(np.eye(3), grids), basis)
         V = ValueFunction(v, basis)
         rng = np.random.default_rng(1)
-        for _ in range(5):
-            x = rng.uniform(-0.8, 0.8, size=3)
-            assert np.allclose(value_gradient(V, x), 2.0 * x, atol=1e-8)
+        X = rng.uniform(-0.8, 0.8, size=(5, 3))
+        assert np.allclose(V.gradient(X)[0], 2.0 * X, atol=1e-8)
 
     def test_constant_value_zero_gradient(self):
         basis = build_basis(3, 1.0)
         v = TTTensor.rank_one([np.eye(3, 1).reshape(-1)] * 4)
         V = ValueFunction(v, basis)
-        g = value_gradient(V, np.array([0.3, -0.2, 0.5, 0.0]))
+        g, _ = V.gradient(np.array([[0.3, -0.2, 0.5, 0.0]]))
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_matches_central_differences(self):
@@ -105,9 +103,12 @@ class TestValueGradient:
         V = ValueFunction(v, basis)
         X = rng.uniform(-1.4, 1.4, size=(npts, 3))
         dense = v.to_dense()
+        # numpy's Legendre series: P_k' from legder, (degree n-2, n) coefficients
+        leg = np.polynomial.legendre
+        dcoef = leg.legder(np.eye(basis.n))
         for x, val, grad in zip(X, V.eval(X), V.gradient(X)[0]):
-            phi = [basis.eval(xk)[0] for xk in x]
-            dphi = [basis.eval_deriv(xk)[0] for xk in x]
+            phi = leg.legvander(x / basis.a, basis.n - 1) * basis.scale()
+            dphi = leg.legvander(x / basis.a, basis.n - 2) @ dcoef * (basis.scale() / basis.a)
             want = np.einsum("ijk,i,j,k->", dense, *phi)
             want_grad = [np.einsum("ijk,i,j,k->", dense,
                                    *[dphi[q] if q == p else phi[q] for q in range(3)])

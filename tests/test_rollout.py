@@ -48,7 +48,7 @@ class TestRollout:
         traj = rollout(model, None, x0, T, tol=1e-10)
         want = scipy.linalg.expm(A * T) @ x0
         assert not traj.failed
-        assert np.allclose(traj.final_state, want, atol=1e-8)
+        assert np.allclose(traj.states[-1], want, atol=1e-8)
 
     def test_cost_additivity(self, rng):
         model = linear_model(np.array([[-0.5, 0.2], [-0.2, -0.8]]))
@@ -56,7 +56,7 @@ class TestRollout:
         tol = 1e-10
         full = rollout(model, None, x0, 3.0, tol=tol)
         first = rollout(model, None, x0, 1.2, tol=tol)
-        second = rollout(model, None, first.final_state, 1.8, tol=tol)
+        second = rollout(model, None, first.states[-1], 1.8, tol=tol)
         assert np.isclose(full.total_cost, first.total_cost + second.total_cost,
                           atol=10 * 1e-6)
 
