@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import build_basis
 from .models import MODELS, fokker_planck_unshifted, solve_riccati
 from .policy import (
     PolicyDivergence,
@@ -27,6 +26,7 @@ from .policy import (
     feedback,
     history_to_csv,
     policy_iterate,
+    solver_basis,
 )
 from .rollout import (
     comparison_to_json,
@@ -212,9 +212,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         log.info("value-function cache hit: %s", key)
         with open(meta_path) as fh:
             meta = json.load(fh)
-        a = config.a if config.a is not None else model.a
-        basis = build_basis(config.n, a, config.m)
-        V = ValueFunction(load_tt(tt_path), basis)
+        V = ValueFunction(load_tt(tt_path), solver_basis(model, config))
         history = meta["history"]
         iterations, converged = meta["iterations"], meta["converged"]
     else:
@@ -409,11 +407,6 @@ def main(argv=None) -> int:
             grids = [_parse_sweep_arg(s) for s in args.sweep]
             sweep(cfg, grids, args.out, jobs=args.jobs)
             return 0
-        # validate before run() creates any files so config errors leave
-        # no partial artifacts behind
-        model = _build_model(cfg)
-        _build_solver_config(cfg)
-        _resolve_x0(cfg, model)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

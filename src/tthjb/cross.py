@@ -8,7 +8,7 @@ kept well conditioned by maxvol.  Blocks are assembled in interpolation form
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -32,32 +32,22 @@ class GridFunction:
 
     evaluator: callable
     grid: list
-    n_evals: int = field(default=0, compare=False)
-    sweep_evals: list = field(default_factory=list, compare=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.grid)
 
-    def _count(self, n: int) -> None:
-        self.n_evals += n
-        if self.sweep_evals:
-            self.sweep_evals[-1] += n
-
-    def __call__(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=int)
-        self._count(indices.shape[0])
+    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
+        """Values on left rows x {0..n_k-1} x right rows, flattened row-major."""
+        indices = _combine_indices(left_rows, k, self.dims[k], right_rows, len(self.dims))
         vals = np.asarray(self.evaluator(indices), dtype=float).reshape(-1)
         if vals.size != indices.shape[0]:
             raise ValueError("evaluator returned wrong batch size")
         return vals
 
-    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
-        """Values on left rows x {0..n_k-1} x right rows, flattened row-major."""
-        return self(_combine_indices(left_rows, k, self.dims[k], right_rows, len(self.dims)))
 
-
-class TTMap(GridFunction):
+@dataclass
+class TTMap:
     """The entrywise map func(t) of a TT tensor t on its grid.
 
     Fibres come from interface products instead of point-by-point
@@ -65,11 +55,13 @@ class TTMap(GridFunction):
     through blocks k+1..d-1, and two GEMMs with block k in between.
     """
 
-    def __init__(self, tensor: TTTensor, func, grid):
-        super().__init__(evaluator=lambda indices: func(tensor.eval(indices)),
-                         grid=list(grid))
-        self.tensor = tensor
-        self.func = func
+    tensor: TTTensor
+    func: callable
+    grid: list
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(len(g) for g in self.grid)
 
     def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
         blocks = self.tensor.blocks
@@ -83,7 +75,6 @@ class TTMap(GridFunction):
         left, right = left[:, 0, :], right[:, :, 0].T
         r0, m, r1 = blocks[k].shape
         mid = (left @ blocks[k].reshape(r0, m * r1)).reshape(rl * m, r1)
-        self._count(rl * m * rr)
         return np.asarray(self.func((mid @ right).reshape(-1)), dtype=float)
 
 
@@ -190,7 +181,6 @@ class CrossResult:
     sweeps: int
     per_sweep_evals: list
     converged: bool
-    saturated: bool
 
 
 def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
@@ -259,16 +249,15 @@ def _trimmed_basis(F: np.ndarray, delta: float) -> np.ndarray:
     return u[:, :keep]
 
 
-def _forward_pass(f: GridFunction, right_sets, delta: float):
+def _forward_pass(fibres, dims, right_sets, delta: float):
     """Left-to-right pass: assemble interpolation cores, refresh left sets."""
-    dims = f.dims
     d = len(dims)
     cores = []
     left_sets = []
     left_rows = np.zeros((1, 0), dtype=int)
     for k in range(d):
         right_rows = right_sets[k] if k < d - 1 else np.zeros((1, 0), dtype=int)
-        F = f.fibres(left_rows, k, right_rows).reshape(-1, right_rows.shape[0])
+        F = fibres(left_rows, k, right_rows).reshape(-1, right_rows.shape[0])
         rl = left_rows.shape[0]
         if k == d - 1:
             cores.append(F.reshape(rl, dims[k], 1))
@@ -283,16 +272,15 @@ def _forward_pass(f: GridFunction, right_sets, delta: float):
     return cores, left_sets
 
 
-def _backward_pass(f: GridFunction, left_sets, right_sets, delta: float):
+def _backward_pass(fibres, dims, left_sets, right_sets, delta: float):
     """Right-to-left pass refreshing the right index sets."""
-    dims = f.dims
     d = len(dims)
     new_right = list(right_sets)
     right_rows = np.zeros((1, 0), dtype=int)
     for k in range(d - 1, 0, -1):
         left_rows = left_sets[k - 1]
         rr = right_rows.shape[0]
-        F = f.fibres(left_rows, k, right_rows).reshape(left_rows.shape[0], dims[k] * rr)
+        F = fibres(left_rows, k, right_rows).reshape(left_rows.shape[0], dims[k] * rr)
         q = _trimmed_basis(F.T, delta)
         sel = maxvol(q)
         # columns of F enumerate (i_k, right) pairs in row-major order
@@ -302,7 +290,7 @@ def _backward_pass(f: GridFunction, left_sets, right_sets, delta: float):
 
 
 def tt_cross(
-    f: GridFunction,
+    f: GridFunction | TTMap,
     acc: Accuracy,
     initial: CrossIndexSets | None = None,
     seed: int | np.random.Generator = 0,
@@ -315,7 +303,8 @@ def tt_cross(
     blocks from the inverted intersection matrices) followed by a
     right-to-left pass.  Convergence is declared when the relative change of
     the assembled iterate drops below acc.delta; a cross that stops without
-    it logs a warning.  Values are requested fibre by fibre (f.fibres).
+    it logs a warning.  Values are requested fibre by fibre (f.fibres), and
+    the evaluations of this call are counted from the fibre blocks' sizes.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dims = f.dims
@@ -323,15 +312,21 @@ def tt_cross(
     state = initial if initial is not None else random_index_sets(dims, initial_rank, rng)
     if state.dims != dims:
         raise ValueError("initial index sets built for a different grid")
+    per_sweep_evals = []
+
+    def fibres(left_rows, k, right_rows):
+        vals = f.fibres(left_rows, k, right_rows)
+        per_sweep_evals[-1] += vals.size
+        return vals
+
     prev = None
     tensor = None
     converged = False
-    saturated = False
     sweeps = 0
     for sweep in range(max_sweeps):
-        f.sweep_evals.append(0)
+        per_sweep_evals.append(0)
         sweeps = sweep + 1
-        cores, left_sets = _forward_pass(f, state.right, acc.delta)
+        cores, left_sets = _forward_pass(fibres, dims, state.right, acc.delta)
         tensor = TTTensor(cores)
         change = None
         if prev is not None:
@@ -340,24 +335,23 @@ def tt_cross(
             if change <= acc.delta:
                 converged = True
                 break
-        new_right = _backward_pass(f, left_sets, state.right, acc.delta)
+        new_right = _backward_pass(fibres, dims, left_sets, state.right, acc.delta)
         state = replace(state, left=tuple(left_sets), right=new_right)
         # expansion must come after the backward pass: the maxvol reselection
         # sizes right sets by the left ranks, so earlier growth would be lost
-        state, saturated = rank_adapt(state, np.inf if change is None else change,
-                                      acc, rng)
+        state, _ = rank_adapt(state, np.inf if change is None else change, acc, rng)
         prev = tensor
+    n_evals = sum(per_sweep_evals)
     if not converged:
         log.warning("TT-cross stopped unconverged after %d sweeps (%d evaluations, rank %d)",
-                    sweeps, f.n_evals, tensor.max_rank)
+                    sweeps, n_evals, tensor.max_rank)
     return CrossResult(
         tensor=tensor,
         index_sets=state,
-        n_evals=f.n_evals,
+        n_evals=n_evals,
         sweeps=sweeps,
-        per_sweep_evals=list(f.sweep_evals),
+        per_sweep_evals=per_sweep_evals,
         converged=converged,
-        saturated=saturated,
     )
 
 

@@ -1,7 +1,7 @@
 """Benchmark controlled dynamics and the Riccati baseline.
 
-All models expose the origin as an equilibrium with zero state cost, batch
-evaluators for rollouts, and TT builders used by the Galerkin assembly.
+Every model is f(x) = A x - kappa x^3 with control direction g(x) = B0 + M x,
+held as those matrices; the origin is an equilibrium with zero state cost.
 """
 from __future__ import annotations
 
@@ -29,24 +29,70 @@ __all__ = [
 
 @dataclass
 class ControlledDynamics:
-    """A control-affine system dx/dt = f(x) + g(x) u with quadratic state cost."""
+    """dx/dt = f(x) + g(x) u with f(x) = A x - kappa x^3, g(x) = B0 + M x.
+
+    The matrices are the model: A is ``lin_A``, kappa ``cubic`` (entrywise
+    cube), B0 = g(0) the column ``lin_B`` and M ``channel_slope`` (None for
+    a constant channel).  The batch evaluators used by rollouts and the TT
+    builders used by the Galerkin assembly are both derived from them.
+    """
 
     name: str
-    dim: int
-    gamma: float
     a: float
     penalty: ControlPenalty
     lin_A: np.ndarray
     lin_B: np.ndarray
     cost_matrix: np.ndarray
-    drift: callable
-    channel_eval: callable
-    f_tt_builder: callable
-    channel_builder: callable
     admissible_uncontrolled: bool
+    cubic: float = 0.0
+    channel_slope: np.ndarray | None = None
     x0_default: np.ndarray | None = None
     horizon: float = 3.2
     extras: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.lin_A.shape[0]
+
+    @property
+    def gamma(self) -> float:
+        return self.penalty.gamma
+
+    def drift(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(X)
+        out = X @ self.lin_A.T
+        if self.cubic:
+            out = out - self.cubic * X**3
+        return out
+
+    def channel_eval(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(X)
+        B = self.lin_B.reshape(-1)
+        if self.channel_slope is None:
+            return np.broadcast_to(B, X.shape)
+        return X @ self.channel_slope.T + B
+
+    def f_tt_builder(self, grids) -> list:
+        """TT tensors of the drift components f_p on a tensor grid."""
+        out = []
+        for p in range(self.dim):
+            f_p = linear_to_tt(self.lin_A[p], grids)
+            if self.cubic:
+                f_p = _plus_rank_one(f_p, [-self.cubic * np.asarray(g, dtype=float)**3
+                                           if k == p else np.ones(len(g))
+                                           for k, g in enumerate(grids)])
+            out.append(f_p)
+        return out
+
+    def channel_builder(self, grids) -> ControlChannel:
+        B = self.lin_B.reshape(-1)
+        if self.channel_slope is None:
+            return ControlChannel(constant=B)
+        return ControlChannel(g_tts=tuple(
+            _plus_rank_one(linear_to_tt(self.channel_slope[p], grids),
+                           [np.full(len(g), B[p] if k == 0 else 1.0)
+                            for k, g in enumerate(grids)])
+            for p in range(self.dim)))
 
     def state_cost(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -54,6 +100,11 @@ class ControlledDynamics:
 
     def ell_tt(self, grids) -> TTTensor:
         return quadratic_to_tt(self.cost_matrix, grids)
+
+
+def _plus_rank_one(t: TTTensor, factors) -> TTTensor:
+    """t plus the rank-one tensor of the given factors, recompressed."""
+    return tt_round(t + TTTensor.rank_one(factors), Accuracy(1e-14))
 
 
 # ---------------------------------------------------------------------------
@@ -129,35 +180,6 @@ def _neumann_closure(d: int):
     return E, L, full
 
 
-def _cubic_reaction_tts(A_lin: np.ndarray, grids) -> list:
-    """TT components of f(x) = A_lin x - x.^3 (the linear part holds A + I)."""
-    d = A_lin.shape[0]
-    out = []
-    for p in range(d):
-        lin = linear_to_tt(A_lin[p], grids)
-        g = np.asarray(grids[p], dtype=float)
-        cubic = TTTensor(
-            [
-                (-(g**3)).reshape(1, -1, 1) if k == p
-                else np.ones((1, len(grids[k]), 1))
-                for k in range(d)
-            ]
-        )
-        out.append(tt_round(lin + cubic, Accuracy(1e-14)))
-    return out
-
-
-def _constant_channel(B: np.ndarray) -> dict:
-    """Fields of a control direction B that does not depend on the state."""
-
-    def channel_eval(X):
-        X = np.atleast_2d(X)
-        return np.broadcast_to(B, X.shape)
-
-    return dict(lin_B=B.reshape(-1, 1), channel_eval=channel_eval,
-                channel_builder=lambda grids: ControlChannel(constant=B))
-
-
 def _allen_cahn(p: int, axes: int, sigma: float, omega, penalty: ControlPenalty,
                 a: float, extras: dict) -> ControlledDynamics:
     """Allen-Cahn on the axes-fold tensor grid of p interior Chebyshev nodes.
@@ -182,28 +204,19 @@ def _allen_cahn(p: int, axes: int, sigma: float, omega, penalty: ControlPenalty,
     bump = 1.0
     for x in np.meshgrid(*[xi] * axes, indexing="ij"):
         bump = bump * np.cos(2 * np.pi * x) * np.cos(np.pi * x)
-    A_lin = A + np.eye(p**axes)
-
-    def drift(X):
-        X = np.atleast_2d(X)
-        return X @ A.T + X * (1.0 - X * X)
-
     return ControlledDynamics(
         name=f"allen_cahn_{axes}d",
-        dim=p**axes,
-        gamma=penalty.gamma,
         a=a,
         penalty=penalty,
-        lin_A=A_lin,
+        lin_A=A + np.eye(p**axes),      # the reaction x - x^3 is this identity
+        lin_B=reduce(np.kron, [ind] * axes).reshape(-1, 1),
         cost_matrix=reduce(np.kron, [Q1] * axes),
-        drift=drift,
-        f_tt_builder=lambda grids: _cubic_reaction_tts(A_lin, grids),
         admissible_uncontrolled=False,
+        cubic=1.0,                       # and this cube
         x0_default=(2.0 + bump).reshape(-1),
         horizon=3.2,
         extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
                 **extras},
-        **_constant_channel(reduce(np.kron, [ind] * axes)),
     )
 
 
@@ -350,32 +363,6 @@ def fokker_planck(
 
     # oblique projection onto zero-mass vectors along x_inf
     P = np.eye(D) - np.outer(x_inf, np.ones(D)) * h / mass_inf
-    F = Z.T @ P @ (L + sigma_shift * np.eye(D)) @ Z
-    M = Z.T @ P @ N @ Z
-    c = Z.T @ P @ N @ x_inf
-    Q = h * np.eye(d)
-
-    def drift(Xz):
-        Xz = np.atleast_2d(Xz)
-        return Xz @ F.T
-
-    def channel_eval(Xz):
-        Xz = np.atleast_2d(Xz)
-        return Xz @ M.T + c
-
-    def f_tts(grids):
-        return [linear_to_tt(F[p], grids) for p in range(d)]
-
-    def channel(grids):
-        g_tts = []
-        for p in range(d):
-            lin = linear_to_tt(M[p], grids)
-            const = TTTensor(
-                [np.full((1, len(grids[k]), 1), c[p] if k == 0 else 1.0)
-                 for k in range(d)]
-            )
-            g_tts.append(tt_round(lin + const, Accuracy(1e-14)))
-        return ControlChannel(g_tts=tuple(g_tts))
 
     # right-sided density preset, mass-matched to the steady state so the
     # deviation lies in the zero-mass subspace
@@ -389,24 +376,19 @@ def fokker_planck(
 
     return ControlledDynamics(
         name="fokker_planck",
-        dim=d,
-        gamma=gamma,
         a=a,
         penalty=ControlPenalty(gamma=gamma),
-        lin_A=F,
-        lin_B=c.reshape(-1, 1),
-        cost_matrix=Q,
-        drift=drift,
-        channel_eval=channel_eval,
-        f_tt_builder=f_tts,
-        channel_builder=channel,
+        lin_A=Z.T @ P @ (L + sigma_shift * np.eye(D)) @ Z,
+        lin_B=(Z.T @ P @ N @ x_inf).reshape(-1, 1),
+        cost_matrix=h * np.eye(d),
         admissible_uncontrolled=False,
+        channel_slope=Z.T @ P @ N @ Z,
         x0_default=z0,
         horizon=9.2,
         extras={
             "D": D, "h": h, "centers": centers, "L": L, "N": N,
             "x_inf": x_inf, "Z": Z, "P": P, "sigma_shift": sigma_shift,
-            "F_unshifted": Z.T @ P @ L @ Z, "M": M, "c": c,
+            "F_unshifted": Z.T @ P @ L @ Z,
             "x0_uniform": z0_uniform,
         },
     )
@@ -414,14 +396,8 @@ def fokker_planck(
 
 def fokker_planck_unshifted(model: ControlledDynamics) -> ControlledDynamics:
     """Physical (shift-free) variant used for closed-loop evaluation."""
-    F0 = model.extras["F_unshifted"]
-
-    def drift(Xz):
-        Xz = np.atleast_2d(Xz)
-        return Xz @ F0.T
-
-    return replace(model, name="fokker_planck_unshifted", lin_A=F0, drift=drift,
-                   f_tt_builder=None, channel_builder=None,
+    return replace(model, name="fokker_planck_unshifted",
+                   lin_A=model.extras["F_unshifted"],
                    admissible_uncontrolled=True, extras=dict(model.extras))
 
 
@@ -431,29 +407,18 @@ def fokker_planck_unshifted(model: ControlledDynamics) -> ControlledDynamics:
 def lq(d: int = 6, gamma: float = 1.0, a: float = 3.0) -> ControlledDynamics:
     """Stable tridiagonal chain with a single two-node actuator."""
     A = np.diag(-2.0 * np.ones(d)) + np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
-    B = np.zeros(d)
+    B = np.zeros((d, 1))
     B[d // 2] = 1.0
-    Q = np.eye(d)
-
-    def drift(X):
-        X = np.atleast_2d(X)
-        return X @ A.T
-
     return ControlledDynamics(
         name="lq",
-        dim=d,
-        gamma=gamma,
         a=a,
         penalty=ControlPenalty(gamma=gamma),
         lin_A=A,
-        cost_matrix=Q,
-        drift=drift,
-        f_tt_builder=lambda grids: [linear_to_tt(A[p], grids) for p in range(d)],
+        lin_B=B,
+        cost_matrix=np.eye(d),
         admissible_uncontrolled=True,
         x0_default=np.ones(d),
         horizon=10.0,
-        extras={},
-        **_constant_channel(B),
     )
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "ValueFunction",
     "PolicyDivergence",
     "initial_policy",
+    "solver_basis",
     "policy_iterate",
     "feedback",
     "history_to_csv",
@@ -194,8 +195,12 @@ def _needs_warm_start(model: ControlledDynamics) -> bool:
             and np.max(np.linalg.eigvals(model.lin_A).real) >= 0)
 
 
-def initial_policy(model: ControlledDynamics, basis: SpectralBasis,
-                   config: SolverConfig) -> TTTensor:
+def solver_basis(model: ControlledDynamics, config: SolverConfig) -> SpectralBasis:
+    """The Legendre basis of a solve: a defaults to the model's, m to 2n."""
+    return build_basis(config.n, config.a if config.a is not None else model.a, config.m)
+
+
+def initial_policy(model: ControlledDynamics, basis: SpectralBasis) -> TTTensor:
     """Nodal-grid TT of the starting feedback (zero or LQR warm start)."""
     grids = [basis.nodes] * model.dim
     if not _needs_warm_start(model):
@@ -231,21 +236,18 @@ def _build_system(model: ControlledDynamics, basis: SpectralBasis,
     )
 
 
-def policy_iterate(model: ControlledDynamics, config: SolverConfig,
-                   basis: SpectralBasis | None = None):
+def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     """Run the policy iteration to convergence.
 
     Returns (ValueFunction anchored at the origin, PolicyIterationState).
     """
-    a = config.a if config.a is not None else model.a
-    if basis is None:
-        basis = build_basis(config.n, a, config.m)
+    basis = solver_basis(model, config)
     system = _build_system(model, basis, config)
     acc = config.value_accuracy
     rng = np.random.default_rng(config.seed)
     d = model.dim
 
-    u = initial_policy(model, basis, config)
+    u = initial_policy(model, basis)
     v = tt_scale(
         TTTensor.random((basis.n,) * d, [1] + [2] * (d - 1) + [1], rng), 1e-3
     )

@@ -149,6 +149,29 @@ class TestAmenSolve:
         assert errs[0] > floor
         assert errs[-1] <= floor
 
+    def test_enrichment_escapes_rank_starved_start(self, rng):
+        # rank-1 start for T (x) I + I (x) T with a rank-3 right-hand side, so
+        # the solution has rank above 3. After one sweep the left frame is
+        # the rank-1 local solution plus rho residual directions; the last
+        # block is solved exactly in it. The residual directions leave an
+        # energy error near 0.23; zeroed enrichment columns (completed by
+        # QR with arbitrary directions) leave 0.63.
+        n = 20
+        M = rng.standard_normal((n, n))
+        T = M @ M.T / n + 0.5 * np.eye(n)
+        eye = np.eye(n)
+        A = TTMatrix([np.stack([T, eye], axis=-1)[None], np.stack([eye, T])[..., None]])
+        b = TTTensor.random((n, n), [1, 3, 1], rng)
+        v_prev = TTTensor.random((n, n), [1, 1, 1], rng)
+        Ad = A.to_dense()
+        want = np.linalg.solve(Ad, tt_to_dense(b).reshape(-1))
+
+        def energy(x):
+            return np.sqrt(x @ Ad @ x)
+
+        v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10), sweeps=1, rho=4)
+        assert energy(tt_to_dense(v).reshape(-1) - want) <= 0.4 * energy(want)
+
     def test_contractive_fixed_point_map(self, rng):
         # spectral radius of mu (A + mu I)^{-1} < 1 when Re(eig A) >= 0
         N = 12

@@ -105,6 +105,16 @@ class TestCross:
         assert res.n_evals == sum(res.per_sweep_evals)
         assert all(c > 0 for c in res.per_sweep_evals)
 
+    def test_counts_are_per_call(self):
+        # the counts belong to one cross, not to the function it samples
+        grid = [np.arange(4.0)] * 3
+        f = grid_function_from_pointwise(lambda pts: 1.0 / (1.0 + np.sum(pts, axis=1)), grid)
+        first = tt_cross(f, Accuracy(1e-10), max_sweeps=2)
+        second = tt_cross(f, Accuracy(1e-10), max_sweeps=2)
+        assert second.n_evals == first.n_evals > 0
+        assert second.per_sweep_evals == first.per_sweep_evals
+        assert len(second.per_sweep_evals) == second.sweeps
+
     def test_mismatched_initial_sets(self, rng):
         grid = [np.arange(4.0)] * 3
         f = grid_function_from_pointwise(lambda pts: np.sum(pts, axis=1), grid)
@@ -158,7 +168,6 @@ class TestTTMap:
             want = pointwise.fibres(left, k, right)
             assert got.shape == (left.shape[0] * t.dims[k] * right.shape[0],)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert fmap.n_evals == pointwise.n_evals
 
     def test_cross_picks_same_pivots_as_pointwise(self, rng):
         t, fmap, pointwise = self._pair(rng, func=lambda v: v * v)

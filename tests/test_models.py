@@ -174,6 +174,34 @@ class TestFokkerPlanck:
             fokker_planck(D=4)
 
 
+class TestTwoForms:
+    """The TT builders and the batch evaluators describe the same f and g."""
+
+    @staticmethod
+    def _sample(model, rng, points=40):
+        grids = [np.sort(rng.uniform(-1.0, 1.0, 3)) for _ in range(model.dim)]
+        idx = rng.integers(0, 3, size=(points, model.dim))
+        X = np.stack([grids[k][idx[:, k]] for k in range(model.dim)], axis=1)
+        return grids, idx, X
+
+    def test_drift(self, small_model, rng):
+        grids, idx, X = self._sample(small_model, rng)
+        want = small_model.drift(X)
+        scale = np.max(np.abs(want))
+        for p, f_p in enumerate(small_model.f_tt_builder(grids)):
+            assert np.max(np.abs(f_p.eval(idx) - want[:, p])) <= 1e-12 * scale
+
+    def test_channel(self, small_model, rng):
+        grids, idx, X = self._sample(small_model, rng)
+        want = small_model.channel_eval(X)
+        channel = small_model.channel_builder(grids)
+        if channel.constant is not None:
+            got = np.broadcast_to(channel.constant, want.shape)
+        else:
+            got = np.stack([g.eval(idx) for g in channel.g_tts], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestRiccati:
     def test_scalar_quadratic_formula(self):
         sol = solve_riccati(np.array([[1.0]]), np.array([[1.0]]),

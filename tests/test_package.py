@@ -1,11 +1,14 @@
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tthjb
+from tthjb.policy import SolverConfig, policy_iterate
 
 MODULES = ["tthjb"] + [f"tthjb.{info.name}" for info in pkgutil.iter_modules(tthjb.__path__)]
 
@@ -19,15 +22,51 @@ def test_exports_resolve(module_name):
     assert missing == []
 
 
-def test_traced_names_resolve():
-    # the benchmark wraps these by name; one deleted here would break only
-    # a traced benchmark run, so pin them (tracing imports only the stdlib)
+def _load_tracing():
+    # the benchmark's tracer, loaded by path (it imports only the stdlib)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # the benchmark wraps these by name; one deleted here would break only
+    # a traced benchmark run, so pin them
+    tracing = _load_tracing()
     names = [(module, attr) for module, attr, _, _ in tracing.TRACED]
     names += [("tthjb.policy", "initial_policy"), ("tthjb.policy", "policy_iterate")]
     for module, attr in names:
         importlib.import_module(module)
         assert callable(tracing._resolve(module, attr)[2]), (module, attr)
+
+
+def test_model_contract_of_the_benchmark(small_model):
+    # the attributes perfbench/worker.py reads, with the shapes it assumes
+    m = small_model
+    d = m.dim
+    X = np.random.default_rng(0).uniform(-0.5, 0.5, size=(5, d))
+    assert isinstance(d, int)
+    assert m.drift(X).shape == (5, d)
+    assert m.channel_eval(X).shape == (5, d)
+    assert m.state_cost(X).shape == (5,)
+    assert m.lin_A.shape == (d, d) and m.cost_matrix.shape == (d, d)
+    assert m.lin_B.shape == (d, 1)
+    assert m.gamma > 0
+    assert m.penalty.clip is None or m.penalty.clip > 0
+    assert np.shape(m.x0_default) == (d,)
+
+
+def test_wrapped_builders_called_once_per_solve(small_model):
+    # the tracer replaces the two TT builders on the instance; a setup-only
+    # solve must go through each wrapper exactly once. The solve starts from
+    # the zero policy: one actuator cannot stabilize allen_cahn_2d's
+    # linearization, so its LQR warm start raises.
+    model = dataclasses.replace(small_model, admissible_uncontrolled=True)
+    tracer = _load_tracing().Tracer()
+    tracer._wrap_model(model)
+    policy_iterate(model, SolverConfig(max_policy_iters=0, n=2))
+    names = [span[2] for span in tracer.spans]
+    assert names.count("models.f_tt_builder") == 1
+    assert names.count("models.channel_builder") == 1

@@ -11,35 +11,16 @@ from tthjb.policy import (
     initial_policy,
     policy_iterate,
 )
-from tthjb.tt import TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
+from tthjb.tt import TTTensor, quadratic_to_tt, tt_norm
 
 
 def scalar_unstable_model(u_max=None):
     """dy/dt = y + u with unit quadratic costs; Riccati gives K = 1 + sqrt(2)."""
-    A = np.array([[1.0]])
-    B = np.array([[1.0]])
-
-    def drift(X):
-        return np.atleast_2d(X) @ A.T
-
-    def channel_eval(X):
-        return np.ones((np.atleast_2d(X).shape[0], 1))
-
-    def f_tts(grids):
-        return [linear_to_tt(A[0], grids)]
-
-    def channel(grids):
-        from tthjb.assembly import ControlChannel
-
-        return ControlChannel(constant=np.ones(1))
-
     kind = "unconstrained" if u_max is None else "tanh"
     return ControlledDynamics(
-        name="scalar", dim=1, gamma=1.0, a=2.0,
+        name="scalar", a=2.0,
         penalty=ControlPenalty(gamma=1.0, kind=kind, u_max=u_max),
-        lin_A=A, lin_B=B, cost_matrix=np.eye(1),
-        drift=drift, channel_eval=channel_eval,
-        f_tt_builder=f_tts, channel_builder=channel,
+        lin_A=np.array([[1.0]]), lin_B=np.array([[1.0]]), cost_matrix=np.eye(1),
         admissible_uncontrolled=False,
     )
 
@@ -48,13 +29,13 @@ class TestInitialPolicy:
     def test_stable_linear_model_zero_policy(self):
         model = lq(4)
         basis = build_basis(3, model.a)
-        u = initial_policy(model, basis, SolverConfig())
+        u = initial_policy(model, basis)
         assert tt_norm(u) == 0.0
 
     def test_scalar_unstable_lqr_warm_start(self):
         model = scalar_unstable_model()
         basis = build_basis(4, model.a)
-        u = initial_policy(model, basis, SolverConfig())
+        u = initial_policy(model, basis)
         # u(x) = -K x with K = 1 + sqrt(2)
         want = -(1.0 + np.sqrt(2.0)) * basis.nodes
         assert np.allclose(u.to_dense(), want, atol=1e-8)

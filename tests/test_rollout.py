@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -18,23 +17,12 @@ from tthjb.rollout import (
 
 
 def linear_model(A, a=10.0):
+    """dx/dt = A x + e_1 u with unit quadratic costs."""
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-
-    def drift(X):
-        return np.atleast_2d(X) @ A.T
-
-    def channel_eval(X):
-        g = np.zeros((np.atleast_2d(X).shape[0], d))
-        g[:, 0] = 1.0
-        return g
-
     return ControlledDynamics(
-        name="lin", dim=d, gamma=1.0, a=a,
-        penalty=ControlPenalty(gamma=1.0),
+        name="lin", a=a, penalty=ControlPenalty(gamma=1.0),
         lin_A=A, lin_B=np.eye(d, 1), cost_matrix=np.eye(d),
-        drift=drift, channel_eval=channel_eval,
-        f_tt_builder=None, channel_builder=None,
         admissible_uncontrolled=True,
     )
 
@@ -61,20 +49,11 @@ class TestRollout:
                           atol=10 * 1e-6)
 
     def test_failure_flag_on_finite_escape(self):
-        d = 1
-
-        def drift(X):
-            X = np.atleast_2d(X)
-            return X**2
-
+        # x' = x^3 from x = 1 escapes at t = 1/2
         model = ControlledDynamics(
-            name="blowup", dim=1, gamma=1.0, a=100.0,
-            penalty=ControlPenalty(gamma=1.0),
-            lin_A=np.zeros((1, 1)), lin_B=np.ones((1, 1)),
-            cost_matrix=np.eye(1), drift=drift,
-            channel_eval=lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)),
-            f_tt_builder=None, channel_builder=None,
-            admissible_uncontrolled=True,
+            name="blowup", a=100.0, penalty=ControlPenalty(gamma=1.0),
+            lin_A=np.zeros((1, 1)), lin_B=np.zeros((1, 1)),
+            cost_matrix=np.eye(1), admissible_uncontrolled=True, cubic=-1.0,
         )
         traj = rollout(model, None, np.array([1.0]), 5.0)
         assert traj.failed
@@ -106,7 +85,7 @@ class TestRollout:
             shapes.append(X.shape)
             return -0.3 * X[:, 0]
 
-        model = dataclasses.replace(model, drift=counting_drift)
+        model.drift = counting_drift
         traj = rollout(model, ctrl, np.array([1.0, -1.0]), 2.0)
         assert not traj.failed
         assert len(shapes) <= len(rhs_evals) + 1
