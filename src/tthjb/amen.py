@@ -13,6 +13,7 @@ import logging
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .tt import (
     Accuracy,
@@ -27,7 +28,10 @@ __all__ = ["amen_solve_shifted"]
 
 log = logging.getLogger(__name__)
 
-# largest local system solved by dense factorization; bigger ones go to GMRES
+# local systems with more unknowns than this go to preconditioned GMRES,
+# which is cheaper than dense LU from about this size on
+_GMRES_CROSSOVER = 325
+# largest local matrix formed: the dense fallback of an unconverged GMRES
 _DENSE_LIMIT = 2000
 # alternating sweeps of the rank-rho residual fit that drives enrichment
 _FIT_SWEEPS = 2
@@ -139,34 +143,67 @@ def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor
     return z
 
 
-def _solve_local(H_parts, g, shift, x0, delta):
-    """Solve (H + shift I) x = g; dense below _DENSE_LIMIT, else GMRES.
+def _block_jacobi(LA, Ab, RA, shift):
+    """Diagonal blocks of H + shift I in the right frame index, and inverse.
 
-    Returns (x, norm of the local residual).
+    Block b is sum_{A,B} LA[:, A, :] (x) Ab[A, :, :, B] RA[b, B, b] + shift I,
+    one (r0 n)^2 matrix per b, LU-factored once.  Returns the maps applying
+    the block-diagonal matrix and its inverse to a flat (a, i, b) vector.
+    """
+    r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
+    rdiag = np.einsum("bBb->bB", RA)
+    M = np.tensordot(rdiag, np.tensordot(LA, Ab, axes=(1, 0)), axes=(1, 4))  # b a c i j
+    M = M.transpose(0, 1, 3, 2, 4).reshape(r1, r0 * n, r0 * n)
+    M += shift * np.eye(r0 * n)
+    factors = [dgetrf(blk)[:2] for blk in M]
+
+    def apply(x):
+        return np.einsum("bij,jb->ib", M, x.reshape(r0 * n, r1)).reshape(-1)
+
+    def solve(y):
+        y = y.reshape(r0 * n, r1)
+        cols = [dgetrs(lu, piv, y[:, b])[0] for b, (lu, piv) in enumerate(factors)]
+        return np.stack(cols, axis=1).reshape(-1)
+
+    return apply, solve
+
+
+def _solve_local(H_parts, g, shift, x0, delta):
+    """Solve (H + shift I) x = g.
+
+    Up to _GMRES_CROSSOVER unknowns by dense LU; above, by one cycle of GMRES
+    right-preconditioned with the block Jacobi, warm-started from x0.  An
+    unconverged GMRES falls back to dense LU when the system has at most
+    _DENSE_LIMIT unknowns.  Returns (x, norm of the local residual).
     """
     LA, Ab, RA = H_parts
     size = g.size
-    if size <= _DENSE_LIMIT:
-        H = _local_matrix(LA, Ab, RA)
-        H[np.diag_indices_from(H)] += shift
-        try:
-            x = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            x = np.linalg.lstsq(H, g, rcond=None)[0]
-        return x, float(np.linalg.norm(H @ x - g))
-    r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
+    if size > _GMRES_CROSSOVER:
+        r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
 
-    def matvec(x):
-        y = _apply_local(LA, Ab, RA, x.reshape(r0, n, r1))
-        return y.reshape(-1) + shift * x
+        def matvec(x):
+            y = _apply_local(LA, Ab, RA, x.reshape(r0, n, r1))
+            return y.reshape(-1) + shift * x
 
-    op = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec)
-    tol = min(1e-8, 1e-2 * delta)
-    x, info = scipy.sparse.linalg.gmres(op, g, x0=x0.reshape(-1), rtol=tol,
-                                        atol=0.0, restart=60, maxiter=300)
-    if info > 0:
-        log.warning("local GMRES stopped at maxiter (size %d)", size)
-    return x, float(np.linalg.norm(matvec(x) - g))
+        apply_M, solve_M = _block_jacobi(LA, Ab, RA, shift)
+        # GMRES on (H + shift I) M^-1 y = g minimizes the true residual
+        op = scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=lambda y: matvec(solve_M(y)), dtype=float)
+        tol = min(1e-8, 1e-2 * delta)
+        y, info = scipy.sparse.linalg.gmres(op, g, x0=apply_M(x0), rtol=tol,
+                                            atol=0.0, restart=60, maxiter=1)
+        x = solve_M(y)
+        if info == 0 or size > _DENSE_LIMIT:
+            if info:
+                log.warning("local GMRES stopped at maxiter (size %d)", size)
+            return x, float(np.linalg.norm(matvec(x) - g))
+    H = _local_matrix(LA, Ab, RA)
+    H[np.diag_indices_from(H)] += shift
+    try:
+        x = np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        x = np.linalg.lstsq(H, g, rcond=None)[0]
+    return x, float(np.linalg.norm(H @ x - g))
 
 
 def amen_solve_shifted(

@@ -18,7 +18,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, TTMap, tt_cross
-from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_scale
+from .tt import (Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_scale,
+                 tt_square)
 
 __all__ = [
     "ControlPenalty",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 # above this rank the entrywise square of u goes through cross approximation
-# instead of an exact Hadamard product whose ranks would be squared
+# instead of the exact symmetric square, whose ranks grow as r (r + 1) / 2
 _HADAMARD_RANK_LIMIT = 12
 
 
@@ -275,8 +276,8 @@ class GalerkinSystem:
             return self.ell_proj, None
         res = None
         if self.penalty.kind == "unconstrained" and u_tt.max_rank <= _HADAMARD_RANK_LIMIT:
-            pen = tt_scale(tt_round(tt_hadamard(u_tt, u_tt), self.acc),
-                           self.penalty.gamma)
+            # exact square, projected onto the basis before the one rounding
+            pen = tt_scale(tt_square(u_tt), self.penalty.gamma)
         else:
             res = _cross_map(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
                              self.grid, initial, self.seed)

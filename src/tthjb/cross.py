@@ -187,15 +187,14 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
                increment: int = 2):
     """Grow right index sets where the sweep-to-sweep change exceeds delta.
 
-    Returns (new state, saturated flag); ranks never exceed acc.max_rank nor
-    the combinatorial capacity of the grid.
+    Returns the new state; ranks never exceed acc.max_rank nor the
+    combinatorial capacity of the grid.
     """
     if error_estimate <= acc.delta:
-        return state, False
+        return state
     dims = state.dims
     d = len(dims)
     new_right = []
-    saturated = True
     for k in range(d - 1):
         rows = state.right[k]
         cap = int(min(np.prod(dims[k + 1 :], dtype=float), np.prod(dims[: k + 1], dtype=float), 1 << 20))
@@ -204,7 +203,6 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
             target = min(target, acc.max_rank)
         target = min(target, cap)
         if target > rows.shape[0]:
-            saturated = False
             extra = _distinct_rows(dims[k + 1 :], target - rows.shape[0], rng, existing=rows)
             rows = np.vstack([rows, extra])
         new_right.append(rows)
@@ -217,7 +215,7 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
         lim = (new_right[k + 1].shape[0] if k < d - 2 else 1) * dims[k + 1]
         if new_right[k].shape[0] > lim:
             new_right[k] = new_right[k][:lim]
-    return replace(state, right=tuple(new_right)), saturated
+    return replace(state, right=tuple(new_right))
 
 
 def _combine_indices(left_rows, k, m, right_rows, d):
@@ -339,7 +337,7 @@ def tt_cross(
         state = replace(state, left=tuple(left_sets), right=new_right)
         # expansion must come after the backward pass: the maxvol reselection
         # sizes right sets by the left ranks, so earlier growth would be lost
-        state, _ = rank_adapt(state, np.inf if change is None else change, acc, rng)
+        state = rank_adapt(state, np.inf if change is None else change, acc, rng)
         prev = tensor
     n_evals = sum(per_sweep_evals)
     if not converged:

@@ -52,7 +52,8 @@ _CROSS_FIELDS = ("cross_evals", "cross_sweeps", "cross_converged")
 
 
 class PolicyDivergence(RuntimeError):
-    """Raised when the relative change grows for too many iterations."""
+    """Raised when, for too many iterations in a row, the relative change
+    grows or the norm of the value tensor more than doubles."""
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     constraint_state = None
     grow_count = 0
     prev_rel = np.inf
+    prev_norm = np.inf
     mu = config.mu0
     for s in range(config.max_policy_iters):
         t0 = time.perf_counter()
@@ -301,12 +303,16 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         if rel <= config.delta:
             state.converged = True
             break
-        grow_count = grow_count + 1 if rel > prev_rel else 0
-        prev_rel = rel
+        # a blow-up keeps rel near 1, so it shows only in the norm; the first
+        # iteration grows from the tiny random start and is not counted
+        grows = rel > prev_rel or nv > 2.0 * prev_norm
+        grow_count = grow_count + 1 if grows else 0
+        prev_rel, prev_norm = rel, nv
         if grow_count >= config.divergence_window:
             raise PolicyDivergence(
-                f"relative change grew for {grow_count} consecutive "
-                f"iterations (last {rel:.3e}); try a larger mu0 or delta"
+                f"relative change grew or the value norm more than doubled for "
+                f"{grow_count} consecutive iterations (last rel {rel:.3e}, norm "
+                f"{nv:.3e}); try a larger mu0 or delta"
             )
     # drop enrichment leftovers the stopping tolerance cannot distinguish
     v = tt_round(v, Accuracy(delta=config.delta, max_rank=config.max_rank))

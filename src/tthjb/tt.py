@@ -26,6 +26,7 @@ __all__ = [
     "tt_dot",
     "tt_norm",
     "tt_hadamard",
+    "tt_square",
     "orthogonalize_left",
     "orthogonalize_right",
     "quadratic_to_tt",
@@ -390,6 +391,28 @@ def tt_hadamard(a: TTTensor, b: TTTensor) -> TTTensor:
         rb0, _, rb1 = bb.shape
         blk = ab[:, None, :, :, None] * bb[None, :, :, None, :]
         blocks.append(blk.reshape(ra0 * rb0, n, ra1 * rb1))
+    return TTTensor(blocks)
+
+
+def tt_square(t: TTTensor) -> TTTensor:
+    """Exact entrywise square; ranks r become r (r + 1) / 2.
+
+    The Kronecker square of a block maps the symmetric part of r (x) r into
+    itself, so each interface keeps only its orthonormal basis of symmetric
+    pairs a <= a': e_a (x) e_a, and (e_a (x) e_a' + e_a' (x) e_a) / sqrt 2.
+    In that basis the block is w_a w_b (t[a, :, b] t[a', :, b'] +
+    t[a, :, b'] t[a', :, b]), with w = 1 / sqrt 2 on the pairs a = a'.
+    """
+    blocks = []
+    for blk in t.blocks:
+        r0, _, r1 = blk.shape
+        ia, ja = np.triu_indices(r0)
+        ib, jb = np.triu_indices(r1)
+        wa = np.where(ia == ja, np.sqrt(0.5), 1.0)
+        wb = np.where(ib == jb, np.sqrt(0.5), 1.0)
+        left, right = blk[ia], blk[ja]
+        sym = left[:, :, ib] * right[:, :, jb] + left[:, :, jb] * right[:, :, ib]
+        blocks.append(wa[:, None, None] * sym * wb)
     return TTTensor(blocks)
 
 

@@ -1,23 +1,7 @@
-import time
-
 import numpy as np
 import pytest
 
-from tthjb.models import MODELS, allen_cahn_1d, fokker_planck_unshifted
-from tthjb.policy import SolverConfig, policy_iterate
-
-
-@pytest.fixture(scope="session")
-def ac10():
-    """Converged Allen-Cahn d=10 solve, shared across test modules.
-
-    Returns (model, config, V, state, solve_seconds).
-    """
-    model = allen_cahn_1d(10)
-    config = SolverConfig(delta=1e-3, mu0=50.0, n=5, max_rank=50)
-    t0 = time.perf_counter()
-    V, state = policy_iterate(model, config)
-    return model, config, V, state, time.perf_counter() - t0
+from tthjb.models import MODELS, fokker_planck_unshifted
 
 
 @pytest.fixture

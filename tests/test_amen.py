@@ -1,7 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from tthjb.amen import _fit_combination, amen_solve_shifted
+from tthjb import amen
+from tthjb.amen import (
+    _block_jacobi,
+    _fit_combination,
+    _local_matrix,
+    _solve_local,
+    amen_solve_shifted,
+)
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
@@ -34,6 +44,92 @@ class TestResidualFit:
         want = want - A.to_dense() @ tt_to_dense(v).reshape(-1)
         got = tt_to_dense(res).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def local_parts(rng, r0, n, r1, R0=3, R1=2, diagonal_right=False, scale=1.0):
+    """Random interfaces (LA, Ab, RA) of a local system with r0 n r1 unknowns;
+    with diagonal_right, RA[b, B, d] vanishes for b != d."""
+    LA = scale * rng.standard_normal((r0, R0, r0))
+    Ab = scale * rng.standard_normal((R0, n, n, R1))
+    RA = scale * rng.standard_normal((r1, R1, r1))
+    if diagonal_right:
+        RA = np.einsum("bB,bd->bBd", RA[:, :, 0], np.eye(r1))
+    return LA, Ab, RA
+
+
+class TestLocalSolve:
+    @pytest.mark.parametrize("r1", [1, 3])
+    def test_block_jacobi_exact_for_diagonal_right_interface(self, rng, r1):
+        # RA diagonal in its frame indices makes H + shift I block diagonal
+        # in b, so the preconditioner is the exact inverse; a wrong index
+        # order would only cost GMRES iterations in the solves
+        LA, Ab, RA = local_parts(rng, 4, 3, r1, diagonal_right=True)
+        shift = 0.7
+        H = _local_matrix(LA, Ab, RA) + shift * np.eye(4 * 3 * r1)
+        apply_M, solve_M = _block_jacobi(LA, Ab, RA, shift)
+        x = rng.standard_normal(H.shape[0])
+        assert np.allclose(apply_M(x), H @ x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(solve_M(H @ x), x, rtol=1e-10, atol=1e-10)
+
+    def test_gmres_above_crossover_matches_dense(self, rng, monkeypatch):
+        # a well-conditioned system of 8 * 5 * 10 = 400 > crossover unknowns,
+        # solved without ever forming the local matrix
+        r0, n, r1 = 8, 5, 10
+        assert r0 * n * r1 > amen._GMRES_CROSSOVER
+        LA, Ab, RA = local_parts(rng, r0, n, r1, scale=0.3)
+        shift, delta = 2.0, 1e-3
+        H = _local_matrix(LA, Ab, RA) + shift * np.eye(r0 * n * r1)
+        g = rng.standard_normal(H.shape[0])
+        monkeypatch.setattr(amen, "_local_matrix", None)
+        x, res = _solve_local((LA, Ab, RA), g, shift,
+                              np.zeros((r0, n, r1)), delta)
+        tol = min(1e-8, 1e-2 * delta)
+        want = np.linalg.solve(H, g)
+        assert np.linalg.norm(x - want) <= 10 * tol * np.linalg.norm(want)
+        assert res == pytest.approx(np.linalg.norm(H @ x - g), rel=1e-6)
+        assert res <= tol * np.linalg.norm(g)
+        # warm-started at the answer, GMRES stops at its first residual
+        # check: one product there and one for the returned residual
+        products = []
+        apply_local = amen._apply_local
+        monkeypatch.setattr(amen, "_apply_local",
+                            lambda *args: products.append(1) or apply_local(*args))
+        _solve_local((LA, Ab, RA), g, shift, want.reshape(r0, n, r1), delta)
+        assert len(products) == 2
+
+    @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["dense", "above_limit"])
+    def test_unconverged_gmres_falls_back_to_dense(self, rng, monkeypatch, caplog,
+                                                   dense_limit):
+        # unstructured random interfaces: the spectrum surrounds the origin and
+        # the block Jacobi misses most of H, so one cycle of 60 iterations
+        # stops short; within _DENSE_LIMIT dense LU takes over, above it the
+        # GMRES iterate comes back with a warning and its true residual
+        r0, n, r1 = 8, 5, 10
+        LA, Ab, RA = local_parts(rng, r0, n, r1)
+        shift, delta = 0.0, 1e-3
+        H = _local_matrix(LA, Ab, RA)
+        g = rng.standard_normal(H.shape[0])
+        infos = []
+        gmres = scipy.sparse.linalg.gmres
+
+        def recording_gmres(*args, **kwargs):
+            out = gmres(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording_gmres)
+        monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
+        with caplog.at_level(logging.WARNING, logger="tthjb.amen"):
+            x, res = _solve_local((LA, Ab, RA), g, shift,
+                                  np.zeros((r0, n, r1)), delta)
+        assert len(infos) == 1 and infos[0] > 0
+        assert res == pytest.approx(np.linalg.norm(H @ x - g), rel=1e-6)
+        if dense_limit:
+            assert np.allclose(x, np.linalg.solve(H, g), rtol=1e-8, atol=1e-10)
+            assert not caplog.records
+        else:
+            assert res > 1e-8 * np.linalg.norm(g)
+            assert "maxiter" in caplog.text
 
 
 def spd_tt_matrix(rng, dims):

@@ -15,15 +15,13 @@ from tthjb.assembly import (
     project_to_basis,
 )
 from tthjb.basis import build_basis
-from tthjb.tt import Accuracy, TTTensor, tt_matvec, tt_norm
+from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm
 
 ACC = Accuracy(1e-12)
 
 
 def nodal_tt(func, basis, d):
     """Rank-adapted TT of a separable-in-no-way function via dense sampling."""
-    from tthjb.tt import tt_from_dense
-
     grids = np.meshgrid(*([basis.nodes] * d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     return tt_from_dense(func(pts).reshape((basis.m,) * d), ACC)
@@ -262,6 +260,24 @@ class TestCoupling:
                 channel = channel_of_form(form, g, basis.m)
                 C = assemble_coupling(u, channel, basis, ACC).to_dense()
                 assert np.allclose(C, want, atol=1e-10), (d, form)
+
+
+class TestHadamardRhs:
+    def test_matches_dense_penalty_projection(self, rng):
+        # rank 4 <= _HADAMARD_RANK_LIMIT: the exact square, projected and
+        # rounded once, equals ell + gamma P(u^2) to the rounding accuracy
+        from tthjb.models import lq
+        from tthjb.policy import SolverConfig, _build_system
+
+        d = 3
+        basis = build_basis(3, 1.0)
+        system = _build_system(lq(d), basis, SolverConfig(delta=1e-4, n=3))
+        u = TTTensor.random((basis.m,) * d, [1, 4, 4, 1], rng)
+        b, res = system.rhs(u)
+        assert res is None
+        pen = tt_from_dense(system.penalty.gamma * u.to_dense() ** 2, ACC)
+        want = system.ell_proj.to_dense() + project_to_basis(pen, basis).to_dense()
+        assert np.linalg.norm(b.to_dense() - want) <= system.acc.delta * np.linalg.norm(want)
 
 
 class TestCrossSamplesByInterfaces:

@@ -5,13 +5,14 @@ from tthjb.assembly import ControlPenalty
 from tthjb.basis import build_basis
 from tthjb.models import ControlledDynamics, lq, solve_riccati
 from tthjb.policy import (
+    PolicyDivergence,
     SolverConfig,
     ValueFunction,
     feedback,
     initial_policy,
     policy_iterate,
 )
-from tthjb.tt import TTTensor, quadratic_to_tt, tt_norm
+from tthjb.tt import TTTensor, quadratic_to_tt, tt_norm, tt_scale
 
 
 def scalar_unstable_model(u_max=None):
@@ -292,3 +293,41 @@ class TestCrossHistory:
         _, state = policy_iterate(lq(3), config)
         for row in state.history:
             assert row["cross_evals"] is None and row["cross_converged"] is None
+
+
+class TestDivergence:
+    """Both triggers of PolicyDivergence, with the solver replaced by a stub
+    returning scale(s) * w at iteration s; w has no constant mode, so the
+    gauge fix leaves it alone."""
+
+    WINDOW = 4
+
+    def _solve(self, monkeypatch, scale):
+        from tthjb import policy
+
+        n, d = 3, 2
+        w = TTTensor.rank_one([np.eye(n)[1], np.ones(n)])
+        calls = []
+
+        def stub(A, b, v_prev, shift, acc, **kwargs):
+            calls.append(shift)
+            return tt_scale(w, scale(len(calls) - 1))
+
+        monkeypatch.setattr(policy, "amen_solve_shifted", stub)
+        config = SolverConfig(delta=1e-4, n=n, max_policy_iters=30,
+                              divergence_window=self.WINDOW)
+        with pytest.raises(PolicyDivergence):
+            policy_iterate(lq(d), config)
+        return len(calls)
+
+    def test_norm_blow_up(self, monkeypatch):
+        # growth factors 4.0, 3.9, 3.8, ...: the relative change 1 - 1/factor
+        # falls every iteration, only the norm shows the blow-up; iteration 0
+        # grows from the random start and does not count
+        calls = self._solve(monkeypatch, lambda s: np.prod(4.0 - 0.1 * np.arange(s)))
+        assert calls == self.WINDOW + 1
+
+    def test_growing_step(self, monkeypatch):
+        # scale 1/(s+1)!: the norm falls while the relative change s grows
+        calls = self._solve(monkeypatch, lambda s: 1.0 / np.prod(np.arange(1.0, s + 2)))
+        assert calls <= self.WINDOW + 2

@@ -19,6 +19,7 @@ from tthjb.tt import (
     tt_norm,
     tt_round,
     tt_scale,
+    tt_square,
     tt_to_dense,
 )
 
@@ -183,6 +184,16 @@ class TestHadamard:
         b = TTTensor.random((3, 4), [1, 3, 1], rng)
         assert np.allclose(tt_to_dense(tt_hadamard(a, b)),
                            tt_to_dense(a) * tt_to_dense(b))
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_symmetric_square(self, rng, d, r):
+        # interface ranks r(r+1)/2 instead of the r^2 of tt_hadamard(t, t)
+        t = TTTensor.random((4,) * d, [1] + [r] * (d - 1) + [1], rng)
+        sq = tt_square(t)
+        want = tt_to_dense(t) ** 2
+        assert np.linalg.norm(tt_to_dense(sq) - want) <= 1e-13 * np.linalg.norm(want)
+        assert sq.ranks == (1,) + (r * (r + 1) // 2,) * (d - 1) + (1,)
 
 
 class TestOrthogonalize:
