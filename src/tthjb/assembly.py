@@ -18,8 +18,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, TTMap, tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_scale,
-                 tt_square)
+from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_square_sum
 
 __all__ = [
     "ControlPenalty",
@@ -34,11 +33,6 @@ __all__ = [
     "tt_matmat",
     "diag_matrix",
 ]
-
-# above this rank the entrywise square of u goes through cross approximation
-# instead of the exact symmetric square, whose ranks grow as r (r + 1) / 2
-_HADAMARD_RANK_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class ControlPenalty:
@@ -270,17 +264,17 @@ class GalerkinSystem:
         return (self.drift + coupling).round(self.acc)
 
     def rhs(self, u_tt: TTTensor | None, initial=None):
-        """(b, CrossResult or None); the u-dependent part may go through cross,
+        """(b, CrossResult or None).  The quadratic penalty is sketched from
+        the blocks of u (tt_square_sum); the tanh penalty goes through cross,
         started from the index sets ``initial`` when given."""
         if u_tt is None:
             return self.ell_proj, None
-        res = None
-        if self.penalty.kind == "unconstrained" and u_tt.max_rank <= _HADAMARD_RANK_LIMIT:
-            # exact square, projected onto the basis before the one rounding
-            pen = tt_scale(tt_square(u_tt), self.penalty.gamma)
-        else:
-            res = _cross_map(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
-                             self.grid, initial, self.seed)
-            pen = res.tensor
-        b = tt_round(self.ell_proj + project_to_basis(pen, self.basis), self.acc)
+        if self.penalty.kind == "unconstrained":
+            wphi = self.basis.weights[:, None] * self.basis.phi
+            b = tt_square_sum(self.ell_proj, u_tt, wphi, self.penalty.gamma, self.acc,
+                              self.seed)
+            return b, None
+        res = _cross_map(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
+                         self.grid, initial, self.seed)
+        b = tt_round(self.ell_proj + project_to_basis(res.tensor, self.basis), self.acc)
         return b, res

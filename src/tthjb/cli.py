@@ -24,6 +24,7 @@ from .policy import (
     SolverConfig,
     ValueFunction,
     feedback,
+    hjb_residual,
     history_to_csv,
     policy_iterate,
     solver_basis,
@@ -263,6 +264,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         "policy_iterations": iterations,
         "converged": converged,
         "max_tt_rank": V.v.max_rank,
+        "hjb_residual": hjb_residual(V, model, seed=int(cfg.get("seed", 0))),
         "wall_seconds": time.perf_counter() - t_start,
         "config": cfg,
         "code_version": __version__,

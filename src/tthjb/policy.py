@@ -20,6 +20,7 @@ from .assembly import (
     apply_constraint,
     assemble_drift,
     control_map,
+    penalty_cost,
     project_to_basis,
 )
 from .basis import SpectralBasis, build_basis, legendre_rows
@@ -43,12 +44,23 @@ __all__ = [
     "solver_basis",
     "policy_iterate",
     "feedback",
+    "hjb_residual",
     "history_to_csv",
 ]
 
 log = logging.getLogger(__name__)
 
-_CROSS_FIELDS = ("cross_evals", "cross_sweeps", "cross_converged")
+_PHASE_FIELDS = ("feedback_s", "operator_s", "rhs_s", "solve_s", "u_rank", "A_rank", "b_rank")
+# the constraint cross of the tanh feedback, then the right-hand-side cross
+_CROSS_FIELDS = tuple(f"{prefix}_{key}" for prefix in ("constraint", "cross")
+                      for key in ("evals", "sweeps", "converged"))
+
+
+def _cross_record(prefix: str, res) -> dict:
+    """History cells of one cross call; empty (None) when it did not run."""
+    return {f"{prefix}_evals": res.n_evals if res else None,
+            f"{prefix}_sweeps": res.sweeps if res else None,
+            f"{prefix}_converged": res.converged if res else None}
 
 
 class PolicyDivergence(RuntimeError):
@@ -174,6 +186,13 @@ def _constant_mode(n: int, d: int) -> TTTensor:
     return TTTensor.rank_one([np.eye(n, 1).reshape(-1) for _ in range(d)])
 
 
+def _control(model: ControlledDynamics, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Minimizing (possibly saturated) controls (N,) from value gradients (N, d)."""
+    u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * grads, axis=1)
+    cap = model.penalty.clip
+    return u if cap is None else cap * np.tanh(u / cap)
+
+
 def feedback(V: ValueFunction, model: ControlledDynamics, X: np.ndarray):
     """Optimal (possibly saturated) scalar control from one gradient pass.
 
@@ -183,12 +202,25 @@ def feedback(V: ValueFunction, model: ControlledDynamics, X: np.ndarray):
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
     X = X.reshape(1, -1) if single else X
-    g, _ = V.gradient(X)
-    u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * g, axis=1)
-    cap = model.penalty.clip
-    if cap is not None:
-        u = cap * np.tanh(u / cap)
+    u = _control(model, X, V.gradient(X)[0])
     return float(u[0]) if single else u
+
+
+def hjb_residual(V: ValueFunction, model: ControlledDynamics, seed: int = 0) -> float:
+    """Sampled HJB residual RMS(grad V.(f + g u*) + l + W(u*)) / RMS(l + W(u*)).
+
+    The 1,000 states are drawn uniformly from [-a/2, a/2]^d of the solve's
+    basis, seeded.  It needs only the model's dynamics and costs, no
+    reference solution.
+    """
+    a = V.basis.a
+    X = np.random.default_rng(seed).uniform(-0.5 * a, 0.5 * a, size=(1000, V.d))
+    grads, _ = V.gradient(X)
+    u = _control(model, X, grads)
+    running = model.state_cost(X) + penalty_cost(u, model.penalty)
+    flow = model.drift(X) + model.channel_eval(X) * u[:, None]
+    res = np.sum(grads * flow, axis=1) + running
+    return float(np.sqrt(np.mean(res**2) / np.mean(running**2)))
 
 
 def _needs_warm_start(model: ControlledDynamics) -> bool:
@@ -269,21 +301,24 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         t0 = time.perf_counter()
         v_prev = v
         mu = max(mu * config.q, config.mu_min)
+        constraint = None
         if s > 0:
-            u_raw = system.feedback(v)
+            u = system.feedback(v)
             if model.penalty.kind == "tanh":
-                res = apply_constraint(u_raw, model.penalty, acc, system.grid,
-                                       initial=constraint_state, seed=config.seed)
-                u = res.tensor
-                constraint_state = res.index_sets
-            else:
-                u = u_raw
+                constraint = apply_constraint(u, model.penalty, acc, system.grid,
+                                              initial=constraint_state, seed=config.seed)
+                u = constraint.tensor
+                constraint_state = constraint.index_sets
+        t1 = time.perf_counter()
         A = system.operator(u)
+        t2 = time.perf_counter()
         b, cross = system.rhs(u, cross_state)
         cross_state = cross.index_sets if cross is not None else None
+        t3 = time.perf_counter()
         v = amen_solve_shifted(A, b, v_prev, mu, acc,
                                sweeps=config.inner_sweeps,
                                rho=config.enrich_rank)
+        t4 = time.perf_counter()
         c0 = tt_dot(v, e0)
         if c0 != 0.0:
             v = tt_round(v - tt_scale(e0, c0), acc)
@@ -293,9 +328,10 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         state.history.append(
             {"iteration": s, "rel_change": rel, "max_rank": v.max_rank,
              "shift": mu, "seconds": seconds,
-             "cross_evals": cross.n_evals if cross else None,
-             "cross_sweeps": cross.sweeps if cross else None,
-             "cross_converged": cross.converged if cross else None}
+             "feedback_s": t1 - t0, "operator_s": t2 - t1, "rhs_s": t3 - t2,
+             "solve_s": t4 - t3,
+             "u_rank": u.max_rank, "A_rank": A.max_rank, "b_rank": b.max_rank,
+             **_cross_record("constraint", constraint), **_cross_record("cross", cross)}
         )
         state.iteration = s + 1
         log.info("policy iter %3d: rel=%.3e rank=%d shift=%.3g (%.2fs)",
@@ -323,11 +359,12 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
 def history_to_csv(history, path) -> None:
     """Write history rows (a list, or a PolicyIterationState's) as CSV.
 
-    The right-hand-side cross columns are written only when some iteration
-    ran a cross; empty cells mark iterations that did not.
+    The columns of each cross (the constraint and the right-hand side) are
+    written only when some iteration ran it; empty cells mark iterations
+    that did not.
     """
     rows = getattr(history, "history", history)
-    fields = ["iteration", "rel_change", "max_rank", "shift", "seconds"]
+    fields = ["iteration", "rel_change", "max_rank", "shift", "seconds", *_PHASE_FIELDS]
     fields += [key for key in _CROSS_FIELDS
                if any(row.get(key) is not None for row in rows)]
     with open(path, "w", newline="") as fh:

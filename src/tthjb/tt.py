@@ -26,7 +26,7 @@ __all__ = [
     "tt_dot",
     "tt_norm",
     "tt_hadamard",
-    "tt_square",
+    "tt_square_sum",
     "orthogonalize_left",
     "orthogonalize_right",
     "quadratic_to_tt",
@@ -38,6 +38,8 @@ __all__ = [
 _MAGIC = b"TTHJB1"
 # materialization guard for to_dense / from_dense
 _MAX_DENSE_SIZE = 1 << 26
+# oversampling p of the randomized sketch in tt_square_sum
+_OVERSAMPLE = 5
 
 
 @dataclass(frozen=True)
@@ -394,28 +396,6 @@ def tt_hadamard(a: TTTensor, b: TTTensor) -> TTTensor:
     return TTTensor(blocks)
 
 
-def tt_square(t: TTTensor) -> TTTensor:
-    """Exact entrywise square; ranks r become r (r + 1) / 2.
-
-    The Kronecker square of a block maps the symmetric part of r (x) r into
-    itself, so each interface keeps only its orthonormal basis of symmetric
-    pairs a <= a': e_a (x) e_a, and (e_a (x) e_a' + e_a' (x) e_a) / sqrt 2.
-    In that basis the block is w_a w_b (t[a, :, b] t[a', :, b'] +
-    t[a, :, b'] t[a', :, b]), with w = 1 / sqrt 2 on the pairs a = a'.
-    """
-    blocks = []
-    for blk in t.blocks:
-        r0, _, r1 = blk.shape
-        ia, ja = np.triu_indices(r0)
-        ib, jb = np.triu_indices(r1)
-        wa = np.where(ia == ja, np.sqrt(0.5), 1.0)
-        wb = np.where(ib == jb, np.sqrt(0.5), 1.0)
-        left, right = blk[ia], blk[ja]
-        sym = left[:, :, ib] * right[:, :, jb] + left[:, :, jb] * right[:, :, ib]
-        blocks.append(wa[:, None, None] * sym * wb)
-    return TTTensor(blocks)
-
-
 def orthogonalize_left(t: TTTensor, upto: int) -> TTTensor:
     """Make blocks 0..upto-1 left-orthonormal without changing the tensor."""
     if not 0 <= upto <= t.d:
@@ -458,6 +438,92 @@ def tt_round(t: TTTensor, acc: Accuracy) -> TTTensor:
         blocks[k + 1] = np.tensordot(s[:rk, None] * vt[:rk], blocks[k + 1], axes=(1, 0))
     # never exceed the input ranks: exact nullspaces aside, _chop keeps rk <= r1
     return TTTensor(blocks)
+
+
+def _square_sketch(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
+                   ell: list, rng) -> TTTensor:
+    """Left-orthonormal TT of ranks ell whose range holds that of
+    c + gamma P(u * u), by randomize-then-orthogonalize.
+
+    The sum's rank index at interface k is c's e_k followed by the pairs
+    (b, b') of u's r_k, so its right sketches and left frames are carried as
+    one (e_k, .) and one (r_k, r_k, .) part; each block of the square is met
+    as two products with u's block and one with proj.
+    """
+    d, (m, n) = u.d, proj.shape
+    right = [None] * (d + 1)
+    right[d] = np.ones((2, 1))
+    for k in range(d - 1, 0, -1):
+        cb, ub = c.blocks[k], u.blocks[k]
+        e0, _, e1 = cb.shape
+        r0, _, r1 = ub.shape
+        l0, l1 = ell[k], ell[k + 1]
+        g = rng.standard_normal((n, l1 * l0))                                  # (i, t s)
+        rc, ru = right[k + 1][:e1], right[k + 1][e1:]
+        new_c = (cb.reshape(e0 * n, e1) @ rc).reshape(e0, n * l1) @ g.reshape(n * l1, l0)
+        h = (proj @ g).reshape(m, l1, l0)                                      # (q, t, s)
+        # the pair index of the square is symmetric, so either factor of u
+        # may take either half of it
+        t = ub.reshape(r0 * m, r1) @ ru.reshape(r1, r1 * l1)                   # (a', q, b, t)
+        t = t.reshape(r0, m, r1, l1).transpose(1, 0, 2, 3).reshape(m, r0 * r1, l1) @ h
+        t = t.reshape(m, r0, r1, l0).transpose(0, 2, 1, 3).reshape(m * r1, r0 * l0)
+        sketch = np.concatenate([new_c, (ub.reshape(r0, m * r1) @ t).reshape(r0 * r0, l0)])
+        # a common scale keeps d products of Gaussian blocks in range
+        right[k] = sketch / max(np.linalg.norm(sketch), np.finfo(float).tiny)
+    frame = np.array([[1.0, gamma]])
+    blocks = []
+    for k in range(d):
+        cb, ub = c.blocks[k], u.blocks[k]
+        e0, _, e1 = cb.shape
+        r0, _, r1 = ub.shape
+        s = frame.shape[0]
+        core_c = (frame[:, :e0] @ cb.reshape(e0, n * e1)).reshape(s, n, e1)
+        t = frame[:, e0:].reshape(s * r0, r0) @ ub.reshape(r0, m * r1)
+        t = t.reshape(s, r0, m, r1)                                            # (s, a', q, b)
+        t = t.transpose(2, 0, 3, 1).reshape(m, s * r1, r0) @ ub.transpose(1, 0, 2)
+        core_u = (proj.T @ t.reshape(m, s * r1 * r1)).reshape(n, s, r1 * r1)
+        core = np.concatenate([core_c, core_u.transpose(1, 0, 2)], axis=2).reshape(s * n, -1)
+        if k == d - 1:
+            blocks.append(core.sum(axis=1).reshape(s, n, 1))
+            break
+        q, _ = np.linalg.qr(core @ right[k + 1])
+        blocks.append(q.reshape(s, n, -1))
+        frame = q.T @ core
+    return TTTensor(blocks)
+
+
+def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
+                  acc: Accuracy, seed: int = 0) -> TTTensor:
+    """round(c + gamma P(u * u), acc) without forming the entrywise square.
+
+    P applies proj, of shape (m, n), to every mode of the square of u (modes
+    m): P(t)[i] = sum_q t[q] prod_k proj[q_k, i_k]; c has modes n.  The
+    square has ranks r (r + 1) / 2, so the sum is compressed by a randomized
+    sketch (randomize-then-orthogonalize, Al Daas et al., SIAM J. Sci.
+    Comput. 2023) at cost O(d m r^3 l) for sketch ranks l, then rounded.
+    With e the ranks of c and p the oversampling, the sketch rank at
+    interface k starts at min(r_k + e_k + p, e_k + r_k (r_k + 1) / 2), where
+    the upper value spans the whole range and is exact, and doubles where
+    the rounded rank comes within p of it; it never exceeds acc.max_rank + p.
+    The Gaussian draws come from seed, so equal inputs give bitwise-equal
+    results.
+    """
+    if c.dims != proj.shape[1:] * u.d or u.dims != proj.shape[:1] * u.d:
+        raise ValueError("c, u and proj do not share their modes")
+    d, n = u.d, proj.shape[1]
+    e, r = c.ranks, u.ranks
+    full = [min(e[k] + r[k] * (r[k] + 1) // 2, n ** k, n ** (d - k)) for k in range(d + 1)]
+    cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
+    ell = [min(r[k] + e[k] + _OVERSAMPLE, f) for k, f in enumerate(cap)]
+    rng = np.random.default_rng(seed)
+    while True:
+        b = tt_round(_square_sketch(c, u, proj, gamma, ell, rng), acc)
+        grow = [k for k in range(1, d)
+                if b.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
+        if not grow:
+            return b
+        for k in grow:
+            ell[k] = min(2 * ell[k], cap[k])
 
 
 def linear_to_tt(c, grids) -> TTTensor:

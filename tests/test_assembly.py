@@ -264,8 +264,8 @@ class TestCoupling:
 
 class TestHadamardRhs:
     def test_matches_dense_penalty_projection(self, rng):
-        # rank 4 <= _HADAMARD_RANK_LIMIT: the exact square, projected and
-        # rounded once, equals ell + gamma P(u^2) to the rounding accuracy
+        # rank 4: the sketch spans the whole range of ell + gamma P(u^2), so
+        # b equals it to the rounding accuracy
         from tthjb.models import lq
         from tthjb.policy import SolverConfig, _build_system
 
@@ -279,15 +279,36 @@ class TestHadamardRhs:
         want = system.ell_proj.to_dense() + project_to_basis(pen, basis).to_dense()
         assert np.linalg.norm(b.to_dense() - want) <= system.acc.delta * np.linalg.norm(want)
 
+    def test_rank_20_never_runs_cross(self, rng, monkeypatch):
+        from tthjb import assembly
+        from tthjb.models import lq
+        from tthjb.policy import SolverConfig, _build_system
+
+        def no_cross(*args, **kwargs):
+            raise AssertionError("cross ran on the quadratic penalty")
+
+        monkeypatch.setattr(assembly, "tt_cross", no_cross)
+        d = 4
+        basis = build_basis(3, 1.0)
+        system = _build_system(lq(d), basis, SolverConfig(delta=1e-4, n=3))
+        u = TTTensor.random((basis.m,) * d, [1, 6, 20, 6, 1], rng)
+        b, res = system.rhs(u)
+        assert res is None
+        pen = tt_from_dense(system.penalty.gamma * u.to_dense() ** 2, ACC)
+        want = system.ell_proj.to_dense() + project_to_basis(pen, basis).to_dense()
+        assert np.linalg.norm(b.to_dense() - want) <= system.acc.delta * np.linalg.norm(want)
+
 
 class TestCrossSamplesByInterfaces:
     def test_rhs_and_constraint_never_evaluate_points(self, rng, monkeypatch):
         from tthjb import tt
-        from tthjb.models import lq
+        from tthjb.models import allen_cahn_1d
         from tthjb.policy import SolverConfig, _build_system
 
+        # the tanh penalty is the one right-hand side that runs cross
         basis = build_basis(3, 1.0)
-        system = _build_system(lq(4), basis, SolverConfig(delta=1e-4, n=3))
+        system = _build_system(allen_cahn_1d(4, u_max=0.5), basis,
+                               SolverConfig(delta=1e-4, n=3))
         u = TTTensor.random((basis.m,) * 4, [1, 6, 13, 6, 1], rng)
         calls = []
         original = tt.TTTensor.eval

@@ -3,12 +3,13 @@ import pytest
 
 from tthjb.assembly import ControlPenalty
 from tthjb.basis import build_basis
-from tthjb.models import ControlledDynamics, lq, solve_riccati
+from tthjb.models import ControlledDynamics, allen_cahn_1d, lq, solve_riccati
 from tthjb.policy import (
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
     feedback,
+    hjb_residual,
     initial_policy,
     policy_iterate,
 )
@@ -247,8 +248,38 @@ class TestPolicyIterationLQ:
         path = tmp_path / "hist.csv"
         history_to_csv(state, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,rel_change,max_rank,shift,seconds"
+        assert lines[0] == ("iteration,rel_change,max_rank,shift,seconds,"
+                            "feedback_s,operator_s,rhs_s,solve_s,u_rank,A_rank,b_rank")
         assert len(lines) == len(state.history) + 1
+
+    def test_rows_carry_phases_and_ranks(self, solved):
+        _, _, _, state = solved
+        for row in state.history:
+            phases = [row[key] for key in ("feedback_s", "operator_s", "rhs_s", "solve_s")]
+            assert min(phases) >= 0.0 and sum(phases) <= row["seconds"]
+            assert row["u_rank"] >= 1 and row["A_rank"] >= 1 and row["b_rank"] >= 1
+        # the zero initial policy has rank 1; later feedbacks are those of v
+        assert state.history[0]["u_rank"] == 1
+        assert state.history[-1]["u_rank"] > 1
+
+
+class TestHJBResidual:
+    @staticmethod
+    def _riccati_value(scale):
+        """lq(4) and the value scale * x' Pi x, exact in the degree-2 basis."""
+        from tthjb.assembly import project_to_basis
+
+        model = lq(4)
+        basis = build_basis(3, model.a)
+        sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
+        v = project_to_basis(quadratic_to_tt(scale * sol.Pi, [basis.nodes] * model.dim), basis)
+        return ValueFunction(v, basis), model
+
+    def test_riccati_value_has_zero_residual(self):
+        assert hjb_residual(*self._riccati_value(1.0)) <= 1e-8
+
+    def test_perturbed_value_has_residual(self):
+        assert hjb_residual(*self._riccati_value(1.1)) >= 1e-2
 
 
 class TestCrossHistory:
@@ -260,12 +291,12 @@ class TestCrossHistory:
 
         from tthjb import assembly
 
-        # small u: force the cross path that large ranks take in production
-        monkeypatch.setattr(assembly, "_HADAMARD_RANK_LIMIT", 0)
+        # the tanh penalty is the one right-hand side that runs cross; this
+        # actuator reaches every mode of the d=3 chain
         monkeypatch.setattr(assembly, "tt_cross",
                             functools.partial(assembly.tt_cross, **cross_kwargs))
         config = SolverConfig(delta=1e-4, n=3, mu0=20.0, max_policy_iters=3)
-        return policy_iterate(lq(3), config)
+        return policy_iterate(allen_cahn_1d(3, u_max=1.0, omega=(-0.8, 0.1)), config)
 
     def test_rows_carry_cross_outcome(self, monkeypatch, tmp_path):
         from tthjb.policy import history_to_csv
@@ -293,6 +324,25 @@ class TestCrossHistory:
         _, state = policy_iterate(lq(3), config)
         for row in state.history:
             assert row["cross_evals"] is None and row["cross_converged"] is None
+            assert row["constraint_evals"] is None
+
+    def test_rows_carry_constraint_cross(self, monkeypatch, tmp_path):
+        # the feedback of row 0 is the initial policy; later rows saturate
+        # theirs through the constraint cross
+        from tthjb.policy import history_to_csv
+
+        _, state = self._solve(monkeypatch)
+        first, *rest = state.history
+        assert first["constraint_evals"] is None and first["constraint_converged"] is None
+        for row in rest:
+            assert row["constraint_evals"] > 0
+            assert 1 <= row["constraint_sweeps"] <= 20
+            assert row["constraint_converged"] is True
+        path = tmp_path / "hist.csv"
+        history_to_csv(state.history, path)
+        header, first_line = path.read_text().splitlines()[:2]
+        assert ",constraint_evals,constraint_sweeps,constraint_converged,cross_evals," in header
+        assert ",,,," in first_line
 
 
 class TestDivergence:

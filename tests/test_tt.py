@@ -19,7 +19,7 @@ from tthjb.tt import (
     tt_norm,
     tt_round,
     tt_scale,
-    tt_square,
+    tt_square_sum,
     tt_to_dense,
 )
 
@@ -188,12 +188,87 @@ class TestHadamard:
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_symmetric_square(self, rng, d, r):
-        # interface ranks r(r+1)/2 instead of the r^2 of tt_hadamard(t, t)
+        # ranks r(r+1)/2, or the mode-count bound, instead of the r^2 of
+        # tt_hadamard(t, t)
         t = TTTensor.random((4,) * d, [1] + [r] * (d - 1) + [1], rng)
-        sq = tt_square(t)
+        sq = tt_square_sum(TTTensor.zeros((4,) * d), t, np.eye(4), 1.0, Accuracy(1e-14))
         want = tt_to_dense(t) ** 2
         assert np.linalg.norm(tt_to_dense(sq) - want) <= 1e-13 * np.linalg.norm(want)
-        assert sq.ranks == (1,) + (r * (r + 1) // 2,) * (d - 1) + (1,)
+        assert sq.ranks == tuple(min(r * (r + 1) // 2, 4**k, 4 ** (d - k))
+                                 for k in range(d + 1))
+
+
+def decaying_tt(dims, r, rng, ratio=0.3):
+    """Random TT of interface ranks r whose k-th rank direction is scaled by
+    ratio**k, so the square has a decaying spectrum."""
+    ranks = [1] + [r] * (len(dims) - 1) + [1]
+    t = TTTensor.random(dims, ranks, rng)
+    return TTTensor([blk * ratio ** np.arange(blk.shape[2]) for blk in t.blocks])
+
+
+class TestSquareSum:
+    """tt_square_sum(c, u, W, gamma) against the dense c + gamma W(u^2)."""
+
+    N, M, GAMMA = 6, 12, 0.7
+
+    def _case(self, rng, d, r, flat=False):
+        W = rng.standard_normal((self.M, self.N))
+        u = (TTTensor.random((self.M,) * d, [1] + [r] * (d - 1) + [1], rng) if flat
+             else decaying_tt((self.M,) * d, r, rng))
+        c = TTTensor.random((self.N,) * d, [1] + [2] * (d - 1) + [1], rng)
+        dense = self.GAMMA * u.to_dense() ** 2
+        for _ in range(d):
+            dense = np.tensordot(dense, W, axes=(0, 0))
+        return c, u, W, c.to_dense() + dense
+
+    def _sketches(self, monkeypatch):
+        from tthjb import tt
+
+        ranks = []
+        original = tt._square_sketch
+        monkeypatch.setattr(tt, "_square_sketch",
+                            lambda *args: ranks.append(list(args[4])) or original(*args))
+        return ranks
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("r", [4, 13, 20])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_dense_oracle(self, rng, d, r, delta):
+        c, u, W, want = self._case(rng, d, r)
+        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(delta))
+        assert np.linalg.norm(b.to_dense() - want) <= delta * np.linalg.norm(want)
+
+    def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
+        # rank 13 at d=4: the middle sketch of rank 13+2+5 stays below the
+        # 36 of the full range, is not doubled, and still meets delta
+        sketches = self._sketches(monkeypatch)
+        c, u, W, want = self._case(rng, 4, 13)
+        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3))
+        assert sketches == [[1, 6, 20, 6, 1]]
+        assert np.linalg.norm(b.to_dense() - want) <= 1e-3 * np.linalg.norm(want)
+
+    def test_saturated_sketch_doubles(self, rng, monkeypatch):
+        # a flat spectrum saturates the middle sketch of rank 20, which
+        # doubles, capped at the full 36 and then exact
+        sketches = self._sketches(monkeypatch)
+        c, u, W, want = self._case(rng, 4, 13, flat=True)
+        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-6))
+        assert sketches == [[1, 6, 20, 6, 1], [1, 6, 36, 6, 1]]
+        assert np.linalg.norm(b.to_dense() - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_bitwise_repeatable(self, rng):
+        c, u, W, _ = self._case(rng, 4, 20, flat=True)
+        b1 = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
+        b2 = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
+        assert all(np.array_equal(x, y) for x, y in zip(b1.blocks, b2.blocks))
+
+    def test_ranks_respect_max_rank(self, rng, monkeypatch):
+        sketches = self._sketches(monkeypatch)
+        c, u, W, _ = self._case(rng, 4, 20, flat=True)
+        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-12, max_rank=4))
+        assert b.max_rank <= 4
+        # no sketch is wider than max_rank plus the oversampling
+        assert sketches == [[1, 6, 9, 6, 1]]
 
 
 class TestOrthogonalize:
