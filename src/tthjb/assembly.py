@@ -18,7 +18,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, TTMap, tt_cross
-from .tt import Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round, tt_square_sum
+from .tt import (Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round,
+                 tt_square_sum, tt_sum_round)
 
 __all__ = [
     "ControlPenalty",
@@ -156,19 +157,12 @@ def _flag_chain(G: list, H: list) -> TTMatrix:
     return TTMatrix(blocks)
 
 
-def assemble_coupling(u_tt: TTTensor, channel: ControlChannel,
-                      basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
-    """-< g u grad ., . >: the drift assembly of the components g_p u."""
-    if channel.constant is not None:
-        g = channel.constant
-        G = [_weighted_block(blk, basis, deriv=False) for blk in u_tt.blocks]
-        H = [g[k] * _weighted_block(blk, basis, deriv=True)
-             for k, blk in enumerate(u_tt.blocks)]
-        return -1.0 * _flag_chain(G, H)
-    return _component_sum(
-        channel.g_tts,
-        lambda p, g_tt: assemble_drift_part(tt_round(tt_hadamard(g_tt, u_tt), acc), p, basis),
-        acc, "control channel")
+def assemble_coupling(u_tt: TTTensor, g: np.ndarray, basis: SpectralBasis) -> TTMatrix:
+    """-< g u grad ., . > for a constant direction g: the drift assembly of
+    the components g_p u, summed exactly by one flag chain."""
+    G = [_weighted_block(blk, basis, deriv=False) for blk in u_tt.blocks]
+    H = [g[k] * _weighted_block(blk, basis, deriv=True) for k, blk in enumerate(u_tt.blocks)]
+    return -1.0 * _flag_chain(G, H)
 
 
 def tt_matmat(A: TTMatrix, B: TTMatrix) -> TTMatrix:
@@ -258,10 +252,19 @@ class GalerkinSystem:
         return tt_round(tt_matvec(self.bmap, v), self.acc)
 
     def operator(self, u_tt: TTTensor | None) -> TTMatrix:
+        """drift - < g u grad ., . >, rounded.  A state-dependent channel
+        gives one exact term per component g_p u; the drift and those terms
+        are rounded together by one sketch (tt_sum_round)."""
         if u_tt is None:
             return self.drift
-        coupling = assemble_coupling(u_tt, self.channel, self.basis, self.acc)
-        return (self.drift + coupling).round(self.acc)
+        if self.channel.constant is not None:
+            coupling = assemble_coupling(u_tt, self.channel.constant, self.basis)
+            return (self.drift + coupling).round(self.acc)
+        terms = [self.drift.fuse()] + [
+            assemble_drift_part(tt_hadamard(g_tt, u_tt), p, self.basis).fuse()
+            for p, g_tt in enumerate(self.channel.g_tts) if g_tt is not None]
+        return TTMatrix.unfuse(tt_sum_round(terms, self.acc, self.seed),
+                               self.drift.row_dims, self.drift.col_dims)
 
     def rhs(self, u_tt: TTTensor | None, initial=None):
         """(b, CrossResult or None).  The quadratic penalty is sketched from

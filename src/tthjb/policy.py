@@ -334,6 +334,10 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
              **_cross_record("constraint", constraint), **_cross_record("cross", cross)}
         )
         state.iteration = s + 1
+        capped = [name for name, t in (("A", A), ("b", b)) if t.max_rank == acc.max_rank]
+        if capped:
+            log.warning("policy iter %d: %s reached the rank cap %d, so the truncation "
+                        "is no longer bounded by delta", s, " and ".join(capped), acc.max_rank)
         log.info("policy iter %3d: rel=%.3e rank=%d shift=%.3g (%.2fs)",
                  s, rel, v.max_rank, mu, seconds)
         if rel <= config.delta:

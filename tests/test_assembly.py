@@ -256,10 +256,33 @@ class TestCoupling:
             u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
             f_tts = [u * g[p] for p in range(d)]
             want = assemble_drift(f_tts, basis, ACC).to_dense()
-            for form in CHANNEL_FORMS:
-                channel = channel_of_form(form, g, basis.m)
-                C = assemble_coupling(u, channel, basis, ACC).to_dense()
-                assert np.allclose(C, want, atol=1e-10), (d, form)
+            C = assemble_coupling(u, g, basis).to_dense()
+            assert np.allclose(C, want, atol=1e-10), d
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_operator_of_state_dependent_channel(self, rng, d):
+        # drift f = A x - x^3 and channel g = B0 + M x against the dense
+        # quadrature of drift + sum_p W(g_p u d/dx_p)
+        from tthjb.models import ControlledDynamics
+        from tthjb.policy import SolverConfig, _build_system
+
+        model = ControlledDynamics(
+            name="affine", a=1.0, penalty=ControlPenalty(gamma=1.0),
+            lin_A=rng.standard_normal((d, d)), lin_B=rng.standard_normal((d, 1)),
+            cost_matrix=np.eye(d), admissible_uncontrolled=True, cubic=1.0,
+            channel_slope=rng.standard_normal((d, d)))
+        basis = build_basis(3, 1.0)
+        system = _build_system(model, basis, SolverConfig(delta=1e-10, n=3))
+        u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
+        u_vals = u.to_dense().reshape(-1)
+
+        def velocity(p):
+            return lambda pts: (model.drift(pts)[:, p]
+                                + model.channel_eval(pts)[:, p] * u_vals)
+
+        want = dense_drift_oracle([velocity(p) for p in range(d)], basis, d)
+        A = system.operator(u).to_dense()
+        assert np.linalg.norm(A - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestHadamardRhs:

@@ -3,7 +3,7 @@ import pytest
 
 from tthjb.assembly import ControlPenalty
 from tthjb.basis import build_basis
-from tthjb.models import ControlledDynamics, allen_cahn_1d, lq, solve_riccati
+from tthjb.models import ControlledDynamics, allen_cahn_1d, fokker_planck, lq, solve_riccati
 from tthjb.policy import (
     PolicyDivergence,
     SolverConfig,
@@ -13,7 +13,8 @@ from tthjb.policy import (
     initial_policy,
     policy_iterate,
 )
-from tthjb.tt import TTTensor, quadratic_to_tt, tt_norm, tt_scale
+from tthjb.tt import (Accuracy, TTTensor, quadratic_to_tt, tt_add, tt_hadamard, tt_norm,
+                      tt_round, tt_scale)
 
 
 def scalar_unstable_model(u_max=None):
@@ -381,3 +382,68 @@ class TestDivergence:
         # scale 1/(s+1)!: the norm falls while the relative change s grows
         calls = self._solve(monkeypatch, lambda s: 1.0 / np.prod(np.arange(1.0, s + 2)))
         assert calls <= self.WINDOW + 2
+
+
+class TestRankCapWarning:
+    def test_capped_rows_warn(self, caplog):
+        config = SolverConfig(delta=1e-4, n=3, max_rank=2, max_policy_iters=3)
+        with caplog.at_level("WARNING", logger="tthjb.policy"):
+            _, state = policy_iterate(lq(3), config)
+        messages = [rec.getMessage() for rec in caplog.records if "rank cap" in rec.getMessage()]
+        capped = [(row["iteration"], [name for name in ("A", "b") if row[f"{name}_rank"] == 2])
+                  for row in state.history]
+        capped = [(s, names) for s, names in capped if names]
+        assert capped and len(messages) == len(capped)
+        for (s, names), msg in zip(capped, messages):
+            assert msg.startswith(f"policy iter {s}: {' and '.join(names)} reached the rank cap 2")
+
+    def test_uncapped_rows_are_silent(self, caplog):
+        with caplog.at_level("WARNING", logger="tthjb.policy"):
+            _, state = policy_iterate(lq(3), SolverConfig(delta=1e-4, n=3, max_policy_iters=3))
+        assert max(row["A_rank"] for row in state.history) < 60
+        assert "rank cap" not in caplog.text
+
+
+class TestStateDependentChannel:
+    def test_error_and_rank_against_sequential_rounding(self, monkeypatch):
+        # two iterations of fokker_planck(D=8) at the paper-fokker-planck-d10
+        # solver settings; g = B0 + M x, so the operator is the drift and d
+        # coupling terms rounded together by one sketch
+        from dataclasses import replace
+
+        from tthjb import assembly
+        from tthjb.assembly import assemble_drift_part
+
+        delta = 1e-3
+        calls = []
+        original = assembly.GalerkinSystem.operator
+
+        def recorded(system, u):
+            calls.append((system, u, original(system, u)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(assembly.GalerkinSystem, "operator", recorded)
+        policy_iterate(fokker_planck(D=8),
+                       SolverConfig(delta=delta, mu0=50.0, n=5, max_policy_iters=2))
+        system, u, A = calls[1]
+        # the exact sum, whose ranks add, and the path the sketch replaced:
+        # each g_p u rounded, the running sum rounded after every term
+        exact, seq = system.drift.fuse(), None
+        for p, g in enumerate(system.channel.g_tts):
+            exact = tt_add(exact, assemble_drift_part(tt_hadamard(g, u), p, system.basis).fuse())
+            term = assemble_drift_part(tt_round(tt_hadamard(g, u), system.acc), p, system.basis)
+            seq = term if seq is None else (seq + term).round(system.acc)
+        seq = (system.drift + seq).round(system.acc)
+        norm = tt_norm(exact)
+
+        def error(op):
+            return tt_norm(op.fuse() - exact) / norm
+
+        assert abs(A.max_rank - seq.max_rank) <= 2
+        # A reaches the rank cap of 60 here, where no rounding of the sum
+        # meets delta (measured: 1.74 delta, sequential 1.58 delta); without
+        # the cap the sketch meets 1.25 delta (measured: rank 76, 0.85 delta)
+        assert A.max_rank == system.acc.max_rank
+        assert error(A) <= 1.25 * max(delta, error(seq))
+        uncapped = replace(system, acc=Accuracy(delta)).operator(u)
+        assert error(uncapped) <= 1.25 * delta

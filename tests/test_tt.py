@@ -20,6 +20,7 @@ from tthjb.tt import (
     tt_round,
     tt_scale,
     tt_square_sum,
+    tt_sum_round,
     tt_to_dense,
 )
 
@@ -269,6 +270,74 @@ class TestSquareSum:
         assert b.max_rank <= 4
         # no sketch is wider than max_rank plus the oversampling
         assert sketches == [[1, 6, 9, 6, 1]]
+
+
+class TestSumRound:
+    """tt_sum_round(terms) against the dense sum of the terms."""
+
+    N = 12
+
+    def _case(self, rng, d, terms=16, r=6, ratio=0.03, flat=False):
+        ranks = [1] + [r] * (d - 1) + [1]
+        terms = [TTTensor.random((self.N,) * d, ranks, rng) if flat
+                 else decaying_tt((self.N,) * d, r, rng, ratio) for _ in range(terms)]
+        return terms, sum(t.to_dense() for t in terms)
+
+    def _sketches(self, monkeypatch):
+        from tthjb import tt
+
+        ranks = []
+        original = tt._sum_sketch
+        monkeypatch.setattr(tt, "_sum_sketch",
+                            lambda terms, ell, rng: ranks.append(list(ell))
+                            or original(terms, ell, rng))
+        return ranks
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_dense_oracle(self, rng, d, delta):
+        # at d=4 and delta 1e-3 the middle sketch doubles once, from 32 to
+        # 64, and stays below the summed rank 96
+        terms, want = self._case(rng, d)
+        b = tt_sum_round(terms, Accuracy(delta))
+        assert np.linalg.norm(b.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
+
+    def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
+        # eight terms of rank 8 at d=4: the middle sketch of rank 2 * 8 + 20
+        # stays below the summed 64, is not doubled, and still meets delta
+        sketches = self._sketches(monkeypatch)
+        terms, want = self._case(rng, 4, terms=8, r=8, ratio=0.02)
+        b = tt_sum_round(terms, Accuracy(1e-3))
+        assert sketches == [[1, 12, 36, 12, 1]]
+        assert np.linalg.norm(b.to_dense() - want) <= 1.25e-3 * np.linalg.norm(want)
+
+    def test_saturated_sketch_doubles(self, rng, monkeypatch):
+        # a flat spectrum saturates the middle sketch of rank 32, which
+        # doubles, and again, capped at the summed 96 and then exact
+        sketches = self._sketches(monkeypatch)
+        terms, want = self._case(rng, 4, flat=True)
+        b = tt_sum_round(terms, Accuracy(1e-6))
+        assert sketches == [[1, 12, 32, 12, 1], [1, 12, 64, 12, 1], [1, 12, 96, 12, 1]]
+        assert np.linalg.norm(b.to_dense() - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_bitwise_repeatable(self, rng):
+        terms, _ = self._case(rng, 4, flat=True)
+        b1 = tt_sum_round(terms, Accuracy(1e-3), seed=3)
+        b2 = tt_sum_round(terms, Accuracy(1e-3), seed=3)
+        assert all(np.array_equal(x, y) for x, y in zip(b1.blocks, b2.blocks))
+
+    def test_ranks_respect_max_rank(self, rng, monkeypatch):
+        sketches = self._sketches(monkeypatch)
+        terms, _ = self._case(rng, 4, flat=True)
+        b = tt_sum_round(terms, Accuracy(1e-12, max_rank=4))
+        assert b.max_rank <= 4
+        # no sketch is wider than max_rank plus the oversampling
+        assert sketches == [[1, 12, 24, 12, 1]]
+
+    def test_mismatched_modes(self, rng):
+        with pytest.raises(ValueError):
+            tt_sum_round([TTTensor.random((3, 4), [1, 2, 1], rng),
+                          TTTensor.random((3, 5), [1, 2, 1], rng)], Accuracy(1e-3))
 
 
 class TestOrthogonalize:
