@@ -20,6 +20,7 @@ from .tt import (
     TTMatrix,
     TTTensor,
     orthogonalize_right,
+    _carry_left,
     _svd,
     _chop,
 )
@@ -38,54 +39,62 @@ _FIT_SWEEPS = 2
 
 
 # Index names in the comments: a, b, c, d frame ranks; A, B operator ranks;
-# p, q vector ranks; i, j mode indices.
+# p, q vector ranks; i, j mode indices.  Every contraction is a reshape and
+# one matrix product: at the small ranks of a sweep, np.tensordot's argument
+# handling costs several times the arithmetic.
 
 def _advance_op(L, vb, Ab, wb):
-    """Push an operator interface through one block triple: (r,R,r') frames."""
-    tmp = np.tensordot(L, vb, axes=(0, 0))                        # A c i b
-    tmp = np.tensordot(tmp, Ab, axes=((0, 2), (0, 1)))            # c b j B
-    return np.tensordot(tmp, wb, axes=((0, 2), (0, 1)))           # b B d
+    """Push an operator interface (a, A, c) through one block triple to
+    (b, B, d); blocks with reversed rank axes push a right interface left."""
+    a, A, c = L.shape
+    _, n, b = vb.shape
+    _, m, d = wb.shape
+    B = Ab.shape[3]
+    tmp = L.reshape(a, A * c).T @ vb.reshape(a, n * b)            # A c i b
+    tmp = tmp.reshape(A, c, n, b).transpose(1, 3, 0, 2).reshape(c * b, A * n)
+    tmp = tmp @ Ab.reshape(A * n, m * B)                          # c b j B
+    tmp = tmp.reshape(c, b, m, B).transpose(1, 3, 0, 2).reshape(b * B, c * m)
+    return (tmp @ wb.reshape(c * m, d)).reshape(b, B, d)
 
 
 def _advance_vec(L, vb, bb):
-    """Push a vector interface (r, rho) through one block pair."""
-    tmp = np.tensordot(L, vb, axes=(0, 0))                        # p i b
-    return np.tensordot(tmp, bb, axes=((0, 1), (0, 1)))           # b q
-
-
-def _retreat_op(R, vb, Ab, wb):
-    tmp = np.tensordot(vb, R, axes=(2, 0))                        # a i B d
-    tmp = np.tensordot(tmp, Ab, axes=((1, 2), (1, 3)))            # a d A j
-    return np.tensordot(tmp, wb, axes=((1, 3), (2, 1)))           # a A c
-
-
-def _retreat_vec(R, vb, bb):
-    tmp = np.tensordot(vb, R, axes=(2, 0))                        # a i q
-    return np.tensordot(tmp, bb, axes=((1, 2), (1, 2)))           # a p
+    """Push a vector interface (a, p) through one block pair to (b, q)."""
+    a, p = L.shape
+    _, n, b = vb.shape
+    tmp = L.T @ vb.reshape(a, n * b)                              # p i b
+    return tmp.reshape(p * n, b).T @ bb.reshape(p * n, -1)
 
 
 def _right_interfaces(x: TTTensor, A: TTMatrix, w: TTTensor, vecs):
     """Right interfaces against the frames of x: of A (with w) and of vecs.
 
     Entry j contracts blocks j..d-1, so block k meets entry k + 1; entry d is
-    the empty product.  Returns (interfaces of A, one list per vector).
+    the empty product.  Each is the advance kernel on blocks whose rank axes
+    are reversed.  Returns (interfaces of A, one list per vector).
     """
     d = x.d
     RA = [None] * d + [np.ones((1, 1, 1))]
     Rs = [[None] * d + [np.ones((1, 1))] for _ in vecs]
     for j in range(d - 1, 0, -1):
-        RA[j] = _retreat_op(RA[j + 1], x.blocks[j], A.blocks[j], w.blocks[j])
+        xb = x.blocks[j].transpose(2, 1, 0)
+        RA[j] = _advance_op(RA[j + 1], xb, A.blocks[j].transpose(3, 1, 2, 0),
+                            w.blocks[j].transpose(2, 1, 0))
         for R, t in zip(Rs, vecs):
-            R[j] = _retreat_vec(R[j + 1], x.blocks[j], t.blocks[j])
+            R[j] = _advance_vec(R[j + 1], xb, t.blocks[j].transpose(2, 1, 0))
     return RA, Rs
 
 
+def _left_op(LA, Ab):
+    """LA contracted with Ab over the left operator rank: (a c i j, B)."""
+    r0, R0, _ = LA.shape
+    tmp = LA.transpose(0, 2, 1).reshape(r0 * r0, R0) @ Ab.reshape(R0, -1)
+    return tmp.reshape(-1, Ab.shape[3])
+
+
 def _local_matrix(LA, Ab, RA):
-    r0 = LA.shape[0]
-    r1 = RA.shape[0]
-    n = Ab.shape[1]
-    H = np.tensordot(np.tensordot(LA, Ab, axes=(1, 0)), RA, axes=(4, 1))
-    H = H.transpose(0, 2, 4, 1, 3, 5)                             # a i b c j d
+    r0, n, r1, R1 = LA.shape[0], Ab.shape[1], RA.shape[0], RA.shape[1]
+    H = _left_op(LA, Ab) @ RA.transpose(1, 0, 2).reshape(R1, r1 * r1)
+    H = H.reshape(r0, r0, n, n, r1, r1).transpose(0, 2, 4, 1, 3, 5)  # a i b c j d
     return H.reshape(r0 * n * r1, r0 * n * r1)
 
 
@@ -97,17 +106,23 @@ def _project(terms, Ls, Rs, k):
     """
     out = None
     for (coef, t), L, R in zip(terms, Ls, Rs):
-        piece = coef * np.tensordot(np.tensordot(L, t.blocks[k], axes=(1, 0)),
-                                    R[k + 1], axes=(2, 1))
+        p, n, q = t.blocks[k].shape
+        tmp = (L @ t.blocks[k].reshape(p, n * q)).reshape(-1, q)   # a i q
+        piece = coef * (tmp @ R[k + 1].T).reshape(L.shape[0], n, -1)
         out = piece if out is None else out + piece
     return out
 
 
 def _apply_local(LA, Ab, RA, x):
     """Local operator applied to a block x (c, j, d) -> (a, i, b)."""
-    tmp = np.tensordot(LA, x, axes=(2, 0))                        # a A j d
-    tmp = np.tensordot(tmp, Ab, axes=((1, 2), (0, 2)))            # a d i B
-    return np.tensordot(tmp, RA, axes=((1, 3), (2, 1)))           # a i b
+    a, A, c = LA.shape
+    _, n, m, B = Ab.shape
+    b, _, d = RA.shape
+    tmp = LA.reshape(a * A, c) @ x.reshape(c, m * d)              # a A j d
+    tmp = tmp.reshape(a, A, m, d).transpose(0, 3, 1, 2).reshape(a * d, A * m)
+    tmp = tmp @ Ab.transpose(0, 2, 1, 3).reshape(A * m, n * B)    # a d i B
+    tmp = tmp.reshape(a, d, n, B).transpose(0, 2, 1, 3).reshape(a * n, d * B)
+    return (tmp @ RA.transpose(2, 1, 0).reshape(d * B, b)).reshape(a, n, b)
 
 
 def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor:
@@ -152,7 +167,7 @@ def _block_jacobi(LA, Ab, RA, shift):
     """
     r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
     rdiag = np.einsum("bBb->bB", RA)
-    M = np.tensordot(rdiag, np.tensordot(LA, Ab, axes=(1, 0)), axes=(1, 4))  # b a c i j
+    M = (rdiag @ _left_op(LA, Ab).T).reshape(r1, r0, r0, n, n)             # b a c i j
     M = M.transpose(0, 1, 3, 2, 4).reshape(r1, r0 * n, r0 * n)
     M += shift * np.eye(r0 * n)
     factors = [dgetrf(blk)[:2] for blk in M]
@@ -168,13 +183,15 @@ def _block_jacobi(LA, Ab, RA, shift):
     return apply, solve
 
 
-def _solve_local(H_parts, g, shift, x0, delta):
+def _solve_local(H_parts, g, shift, x0, delta, stats):
     """Solve (H + shift I) x = g.
 
     Up to _GMRES_CROSSOVER unknowns by dense LU; above, by one cycle of GMRES
     right-preconditioned with the block Jacobi, warm-started from x0.  An
     unconverged GMRES falls back to dense LU when the system has at most
-    _DENSE_LIMIT unknowns.  Returns (x, norm of the local residual).
+    _DENSE_LIMIT unknowns, counted in stats["gmres_fallbacks"]; a larger one
+    keeps its iterate, counted in stats["gmres_unconverged"].  Returns
+    (x, norm of the local residual).
     """
     LA, Ab, RA = H_parts
     size = g.size
@@ -196,7 +213,9 @@ def _solve_local(H_parts, g, shift, x0, delta):
         if info == 0 or size > _DENSE_LIMIT:
             if info:
                 log.warning("local GMRES stopped at maxiter (size %d)", size)
+                stats["gmres_unconverged"] += 1
             return x, float(np.linalg.norm(matvec(x) - g))
+        stats["gmres_fallbacks"] += 1
     H = _local_matrix(LA, Ab, RA)
     H[np.diag_indices_from(H)] += shift
     try:
@@ -214,12 +233,17 @@ def amen_solve_shifted(
     acc: Accuracy,
     sweeps: int = 1,
     rho: int = 4,
+    stats: dict | None = None,
 ) -> TTTensor:
     """Sweeps of alternating solves for (A + shift I) v = b + shift v_prev.
 
     v_prev seeds the iteration.  Each sweep runs left to right: local solve,
     SVD truncation to acc, residual-based enrichment (rank at most rho),
-    then an interface update.
+    then an interface update.  A given stats dict is filled with the health
+    of the local solves over all sweeps: max_local_res, the largest relative
+    residual ||(H + shift I) x - g|| / ||g||; gmres_fallbacks, the GMRES
+    solves that stopped at maxiter and were redone by dense LU; and
+    gmres_unconverged, those too large for that, which kept their iterate.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -230,6 +254,8 @@ def amen_solve_shifted(
     rng = np.random.default_rng(1)
     rhs = [(1.0, b), (shift, v_prev)]
     vecs = [b, v_prev]
+    stats = {} if stats is None else stats
+    stats.update(max_local_res=0.0, gmres_fallbacks=0, gmres_unconverged=0)
     for sweep in range(sweeps):
         v = orthogonalize_right(v, 1)
         # residual of the shifted system without forming (A + shift I) v;
@@ -241,12 +267,14 @@ def amen_solve_shifted(
         Ls = [np.ones((1, 1)) for _ in vecs]
         Lz = np.ones((1, 1))
         blocks = list(v.blocks)
-        max_local_res = 0.0
         for k in range(d):
             g = _project(rhs, Ls, Rs, k).reshape(-1)
             x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
-                                        blocks[k], acc.delta)
-            max_local_res = max(max_local_res, local_res)
+                                        blocks[k], acc.delta, stats)
+            # relative to ||g||; absolute for a zero right-hand side
+            gnorm = np.linalg.norm(g)
+            stats["max_local_res"] = max(stats["max_local_res"],
+                                         local_res / gnorm if gnorm else local_res)
             r0, n, r1 = blocks[k].shape
             if k == d - 1:
                 blocks[k] = x.reshape(r0, n, r1)
@@ -257,19 +285,19 @@ def amen_solve_shifted(
             u = u[:, :keep]
             carry = s[:keep, None] * vt[:keep]
             # enrichment: project the global residual onto the left frame
-            zb = np.tensordot(Lz, res.blocks[k], axes=(1, 0))
+            zb = Lz @ res.blocks[k].reshape(Lz.shape[1], -1)
             aug = np.concatenate([u, zb.reshape(r0 * n, -1)], axis=1)
             rho_k = aug.shape[1] - keep
             q, rm = np.linalg.qr(aug)
             blocks[k] = q.reshape(r0, n, q.shape[1])
             carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
-            blocks[k + 1] = np.tensordot(carry, blocks[k + 1], axes=(1, 0))
+            blocks[k + 1] = _carry_left(carry, blocks[k + 1])
             LA = _advance_op(LA, blocks[k], A.blocks[k], blocks[k])
             Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
             Lz = _advance_vec(Lz, blocks[k], res.blocks[k])
         v = TTTensor(blocks)
         log.debug(
             "amen sweep %d: shift=%.3g max_rank=%d max_local_res=%.3g",
-            sweep, shift, v.max_rank, max_local_res,
+            sweep, shift, v.max_rank, stats["max_local_res"],
         )
     return v

@@ -50,7 +50,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PHASE_FIELDS = ("feedback_s", "operator_s", "rhs_s", "solve_s", "u_rank", "A_rank", "b_rank")
+_PHASE_FIELDS = ("feedback_s", "operator_s", "rhs_s", "solve_s", "u_rank", "A_rank", "b_rank",
+                 "max_local_res", "gmres_fallbacks", "gmres_unconverged")
 # the constraint cross of the tanh feedback, then the right-hand-side cross
 _CROSS_FIELDS = tuple(f"{prefix}_{key}" for prefix in ("constraint", "cross")
                       for key in ("evals", "sweeps", "converged"))
@@ -315,9 +316,10 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         b, cross = system.rhs(u, cross_state)
         cross_state = cross.index_sets if cross is not None else None
         t3 = time.perf_counter()
+        solve_stats = {}
         v = amen_solve_shifted(A, b, v_prev, mu, acc,
                                sweeps=config.inner_sweeps,
-                               rho=config.enrich_rank)
+                               rho=config.enrich_rank, stats=solve_stats)
         t4 = time.perf_counter()
         c0 = tt_dot(v, e0)
         if c0 != 0.0:
@@ -331,6 +333,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
              "feedback_s": t1 - t0, "operator_s": t2 - t1, "rhs_s": t3 - t2,
              "solve_s": t4 - t3,
              "u_rank": u.max_rank, "A_rank": A.max_rank, "b_rank": b.max_rank,
+             **solve_stats,
              **_cross_record("constraint", constraint), **_cross_record("cross", cross)}
         )
         state.iteration = s + 1

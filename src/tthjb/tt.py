@@ -356,8 +356,9 @@ def tt_dot(a: TTTensor, b: TTTensor) -> float:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     cur = np.ones((1, 1))
     for ab, bb in zip(a.blocks, b.blocks):
-        cur = np.tensordot(np.tensordot(cur, ab, axes=(0, 0)), bb,
-                           axes=((0, 1), (0, 1)))
+        p, q = cur.shape
+        _, n, r = ab.shape
+        cur = (cur.T @ ab.reshape(p, n * r)).reshape(q * n, r).T @ bb.reshape(q * n, -1)
     return float(cur[0, 0])
 
 
@@ -372,7 +373,7 @@ def tt_norm(a: TTTensor) -> float:
     for blk in a.blocks[-2::-1]:
         r0, n, r1 = carry.shape
         rm = np.linalg.qr(carry.reshape(r0, n * r1).T, mode="r")
-        carry = np.tensordot(blk, rm.T, axes=(2, 0))
+        carry = _carry_right(blk, rm.T)
     return float(np.linalg.norm(carry))
 
 
@@ -381,9 +382,10 @@ def tt_matvec(A: TTMatrix, v: TTTensor) -> TTTensor:
         raise ValueError(f"dimension mismatch: {A.col_dims} vs {v.dims}")
     blocks = []
     for ab, vb in zip(A.blocks, v.blocks):
-        R0, n, _, R1 = ab.shape
+        R0, n, m, R1 = ab.shape
         r0, _, r1 = vb.shape
-        blk = np.tensordot(ab, vb, axes=(2, 1)).transpose(0, 3, 1, 2, 4)
+        blk = ab.transpose(0, 1, 3, 2).reshape(-1, m) @ vb.transpose(1, 0, 2).reshape(m, -1)
+        blk = blk.reshape(R0, n, R1, r0, r1).transpose(0, 3, 1, 2, 4)
         blocks.append(blk.reshape(R0 * r0, n, R1 * r1))
     return TTTensor(blocks)
 
@@ -401,6 +403,18 @@ def tt_hadamard(a: TTTensor, b: TTTensor) -> TTTensor:
     return TTTensor(blocks)
 
 
+def _carry_left(m: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """m (s, r) times block (r, n, r') along its left rank: (s, n, r')."""
+    r, n, r1 = blk.shape
+    return (m @ blk.reshape(r, n * r1)).reshape(m.shape[0], n, r1)
+
+
+def _carry_right(blk: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Block (r, n, r') times m (r', s) along its right rank: (r, n, s)."""
+    r, n, r1 = blk.shape
+    return (blk.reshape(r * n, r1) @ m).reshape(r, n, m.shape[1])
+
+
 def orthogonalize_left(t: TTTensor, upto: int) -> TTTensor:
     """Make blocks 0..upto-1 left-orthonormal without changing the tensor."""
     if not 0 <= upto <= t.d:
@@ -410,7 +424,7 @@ def orthogonalize_left(t: TTTensor, upto: int) -> TTTensor:
         r0, n, r1 = blocks[k].shape
         q, rm = np.linalg.qr(blocks[k].reshape(r0 * n, r1))
         blocks[k] = q.reshape(r0, n, q.shape[1])
-        blocks[k + 1] = np.tensordot(rm, blocks[k + 1], axes=(1, 0))
+        blocks[k + 1] = _carry_left(rm, blocks[k + 1])
     return TTTensor(blocks)
 
 
@@ -423,7 +437,7 @@ def orthogonalize_right(t: TTTensor, downto: int) -> TTTensor:
         r0, n, r1 = blocks[k].shape
         q, rm = np.linalg.qr(blocks[k].reshape(r0, n * r1).T)
         blocks[k] = q.T.reshape(q.shape[1], n, r1)
-        blocks[k - 1] = np.tensordot(blocks[k - 1], rm.T, axes=(2, 0))
+        blocks[k - 1] = _carry_right(blocks[k - 1], rm.T)
     return TTTensor(blocks)
 
 
@@ -440,7 +454,7 @@ def tt_round(t: TTTensor, acc: Accuracy) -> TTTensor:
         u, s, vt = _svd(blocks[k].reshape(r0 * n, r1))
         rk = _chop(s, budget, acc.max_rank)
         blocks[k] = u[:, :rk].reshape(r0, n, rk)
-        blocks[k + 1] = np.tensordot(s[:rk, None] * vt[:rk], blocks[k + 1], axes=(1, 0))
+        blocks[k + 1] = _carry_left(s[:rk, None] * vt[:rk], blocks[k + 1])
     # never exceed the input ranks: exact nullspaces aside, _chop keeps rk <= r1
     return TTTensor(blocks)
 

@@ -6,9 +6,14 @@ import scipy.sparse.linalg
 
 from tthjb import amen
 from tthjb.amen import (
+    _advance_op,
+    _advance_vec,
+    _apply_local,
     _block_jacobi,
     _fit_combination,
     _local_matrix,
+    _project,
+    _right_interfaces,
     _solve_local,
     amen_solve_shifted,
 )
@@ -16,7 +21,12 @@ from tthjb.tt import (
     Accuracy,
     TTMatrix,
     TTTensor,
+    orthogonalize_left,
+    tt_dot,
     tt_from_dense,
+    tt_matvec,
+    tt_norm,
+    tt_round,
     tt_to_dense,
 )
 
@@ -57,6 +67,92 @@ def local_parts(rng, r0, n, r1, R0=3, R1=2, diagonal_right=False, scale=1.0):
     return LA, Ab, RA
 
 
+def solve_counts():
+    return {"gmres_fallbacks": 0, "gmres_unconverged": 0}
+
+
+class TestKernels:
+    """Each contraction kernel against np.einsum, at pairwise distinct sizes
+    so that a swapped axis changes the result or fails on shape."""
+
+    # frame ranks a, c on the left and b, d on the right; operator ranks
+    # A, B; vector ranks p, q; modes n (rows) and m (columns)
+    a, c, b, d, A, B, p, q, n, m = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11
+
+    def test_advance_op(self, rng):
+        L = rng.standard_normal((self.a, self.A, self.c))
+        vb = rng.standard_normal((self.a, self.n, self.b))
+        Ab = rng.standard_normal((self.A, self.n, self.m, self.B))
+        wb = rng.standard_normal((self.c, self.m, self.d))
+        want = np.einsum("aAc,aib,AijB,cjd->bBd", L, vb, Ab, wb)
+        assert np.allclose(_advance_op(L, vb, Ab, wb), want, rtol=1e-12, atol=1e-12)
+
+    def test_advance_vec(self, rng):
+        L = rng.standard_normal((self.a, self.p))
+        vb = rng.standard_normal((self.a, self.n, self.b))
+        bb = rng.standard_normal((self.p, self.n, self.q))
+        want = np.einsum("ap,aib,piq->bq", L, vb, bb)
+        assert np.allclose(_advance_vec(L, vb, bb), want, rtol=1e-12, atol=1e-12)
+
+    def test_right_interfaces(self, rng):
+        # the advance kernels on blocks with reversed rank axes; x, A, w and
+        # the vector have different ranks and A has rectangular modes
+        rows, cols = (2, 3, 4, 5), (3, 5, 2, 4)
+        x = TTTensor.random(rows, [1, 2, 3, 4, 1], rng)
+        A = TTMatrix([rng.standard_normal((r0, n, m, r1)) for r0, n, m, r1
+                      in zip([1, 5, 6, 7], rows, cols, [5, 6, 7, 1])])
+        w = TTTensor.random(cols, [1, 4, 3, 2, 1], rng)
+        t = TTTensor.random(rows, [1, 6, 5, 3, 1], rng)
+        RA, (Rt,) = _right_interfaces(x, A, w, [t])
+        want_A, want_t = np.ones((1, 1, 1)), np.ones((1, 1))
+        for j in range(x.d - 1, 0, -1):
+            want_A = np.einsum("aib,AijB,cjd,bBd->aAc", x.blocks[j], A.blocks[j],
+                               w.blocks[j], want_A)
+            want_t = np.einsum("aib,piq,bq->ap", x.blocks[j], t.blocks[j], want_t)
+            assert np.allclose(RA[j], want_A, rtol=1e-12, atol=1e-12)
+            assert np.allclose(Rt[j], want_t, rtol=1e-12, atol=1e-12)
+
+    def test_local_matrix_and_apply(self, rng):
+        LA = rng.standard_normal((self.a, self.A, self.a))
+        Ab = rng.standard_normal((self.A, self.n, self.n, self.B))
+        RA = rng.standard_normal((self.b, self.B, self.b))
+        H = _local_matrix(LA, Ab, RA)
+        want = np.einsum("aAc,AijB,bBd->aibcjd", LA, Ab, RA)
+        assert np.allclose(H, want.reshape(H.shape), rtol=1e-12, atol=1e-12)
+        x = rng.standard_normal((self.a, self.n, self.b))
+        got = _apply_local(LA, Ab, RA, x).reshape(-1)
+        assert np.allclose(got, H @ x.reshape(-1), rtol=1e-12, atol=1e-12)
+
+    def test_block_jacobi_is_the_block_diagonal(self, rng):
+        # with a general right interface the preconditioner keeps exactly the
+        # blocks of H + shift I whose right frame indices agree
+        LA = rng.standard_normal((self.a, self.A, self.a))
+        Ab = rng.standard_normal((self.A, self.n, self.n, self.B))
+        RA = rng.standard_normal((self.b, self.B, self.b))
+        shift = 0.7
+        size = self.a * self.n
+        H = _local_matrix(LA, Ab, RA).reshape(size, self.b, size, self.b)
+        x = rng.standard_normal((size, self.b))
+        want = np.einsum("ibjb,jb->ib", H, x) + shift * x
+        apply_M, _ = _block_jacobi(LA, Ab, RA, shift)
+        assert np.allclose(apply_M(x.reshape(-1)), want.reshape(-1), rtol=1e-12, atol=1e-12)
+
+    def test_project(self, rng):
+        blocks = [rng.standard_normal((self.p, self.n, self.q)),
+                  rng.standard_normal((self.c, self.n, self.d))]
+        t1 = TTTensor([rng.standard_normal((1, 2, self.p)), blocks[0],
+                       rng.standard_normal((self.q, 3, 1))])
+        t2 = TTTensor([rng.standard_normal((1, 2, self.c)), blocks[1],
+                       rng.standard_normal((self.d, 3, 1))])
+        Ls = [rng.standard_normal((self.a, self.p)), rng.standard_normal((self.a, self.c))]
+        Rs = [[None, None, rng.standard_normal((self.b, self.q))],
+              [None, None, rng.standard_normal((self.b, self.d))]]
+        got = _project([(0.5, t1), (-2.0, t2)], Ls, Rs, 1)
+        want = sum(coef * np.einsum("ap,piq,bq->aib", L, blk, R[2])
+                   for coef, L, blk, R in zip((0.5, -2.0), Ls, blocks, Rs))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestLocalSolve:
     @pytest.mark.parametrize("r1", [1, 3])
     def test_block_jacobi_exact_for_diagonal_right_interface(self, rng, r1):
@@ -81,8 +177,10 @@ class TestLocalSolve:
         H = _local_matrix(LA, Ab, RA) + shift * np.eye(r0 * n * r1)
         g = rng.standard_normal(H.shape[0])
         monkeypatch.setattr(amen, "_local_matrix", None)
+        counts = solve_counts()
         x, res = _solve_local((LA, Ab, RA), g, shift,
-                              np.zeros((r0, n, r1)), delta)
+                              np.zeros((r0, n, r1)), delta, counts)
+        assert counts == solve_counts()
         tol = min(1e-8, 1e-2 * delta)
         want = np.linalg.solve(H, g)
         assert np.linalg.norm(x - want) <= 10 * tol * np.linalg.norm(want)
@@ -94,7 +192,8 @@ class TestLocalSolve:
         apply_local = amen._apply_local
         monkeypatch.setattr(amen, "_apply_local",
                             lambda *args: products.append(1) or apply_local(*args))
-        _solve_local((LA, Ab, RA), g, shift, want.reshape(r0, n, r1), delta)
+        _solve_local((LA, Ab, RA), g, shift, want.reshape(r0, n, r1), delta,
+                     solve_counts())
         assert len(products) == 2
 
     @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["dense", "above_limit"])
@@ -103,7 +202,8 @@ class TestLocalSolve:
         # unstructured random interfaces: the spectrum surrounds the origin and
         # the block Jacobi misses most of H, so one cycle of 60 iterations
         # stops short; within _DENSE_LIMIT dense LU takes over, above it the
-        # GMRES iterate comes back with a warning and its true residual
+        # GMRES iterate comes back with a warning and its true residual; the
+        # counts tell the two apart
         r0, n, r1 = 8, 5, 10
         LA, Ab, RA = local_parts(rng, r0, n, r1)
         shift, delta = 0.0, 1e-3
@@ -119,17 +219,20 @@ class TestLocalSolve:
 
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording_gmres)
         monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
+        counts = solve_counts()
         with caplog.at_level(logging.WARNING, logger="tthjb.amen"):
             x, res = _solve_local((LA, Ab, RA), g, shift,
-                                  np.zeros((r0, n, r1)), delta)
+                                  np.zeros((r0, n, r1)), delta, counts)
         assert len(infos) == 1 and infos[0] > 0
         assert res == pytest.approx(np.linalg.norm(H @ x - g), rel=1e-6)
         if dense_limit:
             assert np.allclose(x, np.linalg.solve(H, g), rtol=1e-8, atol=1e-10)
             assert not caplog.records
+            assert counts == {"gmres_fallbacks": 1, "gmres_unconverged": 0}
         else:
             assert res > 1e-8 * np.linalg.norm(g)
             assert "maxiter" in caplog.text
+            assert counts == {"gmres_fallbacks": 0, "gmres_unconverged": 1}
 
 
 def spd_tt_matrix(rng, dims):
@@ -276,3 +379,86 @@ class TestAmenSolve:
         for mu in (0.5, 5.0, 50.0):
             G = mu * np.linalg.inv(M + mu * np.eye(N))
             assert np.max(np.abs(np.linalg.eigvals(G))) < 1.0
+
+
+class TestSolveStats:
+    @staticmethod
+    def _system(rng, scale=1.0):
+        dims = (4, 3, 5)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
+        v_prev = TTTensor.random(dims, [1, 3, 2, 1], rng)
+        return A, scale * b, scale * v_prev
+
+    def test_dense_solves_are_exact(self, rng):
+        stats = {}
+        v = amen_solve_shifted(*self._system(rng), 0.5, Accuracy(1e-10), sweeps=2,
+                               stats=stats)
+        assert isinstance(v, TTTensor)
+        assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
+        assert 0.0 <= stats["max_local_res"] <= 1e-12
+
+    @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["fallback", "unconverged"])
+    def test_stalled_gmres_is_counted(self, rng, monkeypatch, dense_limit):
+        # every local system goes to a GMRES that stops at once with info > 0:
+        # within _DENSE_LIMIT each is redone by dense LU, above it each keeps
+        # the warm start, whose residual is reported relative to ||g||, so it
+        # does not change when the system is scaled
+        def stalled(op, g, x0, **kwargs):
+            return x0, 1
+
+        monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
+        monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", stalled)
+        sweeps = 2
+        runs = []
+        for scale in (1.0, 1e6):
+            stats = {}
+            amen_solve_shifted(*self._system(np.random.default_rng(3), scale), 0.5,
+                               Accuracy(1e-10), sweeps=sweeps, stats=stats)
+            runs.append(stats)
+        solves = 3 * sweeps
+        for stats in runs:
+            if dense_limit:
+                assert stats["gmres_fallbacks"] == solves
+                assert stats["gmres_unconverged"] == 0
+                assert stats["max_local_res"] <= 1e-12
+            else:
+                assert stats["gmres_fallbacks"] == 0
+                assert stats["gmres_unconverged"] == solves
+                assert stats["max_local_res"] > 1e-3
+        if not dense_limit:
+            assert runs[1]["max_local_res"] == pytest.approx(runs[0]["max_local_res"],
+                                                             rel=1e-6)
+
+
+class TestNoTensordot:
+    def test_sweep_and_tt_carries_make_no_tensordot_call(self, rng, monkeypatch):
+        """np.tensordot's argument handling cost several times the small
+        products of a sweep; the sweep kernels and the TT carries use reshape
+        and matrix products instead."""
+        calls = []
+        tensordot = np.tensordot
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tensordot", counting)
+        a = np.ones((2, 2))
+        np.tensordot(a, a, axes=1)
+        assert len(calls) == 1  # the counter sees calls through numpy
+        calls.clear()
+        dims = (4, 3, 5)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
+        for crossover in (amen._GMRES_CROSSOVER, 0):
+            # dense local solves, then every local solve through GMRES
+            monkeypatch.setattr(amen, "_GMRES_CROSSOVER", crossover)
+            v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
+        tt_round(v + b, Accuracy(1e-10))
+        tt_norm(v - b)
+        tt_dot(v, b)
+        tt_matvec(A, v)
+        orthogonalize_left(v, v.d - 1)
+        assert calls == []

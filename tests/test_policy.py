@@ -250,7 +250,8 @@ class TestPolicyIterationLQ:
         history_to_csv(state, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("iteration,rel_change,max_rank,shift,seconds,"
-                            "feedback_s,operator_s,rhs_s,solve_s,u_rank,A_rank,b_rank")
+                            "feedback_s,operator_s,rhs_s,solve_s,u_rank,A_rank,b_rank,"
+                            "max_local_res,gmres_fallbacks,gmres_unconverged")
         assert len(lines) == len(state.history) + 1
 
     def test_rows_carry_phases_and_ranks(self, solved):
@@ -259,6 +260,11 @@ class TestPolicyIterationLQ:
             phases = [row[key] for key in ("feedback_s", "operator_s", "rhs_s", "solve_s")]
             assert min(phases) >= 0.0 and sum(phases) <= row["seconds"]
             assert row["u_rank"] >= 1 and row["A_rank"] >= 1 and row["b_rank"] >= 1
+            # dense LU is exact to round-off, and the larger local systems
+            # (up to 468 unknowns, condition numbers near 2) stop GMRES at its
+            # relative tolerance of 1e-8 without a fallback
+            assert 0.0 <= row["max_local_res"] <= 1e-8
+            assert row["gmres_fallbacks"] == row["gmres_unconverged"] == 0
         # the zero initial policy has rank 1; later feedbacks are those of v
         assert state.history[0]["u_rank"] == 1
         assert state.history[-1]["u_rank"] > 1

@@ -149,6 +149,19 @@ class TestMatvec:
         want = A.to_dense() @ tt_to_dense(v).reshape(-1)
         assert np.allclose(got, want, atol=1e-12 * np.linalg.norm(want))
 
+    def test_rectangular_dense_oracle(self, rng):
+        # rows, columns and the ranks of A and v all differ, so a swapped
+        # axis fails
+        A = TTMatrix([rng.standard_normal((1, 2, 3, 4)),
+                      rng.standard_normal((4, 5, 6, 7)),
+                      rng.standard_normal((7, 3, 2, 1))])
+        v = TTTensor.random((3, 6, 2), [1, 5, 2, 1], rng)
+        got = tt_matvec(A, v)
+        assert got.ranks == (1, 20, 14, 1)
+        want = A.to_dense() @ tt_to_dense(v).reshape(-1)
+        assert np.allclose(tt_to_dense(got).reshape(-1), want,
+                           atol=1e-12 * np.linalg.norm(want))
+
 
 class TestDotNorm:
     def test_dot_is_norm_squared(self, rng):
@@ -167,6 +180,14 @@ class TestDotNorm:
         b = TTTensor.random((3, 3, 3, 3), [1, 3, 2, 3, 1], rng)
         want = np.sum(tt_to_dense(a) * tt_to_dense(b))
         assert abs(tt_dot(a, b) - want) <= 1e-12 * abs(want)
+
+    def test_distinct_sizes_dense_oracle(self, rng):
+        a = TTTensor.random((2, 3, 4, 5), [1, 6, 7, 3, 1], rng)
+        b = TTTensor.random((2, 3, 4, 5), [1, 2, 4, 5, 1], rng)
+        want = np.sum(tt_to_dense(a) * tt_to_dense(b))
+        assert abs(tt_dot(a, b) - want) <= 1e-12 * np.linalg.norm(tt_to_dense(a)) * \
+            np.linalg.norm(tt_to_dense(b))
+        assert tt_norm(a) == pytest.approx(np.linalg.norm(tt_to_dense(a)), rel=1e-12)
 
     def test_norm_of_near_equal_difference(self, rng):
         # the policy and cross stopping tests take norms of v - v_prev, two
