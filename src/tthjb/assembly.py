@@ -9,6 +9,10 @@ over the tensor-product Legendre basis; W is the control penalty (gamma u^2
 in the unconstrained case).  With the minus sign the operator of a stable
 closed loop has spectrum in the right half plane, so positive shifts
 regularize rather than destabilize the linear solves.
+
+f and g come as flag fields (see models).  Each field gives one exact TT
+operator, a flag chain of weighted blocks: the drift's at u = 1, the
+coupling's at the feedback u, and the control map's against the nodes.
 """
 from __future__ import annotations
 
@@ -18,21 +22,16 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, TTMap, tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, tt_hadamard, tt_matvec, tt_round,
-                 tt_square_sum, tt_sum_round)
+from .tt import Accuracy, TTMatrix, TTTensor, tt_matvec, tt_round, tt_square_sum, tt_sum_round
 
 __all__ = [
     "ControlPenalty",
-    "ControlChannel",
     "GalerkinSystem",
     "project_to_basis",
-    "assemble_drift_part",
     "assemble_drift",
     "control_map",
     "apply_constraint",
     "penalty_cost",
-    "tt_matmat",
-    "diag_matrix",
 ]
 
 @dataclass(frozen=True)
@@ -77,64 +76,17 @@ def penalty_cost(u, penalty: ControlPenalty):
     )
 
 
-@dataclass(frozen=True)
-class ControlChannel:
-    """Control direction g(x) for a scalar control.
-
-    Either a constant vector (one coefficient per state dimension) or a list
-    of grid TT tensors g_p, one per dimension, with None for identically
-    zero components.
-    """
-
-    constant: np.ndarray | None = None
-    g_tts: tuple | None = None
-
-    def __post_init__(self):
-        if (self.constant is None) == (self.g_tts is None):
-            raise ValueError("exactly one of constant / g_tts must be given")
-
-
 def project_to_basis(t: TTTensor, basis: SpectralBasis) -> TTTensor:
     """Quadrature projection of grid values onto basis coefficients."""
     wphi = basis.weights[:, None] * basis.phi
     return TTTensor([np.einsum("aqb,qi->aib", blk, wphi) for blk in t.blocks])
 
 
-def _weighted_block(blk, basis: SpectralBasis, deriv: bool):
-    right = basis.dphi if deriv else basis.phi
-    wphi = basis.weights[:, None] * basis.phi
-    out = np.tensordot(blk, wphi[:, :, None] * right[:, None, :], axes=(1, 0))
+def _weighted_block(blk, test, trial):
+    """Block (r0, q, r1) met along its node mode q by test[q, i] trial[q, j]:
+    an operator block (r0, i, j, r1)."""
+    out = np.tensordot(blk, test[:, :, None] * trial[:, None, :], axes=(1, 0))
     return out.transpose(0, 2, 3, 1)
-
-
-def assemble_drift_part(f_tt: TTTensor, p: int, basis: SpectralBasis) -> TTMatrix:
-    """TT operator -< f_p d/dx_p phi_j, phi_i > for one drift component."""
-    blocks = [
-        _weighted_block(blk, basis, deriv=(k == p))
-        for k, blk in enumerate(f_tt.blocks)
-    ]
-    blocks[0] = -blocks[0]
-    return TTMatrix(blocks)
-
-
-def _component_sum(tts, part, acc: Accuracy, what: str) -> TTMatrix:
-    """Sum of part(p, t) over the components t = tts[p] that are not None,
-    rounded after each addition."""
-    total = None
-    for p, t in enumerate(tts):
-        if t is None:
-            continue
-        term = part(p, t)
-        total = term if total is None else (total + term).round(acc)
-    if total is None:
-        raise ValueError(f"{what} has no nonzero components")
-    return total
-
-
-def assemble_drift(f_tts, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
-    """Sum of all drift components with intermediate rounding."""
-    return _component_sum(f_tts, lambda p, f: assemble_drift_part(f, p, basis), acc,
-                          "drift")
 
 
 def _flag_chain(G: list, H: list) -> TTMatrix:
@@ -157,61 +109,48 @@ def _flag_chain(G: list, H: list) -> TTMatrix:
     return TTMatrix(blocks)
 
 
-def assemble_coupling(u_tt: TTTensor, g: np.ndarray, basis: SpectralBasis) -> TTMatrix:
-    """-< g u grad ., . > for a constant direction g: the drift assembly of
-    the components g_p u, summed exactly by one flag chain."""
-    G = [_weighted_block(blk, basis, deriv=False) for blk in u_tt.blocks]
-    H = [g[k] * _weighted_block(blk, basis, deriv=True) for k, blk in enumerate(u_tt.blocks)]
-    return -1.0 * _flag_chain(G, H)
+def _field_chain(field, u: TTTensor, test, trial, dtrial) -> TTMatrix:
+    """sum_p of the operators that meet component p of the flag field times u
+    by test and, along every dimension k, trial (dtrial for k = p).
+
+    Component p of field = (g, h) is h_p(x_p) prod_{k != p} g_k(x_k); the
+    blocks of u are scaled along their node mode by g_k and h_k, so the
+    chain has twice the ranks of u.
+    """
+    g, h = field
+    return _flag_chain(
+        [_weighted_block(b * gk[:, None], test, trial) for b, gk in zip(u.blocks, g)],
+        [_weighted_block(b * hk[:, None], test, dtrial) for b, hk in zip(u.blocks, h)])
 
 
-def tt_matmat(A: TTMatrix, B: TTMatrix) -> TTMatrix:
-    """Exact operator product; ranks multiply."""
-    if A.col_dims != B.row_dims:
-        raise ValueError("dimension mismatch in operator product")
-    blocks = []
-    for ab, bb in zip(A.blocks, B.blocks):
-        R0, n, _, R1 = ab.shape
-        S0, _, q, S1 = bb.shape
-        blk = np.tensordot(ab, bb, axes=(2, 1)).transpose(0, 3, 1, 4, 2, 5)
-        blocks.append(blk.reshape(R0 * S0, n, q, R1 * S1))
-    return TTMatrix(blocks)
+def _advection(fields, u: TTTensor, basis: SpectralBasis) -> list:
+    """-< (field u) . grad phi_j, phi_i > for each flag field, exact."""
+    wphi = basis.weights[:, None] * basis.phi
+    return [-1.0 * _field_chain(f, u, wphi, basis.phi, basis.dphi) for f in fields]
 
 
-def diag_matrix(t: TTTensor) -> TTMatrix:
-    """Diagonal operator with the entries of t."""
-    blocks = []
-    for blk in t.blocks:
-        r0, n, r1 = blk.shape
-        out = np.zeros((r0, n, n, r1))
-        out[:, np.arange(n), np.arange(n), :] = blk
-        blocks.append(out)
-    return TTMatrix(blocks)
+def _ones(basis: SpectralBasis, d: int) -> TTTensor:
+    return TTTensor.rank_one([np.ones(basis.m)] * d)
 
 
-def _evaluation_matrix(basis: SpectralBasis, d: int, p: int) -> TTMatrix:
-    """Coefficients -> nodal values of d/dx_p of the expansion."""
-    blocks = []
-    for k in range(d):
-        tab = basis.dphi if k == p else basis.phi
-        blocks.append(tab.reshape(1, basis.m, basis.n, 1))
-    return TTMatrix(blocks)
+def _sum_round(ops: list, acc: Accuracy, seed: int = 0) -> TTMatrix:
+    """round(sum of the operators, acc) by tt_sum_round."""
+    total = tt_sum_round([op.fuse() for op in ops], acc, seed)
+    return TTMatrix.unfuse(total, ops[0].row_dims, ops[0].col_dims)
 
 
-def control_map(channel: ControlChannel, basis: SpectralBasis, gamma: float,
-                d: int, acc: Accuracy) -> TTMatrix:
+def assemble_drift(fields, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
+    """-< f . grad phi_j, phi_i > for the drift's flag fields, rounded."""
+    return _sum_round(_advection(fields, _ones(basis, len(fields[0][0])), basis), acc)
+
+
+def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TTMatrix:
     """Operator taking value coefficients to nodal values of the minimizing
-    control, u(x) = -(1 / 2 gamma) g(x) . grad V(x)."""
-    if channel.constant is not None:
-        P = basis.phi.reshape(1, basis.m, basis.n, 1)
-        D = basis.dphi.reshape(1, basis.m, basis.n, 1)
-        bmap = _flag_chain([P] * d, [channel.constant[k] * D for k in range(d)])
-    else:
-        bmap = _component_sum(
-            channel.g_tts,
-            lambda p, g_tt: tt_matmat(diag_matrix(g_tt), _evaluation_matrix(basis, d, p)),
-            acc, "control channel")
-    return (-0.5 / gamma) * bmap
+    control, u(x) = -(1 / 2 gamma) g(x) . grad V(x), for the channel's flag
+    fields: each chain meets the nodes by the identity."""
+    ones, eye = _ones(basis, len(fields[0][0])), np.eye(basis.m)
+    chains = [_field_chain(f, ones, eye, basis.phi, basis.dphi) for f in fields]
+    return (-0.5 / gamma) * _sum_round(chains, acc)
 
 
 def _cross_map(u_tt: TTTensor, func, acc: Accuracy, grid, initial, seed) -> CrossResult:
@@ -236,7 +175,7 @@ class GalerkinSystem:
     basis: SpectralBasis
     d: int
     drift: TTMatrix
-    channel: ControlChannel
+    channel: list
     bmap: TTMatrix
     ell_proj: TTTensor
     penalty: ControlPenalty
@@ -251,27 +190,16 @@ class GalerkinSystem:
         """Nodal values of the unconstrained minimizing control."""
         return tt_round(tt_matvec(self.bmap, v), self.acc)
 
-    def operator(self, u_tt: TTTensor | None) -> TTMatrix:
-        """drift - < g u grad ., . >, rounded.  A state-dependent channel
-        gives one exact term per component g_p u; the drift and those terms
-        are rounded together by one sketch (tt_sum_round)."""
-        if u_tt is None:
-            return self.drift
-        if self.channel.constant is not None:
-            coupling = assemble_coupling(u_tt, self.channel.constant, self.basis)
-            return (self.drift + coupling).round(self.acc)
-        terms = [self.drift.fuse()] + [
-            assemble_drift_part(tt_hadamard(g_tt, u_tt), p, self.basis).fuse()
-            for p, g_tt in enumerate(self.channel.g_tts) if g_tt is not None]
-        return TTMatrix.unfuse(tt_sum_round(terms, self.acc, self.seed),
-                               self.drift.row_dims, self.drift.col_dims)
+    def operator(self, u_tt: TTTensor) -> TTMatrix:
+        """drift - < g u grad ., . >: the drift and one exact flag chain per
+        channel field, rounded together (tt_sum_round)."""
+        return _sum_round([self.drift, *_advection(self.channel, u_tt, self.basis)],
+                          self.acc, self.seed)
 
-    def rhs(self, u_tt: TTTensor | None, initial=None):
+    def rhs(self, u_tt: TTTensor, initial=None):
         """(b, CrossResult or None).  The quadratic penalty is sketched from
         the blocks of u (tt_square_sum); the tanh penalty goes through cross,
         started from the index sets ``initial`` when given."""
-        if u_tt is None:
-            return self.ell_proj, None
         if self.penalty.kind == "unconstrained":
             wphi = self.basis.weights[:, None] * self.basis.phi
             b = tt_square_sum(self.ell_proj, u_tt, wphi, self.penalty.gamma, self.acc,

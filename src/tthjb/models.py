@@ -2,23 +2,26 @@
 
 Every model is f(x) = A x - kappa x^3 with control direction g(x) = B0 + M x,
 held as those matrices; the origin is an equilibrium with zero state cost.
+
+On a tensor grid each of f and g is a list of flag fields (g, h) of
+per-dimension node vectors; component p of a flag field is
+h_p(x_p) prod_{k != p} g_k(x_k), and the components of f (of g) are the sums
+over its fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import ControlChannel, ControlPenalty
-from .tt import Accuracy, TTTensor, linear_to_tt, quadratic_to_tt, tt_round
+from .assembly import ControlPenalty
+from .tt import TTTensor, quadratic_to_tt
 
 __all__ = [
     "ControlledDynamics",
     "LQRSolution",
     "allen_cahn_1d",
-    "allen_cahn_2d",
     "fokker_planck",
     "lq",
     "solve_riccati",
@@ -33,8 +36,9 @@ class ControlledDynamics:
 
     The matrices are the model: A is ``lin_A``, kappa ``cubic`` (entrywise
     cube), B0 = g(0) the column ``lin_B`` and M ``channel_slope`` (None for
-    a constant channel).  The batch evaluators used by rollouts and the TT
-    builders used by the Galerkin assembly are both derived from them.
+    a constant channel).  The batch evaluators used by rollouts and the
+    flag-field builders used by the Galerkin assembly are both derived from
+    them.
     """
 
     name: str
@@ -73,26 +77,23 @@ class ControlledDynamics:
         return X @ self.channel_slope.T + B
 
     def f_tt_builder(self, grids) -> list:
-        """TT tensors of the drift components f_p on a tensor grid."""
-        out = []
-        for p in range(self.dim):
-            f_p = linear_to_tt(self.lin_A[p], grids)
-            if self.cubic:
-                f_p = _plus_rank_one(f_p, [-self.cubic * np.asarray(g, dtype=float)**3
-                                           if k == p else np.ones(len(g))
-                                           for k, g in enumerate(grids)])
-            out.append(f_p)
-        return out
+        """The drift on a tensor grid as flag fields: one per column of A
+        (x_q times A[:, q]) and, when kappa is nonzero, the cubic field."""
+        x = [np.asarray(g, dtype=float) for g in grids]
+        fields = [_column_field(self.lin_A[:, q], q, x) for q in range(self.dim)]
+        if self.cubic:
+            fields.append(([np.ones(len(g)) for g in x], [-self.cubic * g**3 for g in x]))
+        return fields
 
-    def channel_builder(self, grids) -> ControlChannel:
-        B = self.lin_B.reshape(-1)
-        if self.channel_slope is None:
-            return ControlChannel(constant=B)
-        return ControlChannel(g_tts=tuple(
-            _plus_rank_one(linear_to_tt(self.channel_slope[p], grids),
-                           [np.full(len(g), B[p] if k == 0 else 1.0)
-                            for k, g in enumerate(grids)])
-            for p in range(self.dim)))
+    def channel_builder(self, grids) -> list:
+        """The channel on a tensor grid as flag fields: B0, then one per
+        column of M (x_q times M[:, q]) for an affine channel."""
+        x = [np.asarray(g, dtype=float) for g in grids]
+        fields = [([np.ones(len(g)) for g in x],
+                   [np.full(len(g), b) for g, b in zip(x, self.lin_B.reshape(-1))])]
+        if self.channel_slope is not None:
+            fields += [_column_field(self.channel_slope[:, q], q, x) for q in range(self.dim)]
+        return fields
 
     def state_cost(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -102,13 +103,16 @@ class ControlledDynamics:
         return quadratic_to_tt(self.cost_matrix, grids)
 
 
-def _plus_rank_one(t: TTTensor, factors) -> TTTensor:
-    """t plus the rank-one tensor of the given factors, recompressed."""
-    return tt_round(t + TTTensor.rank_one(factors), Accuracy(1e-14))
+def _column_field(col, q: int, x: list) -> tuple:
+    """The flag field x_q col: g is x_q along q and 1 elsewhere, h_p is the
+    constant col[p] for p != q and col[q] x_q along q."""
+    g = [xk if k == q else np.ones(len(xk)) for k, xk in enumerate(x)]
+    h = [c * xk if k == q else np.full(len(xk), c) for k, (xk, c) in enumerate(zip(x, col))]
+    return g, h
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev pseudospectral pieces (1D Allen-Cahn and its 2D tensorization)
+# Chebyshev pseudospectral pieces of Allen-Cahn
 
 def chebyshev_interior_nodes(d: int) -> np.ndarray:
     k = np.arange(1, d + 1)
@@ -180,46 +184,6 @@ def _neumann_closure(d: int):
     return E, L, full
 
 
-def _allen_cahn(p: int, axes: int, sigma: float, omega, penalty: ControlPenalty,
-                a: float, extras: dict) -> ControlledDynamics:
-    """Allen-Cahn on the axes-fold tensor grid of p interior Chebyshev nodes.
-
-    Laplacian, actuator, quadrature weights and initial bump are the
-    Kronecker tensorizations of their one-dimensional versions.
-    """
-    if p < 3:
-        raise ValueError("need at least 3 interior nodes per axis for the "
-                         "boundary closure")
-    E, L, full = _neumann_closure(p)
-    xi = full[1 : p + 1]
-    eye = np.eye(p)
-    # Kronecker sum: L along each axis, the identity along the others
-    A = sigma * reduce(np.add, (reduce(np.kron, [L if j == k else eye for j in range(axes)])
-                                for k in range(axes)))
-    # tolerance so nodes landing exactly on the actuated boundary stay inside
-    ind = ((xi >= omega[0] - 1e-12) & (xi <= omega[1] + 1e-12)).astype(float)
-    w_full = _clenshaw_curtis_weights(full)
-    Q1 = E.T @ (w_full[:, None] * E)
-    Q1 = 0.5 * (Q1 + Q1.T)
-    bump = 1.0
-    for x in np.meshgrid(*[xi] * axes, indexing="ij"):
-        bump = bump * np.cos(2 * np.pi * x) * np.cos(np.pi * x)
-    return ControlledDynamics(
-        name=f"allen_cahn_{axes}d",
-        a=a,
-        penalty=penalty,
-        lin_A=A + np.eye(p**axes),      # the reaction x - x^3 is this identity
-        lin_B=reduce(np.kron, [ind] * axes).reshape(-1, 1),
-        cost_matrix=reduce(np.kron, [Q1] * axes),
-        admissible_uncontrolled=False,
-        cubic=1.0,                       # and this cube
-        x0_default=(2.0 + bump).reshape(-1),
-        horizon=3.2,
-        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
-                **extras},
-    )
-
-
 def allen_cahn_1d(
     d: int,
     sigma: float = 0.2,
@@ -234,23 +198,32 @@ def allen_cahn_1d(
     Laplacian under homogeneous Neumann conditions and B the indicator of
     the actuated subinterval.
     """
+    if d < 3:
+        raise ValueError("need at least 3 interior nodes for the boundary closure")
     if u_max is None:
         penalty = ControlPenalty(gamma=gamma)
     else:
         penalty = ControlPenalty(gamma=gamma, kind="tanh", u_max=u_max)
-    return _allen_cahn(d, 1, sigma, omega, penalty, a, {"omega": tuple(omega)})
-
-
-def allen_cahn_2d(
-    points_per_axis: int,
-    sigma: float = 0.2,
-    gamma: float = 0.1,
-    a: float = 3.0,
-) -> ControlledDynamics:
-    """Tensorized variant on a points_per_axis^2 interior Chebyshev grid."""
-    return _allen_cahn(points_per_axis, 2, sigma, (-0.5, 0.2),
-                       ControlPenalty(gamma=gamma), a,
-                       {"points_per_axis": points_per_axis})
+    E, L, full = _neumann_closure(d)
+    xi = full[1 : d + 1]
+    # tolerance so nodes landing exactly on the actuated boundary stay inside
+    ind = ((xi >= omega[0] - 1e-12) & (xi <= omega[1] + 1e-12)).astype(float)
+    w_full = _clenshaw_curtis_weights(full)
+    Q = E.T @ (w_full[:, None] * E)
+    return ControlledDynamics(
+        name="allen_cahn_1d",
+        a=a,
+        penalty=penalty,
+        lin_A=sigma * L + np.eye(d),     # the reaction x - x^3 is this identity
+        lin_B=ind.reshape(-1, 1),
+        cost_matrix=0.5 * (Q + Q.T),
+        admissible_uncontrolled=False,
+        cubic=1.0,                       # and this cube
+        x0_default=2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi),
+        horizon=3.2,
+        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
+                "omega": tuple(omega)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +471,6 @@ def solve_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, gamma: float,
 
 MODELS = {
     "allen_cahn_1d": allen_cahn_1d,
-    "allen_cahn_2d": allen_cahn_2d,
     "fokker_planck": fokker_planck,
     "lq": lq,
 }

@@ -82,8 +82,6 @@ class SolverConfig:
     max_rank: int = 60
     seed: int = 0
     inner_sweeps: int = 1
-    enrich_rank: int = 4
-    trunc_delta: float | None = None    # value truncation; defaults to delta
     divergence_window: int = 10
 
     def __post_init__(self):
@@ -98,8 +96,7 @@ class SolverConfig:
 
     @property
     def value_accuracy(self) -> Accuracy:
-        d = self.trunc_delta if self.trunc_delta is not None else self.delta
-        return Accuracy(delta=d, max_rank=self.max_rank)
+        return Accuracy(delta=self.delta, max_rank=self.max_rank)
 
 
 @dataclass
@@ -255,7 +252,7 @@ def _build_system(model: ControlledDynamics, basis: SpectralBasis,
     op_acc = Accuracy(delta=1e-12)
     drift = assemble_drift(model.f_tt_builder(grids), basis, op_acc)
     channel = model.channel_builder(grids)
-    bmap = control_map(channel, basis, model.gamma, model.dim, op_acc)
+    bmap = control_map(channel, basis, model.gamma, op_acc)
     ell_proj = project_to_basis(model.ell_tt(grids), basis)
     return GalerkinSystem(
         basis=basis,
@@ -317,9 +314,8 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         cross_state = cross.index_sets if cross is not None else None
         t3 = time.perf_counter()
         solve_stats = {}
-        v = amen_solve_shifted(A, b, v_prev, mu, acc,
-                               sweeps=config.inner_sweeps,
-                               rho=config.enrich_rank, stats=solve_stats)
+        v = amen_solve_shifted(A, b, v_prev, mu, acc, sweeps=config.inner_sweeps,
+                               stats=solve_stats)
         t4 = time.perf_counter()
         c0 = tt_dot(v, e0)
         if c0 != 0.0:
@@ -358,7 +354,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
                 f"{nv:.3e}); try a larger mu0 or delta"
             )
     # drop enrichment leftovers the stopping tolerance cannot distinguish
-    v = tt_round(v, Accuracy(delta=config.delta, max_rank=config.max_rank))
+    v = tt_round(v, acc)
     V = ValueFunction(v, basis).anchored()
     return V, state
 

@@ -8,6 +8,7 @@ lists, so tensors can be shared freely across threads.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -593,17 +594,19 @@ def _sum_sketch(terms, ell: list, rng) -> TTTensor:
 
 
 def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
-    """round(sum of terms, acc) without forming the sum.
+    """round(sum of terms, acc), sketched when the sum is large.
 
-    The exact sum has the terms' ranks added, so it is compressed by one
+    The exact sum has the terms' ranks added.  With p the oversampling, a
+    sketch rank at interface k would start at twice the largest term rank
+    plus p; where that already reaches the summed rank (or the mode products
+    on either side) at every interface, as for any two terms, the exact sum
+    is formed and rounded.  Otherwise the sum is compressed by one
     randomized sketch (randomize-then-orthogonalize, Al Daas et al., SIAM J.
     Sci. Comput. 2023) and then rounded, at cost O(d n R l^2) for the summed
-    rank R and sketch ranks l.  With p the oversampling, the sketch rank at
-    interface k starts at twice the largest term rank plus p, and doubles
-    where the rounded rank comes within p of it; it never exceeds the summed
-    rank, the mode products on either side, or acc.max_rank + p.  The
-    Gaussian draws come from seed, so equal inputs give bitwise-equal
-    results.
+    rank R and sketch ranks l; the sketch rank doubles where the rounded
+    rank comes within p of it, and never exceeds the summed rank, the mode
+    products or acc.max_rank + p.  The Gaussian draws come from seed, so
+    equal inputs give bitwise-equal results.
     """
     d, dims = terms[0].d, terms[0].dims
     if any(t.dims != dims for t in terms):
@@ -611,6 +614,8 @@ def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
     full = [min(sum(t.ranks[k] for t in terms), math.prod(dims[:k]), math.prod(dims[k:]))
             for k in range(d + 1)]
     start = [2 * max(t.ranks[k] for t in terms) + _SUM_OVERSAMPLE for k in range(d + 1)]
+    if all(s >= f for s, f in zip(start, full)):
+        return tt_round(functools.reduce(tt_add, terms), acc)
     return _adaptive_round(lambda ell, rng: _sum_sketch(terms, ell, rng),
                            start, full, _SUM_OVERSAMPLE, acc, seed)
 

@@ -13,7 +13,6 @@ def rng():
 # the tests that use small_model until it has an entry here
 SMALL_MODEL_ARGS = {
     "allen_cahn_1d": {"d": 4},
-    "allen_cahn_2d": {"points_per_axis": 3},
     "fokker_planck": {"D": 8},
     "lq": {"d": 3},
 }

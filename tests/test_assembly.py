@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from tthjb.assembly import (
-    ControlChannel,
     ControlPenalty,
+    _advection,
     apply_constraint,
-    assemble_coupling,
     assemble_drift,
-    assemble_drift_part,
     control_map,
     penalty_cost,
     project_to_basis,
 )
 from tthjb.basis import build_basis
+from tthjb.models import ControlledDynamics
 from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm
 
 ACC = Accuracy(1e-12)
@@ -27,6 +26,12 @@ def nodal_tt(func, basis, d):
     return tt_from_dense(func(pts).reshape((basis.m,) * d), ACC)
 
 
+def grid_points(basis, d):
+    """The nodal grid as points (m^d, d), first axis slowest."""
+    return np.stack([g.reshape(-1) for g in
+                     np.meshgrid(*([basis.nodes] * d), indexing="ij")], axis=1)
+
+
 def dense_drift_oracle(f_funcs, basis, d):
     """Brute-force quadrature of the advection form, entry by entry.
 
@@ -36,12 +41,10 @@ def dense_drift_oracle(f_funcs, basis, d):
     n, m = basis.n, basis.m
     N = n**d
     A = np.zeros((N, N))
-    grids = np.meshgrid(*([basis.nodes] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    pts = grid_points(basis, d)
     wgrid = np.meshgrid(*([basis.weights] * d), indexing="ij")
     w = np.prod(np.stack([g.reshape(-1) for g in wgrid], axis=1), axis=1)
     multi = list(itertools.product(range(n), repeat=d))
-    phi_cols = [basis.phi[:, :], basis.dphi[:, :]]
     # per-dimension tables indexed by the quadrature index along that axis
     qidx = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"),
                     axis=-1).reshape(-1, d)
@@ -60,56 +63,71 @@ def dense_drift_oracle(f_funcs, basis, d):
     return A
 
 
-CHANNEL_FORMS = ("constant", "g_tts")
+CHANNEL_FORMS = ("constant", "affine")
 
 
-def channel_of_form(form, g, m):
-    """The constant direction g as ControlChannel(constant=g), or as g_tts of
-    rank-one constant components on an m-point grid per dimension."""
-    if form == "constant":
-        return ControlChannel(constant=g)
-    d = len(g)
-    return ControlChannel(g_tts=tuple(
-        TTTensor.rank_one([np.full(m, g[p])] + [np.ones(m)] * (d - 1)) for p in range(d)
-    ))
+def channel_model(form, d, rng):
+    """A model with the channel g = B0 (constant) or g = B0 + M x (affine)."""
+    return ControlledDynamics(
+        name=form, a=1.0, penalty=ControlPenalty(gamma=1.0),
+        lin_A=rng.standard_normal((d, d)), lin_B=rng.standard_normal((d, 1)),
+        cost_matrix=np.eye(d), admissible_uncontrolled=True, cubic=1.0,
+        channel_slope=None if form == "constant" else rng.standard_normal((d, d)))
+
+
+def channel_funcs(model):
+    return [lambda pts, p=p: model.channel_eval(pts)[:, p] for p in range(model.dim)]
 
 
 class TestDriftAssembly:
     def test_d1_constant_velocity(self):
         basis = build_basis(2, 1.0)
-        f = TTTensor.rank_one([np.ones(basis.m)])
-        A = assemble_drift([f], basis, ACC).to_dense()
+        one = np.ones(basis.m)
+        A = assemble_drift([([one], [one])], basis, ACC).to_dense()
         want = np.array([[0.0, -np.sqrt(3.0)], [0.0, 0.0]])
         assert np.allclose(A, want, atol=1e-12)
 
     def test_zero_velocity(self):
         basis = build_basis(3, 1.0)
-        f = TTTensor.zeros((basis.m, basis.m))
-        A = assemble_drift([f, f], basis, ACC)
+        one, zero = np.ones(basis.m), np.zeros(basis.m)
+        A = assemble_drift([([one, one], [zero, zero])], basis, ACC)
         assert np.allclose(A.to_dense(), 0.0, atol=1e-14)
 
     def test_dense_quadrature_oracle_d3(self):
         basis = build_basis(3, 1.0)
         funcs = [lambda p: p[:, 0], lambda p: np.sin(p[:, 1]),
                  lambda p: p[:, 0] * p[:, 2]]
-        f_tts = [nodal_tt(f, basis, 3) for f in funcs]
-        A = assemble_drift(f_tts, basis, ACC).to_dense()
+        x, one, zero = basis.nodes, np.ones(basis.m), np.zeros(basis.m)
+        # (x_0, sin x_1, 0) and (0, 0, x_0 x_2)
+        fields = [([one] * 3, [x, np.sin(x), zero]), ([x, one, one], [zero, zero, x])]
+        A = assemble_drift(fields, basis, ACC).to_dense()
         want = dense_drift_oracle(funcs, basis, 3)
         assert np.allclose(A, want, atol=1e-10)
 
     def test_rank_propagation(self, rng):
+        # the field scales u's blocks along the node mode: the chain has
+        # twice u's ranks, whatever the field
         basis = build_basis(3, 1.0)
-        f = TTTensor.random((basis.m, basis.m, basis.m), [1, 3, 2, 1], rng)
-        part = assemble_drift_part(f, 1, basis)
-        assert part.ranks == f.ranks
+        field = tuple([rng.standard_normal(basis.m) for _ in range(3)] for _ in range(2))
+        u = TTTensor.random((basis.m,) * 3, [1, 3, 2, 1], rng)
+        assert _advection([field], u, basis)[0].ranks == (1, 6, 4, 1)
 
     def test_constant_mode_annihilation(self, rng):
         basis = build_basis(4, 2.0)
         d = 3
-        f = TTTensor.random((basis.m,) * d, [1, 2, 2, 1], rng)
-        A = assemble_drift([f, f, f], basis, ACC)
+        fields = [tuple([rng.standard_normal(basis.m) for _ in range(d)] for _ in range(2))
+                  for _ in range(3)]
+        A = assemble_drift(fields, basis, ACC)
         e0 = TTTensor.rank_one([np.eye(basis.n, 1).reshape(-1)] * d)
-        assert tt_norm(tt_matvec(A, e0)) <= 1e-10 * tt_norm(f.round(ACC))
+        assert tt_norm(tt_matvec(A, e0)) <= 1e-10 * tt_norm(A.fuse())
+
+    @pytest.mark.parametrize("form", CHANNEL_FORMS)
+    def test_channel_fields_dense_oracle(self, rng, form):
+        basis = build_basis(3, 1.0)
+        model = channel_model(form, 3, rng)
+        A = assemble_drift(model.channel_builder([basis.nodes] * 3), basis, ACC).to_dense()
+        want = dense_drift_oracle(channel_funcs(model), basis, 3)
+        assert np.allclose(A, want, atol=1e-10)
 
 
 class TestRhsProjection:
@@ -148,16 +166,16 @@ class TestRhsProjection:
 class TestControlMap:
     def test_zero_channel(self):
         basis = build_basis(3, 1.0)
-        channel = ControlChannel(constant=np.zeros(2))
-        bmap = control_map(channel, basis, 0.5, 2, ACC)
+        one, zero = np.ones(basis.m), np.zeros(basis.m)
+        bmap = control_map([([one, one], [zero, zero])], basis, 0.5, ACC)
         v = TTTensor.random((basis.n, basis.n), [1, 2, 1], np.random.default_rng(0))
         assert tt_norm(tt_matvec(bmap, v)) <= 1e-14
 
     def test_quadratic_value_gives_linear_feedback(self):
         gamma = 0.25
         basis = build_basis(4, 1.0)
-        channel = ControlChannel(constant=np.ones(1))
-        bmap = control_map(channel, basis, gamma, 1, ACC)
+        one = np.ones(basis.m)
+        bmap = control_map([([one], [one])], basis, gamma, ACC)
         coeffs = basis.phi.T @ (basis.weights * basis.nodes**2)
         v = TTTensor.rank_one([coeffs])
         u = tt_matvec(bmap, v).to_dense()
@@ -166,18 +184,16 @@ class TestControlMap:
     def test_dense_oracle_d3(self, rng):
         gamma = 0.1
         basis = build_basis(3, 1.0)
-        g = rng.standard_normal(3)
         v = TTTensor.random((basis.n,) * 3, [1, 2, 2, 1], rng)
-        # oracle: -(1/2 gamma) sum_p g_p dV/dx_p evaluated on the nodal grid
+        # oracle: -(1/2 gamma) sum_p g_p(x) dV/dx_p evaluated on the nodal grid
         from tthjb.policy import ValueFunction
 
-        V = ValueFunction(v, basis)
-        pts = np.stack([c.reshape(-1) for c in
-                        np.meshgrid(*([basis.nodes] * 3), indexing="ij")], axis=1)
-        grads, _ = V.gradient(pts)
-        want = -(0.5 / gamma) * grads @ g
+        pts = grid_points(basis, 3)
+        grads, _ = ValueFunction(v, basis).gradient(pts)
         for form in CHANNEL_FORMS:
-            bmap = control_map(channel_of_form(form, g, basis.m), basis, gamma, 3, ACC)
+            model = channel_model(form, 3, rng)
+            want = -(0.5 / gamma) * np.sum(model.channel_eval(pts) * grads, axis=1)
+            bmap = control_map(model.channel_builder([basis.nodes] * 3), basis, gamma, ACC)
             got = tt_matvec(bmap, v).to_dense().reshape(-1)
             assert np.allclose(got, want, atol=1e-10), form
 
@@ -248,16 +264,19 @@ class TestPenaltyCost:
 
 class TestCoupling:
     def test_matches_drift_of_gu(self, rng):
-        # coupling with control u equals the drift assembly of f_p = g_p * u;
-        # d = 3 reaches the middle [[G, H], [0, G]] block of the flag chain
+        # the coupling chains at u against the dense quadrature of the
+        # velocity g(x) u(x); d = 3 reaches the middle [[G, H], [0, G]]
+        # block of the flag chain
         basis = build_basis(3, 1.0)
-        for d in (1, 2, 3):
-            g = rng.standard_normal(d)
+        for d, form in itertools.product((1, 2, 3), CHANNEL_FORMS):
+            model = channel_model(form, d, rng)
             u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
-            f_tts = [u * g[p] for p in range(d)]
-            want = assemble_drift(f_tts, basis, ACC).to_dense()
-            C = assemble_coupling(u, g, basis).to_dense()
-            assert np.allclose(C, want, atol=1e-10), d
+            u_vals = u.to_dense().reshape(-1)
+            want = dense_drift_oracle([lambda pts, f=f: f(pts) * u_vals
+                                       for f in channel_funcs(model)], basis, d)
+            C = sum(op.to_dense() for op in
+                    _advection(model.channel_builder([basis.nodes] * d), u, basis))
+            assert np.allclose(C, want, atol=1e-10), (d, form)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_operator_of_state_dependent_channel(self, rng, d):

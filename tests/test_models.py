@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 from tthjb.models import (
     MODELS,
     allen_cahn_1d,
-    allen_cahn_2d,
     chebyshev_interior_nodes,
     fokker_planck,
     fokker_planck_unshifted,
@@ -87,44 +86,6 @@ class TestAllenCahn1D:
         assert m.penalty.u_max == 2.0
 
 
-class TestAllenCahn2D:
-    @pytest.mark.parametrize("pts", [9, 11])
-    def test_constructible(self, pts):
-        m = allen_cahn_2d(pts)
-        assert m.dim == pts * pts
-
-    def test_origin_equilibrium(self):
-        m = allen_cahn_2d(4)
-        assert np.max(np.abs(m.drift(np.zeros((1, 16))))) <= 1e-10
-
-    def test_linearization_consistency(self):
-        m = allen_cahn_2d(4)
-        J = fd_jacobian(m.drift, 16)
-        assert np.allclose(J, m.lin_A, atol=1e-5)
-
-    @pytest.mark.parametrize("pts", [3, 4])
-    def test_tensorization_of_1d(self, pts):
-        m1, m2 = allen_cahn_1d(pts), allen_cahn_2d(pts)
-        eye = np.eye(pts)
-        L = m1.lin_A - eye
-        assert np.allclose(m2.lin_A - np.eye(pts * pts),
-                           np.kron(L, eye) + np.kron(eye, L), atol=1e-12)
-        assert np.allclose(m2.cost_matrix, np.kron(m1.cost_matrix, m1.cost_matrix),
-                           atol=1e-15)
-        assert np.array_equal(m2.lin_B, np.kron(m1.lin_B, m1.lin_B))
-
-    def test_symmetry(self):
-        # the operator commutes with the xi1 <-> xi2 swap
-        pts = 5
-        m = allen_cahn_2d(pts)
-        perm = np.arange(pts * pts).reshape(pts, pts).T.reshape(-1)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(pts * pts)
-        fx = m.drift(x.reshape(1, -1))[0]
-        fxs = m.drift(x[perm].reshape(1, -1))[0]
-        assert np.allclose(fx[perm], fxs, atol=1e-9)
-
-
 class TestFokkerPlanck:
     def test_ground_potential_at_zero(self):
         from tthjb.models import _ground_potential
@@ -175,7 +136,7 @@ class TestFokkerPlanck:
 
 
 class TestTwoForms:
-    """The TT builders and the batch evaluators describe the same f and g."""
+    """The flag fields and the batch evaluators describe the same f and g."""
 
     @staticmethod
     def _sample(model, rng, points=40):
@@ -184,22 +145,38 @@ class TestTwoForms:
         X = np.stack([grids[k][idx[:, k]] for k in range(model.dim)], axis=1)
         return grids, idx, X
 
+    @staticmethod
+    def _check(fields, idx, want, total):
+        """Each field's components at the grid points, (N, d), against want,
+        and their sum against total."""
+        got = []
+        for g, h in fields:
+            G = np.stack([gk[idx[:, k]] for k, gk in enumerate(g)], axis=1)
+            H = np.stack([hk[idx[:, k]] for k, hk in enumerate(h)], axis=1)
+            # component p is h_p(x_p) times the product of g_k(x_k), k != p
+            got.append(H * np.stack([np.prod(np.delete(G, p, axis=1), axis=1)
+                                     for p in range(G.shape[1])], axis=1))
+        assert len(got) == len(want)
+        scale = np.max(np.abs(total))
+        for q, (a, b) in enumerate(zip(got, want)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale, q
+        assert np.max(np.abs(sum(got) - total)) <= 1e-12 * scale
+
     def test_drift(self, small_model, rng):
-        grids, idx, X = self._sample(small_model, rng)
-        want = small_model.drift(X)
-        scale = np.max(np.abs(want))
-        for p, f_p in enumerate(small_model.f_tt_builder(grids)):
-            assert np.max(np.abs(f_p.eval(idx) - want[:, p])) <= 1e-12 * scale
+        m = small_model
+        grids, idx, X = self._sample(m, rng)
+        want = [X[:, q, None] * m.lin_A[:, q] for q in range(m.dim)]
+        if m.cubic:
+            want.append(-m.cubic * X**3)
+        self._check(m.f_tt_builder(grids), idx, want, m.drift(X))
 
     def test_channel(self, small_model, rng):
-        grids, idx, X = self._sample(small_model, rng)
-        want = small_model.channel_eval(X)
-        channel = small_model.channel_builder(grids)
-        if channel.constant is not None:
-            got = np.broadcast_to(channel.constant, want.shape)
-        else:
-            got = np.stack([g.eval(idx) for g in channel.g_tts], axis=1)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        m = small_model
+        grids, idx, X = self._sample(m, rng)
+        want = [np.broadcast_to(m.lin_B.reshape(-1), X.shape)]
+        if m.channel_slope is not None:
+            want += [X[:, q, None] * m.channel_slope[:, q] for q in range(m.dim)]
+        self._check(m.channel_builder(grids), idx, want, m.channel_eval(X))
 
 
 class TestRiccati:
@@ -236,11 +213,10 @@ class TestRiccati:
 
 class TestRegistry:
     def test_names(self):
-        assert set(MODELS) == {"allen_cahn_1d", "allen_cahn_2d",
-                               "fokker_planck", "lq"}
+        assert set(MODELS) == {"allen_cahn_1d", "fokker_planck", "lq"}
 
     def test_equilibrium_invariants(self):
-        built = [allen_cahn_1d(8), allen_cahn_2d(3), fokker_planck(D=12), lq(6)]
+        built = [allen_cahn_1d(8), fokker_planck(D=12), lq(6)]
         for m in built:
             z = np.zeros((1, m.dim))
             assert np.max(np.abs(m.drift(z))) <= 1e-9

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,27 @@ class TestSumRound:
         b = tt_sum_round(terms, Accuracy(1e-6))
         assert sketches == [[1, 12, 32, 12, 1], [1, 12, 64, 12, 1], [1, 12, 96, 12, 1]]
         assert np.linalg.norm(b.to_dense() - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
+    def test_exact_range_rounds_the_sum(self, rng, monkeypatch, count, r):
+        # the summed ranks (at most 12, 18 and 60) stay within the starting
+        # sketch rank 2 r + 20 at every interface, the last one exactly: the
+        # exact sum is rounded, unsketched
+        sketches = self._sketches(monkeypatch)
+        terms, _ = self._case(rng, 4, terms=count, r=r, flat=True)
+        acc = Accuracy(1e-3, max_rank=7)
+        b = tt_sum_round(terms, acc)
+        want = tt_round(functools.reduce(tt_add, terms), acc)
+        assert sketches == []
+        assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+
+    def test_many_terms_are_sketched(self, rng, monkeypatch):
+        # sixteen terms: the first interface (rank 12 at most) is within the
+        # starting sketch, the middle one (summed rank 96) is not
+        sketches = self._sketches(monkeypatch)
+        terms, _ = self._case(rng, 4, terms=16)
+        tt_sum_round(terms, Accuracy(1e-3))
+        assert sketches and sketches[0] == [1, 12, 32, 12, 1]
 
     def test_bitwise_repeatable(self, rng):
         terms, _ = self._case(rng, 4, flat=True)
