@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
 from .tt import (
     Accuracy,
@@ -21,8 +21,10 @@ from .tt import (
     TTTensor,
     orthogonalize_right,
     _carry_left,
-    _svd,
+    _check,
     _chop,
+    _qr,
+    _svd,
 )
 
 __all__ = ["amen_solve_shifted"]
@@ -150,7 +152,7 @@ def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor
                 blocks[k] = blk
                 break
             r0, _, r1 = blk.shape
-            q, _ = np.linalg.qr(blk.reshape(r0 * dims[k], r1))
+            q = _qr(blk.reshape(r0 * dims[k], r1), "q")
             blocks[k] = q.reshape(r0, dims[k], q.shape[1])
             LA = _advance_op(LA, blocks[k], A.blocks[k], v.blocks[k])
             Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
@@ -218,10 +220,11 @@ def _solve_local(H_parts, g, shift, x0, delta, stats):
         stats["gmres_fallbacks"] += 1
     H = _local_matrix(LA, Ab, RA)
     H[np.diag_indices_from(H)] += shift
-    try:
-        x = np.linalg.solve(H, g)
-    except np.linalg.LinAlgError:
+    _, _, x, info = dgesv(H, g)
+    if info > 0:  # an exactly zero pivot: H + shift I is singular
         x = np.linalg.lstsq(H, g, rcond=None)[0]
+    else:
+        _check(info, "dgesv", H.shape)
     return x, float(np.linalg.norm(H @ x - g))
 
 
@@ -288,7 +291,7 @@ def amen_solve_shifted(
             zb = Lz @ res.blocks[k].reshape(Lz.shape[1], -1)
             aug = np.concatenate([u, zb.reshape(r0 * n, -1)], axis=1)
             rho_k = aug.shape[1] - keep
-            q, rm = np.linalg.qr(aug)
+            q, rm = _qr(aug)
             blocks[k] = q.reshape(r0, n, q.shape[1])
             carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
             blocks[k + 1] = _carry_left(carry, blocks[k + 1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .tt import Accuracy, TTTensor, tt_norm
+from .tt import Accuracy, TTTensor, _svd, tt_norm
 
 __all__ = ["GridFunction", "TTMap", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross",
            "rank_adapt", "random_index_sets", "tt_function_cross"]
@@ -241,7 +241,7 @@ def _trimmed_basis(F: np.ndarray, delta: float) -> np.ndarray:
     interpolant, which stalls convergence and inflates ranks, so singular
     values below a small fraction of the truncation target are dropped.
     """
-    u, s, _ = np.linalg.svd(F, full_matrices=False)
+    u, s, _ = _svd(F)
     tol = max(1e-14, 1e-2 * delta) * (s[0] if s[0] > 0 else 1.0)
     keep = max(int(np.sum(s > tol)), 1)
     return u[:, :keep]

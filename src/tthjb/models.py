@@ -159,7 +159,7 @@ def _clenshaw_curtis_weights(nodes: np.ndarray) -> np.ndarray:
     j = np.arange(n)
     even = j % 2 == 0
     moments[even] = 2.0 / (1.0 - j[even] ** 2)
-    return np.linalg.solve(C, moments)
+    return scipy.linalg.solve(C, moments)
 
 
 def _neumann_closure(d: int):
@@ -174,7 +174,7 @@ def _neumann_closure(d: int):
     interior = np.arange(1, d + 1)
     M = D[np.ix_(bnd, bnd)]
     rhs = -D[np.ix_(bnd, interior)]
-    corr = np.linalg.solve(M, rhs)  # (2, d)
+    corr = scipy.linalg.solve(M, rhs)  # (2, d)
     E = np.zeros((d + 2, d))
     E[interior, np.arange(d)] = 1.0
     E[0] = corr[0]
@@ -428,7 +428,7 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     As = A + beta * np.eye(A.shape[0])
     X = scipy.linalg.solve_continuous_lyapunov(As, 2.0 * B @ B.T)
     try:
-        K = np.linalg.solve(X, B).T
+        K = scipy.linalg.solve(X, B).T
     except np.linalg.LinAlgError as exc:
         raise ValueError("system appears unstabilizable (singular Bass Gramian)") from exc
     if np.max(np.linalg.eigvals(A - B @ K).real) >= 0:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf as _dgeqrf, dgesdd as _dgesdd, dorgqr as _dorgqr
 
 __all__ = [
     "Accuracy",
@@ -74,18 +75,46 @@ def _chop(s: np.ndarray, budget: float, max_rank: int | None) -> int:
     return keep
 
 
+def _check(info: int, routine: str, shape) -> None:
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} failed (info {info}) on a matrix of shape {shape}")
+
+
+@functools.cache
+def _upper(k: int, n: int) -> np.ndarray:
+    """Mask of the upper triangle of a (k, n) matrix."""
+    return ~np.tri(k, n, -1, dtype=bool)
+
+
+def _qr(a: np.ndarray, mode: str = "qr"):
+    """Reduced QR of a matrix by LAPACK (dgeqrf, then dorgqr for Q).
+
+    With k = min(m, n), Q is (m, k) with orthonormal columns and R is (k, n),
+    exactly zero below its diagonal.  mode "qr" returns (Q, R), "q" Q alone
+    and "r" R alone; a factor not asked for is never formed.  Called
+    directly, LAPACK costs half of np.linalg.qr at the ranks of a sweep.
+    """
+    k = min(a.shape)
+    qr, tau, _, info = _dgeqrf(a)
+    _check(info, "dgeqrf", a.shape)
+    if mode != "q":
+        r = np.where(_upper(k, a.shape[1]), qr[:k], 0.0)
+        if mode == "r":
+            return r
+    q, _, info = _dorgqr(qr[:, :k], tau, overwrite_a=1)
+    _check(info, "dorgqr", a.shape)
+    return q if mode == "q" else (q, r)
+
+
 def _svd(mat: np.ndarray):
-    """SVD with a transposed-unfolding retry; failure here must not pass silently."""
-    try:
-        return np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            u, s, vt = np.linalg.svd(mat.T, full_matrices=False)
-            return vt.T, s, u.T
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"SVD failed on block unfolding of shape {mat.shape}"
-            ) from exc
+    """Reduced SVD by LAPACK's dgesdd, retried on the transposed unfolding;
+    failure here must not pass silently."""
+    u, s, vt, info = _dgesdd(mat, full_matrices=0)
+    if not info:
+        return u, s, vt
+    u, s, vt, info = _dgesdd(mat.T, full_matrices=0)
+    _check(info, "dgesdd", mat.shape)
+    return vt.T, s, u.T
 
 
 class TTTensor:
@@ -246,9 +275,6 @@ class TTMatrix:
             ]
         )
 
-    def round(self, acc: Accuracy) -> "TTMatrix":
-        return TTMatrix.unfuse(self.fuse().round(acc), self.row_dims, self.col_dims)
-
     def __add__(self, other):
         if self.row_dims != other.row_dims or self.col_dims != other.col_dims:
             raise ValueError("dimension mismatch in TTMatrix add")
@@ -373,7 +399,7 @@ def tt_norm(a: TTTensor) -> float:
     carry = a.blocks[-1]
     for blk in a.blocks[-2::-1]:
         r0, n, r1 = carry.shape
-        rm = np.linalg.qr(carry.reshape(r0, n * r1).T, mode="r")
+        rm = _qr(carry.reshape(r0, n * r1).T, "r")
         carry = _carry_right(blk, rm.T)
     return float(np.linalg.norm(carry))
 
@@ -423,7 +449,7 @@ def orthogonalize_left(t: TTTensor, upto: int) -> TTTensor:
     blocks = list(t.blocks)
     for k in range(min(upto, t.d - 1)):
         r0, n, r1 = blocks[k].shape
-        q, rm = np.linalg.qr(blocks[k].reshape(r0 * n, r1))
+        q, rm = _qr(blocks[k].reshape(r0 * n, r1))
         blocks[k] = q.reshape(r0, n, q.shape[1])
         blocks[k + 1] = _carry_left(rm, blocks[k + 1])
     return TTTensor(blocks)
@@ -436,7 +462,7 @@ def orthogonalize_right(t: TTTensor, downto: int) -> TTTensor:
     blocks = list(t.blocks)
     for k in range(t.d - 1, max(downto, 1) - 1, -1):
         r0, n, r1 = blocks[k].shape
-        q, rm = np.linalg.qr(blocks[k].reshape(r0, n * r1).T)
+        q, rm = _qr(blocks[k].reshape(r0, n * r1).T)
         blocks[k] = q.T.reshape(q.shape[1], n, r1)
         blocks[k - 1] = _carry_right(blocks[k - 1], rm.T)
     return TTTensor(blocks)
@@ -506,7 +532,7 @@ def _square_sketch(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
         if k == d - 1:
             blocks.append(core.sum(axis=1).reshape(s, n, 1))
             break
-        q, _ = np.linalg.qr(core @ right[k + 1])
+        q = _qr(core @ right[k + 1], "q")
         blocks.append(q.reshape(s, n, -1))
         frame = q.T @ core
     return TTTensor(blocks)
@@ -583,7 +609,7 @@ def _sum_sketch(terms, ell: list, rng) -> TTTensor:
         if k == d - 1:
             blocks.append(sum(cores).reshape(s, n, 1))
             break
-        q, _ = np.linalg.qr(sum(c @ w for c, w in zip(cores, right[k + 1])))
+        q = _qr(sum(c @ w for c, w in zip(cores, right[k + 1])), "q")
         l1 = q.shape[1]
         blocks.append(q.reshape(s, n, l1))
         # the next frames are q^T times those columns, met block by block

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from tthjb import amen
+from tthjb import amen, tt
 from tthjb.amen import (
     _advance_op,
     _advance_vec,
@@ -17,16 +17,22 @@ from tthjb.amen import (
     _solve_local,
     amen_solve_shifted,
 )
+from tthjb.cross import GridFunction, tt_cross
+from tthjb.models import lq
+from tthjb.policy import SolverConfig, policy_iterate
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
     TTTensor,
     orthogonalize_left,
+    orthogonalize_right,
     tt_dot,
     tt_from_dense,
     tt_matvec,
     tt_norm,
     tt_round,
+    tt_square_sum,
+    tt_sum_round,
     tt_to_dense,
 )
 
@@ -233,6 +239,21 @@ class TestLocalSolve:
             assert res > 1e-8 * np.linalg.norm(g)
             assert "maxiter" in caplog.text
             assert counts == {"gmres_fallbacks": 0, "gmres_unconverged": 1}
+
+    def test_singular_dense_system_takes_least_squares(self, monkeypatch):
+        # H + shift I = diag(1, 2, 0) has an exact zero pivot, so dgesv
+        # reports it and the solve returns the least-squares answer
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+        one = np.ones((1, 1, 1))
+        Ab = np.diag([1.0, 2.0, 0.0]).reshape(1, 3, 3, 1)
+        x, res = _solve_local((one, Ab, one), np.array([1.0, 2.0, 3.0]), 0.0,
+                              np.zeros((1, 3, 1)), 1e-10, solve_counts())
+        assert calls == [1]
+        assert np.allclose(x, [1.0, 1.0, 0.0], rtol=0, atol=1e-14)
+        assert res == pytest.approx(3.0)
 
 
 def spd_tt_matrix(rng, dims):
@@ -461,4 +482,49 @@ class TestNoTensordot:
         tt_dot(v, b)
         tt_matvec(A, v)
         orthogonalize_left(v, v.d - 1)
+        assert calls == []
+
+
+class TestNoNumpyFactorizations:
+    def test_solve_path_calls_lapack_directly(self, rng, monkeypatch):
+        """np.linalg's qr, svd and solve cost about twice their LAPACK calls
+        at the ranks of a sweep; the solve path calls LAPACK directly."""
+        calls = []
+        for name in ("qr", "svd", "solve"):
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        a = np.eye(2)
+        np.linalg.qr(a)
+        np.linalg.svd(a)
+        np.linalg.solve(a, a)
+        assert calls == ["qr", "svd", "solve"]  # the counters see calls through numpy
+        calls.clear()
+        dims = (4, 3, 5)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
+        for crossover in (amen._GMRES_CROSSOVER, 0):
+            # dense local solves, then every local solve through GMRES
+            monkeypatch.setattr(amen, "_GMRES_CROSSOVER", crossover)
+            v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
+        tt_round(v + b, Accuracy(1e-10))
+        tt_norm(v - b)
+        orthogonalize_left(v, v.d - 1)
+        orthogonalize_right(v, 0)
+        u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
+        tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))
+        # eight terms of rank 6 add to 48 > 2 * 6 + 20: the sketched branch
+        sketches = []
+        sum_sketch = tt._sum_sketch
+        monkeypatch.setattr(tt, "_sum_sketch",
+                            lambda *args: sketches.append(1) or sum_sketch(*args))
+        terms = [TTTensor.random((6,) * 4, [1, 6, 6, 6, 1], rng) for _ in range(8)]
+        tt_sum_round(terms, Accuracy(1e-3))
+        assert sketches
+        t = TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng)
+        tt_cross(GridFunction(evaluator=t.eval, grid=[np.arange(5.0)] * 4), Accuracy(1e-12))
+        _, state = policy_iterate(lq(3), SolverConfig(delta=1e-4, n=3, max_policy_iters=2))
+        assert len(state.history) == 2
         assert calls == []

@@ -61,8 +61,9 @@ def test_model_contract_of_the_benchmark(small_model):
 def test_wrapped_builders_called_once_per_solve(small_model):
     # the tracer replaces the two TT builders on the instance; a setup-only
     # solve must go through each wrapper exactly once. The solve starts from
-    # the zero policy: one actuator cannot stabilize allen_cahn_2d's
-    # linearization, so its LQR warm start raises.
+    # the zero policy, so the count does not depend on the LQR warm start;
+    # no small_model's warm start raises (allen_cahn_1d and fokker_planck
+    # take one, lq and fokker_planck_unshifted need none).
     model = dataclasses.replace(small_model, admissible_uncontrolled=True)
     tracer = _load_tracing().Tracer()
     tracer._wrap_model(model)

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from tthjb import tt
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
@@ -403,6 +404,67 @@ class TestOrthogonalize:
         t = TTTensor.random((3, 3, 3), [1, 2, 2, 1], rng)
         q = orthogonalize_left(t, t.d - 1)
         assert np.isclose(np.linalg.norm(q.blocks[-1]), tt_norm(t))
+
+
+class TestLapackKernels:
+    @staticmethod
+    def _matrix(rng, shape):
+        if shape == "deficient":
+            # rank 2 with a zero column, so R has an exact zero on its diagonal
+            a = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+            a[:, 1] = 0.0
+            return a
+        return rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 8), (5, 5), "deficient"],
+                             ids=["tall", "wide", "square", "deficient"])
+    def test_qr(self, rng, shape):
+        a = self._matrix(rng, shape)
+        k = min(a.shape)
+        q, r = tt._qr(a)
+        assert q.shape == (a.shape[0], k) and r.shape == (k, a.shape[1])
+        assert np.allclose(q.T @ q, np.eye(k), rtol=0, atol=1e-13)
+        assert np.all(r[np.tril_indices(k, -1, a.shape[1])] == 0.0)
+        assert np.abs(q @ r - a).max() <= 1e-13 * max(np.abs(a).max(), 1.0)
+        assert np.array_equal(tt._qr(a, "q"), q)
+        assert np.array_equal(tt._qr(a, "r"), r)
+
+    def test_qr_does_not_change_its_input(self, rng):
+        a = rng.standard_normal((6, 3))
+        before = a.copy()
+        tt._qr(a.T)
+        tt._qr(a)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 8), "deficient"],
+                             ids=["tall", "wide", "deficient"])
+    def test_svd_matches_numpy(self, rng, shape):
+        a = self._matrix(rng, shape)
+        u, s, vt = tt._svd(a)
+        assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-13 * s[0])
+        assert np.abs((u * s) @ vt - a).max() <= 1e-13 * s[0]
+
+    def test_svd_retries_the_transpose(self, rng, monkeypatch):
+        a = rng.standard_normal((7, 3))
+        seen = []
+        dgesdd = tt._dgesdd
+
+        def fails_once(mat, **kwargs):
+            seen.append(mat.shape)
+            u, s, vt, info = dgesdd(mat, **kwargs)
+            return u, s, vt, info if len(seen) > 1 else 1
+
+        monkeypatch.setattr(tt, "_dgesdd", fails_once)
+        u, s, vt = tt._svd(a)
+        assert seen == [(7, 3), (3, 7)]
+        assert u.shape == (7, 3) and vt.shape == (3, 3)
+        assert np.allclose(u.T @ u, np.eye(3), atol=1e-13)
+        assert np.abs((u * s) @ vt - a).max() <= 1e-13 * s[0]
+
+    def test_svd_failure_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(tt, "_dgesdd", lambda mat, **kwargs: (None, None, None, 1))
+        with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+            tt._svd(rng.standard_normal((4, 3)))
 
 
 class TestQuadraticToTT:
