@@ -12,8 +12,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dlartg, dtrtrs
 
 from .tt import (
     Accuracy,
@@ -161,28 +160,86 @@ def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor
 
 
 def _block_jacobi(LA, Ab, RA, shift):
-    """Diagonal blocks of H + shift I in the right frame index, and inverse.
+    """Inverse of the diagonal blocks of H + shift I in the right frame index.
 
     Block b is sum_{A,B} LA[:, A, :] (x) Ab[A, :, :, B] RA[b, B, b] + shift I,
-    one (r0 n)^2 matrix per b, LU-factored once.  Returns the maps applying
-    the block-diagonal matrix and its inverse to a flat (a, i, b) vector.
+    one (r0 n)^2 matrix per b, LU-factored once.  Returns the map applying
+    the inverse of the block-diagonal matrix to a flat (a, i, b) vector.
     """
     r0, n, r1 = LA.shape[0], Ab.shape[1], RA.shape[0]
+    size = r0 * n
     rdiag = np.einsum("bBb->bB", RA)
     M = (rdiag @ _left_op(LA, Ab).T).reshape(r1, r0, r0, n, n)             # b a c i j
-    M = M.transpose(0, 1, 3, 2, 4).reshape(r1, r0 * n, r0 * n)
-    M += shift * np.eye(r0 * n)
-    factors = [dgetrf(blk)[:2] for blk in M]
-
-    def apply(x):
-        return np.einsum("bij,jb->ib", M, x.reshape(r0 * n, r1)).reshape(-1)
+    # each block stored transposed, (c j, a i): M[b].T is the block in
+    # Fortran order, which dgetrf factors in place
+    M = M.transpose(0, 2, 4, 1, 3).reshape(r1, size * size)
+    M[:, ::size + 1] += shift
+    factors = [dgetrf(blk.reshape(size, size).T, overwrite_a=True)[:2] for blk in M]
 
     def solve(y):
-        y = y.reshape(r0 * n, r1)
+        y = y.reshape(size, r1)
         cols = [dgetrs(lu, piv, y[:, b])[0] for b, (lu, piv) in enumerate(factors)]
         return np.stack(cols, axis=1).reshape(-1)
 
-    return apply, solve
+    return solve
+
+
+def _gmres(matvec, psolve, g, x0, tol, restart=60):
+    """One cycle of right-preconditioned GMRES for A x = g, started at x0.
+
+    Minimizes ||g - A x|| over x = x0 + M^-1 V z, where V spans the Krylov
+    space of A M^-1 on the residual of x0, so the start makes no trip
+    through M.  The basis is orthogonalized by classical Gram-Schmidt twice,
+    as products with the whole basis, and the Hessenberg matrix is reduced
+    by LAPACK rotations.  The cycle stops when the residual estimate reaches
+    tol ||g||, on a breakdown (the Krylov space is invariant and the
+    estimate exact), or after restart steps.  Returns (x, ||g - A x||); a
+    residual above tol ||g|| means the cycle did not converge.
+    """
+    gnorm = np.linalg.norm(g)
+    if not gnorm:
+        return np.zeros_like(g), 0.0
+    target = tol * gnorm
+    r = g - matvec(x0)
+    beta = np.linalg.norm(r)
+    if beta <= target:
+        return x0, float(beta)
+    m = min(restart, g.size)
+    eps = np.finfo(float).eps
+    V = np.empty((m + 1, g.size))
+    Z = np.empty((m, g.size))                     # M^-1 V
+    R = np.zeros((m, m))                          # the rotated Hessenberg matrix
+    rotations = []
+    e = [float(beta)] + [0.0] * m                 # the rotated residual
+    V[0] = r / beta
+    for j in range(m):
+        Z[j] = psolve(V[j])
+        w = matvec(Z[j])
+        wnorm = np.linalg.norm(w)
+        h = V[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        h2 = V[:j + 1] @ w
+        w -= h2 @ V[:j + 1]
+        col = (h + h2).tolist()
+        hnorm = np.linalg.norm(w)
+        if hnorm <= eps * wnorm:                  # breakdown: A M^-1 v_j in span V
+            hnorm = 0.0
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        c, s, col[j] = dlartg(col[j], hnorm)
+        rotations.append((c, s))
+        R[:j + 1, j] = col
+        e[j], e[j + 1] = c * e[j], -s * e[j]
+        if abs(e[j + 1]) <= target:               # a breakdown makes it 0
+            break
+        V[j + 1] = w / hnorm
+    k = j + 1 if R[j, j] else j                   # a zero pivot adds no direction
+    if not k:
+        return x0, float(beta)
+    y, info = dtrtrs(R[:k, :k], e[:k])
+    _check(info, "dtrtrs", (k, k))
+    x = x0 + y @ Z[:k]
+    return x, float(np.linalg.norm(g - matvec(x)))
 
 
 def _solve_local(H_parts, g, shift, x0, delta, stats):
@@ -204,22 +261,18 @@ def _solve_local(H_parts, g, shift, x0, delta, stats):
             y = _apply_local(LA, Ab, RA, x.reshape(r0, n, r1))
             return y.reshape(-1) + shift * x
 
-        apply_M, solve_M = _block_jacobi(LA, Ab, RA, shift)
-        # GMRES on (H + shift I) M^-1 y = g minimizes the true residual
-        op = scipy.sparse.linalg.LinearOperator(
-            (size, size), matvec=lambda y: matvec(solve_M(y)), dtype=float)
         tol = min(1e-8, 1e-2 * delta)
-        y, info = scipy.sparse.linalg.gmres(op, g, x0=apply_M(x0), rtol=tol,
-                                            atol=0.0, restart=60, maxiter=1)
-        x = solve_M(y)
-        if info == 0 or size > _DENSE_LIMIT:
-            if info:
+        x, res = _gmres(matvec, _block_jacobi(LA, Ab, RA, shift), g,
+                        x0.reshape(-1), tol)
+        converged = res <= tol * np.linalg.norm(g)
+        if converged or size > _DENSE_LIMIT:
+            if not converged:
                 log.warning("local GMRES stopped at maxiter (size %d)", size)
                 stats["gmres_unconverged"] += 1
-            return x, float(np.linalg.norm(matvec(x) - g))
+            return x, res
         stats["gmres_fallbacks"] += 1
     H = _local_matrix(LA, Ab, RA)
-    H[np.diag_indices_from(H)] += shift
+    H.flat[::size + 1] += shift
     _, _, x, info = dgesv(H, g)
     if info > 0:  # an exactly zero pivot: H + shift I is singular
         x = np.linalg.lstsq(H, g, rcond=None)[0]

@@ -194,12 +194,6 @@ class TTTensor:
             cur = cur @ b[:, indices[:, k], :].transpose(1, 0, 2)
         return cur[:, 0, 0]
 
-    def round(self, acc: Accuracy) -> "TTTensor":
-        return tt_round(self, acc)
-
-    def norm(self) -> float:
-        return tt_norm(self)
-
     def __add__(self, other):
         return tt_add(self, other)
 

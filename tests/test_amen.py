@@ -11,6 +11,7 @@ from tthjb.amen import (
     _apply_local,
     _block_jacobi,
     _fit_combination,
+    _gmres,
     _local_matrix,
     _project,
     _right_interfaces,
@@ -130,8 +131,8 @@ class TestKernels:
         assert np.allclose(got, H @ x.reshape(-1), rtol=1e-12, atol=1e-12)
 
     def test_block_jacobi_is_the_block_diagonal(self, rng):
-        # with a general right interface the preconditioner keeps exactly the
-        # blocks of H + shift I whose right frame indices agree
+        # with a general right interface the preconditioner inverts exactly
+        # the blocks of H + shift I whose right frame indices agree
         LA = rng.standard_normal((self.a, self.A, self.a))
         Ab = rng.standard_normal((self.A, self.n, self.n, self.B))
         RA = rng.standard_normal((self.b, self.B, self.b))
@@ -139,9 +140,9 @@ class TestKernels:
         size = self.a * self.n
         H = _local_matrix(LA, Ab, RA).reshape(size, self.b, size, self.b)
         x = rng.standard_normal((size, self.b))
-        want = np.einsum("ibjb,jb->ib", H, x) + shift * x
-        apply_M, _ = _block_jacobi(LA, Ab, RA, shift)
-        assert np.allclose(apply_M(x.reshape(-1)), want.reshape(-1), rtol=1e-12, atol=1e-12)
+        y = np.einsum("ibjb,jb->ib", H, x) + shift * x
+        solve_M = _block_jacobi(LA, Ab, RA, shift)
+        assert np.allclose(solve_M(y.reshape(-1)), x.reshape(-1), rtol=1e-10, atol=1e-10)
 
     def test_project(self, rng):
         blocks = [rng.standard_normal((self.p, self.n, self.q)),
@@ -168,10 +169,11 @@ class TestLocalSolve:
         LA, Ab, RA = local_parts(rng, 4, 3, r1, diagonal_right=True)
         shift = 0.7
         H = _local_matrix(LA, Ab, RA) + shift * np.eye(4 * 3 * r1)
-        apply_M, solve_M = _block_jacobi(LA, Ab, RA, shift)
-        x = rng.standard_normal(H.shape[0])
-        assert np.allclose(apply_M(x), H @ x, rtol=1e-12, atol=1e-12)
-        assert np.allclose(solve_M(H @ x), x, rtol=1e-10, atol=1e-10)
+        solve_M = _block_jacobi(LA, Ab, RA, shift)
+        x = rng.standard_normal((4 * 3, r1))
+        y = np.einsum("ibjb,jb->ib", H.reshape(4 * 3, r1, 4 * 3, r1), x)
+        assert np.allclose(y.reshape(-1), H @ x.reshape(-1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(solve_M(H @ x.reshape(-1)), x.reshape(-1), rtol=1e-10, atol=1e-10)
 
     def test_gmres_above_crossover_matches_dense(self, rng, monkeypatch):
         # a well-conditioned system of 8 * 5 * 10 = 400 > crossover unknowns,
@@ -193,14 +195,14 @@ class TestLocalSolve:
         assert res == pytest.approx(np.linalg.norm(H @ x - g), rel=1e-6)
         assert res <= tol * np.linalg.norm(g)
         # warm-started at the answer, GMRES stops at its first residual
-        # check: one product there and one for the returned residual
+        # check and returns that residual: one product
         products = []
         apply_local = amen._apply_local
         monkeypatch.setattr(amen, "_apply_local",
                             lambda *args: products.append(1) or apply_local(*args))
         _solve_local((LA, Ab, RA), g, shift, want.reshape(r0, n, r1), delta,
                      solve_counts())
-        assert len(products) == 2
+        assert len(products) == 1
 
     @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["dense", "above_limit"])
     def test_unconverged_gmres_falls_back_to_dense(self, rng, monkeypatch, caplog,
@@ -215,21 +217,21 @@ class TestLocalSolve:
         shift, delta = 0.0, 1e-3
         H = _local_matrix(LA, Ab, RA)
         g = rng.standard_normal(H.shape[0])
-        infos = []
-        gmres = scipy.sparse.linalg.gmres
+        residuals = []
 
         def recording_gmres(*args, **kwargs):
-            out = gmres(*args, **kwargs)
-            infos.append(out[1])
+            out = _gmres(*args, **kwargs)
+            residuals.append(out[1])
             return out
 
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording_gmres)
+        monkeypatch.setattr(amen, "_gmres", recording_gmres)
         monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
         counts = solve_counts()
         with caplog.at_level(logging.WARNING, logger="tthjb.amen"):
             x, res = _solve_local((LA, Ab, RA), g, shift,
                                   np.zeros((r0, n, r1)), delta, counts)
-        assert len(infos) == 1 and infos[0] > 0
+        tol = min(1e-8, 1e-2 * delta)
+        assert len(residuals) == 1 and residuals[0] > tol * np.linalg.norm(g)
         assert res == pytest.approx(np.linalg.norm(H @ x - g), rel=1e-6)
         if dense_limit:
             assert np.allclose(x, np.linalg.solve(H, g), rtol=1e-8, atol=1e-10)
@@ -254,6 +256,95 @@ class TestLocalSolve:
         assert calls == [1]
         assert np.allclose(x, [1.0, 1.0, 0.0], rtol=0, atol=1e-14)
         assert res == pytest.approx(3.0)
+
+
+class TestGmres:
+    """One cycle of amen._gmres on explicit nonsymmetric systems."""
+
+    @staticmethod
+    def _system(rng, n=40):
+        # rows scaled over three decades: the eigenvalues of diag(d) B lie
+        # near those of B, about 3 within a disc of radius 1, but its columns
+        # are far from orthogonal
+        d = np.logspace(0, 3, n)
+        B = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+        return d[:, None] * B, rng.standard_normal(n), d
+
+    @staticmethod
+    def _counting(A, products):
+        return lambda x: products.append(1) or A @ x
+
+    @pytest.mark.parametrize("precond", ["identity", "row_scale"])
+    def test_matches_dense_solve(self, rng, precond):
+        # right preconditioning by the row scale d solves with diag(d) B
+        # diag(1/d), which is similar to B; the answer must not depend on it
+        A, g, d = self._system(rng)
+        psolve = (lambda v: v) if precond == "identity" else (lambda v: v / d)
+        x, res = _gmres(lambda v: A @ v, psolve, g, rng.standard_normal(g.size), 1e-12)
+        want = np.linalg.solve(A, g)
+        assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+        assert res <= 1e-12 * np.linalg.norm(g)
+
+    def test_returns_true_residual(self, rng):
+        A, g, d = self._system(rng)
+        x, res = _gmres(lambda v: A @ v, lambda v: v / d, g, rng.standard_normal(g.size),
+                        1e-6)
+        assert res == np.linalg.norm(g - A @ x)
+
+    def test_start_at_answer_costs_one_product(self, rng):
+        A, g, d = self._system(rng)
+        x0 = np.linalg.solve(A, g)
+        products = []
+        x, res = _gmres(self._counting(A, products), lambda v: v / d, g, x0, 1e-8)
+        assert x is x0
+        assert len(products) == 1
+        assert res == np.linalg.norm(g - A @ x0)
+
+    def test_short_restart_reports_unconverged(self, rng):
+        # two steps cannot reach 1e-10 on a system of 40 unknowns: the
+        # residual comes back above tol ||g||, so the caller falls back,
+        # and still below the start's, since GMRES minimizes it
+        A, g, _ = self._system(rng)
+        x0 = np.zeros_like(g)
+        products = []
+        x, res = _gmres(self._counting(A, products), lambda v: v, g, x0, 1e-10,
+                        restart=2)
+        assert res == np.linalg.norm(g - A @ x)
+        assert 1e-10 * np.linalg.norm(g) < res < np.linalg.norm(g)
+        assert len(products) == 4  # start, two steps, returned residual
+
+    def test_breakdown_on_identity_plus_rank_one(self, rng):
+        # A = I + u v^T maps g = 2u to (1 + v.u) g, so the Krylov space of g
+        # is one-dimensional: the second basis vector is exactly zero, and
+        # with tol 0 only the breakdown can end the cycle before its restart
+        n = 30
+        u = np.zeros(n)
+        u[0] = 1.0
+        v = rng.standard_normal(n)
+        A = np.eye(n) + np.outer(u, v)
+        g = 2.0 * u
+        products = []
+        x, res = _gmres(self._counting(A, products), lambda w: w, g, np.zeros(n), 0.0)
+        assert np.all(np.isfinite(x))
+        assert len(products) == 3  # start, one step, returned residual
+        assert np.allclose(x, g / (1.0 + v[0]), rtol=1e-14, atol=0)
+        assert res <= 1e-15 * np.linalg.norm(g)
+
+    def test_null_direction_returns_the_start(self):
+        # A maps the start's residual to zero, so the first column of the
+        # Hessenberg matrix vanishes: no step can lower the residual, and the
+        # start comes back with it, unconverged and without a NaN
+        A = np.diag([0.0, 1.0, 2.0])
+        g = np.array([1.0, 0.0, 0.0])
+        x0 = np.zeros(3)
+        x, res = _gmres(lambda v: A @ v, lambda v: v, g, x0, 1e-8)
+        assert x is x0
+        assert res == 1.0
+
+    def test_zero_right_hand_side_gives_zero(self, rng):
+        A, g, _ = self._system(rng)
+        x, res = _gmres(lambda v: A @ v, lambda v: v, np.zeros_like(g), g, 1e-8)
+        assert not x.any() and res == 0.0
 
 
 def spd_tt_matrix(rng, dims):
@@ -421,16 +512,19 @@ class TestSolveStats:
 
     @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["fallback", "unconverged"])
     def test_stalled_gmres_is_counted(self, rng, monkeypatch, dense_limit):
-        # every local system goes to a GMRES that stops at once with info > 0:
-        # within _DENSE_LIMIT each is redone by dense LU, above it each keeps
-        # the warm start, whose residual is reported relative to ||g||, so it
+        # every local system goes to a GMRES that stops at once and returns
+        # zero with its true residual ||g||, unconverged even where a dense
+        # solve of the previous sweep made the warm start the answer: within
+        # _DENSE_LIMIT each is redone by dense LU, above it each keeps the
+        # zero iterate, whose residual is reported relative to ||g||, so it
         # does not change when the system is scaled
-        def stalled(op, g, x0, **kwargs):
-            return x0, 1
+        def stalled(matvec, psolve, g, x0, tol, restart=60):
+            x = np.zeros_like(g)
+            return x, float(np.linalg.norm(g - matvec(x)))
 
         monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
         monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", stalled)
+        monkeypatch.setattr(amen, "_gmres", stalled)
         sweeps = 2
         runs = []
         for scale in (1.0, 1e6):
@@ -528,3 +622,30 @@ class TestNoNumpyFactorizations:
         _, state = policy_iterate(lq(3), SolverConfig(delta=1e-4, n=3, max_policy_iters=2))
         assert len(state.history) == 2
         assert calls == []
+
+
+class TestNoScipyGmres:
+    def test_local_systems_use_the_module_gmres(self, rng, monkeypatch):
+        """scipy's gmres spent about a third of its time in its own Python at
+        the sizes of a sweep; every local GMRES runs amen._gmres instead."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.linalg.gmres called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", refuse)
+        assert "scipy" not in vars(amen)
+        calls = []
+        gmres = amen._gmres
+        monkeypatch.setattr(amen, "_gmres",
+                            lambda *args, **kwargs: calls.append(1) or gmres(*args, **kwargs))
+        monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
+        dims = (4, 3, 5)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        b = TTTensor.random(dims, [1, 2, 2, 1], rng)
+        stats = {}
+        v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=4, stats=stats)
+        assert len(calls) == 3 * 4
+        assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
+        want = np.linalg.solve(A.to_dense() + 0.5 * np.eye(60),
+                               1.5 * tt_to_dense(b).reshape(-1))
+        got = tt_to_dense(v).reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
