@@ -9,26 +9,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SpectralBasis", "build_basis", "legendre_rows"]
+__all__ = ["SpectralBasis", "build_basis", "legendre_rows", "legendre_values"]
 
 
-def legendre_rows(t: np.ndarray, n: int):
-    """Values and derivatives of P_0..P_{n-1} at points t (reference interval).
-
-    Uses the three-term recurrence for values and
-    P'_{k+1} = (2k+1) P_k + P'_{k-1} for derivatives; both are valid for any
-    real t, including |t| > 1 (polynomial extrapolation).  Returns (n, M)
-    arrays: one contiguous row per degree.
+def legendre_values(t: np.ndarray, n: int) -> np.ndarray:
+    """P_0..P_{n-1} at points t (reference interval) by the three-term
+    recurrence, valid for any real t, including |t| > 1 (polynomial
+    extrapolation).  Returns an (n, M) array: one contiguous row per degree.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float)).reshape(-1)
     vals = np.zeros((n, t.size))
-    ders = np.zeros((n, t.size))
     vals[0] = 1.0
     if n > 1:
         vals[1] = t
-        ders[1] = 1.0
     for k in range(1, n - 1):
         vals[k + 1] = ((2 * k + 1) * t * vals[k] - k * vals[k - 1]) / (k + 1)
+    return vals
+
+
+def legendre_rows(t: np.ndarray, n: int):
+    """Values and derivatives of P_0..P_{n-1} at points t, (n, M) each.
+
+    The derivatives follow P'_{k+1} = (2k+1) P_k + P'_{k-1} from the values.
+    """
+    vals = legendre_values(t, n)
+    ders = np.zeros_like(vals)
+    if n > 1:
+        ders[1] = 1.0
+    for k in range(1, n - 1):
         ders[k + 1] = (2 * k + 1) * vals[k] + ders[k - 1]
     return vals, ders
 

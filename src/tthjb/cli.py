@@ -238,7 +238,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
                   if model.name == "fokker_planck" else model)
     horizon = cfg["rollout"].get("horizon") or eval_model.horizon
     tol = float(cfg["rollout"].get("tolerance", 1e-8))
-    controllers = {"hjb": lambda X: feedback(V, model, X)}
+    controllers = {"hjb": feedback(V, model)}
     if eval_model.admissible_uncontrolled:
         controllers["uncontrolled"] = None
     try:

@@ -17,19 +17,21 @@ import numpy as np
 from .amen import amen_solve_shifted
 from .assembly import (
     GalerkinSystem,
+    _flag_chain,
     apply_constraint,
     assemble_drift,
     control_map,
     penalty_cost,
     project_to_basis,
 )
-from .basis import SpectralBasis, build_basis, legendre_rows
+from .basis import SpectralBasis, build_basis, legendre_rows, legendre_values
 from .models import ControlledDynamics, solve_riccati
 from .tt import (
     Accuracy,
     TTTensor,
     linear_to_tt,
     tt_dot,
+    tt_matvec,
     tt_norm,
     tt_round,
     tt_scale,
@@ -109,37 +111,32 @@ class PolicyIterationState:
 class ValueFunction:
     """Value approximation V(x) = sum_i v_i prod_k phi_{i_k}(x_k).
 
-    Points run along the last axis of every intermediate, so each block is
-    met by one GEMM and one contraction with its basis table instead of one
-    small product per point.
+    The per-degree scale of the basis is folded into the blocks once, so
+    evaluation meets them with plain Legendre tables.  Points run along the
+    last axis of every intermediate, so each block is met by one GEMM and
+    one contraction with its table instead of one small product per point.
     """
 
     def __init__(self, v: TTTensor, basis: SpectralBasis):
         self.v = v
         self.basis = basis
+        scale = basis.scale()[None, :, None]
+        self._blocks = [blk * scale for blk in v.blocks]
 
     @property
     def d(self) -> int:
         return self.v.d
 
-    def _tables(self, X: np.ndarray):
-        """Scaled basis values and x-derivatives, (n, d, N) each."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        N, d = X.shape
-        vals, ders = legendre_rows(X.T.reshape(-1) / self.basis.a, self.basis.n)
-        scale = self.basis.scale()[:, None]
-        vals = (vals * scale).reshape(-1, d, N)
-        ders = (ders * (scale / self.basis.a)).reshape(-1, d, N)
-        return X, vals, ders
-
     def _push_left(self, k: int, left: np.ndarray):
         """Block k met by the left interfaces (r_k, N): (n, r_{k+1}, N)."""
-        r, n, s = self.v.blocks[k].shape
-        return (self.v.blocks[k].reshape(r, n * s).T @ left).reshape(n, s, -1)
+        r, n, s = self._blocks[k].shape
+        return (self._blocks[k].reshape(r, n * s).T @ left).reshape(n, s, -1)
 
     def eval(self, X: np.ndarray) -> np.ndarray:
-        X, vals, _ = self._tables(X)
-        left = np.ones((1, X.shape[0]))
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        N, d = X.shape
+        vals = legendre_values(X.T.reshape(-1) / self.basis.a, self.basis.n).reshape(-1, d, N)
+        left = np.ones((1, N))
         for k in range(self.d):
             left = np.einsum("isn,in->sn", self._push_left(k, left), vals[:, k])
         return left[0]
@@ -149,13 +146,16 @@ class ValueFunction:
 
         Returns (grads (N, d), extrapolated flags (N,)).
         """
-        X, vals, ders = self._tables(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         N, d = X.shape
+        vals, ders = legendre_rows(X.T.reshape(-1) / self.basis.a, self.basis.n)
+        vals = vals.reshape(-1, d, N)
+        ders = (ders / self.basis.a).reshape(-1, d, N)
         right = np.ones((1, N))
         mids = [None] * d                   # block k met by right interfaces, (r_k, n, N)
         for k in range(d - 1, -1, -1):
-            r, n, s = self.v.blocks[k].shape
-            mids[k] = (self.v.blocks[k].reshape(r * n, s) @ right).reshape(r, n, N)
+            r, n, s = self._blocks[k].shape
+            mids[k] = (self._blocks[k].reshape(r * n, s) @ right).reshape(r, n, N)
             if k:
                 right = np.einsum("rin,in->rn", mids[k], vals[:, k])
         grads = np.empty((N, d))
@@ -184,24 +184,59 @@ def _constant_mode(n: int, d: int) -> TTTensor:
     return TTTensor.rank_one([np.eye(n, 1).reshape(-1) for _ in range(d)])
 
 
-def _control(model: ControlledDynamics, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Minimizing (possibly saturated) controls (N,) from value gradients (N, d)."""
-    u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * grads, axis=1)
+def _saturate(model: ControlledDynamics, u: np.ndarray) -> np.ndarray:
+    """The tanh cap of a bounded penalty; unbounded controls pass through."""
     cap = model.penalty.clip
     return u if cap is None else cap * np.tanh(u / cap)
 
 
-def feedback(V: ValueFunction, model: ControlledDynamics, X: np.ndarray):
-    """Optimal (possibly saturated) scalar control from one gradient pass.
+def _control(model: ControlledDynamics, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Minimizing (possibly saturated) controls (N,) from value gradients (N, d)."""
+    u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * grads, axis=1)
+    return _saturate(model, u)
 
-    A batch of states (N, d) gives controls (N,); a single state (d,) gives
-    a float.
+
+def _control_value(V: ValueFunction, model: ControlledDynamics) -> ValueFunction:
+    """-(1/2 gamma) sum_p B0_p dV/dx_p for a constant channel g = B0, as a
+    polynomial in V's own basis.
+
+    phi_i' = sum_j D[j, i] phi_j with D = phi^T W phi', exact under the
+    basis's Gauss rule for every m >= n; the coefficients are a rank-2 flag
+    chain of [I, B0_k D] applied to those of V.
     """
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    X = X.reshape(1, -1) if single else X
-    u = _control(model, X, V.gradient(X)[0])
-    return float(u[0]) if single else u
+    basis = V.basis
+    D = basis.phi.T @ (basis.weights[:, None] * basis.dphi)
+    eye = np.eye(basis.n)[None, :, :, None]
+    chain = _flag_chain([eye] * V.d,
+                        [b * D[None, :, :, None] for b in model.lin_B.reshape(-1)])
+    c = tt_scale(tt_matvec(chain, V.v), -0.5 / model.gamma)
+    return ValueFunction(tt_round(c, Accuracy(1e-14)), basis)
+
+
+def feedback(V: ValueFunction, model: ControlledDynamics):
+    """The optimal (possibly saturated) scalar control law of V.
+
+    Returns a batch map from states (N, d) to controls (N,); a single state
+    (d,) gives a float.  For a constant channel the law is one TT in V's
+    basis, so each call is one evaluation; a state-dependent channel costs
+    one gradient pass per call.
+    """
+    if model.channel_slope is None:
+        U = _control_value(V, model)
+
+        def controls(X):
+            return _saturate(model, U.eval(X))
+    else:
+        def controls(X):
+            return _control(model, X, V.gradient(X)[0])
+
+    def law(X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return float(controls(X.reshape(1, -1))[0])
+        return controls(X)
+
+    return law
 
 
 def hjb_residual(V: ValueFunction, model: ControlledDynamics, seed: int = 0) -> float:

@@ -105,7 +105,8 @@ def interpolate_controller(V, coarse_model: ControlledDynamics,
 
     The fine nodal state is resampled onto the coarse interior nodes by
     barycentric interpolation over the full node set (boundary values come
-    from each model's Neumann extension), and the coarse feedback is applied.
+    from each model's Neumann extension), and the coarse control law, built
+    once, is applied.
     """
     from .policy import feedback as coarse_feedback
 
@@ -129,9 +130,10 @@ def interpolate_controller(V, coarse_model: ControlledDynamics,
             r = w / diff
             P[i] = r / np.sum(r)
     R = P @ Ef   # fine interior values -> coarse interior values
+    law = coarse_feedback(V, coarse_model)
 
     def controller(X):
-        return coarse_feedback(V, coarse_model, np.asarray(X, dtype=float) @ R.T)
+        return law(np.asarray(X, dtype=float) @ R.T)
 
     return controller
 

@@ -64,12 +64,19 @@ class Accuracy:
 
 
 def _chop(s: np.ndarray, budget: float, max_rank: int | None) -> int:
-    """Smallest kept rank whose discarded singular-value tail is <= budget."""
-    if s.size == 0:
-        return 1
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))
-    discard = int(np.searchsorted(tail, budget, side="right"))
-    keep = max(1, s.size - discard)
+    """Smallest kept rank whose discarded singular-value tail is <= budget.
+
+    The tail is summed in Python floats from the smallest value up, in the
+    order of a cumulative sum; at these lengths numpy's temporaries cost
+    several times the loop.
+    """
+    discard, tail = 0, 0.0
+    for x in reversed(s.tolist()):
+        tail += x * x
+        if math.sqrt(tail) > budget:
+            break
+        discard += 1
+    keep = max(1, len(s) - discard)
     if max_rank is not None:
         keep = min(keep, max_rank)
     return keep

@@ -8,6 +8,8 @@ from tthjb.policy import (
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
+    _control,
+    _control_value,
     feedback,
     hjb_residual,
     initial_policy,
@@ -115,7 +117,7 @@ class TestFeedback:
         coeffs = basis.phi.T @ (basis.weights * (pi * basis.nodes**2))
         V = ValueFunction(TTTensor.rank_one([coeffs]), basis)
         for x in (-1.0, 0.25, 1.5):
-            assert np.isclose(feedback(V, model, np.array([x])), -pi * x,
+            assert np.isclose(feedback(V, model)(np.array([x])), -pi * x,
                               atol=1e-8)
 
     def test_batch_matches_points(self):
@@ -124,8 +126,9 @@ class TestFeedback:
         rng = np.random.default_rng(2)
         V = ValueFunction(TTTensor.random((4,) * 4, [1, 3, 3, 3, 1], rng), basis)
         X = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(20, 4))
-        batch = feedback(V, model, X)
-        points = np.array([feedback(V, model, x) for x in X])
+        law = feedback(V, model)
+        batch = law(X)
+        points = np.array([law(x) for x in X])
         assert batch.shape == (20,)
         assert np.max(np.abs(batch - points)) <= 1e-14 * np.max(np.abs(points))
 
@@ -133,16 +136,123 @@ class TestFeedback:
         model = scalar_unstable_model()
         basis = build_basis(3, model.a)
         V = ValueFunction(TTTensor.rank_one([np.eye(3, 1).reshape(-1)]), basis)
-        assert feedback(V, model, np.array([0.7])) == 0.0
+        assert feedback(V, model)(np.array([0.7])) == 0.0
 
     def test_constrained_range(self):
         model = scalar_unstable_model(u_max=2.0)
         basis = build_basis(4, model.a)
         coeffs = basis.phi.T @ (basis.weights * (50.0 * basis.nodes**2))
         V = ValueFunction(TTTensor.rank_one([coeffs]), basis)
-        u = feedback(V, model, np.array([1.5]))
+        u = feedback(V, model)(np.array([1.5]))
         assert -2.0 < u < 2.0
         assert abs(u) > 1.9  # large gradient saturates
+
+
+def gradient_controls(V, model, X):
+    """The controls of one gradient pass, as feedback computed them before
+    the constant-channel law."""
+    return _control(model, X, V.gradient(X)[0])
+
+
+def assert_matches_gradient(law, V, model, X, rtol=1e-12):
+    want = gradient_controls(V, model, X)
+    got = law(X)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestControlLaw:
+    """A constant channel's law is one TT in V's basis; it must give the
+    controls of the gradient pass."""
+
+    def test_random_lq_value(self):
+        model = lq(4)
+        basis = build_basis(4, model.a)
+        rng = np.random.default_rng(11)
+        V = ValueFunction(TTTensor.random((4,) * 4, [1, 3, 3, 3, 1], rng), basis)
+        X = rng.uniform(-model.a, model.a, size=(50, 4))
+        assert_matches_gradient(feedback(V, model), V, model, X)
+
+    def test_allen_cahn_value(self):
+        # a small second term that a loose rounding of the law would drop
+        model = allen_cahn_1d(5)
+        basis = build_basis(5, model.a, 7)
+        rng = np.random.default_rng(12)
+        big, small = (TTTensor.random((5,) * 5, [1, 2, 3, 3, 2, 1], rng) for _ in range(2))
+        V = ValueFunction(tt_add(big, tt_scale(small, 1e-8)), basis)
+        X = rng.uniform(-model.a, model.a, size=(50, 5))
+        assert_matches_gradient(feedback(V, model), V, model, X)
+
+    def test_tanh_bounded_scalar(self):
+        model = scalar_unstable_model(u_max=2.0)
+        basis = build_basis(5, model.a)
+        rng = np.random.default_rng(13)
+        V = ValueFunction(TTTensor.rank_one([5.0 * rng.standard_normal(5)]), basis)
+        X = np.linspace(-model.a, model.a, 41)[:, None]
+        law = feedback(V, model)
+        assert np.max(np.abs(law(X))) > 1.0  # the cap is active
+        assert_matches_gradient(law, V, model, X)
+
+    def test_states_beyond_domain(self):
+        model = lq(3)
+        basis = build_basis(4, model.a)
+        rng = np.random.default_rng(14)
+        V = ValueFunction(TTTensor.random((4,) * 3, [1, 3, 3, 1], rng), basis)
+        X = rng.uniform(-1.2 * model.a, 1.2 * model.a, size=(200, 3))
+        assert np.any(V.gradient(X)[1])
+        assert_matches_gradient(feedback(V, model), V, model, X)
+
+    def test_single_state_gives_float(self):
+        model = lq(3)
+        basis = build_basis(4, model.a)
+        rng = np.random.default_rng(15)
+        V = ValueFunction(TTTensor.random((4,) * 3, [1, 3, 3, 1], rng), basis)
+        x = rng.uniform(-model.a, model.a, size=3)
+        u = feedback(V, model)(x)
+        want = gradient_controls(V, model, x[None])[0]
+        assert isinstance(u, float)
+        assert abs(u - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("make", [lambda: lq(4), lambda: allen_cahn_1d(5)])
+    def test_rank_at_most_twice_value_rank(self, make):
+        model = make()
+        basis = build_basis(4, model.a)
+        rng = np.random.default_rng(16)
+        d = model.dim
+        V = ValueFunction(TTTensor.random((4,) * d, [1] + [3] * (d - 1) + [1], rng), basis)
+        assert _control_value(V, model).v.max_rank <= 2 * V.v.max_rank
+
+    def test_state_dependent_channel_is_gradient_path(self):
+        model = fokker_planck(D=8)
+        basis = build_basis(3, model.a)
+        rng = np.random.default_rng(17)
+        d = model.dim
+        V = ValueFunction(TTTensor.random((3,) * d, [1] + [2] * (d - 1) + [1], rng), basis)
+        X = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(20, d))
+        assert np.array_equal(feedback(V, model)(X), gradient_controls(V, model, X))
+
+    def test_rollout_makes_no_gradient_calls(self, monkeypatch):
+        from tthjb.assembly import project_to_basis
+        from tthjb.rollout import rollout
+
+        model = lq(4)
+        basis = build_basis(3, model.a)
+        sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
+        v = project_to_basis(quadratic_to_tt(sol.Pi, [basis.nodes] * 4), basis)
+        V = ValueFunction(v, basis)
+        calls = []
+        original = ValueFunction.gradient
+
+        def counting(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(ValueFunction, "gradient", counting)
+        traj = rollout(model, feedback(V, model), model.x0_default, 2.0)
+        assert calls == []
+        ref = rollout(model, lambda X: gradient_controls(V, model, X), model.x0_default, 2.0)
+        assert calls  # the reference does take gradients
+        assert abs(traj.total_cost - ref.total_cost) <= 1e-10 * abs(ref.total_cost)
 
 
 class TestNoPathPlanning:
@@ -171,7 +281,7 @@ class TestNoPathPlanning:
         model = lq(3)
         V, _ = policy_iterate(model, SolverConfig(delta=1e-4, n=3,
                                                   max_policy_iters=3))
-        rollout(model, lambda X: feedback(V, model, X), model.x0_default, 1.0)
+        rollout(model, feedback(V, model), model.x0_default, 1.0)
         assert calls == []
 
 

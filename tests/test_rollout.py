@@ -194,17 +194,20 @@ class TestInterpolateController:
 def _resample_matrix(coarse, fine):
     """Extract the fine-to-coarse interpolation map by probing unit vectors.
 
-    The coarse feedback is swapped for a capture stub; the controller binds
-    it when interpolate_controller is called, so the stub must be installed
-    before building the controller.
+    The coarse feedback is swapped for a stub whose law captures the coarse
+    state; the controller builds that law when interpolate_controller is
+    called, so the stub must be installed before building the controller.
     """
     import tthjb.policy as pmod
 
     captured = {}
 
-    def fake_feedback(V, model, x):
-        captured["x"] = np.array(x)
-        return 0.0
+    def fake_feedback(V, model):
+        def law(x):
+            captured["x"] = np.array(x)
+            return 0.0
+
+        return law
 
     saved = pmod.feedback
     pmod.feedback = fake_feedback

@@ -107,6 +107,51 @@ class TestRound:
         assert r.max_rank <= 3
 
 
+def chop_by_cumsum(s, budget, max_rank):
+    """_chop's rank as a cumulative sum and a sorted search."""
+    if s.size == 0:
+        return 1
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))
+    keep = max(1, s.size - int(np.searchsorted(tail, budget, side="right")))
+    return keep if max_rank is None else min(keep, max_rank)
+
+
+class TestChop:
+    @staticmethod
+    def budgets(s):
+        """Every tail of s exactly, and its neighbouring floats."""
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2))
+        return [0.0, *tail, *np.nextafter(tail, 0.0), *np.nextafter(tail, np.inf)]
+
+    def check(self, s):
+        for budget in self.budgets(s):
+            for max_rank in (None, 1, 2, s.size):
+                assert tt._chop(s, budget, max_rank) == chop_by_cumsum(s, budget, max_rank)
+
+    def test_random_spectra(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 40))
+            s = np.sort(rng.random(k) * 10.0 ** rng.uniform(-8, 2, k))[::-1]
+            self.check(s)
+
+    def test_exact_ties(self):
+        self.check(np.array([3.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
+        self.check(np.full(6, 0.1))
+
+    def test_all_zero_spectrum(self):
+        self.check(np.zeros(5))
+        assert tt._chop(np.zeros(5), 0.0, None) == 1
+
+    def test_binding_max_rank(self):
+        s = np.logspace(0, -12, 13)
+        assert tt._chop(s, 1e-14, None) == 13
+        assert tt._chop(s, 1e-14, 4) == 4
+
+    def test_empty_spectrum(self):
+        assert tt._chop(np.zeros(0), 1.0, None) == 1
+
+
 class TestAddScale:
     def test_self_cancellation(self, rng):
         a = TTTensor.random((3, 4, 3), [1, 2, 2, 1], rng)
