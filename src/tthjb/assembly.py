@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralBasis
-from .cross import CrossResult, TTMap, tt_cross
+from .cross import CrossResult, tt_cross
 from .tt import Accuracy, TTMatrix, TTTensor, tt_matvec, tt_round, tt_square_sum, tt_sum_round
 
 __all__ = [
@@ -153,19 +153,13 @@ def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TT
     return (-0.5 / gamma) * _sum_round(chains, acc)
 
 
-def _cross_map(u_tt: TTTensor, func, acc: Accuracy, grid, initial, seed) -> CrossResult:
-    """TT-cross of the entrywise map func(u_tt) on the nodal grid."""
-    return tt_cross(TTMap(u_tt, func, grid), acc, initial=initial, seed=seed,
-                    initial_rank=min(u_tt.max_rank + 2, 10))
-
-
 def apply_constraint(u_tt: TTTensor, penalty: ControlPenalty, acc: Accuracy,
-                     grid, initial=None, seed=0) -> CrossResult | None:
+                     initial=None, seed=0) -> CrossResult | None:
     """Soft-clip the feedback through the saturating reparametrization."""
     if penalty.kind == "unconstrained":
         return None
     cap = penalty.clip
-    return _cross_map(u_tt, lambda u: cap * np.tanh(u / cap), acc, grid, initial, seed)
+    return tt_cross(u_tt, lambda u: cap * np.tanh(u / cap), acc, initial, seed)
 
 
 @dataclass
@@ -173,7 +167,6 @@ class GalerkinSystem:
     """Precomputed pieces of the policy-linearized equation for one model."""
 
     basis: SpectralBasis
-    d: int
     drift: TTMatrix
     channel: list
     bmap: TTMatrix
@@ -181,10 +174,6 @@ class GalerkinSystem:
     penalty: ControlPenalty
     acc: Accuracy
     seed: int = 0
-
-    @property
-    def grid(self) -> list:
-        return [self.basis.nodes] * self.d
 
     def feedback(self, v: TTTensor) -> TTTensor:
         """Nodal values of the unconstrained minimizing control."""
@@ -205,7 +194,7 @@ class GalerkinSystem:
             b = tt_square_sum(self.ell_proj, u_tt, wphi, self.penalty.gamma, self.acc,
                               self.seed)
             return b, None
-        res = _cross_map(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
-                         self.grid, initial, self.seed)
+        res = tt_cross(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc, initial,
+                       self.seed)
         b = tt_round(self.ell_proj + project_to_basis(res.tensor, self.basis), self.acc)
         return b, res

@@ -143,6 +143,10 @@ def _build_solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError(f"invalid solver configuration: {exc}") from exc
 
 
+# named initial states: each is the default initial state of its model
+_NAMED_X0 = {"cos-bump": "allen_cahn_1d", "right-sided": "fokker_planck"}
+
+
 def _resolve_x0(cfg: dict, model) -> np.ndarray:
     spec = cfg["rollout"].get("x0", "default")
     if isinstance(spec, (list, tuple)):
@@ -152,7 +156,10 @@ def _resolve_x0(cfg: dict, model) -> np.ndarray:
                 f"x0 has {x0.size} entries, model dimension is {model.dim}"
             )
         return x0
-    if spec in ("default", "cos-bump", "right-sided"):
+    if spec in _NAMED_X0 and _NAMED_X0[spec] != model.name:
+        raise ConfigError(f"x0 preset {spec!r} belongs to model {_NAMED_X0[spec]!r}, "
+                          f"not {model.name!r}")
+    if spec == "default" or spec in _NAMED_X0:
         if model.x0_default is None:
             raise ConfigError(f"model {model.name!r} has no default initial state")
         return np.asarray(model.x0_default, dtype=float)

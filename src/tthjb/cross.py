@@ -1,9 +1,12 @@
-"""Black-box TT approximation of grid functions: maxvol pivoting and TT-Cross.
+"""TT-Cross of entrywise maps of TT tensors, with maxvol pivoting.
 
-The cross iteration alternates left-to-right and right-to-left passes over
-the dimensions, keeping nested index sets whose intersection matrices are
-kept well conditioned by maxvol.  Blocks are assembled in interpolation form
-``F * inv(F[selected rows])`` computed through a QR factorization.
+tt_cross(t, func, acc) approximates func(t), the map func applied to each
+entry of the TT tensor t.  The cross iteration alternates left-to-right and
+right-to-left passes over the dimensions, keeping nested index sets whose
+intersection matrices are kept well conditioned by maxvol.  Blocks are
+assembled in interpolation form ``F * inv(F[selected rows])`` computed
+through a QR factorization.  The entries of t on a fibre come from
+interface products of its blocks, never from point-by-point evaluation.
 """
 from __future__ import annotations
 
@@ -15,100 +18,48 @@ import scipy.linalg
 
 from .tt import Accuracy, TTTensor, _svd, tt_norm
 
-__all__ = ["GridFunction", "TTMap", "CrossIndexSets", "CrossResult", "maxvol", "tt_cross",
-           "rank_adapt", "random_index_sets", "tt_function_cross"]
+__all__ = ["CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt",
+           "random_index_sets"]
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class GridFunction:
-    """Pure batch evaluator over a tensor-product grid.
-
-    ``evaluator`` maps an (N, d) integer index array to N values; it must be
-    reentrant (batches may be evaluated concurrently).  ``grid`` holds the
-    per-dimension node coordinates.
-    """
-
-    evaluator: callable
-    grid: list
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.grid)
-
-    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
-        """Values on left rows x {0..n_k-1} x right rows, flattened row-major."""
-        indices = _combine_indices(left_rows, k, self.dims[k], right_rows, len(self.dims))
-        vals = np.asarray(self.evaluator(indices), dtype=float).reshape(-1)
-        if vals.size != indices.shape[0]:
-            raise ValueError("evaluator returned wrong batch size")
-        return vals
-
-
-@dataclass
-class TTMap:
-    """The entrywise map func(t) of a TT tensor t on its grid.
+def _fibres(t: TTTensor, func, left_rows: np.ndarray, k: int,
+            right_rows: np.ndarray) -> np.ndarray:
+    """func(t) on left rows x {0..n_k-1} x right rows, flattened row-major.
 
     Fibres come from interface products instead of point-by-point
     evaluation: the left rows pushed through blocks 0..k-1, the right rows
     through blocks k+1..d-1, and two GEMMs with block k in between.
     """
-
-    tensor: TTTensor
-    func: callable
-    grid: list
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.grid)
-
-    def fibres(self, left_rows: np.ndarray, k: int, right_rows: np.ndarray) -> np.ndarray:
-        blocks = self.tensor.blocks
-        rl, rr = left_rows.shape[0], right_rows.shape[0]
-        left = np.ones((rl, 1, 1))                                     # row, 1, r_j
-        for j in range(k):
-            left = left @ blocks[j][:, left_rows[:, j], :].transpose(1, 0, 2)
-        right = np.ones((rr, 1, 1))                                    # row, r_j, 1
-        for j in range(self.tensor.d - 1, k, -1):
-            right = blocks[j][:, right_rows[:, j - k - 1], :].transpose(1, 0, 2) @ right
-        left, right = left[:, 0, :], right[:, :, 0].T
-        r0, m, r1 = blocks[k].shape
-        mid = (left @ blocks[k].reshape(r0, m * r1)).reshape(rl * m, r1)
-        return np.asarray(self.func((mid @ right).reshape(-1)), dtype=float)
-
-
-def grid_function_from_pointwise(func, grid) -> GridFunction:
-    """Wrap a pointwise evaluator f(points (N,d)) -> (N,) as a GridFunction."""
-    grid = [np.asarray(g, dtype=float) for g in grid]
-
-    def evaluator(indices):
-        pts = np.stack([grid[k][indices[:, k]] for k in range(indices.shape[1])], axis=1)
-        return func(pts)
-
-    return GridFunction(evaluator=evaluator, grid=grid)
+    blocks = t.blocks
+    rl, rr = left_rows.shape[0], right_rows.shape[0]
+    left = np.ones((rl, 1, 1))                                     # row, 1, r_j
+    for j in range(k):
+        left = left @ blocks[j][:, left_rows[:, j], :].transpose(1, 0, 2)
+    right = np.ones((rr, 1, 1))                                    # row, r_j, 1
+    for j in range(t.d - 1, k, -1):
+        right = blocks[j][:, right_rows[:, j - k - 1], :].transpose(1, 0, 2) @ right
+    left, right = left[:, 0, :], right[:, :, 0].T
+    r0, m, r1 = blocks[k].shape
+    mid = (left @ blocks[k].reshape(r0, m * r1)).reshape(rl * m, r1)
+    return np.asarray(func((mid @ right).reshape(-1)), dtype=float)
 
 
 @dataclass(frozen=True)
 class CrossIndexSets:
-    """Nested left/right partial multi-index sets for a d-dimensional grid.
+    """Right partial multi-index sets for a d-dimensional grid.
 
-    ``left[k]`` has shape (R_{k+1}, k+1) and ``right[k]`` shape
-    (R_{k+1}, d-k-1) for k = 0..d-2; the boundary sets are empty by
-    convention.
+    ``right[k]`` has shape (R_{k+1}, d-k-1) for k = 0..d-2; the left sets
+    are rebuilt from them by every forward pass.
     """
 
     dims: tuple
-    left: tuple
     right: tuple
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(r.shape[0] for r in self.right) + (1,)
 
 
 def random_index_sets(dims, rank: int, rng) -> CrossIndexSets:
-    """Uniform random distinct right sets at the given rank; left sets empty."""
+    """Uniform random distinct right sets at the given rank."""
     dims = tuple(int(n) for n in dims)
     d = len(dims)
     right = []
@@ -118,8 +69,7 @@ def random_index_sets(dims, rank: int, rng) -> CrossIndexSets:
         r = min(rank, cap, int(np.prod(dims[: k + 1], dtype=float)))
         rows = _distinct_rows(tail, r, rng)
         right.append(rows)
-    left = tuple(np.zeros((0, k + 1), dtype=int) for k in range(d - 1))
-    return CrossIndexSets(dims=dims, left=left, right=tuple(right))
+    return CrossIndexSets(dims=dims, right=tuple(right))
 
 
 def _distinct_rows(dims, count, rng, existing=None):
@@ -218,22 +168,6 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
     return replace(state, right=tuple(new_right))
 
 
-def _combine_indices(left_rows, k, m, right_rows, d):
-    """All multi-indices I_left x {0..m-1} x I_right in row-major order."""
-    nl = max(left_rows.shape[0], 1)
-    nr = max(right_rows.shape[0], 1)
-    out = np.empty((nl * m * nr, d), dtype=int)
-    li = np.repeat(np.arange(nl), m * nr)
-    mi = np.tile(np.repeat(np.arange(m), nr), nl)
-    ri = np.tile(np.arange(nr), nl * m)
-    if left_rows.shape[1]:
-        out[:, : left_rows.shape[1]] = left_rows[li]
-    out[:, k] = mi
-    if right_rows.shape[1]:
-        out[:, k + 1 :] = right_rows[ri]
-    return out
-
-
 def _trimmed_basis(F: np.ndarray, delta: float) -> np.ndarray:
     """Orthonormal column basis of F trimmed to its numerical rank.
 
@@ -270,10 +204,10 @@ def _forward_pass(fibres, dims, right_sets, delta: float):
     return cores, left_sets
 
 
-def _backward_pass(fibres, dims, left_sets, right_sets, delta: float):
+def _backward_pass(fibres, dims, left_sets, delta: float):
     """Right-to-left pass refreshing the right index sets."""
     d = len(dims)
-    new_right = list(right_sets)
+    new_right = [None] * (d - 1)
     right_rows = np.zeros((1, 0), dtype=int)
     for k in range(d - 1, 0, -1):
         left_rows = left_sets[k - 1]
@@ -287,33 +221,30 @@ def _backward_pass(fibres, dims, left_sets, right_sets, delta: float):
     return tuple(new_right)
 
 
-def tt_cross(
-    f: GridFunction | TTMap,
-    acc: Accuracy,
-    initial: CrossIndexSets | None = None,
-    seed: int | np.random.Generator = 0,
-    max_sweeps: int = 20,
-    initial_rank: int = 2,
-) -> CrossResult:
-    """TT-Cross iteration with maxvol pivot selection and rank adaptation.
+def tt_cross(t: TTTensor, func, acc: Accuracy, initial: CrossIndexSets | None = None,
+             seed: int = 0, max_sweeps: int = 20) -> CrossResult:
+    """TT-Cross of func(t), the entrywise map of t, with maxvol pivot
+    selection and rank adaptation.
 
     One sweep is a full left-to-right pass (which also assembles the TT
     blocks from the inverted intersection matrices) followed by a
     right-to-left pass.  Convergence is declared when the relative change of
     the assembled iterate drops below acc.delta; a cross that stops without
-    it logs a warning.  Values are requested fibre by fibre (f.fibres), and
-    the evaluations of this call are counted from the fibre blocks' sizes.
+    it logs a warning.  Without ``initial`` the index sets start at random
+    at rank min(t.max_rank + 2, 10).  Values are requested fibre by fibre,
+    and the evaluations of this call are counted from the fibre blocks'
+    sizes.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dims = f.dims
-    d = len(dims)
-    state = initial if initial is not None else random_index_sets(dims, initial_rank, rng)
+    rng = np.random.default_rng(seed)
+    dims = t.dims
+    state = (initial if initial is not None
+             else random_index_sets(dims, min(t.max_rank + 2, 10), rng))
     if state.dims != dims:
         raise ValueError("initial index sets built for a different grid")
     per_sweep_evals = []
 
     def fibres(left_rows, k, right_rows):
-        vals = f.fibres(left_rows, k, right_rows)
+        vals = _fibres(t, func, left_rows, k, right_rows)
         per_sweep_evals[-1] += vals.size
         return vals
 
@@ -333,8 +264,7 @@ def tt_cross(
             if change <= acc.delta:
                 converged = True
                 break
-        new_right = _backward_pass(fibres, dims, left_sets, state.right, acc.delta)
-        state = replace(state, left=tuple(left_sets), right=new_right)
+        state = replace(state, right=_backward_pass(fibres, dims, left_sets, acc.delta))
         # expansion must come after the backward pass: the maxvol reselection
         # sizes right sets by the left ranks, so earlier growth would be lost
         state = rank_adapt(state, np.inf if change is None else change, acc, rng)
@@ -352,7 +282,3 @@ def tt_cross(
         converged=converged,
     )
 
-
-def tt_function_cross(func, grid, acc: Accuracy, seed=0, **kwargs) -> CrossResult:
-    """Cross-approximate a pointwise function of grid coordinates."""
-    return tt_cross(grid_function_from_pointwise(func, grid), acc, seed=seed, **kwargs)

@@ -83,7 +83,6 @@ class SolverConfig:
     a: float | None = None
     max_rank: int = 60
     seed: int = 0
-    inner_sweeps: int = 1
     divergence_window: int = 10
 
     def __post_init__(self):
@@ -93,8 +92,8 @@ class SolverConfig:
             raise ValueError("q must lie in (0, 1)")
         if self.mu0 <= 0 or self.mu_min <= 0:
             raise ValueError("shifts must be positive")
-        if self.inner_sweeps < 1 or self.divergence_window < 1:
-            raise ValueError("inner_sweeps and divergence_window must be at least 1")
+        if self.divergence_window < 1:
+            raise ValueError("divergence_window must be at least 1")
 
     @property
     def value_accuracy(self) -> Accuracy:
@@ -168,7 +167,8 @@ class ValueFunction:
         return grads, flags
 
     def anchored(self) -> "ValueFunction":
-        """Shift the constant mode so V(0) = 0 exactly."""
+        """Shift the constant mode so V(0) = 0, exact up to the rounding of
+        eval."""
         v0 = float(self.eval(np.zeros((1, self.d)))[0])
         if v0 == 0.0:
             return self
@@ -291,7 +291,6 @@ def _build_system(model: ControlledDynamics, basis: SpectralBasis,
     ell_proj = project_to_basis(model.ell_tt(grids), basis)
     return GalerkinSystem(
         basis=basis,
-        d=model.dim,
         drift=drift,
         channel=channel,
         bmap=bmap,
@@ -338,8 +337,8 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         if s > 0:
             u = system.feedback(v)
             if model.penalty.kind == "tanh":
-                constraint = apply_constraint(u, model.penalty, acc, system.grid,
-                                              initial=constraint_state, seed=config.seed)
+                constraint = apply_constraint(u, model.penalty, acc, initial=constraint_state,
+                                              seed=config.seed)
                 u = constraint.tensor
                 constraint_state = constraint.index_sets
         t1 = time.perf_counter()
@@ -349,8 +348,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         cross_state = cross.index_sets if cross is not None else None
         t3 = time.perf_counter()
         solve_stats = {}
-        v = amen_solve_shifted(A, b, v_prev, mu, acc, sweeps=config.inner_sweeps,
-                               stats=solve_stats)
+        v = amen_solve_shifted(A, b, v_prev, mu, acc, stats=solve_stats)
         t4 = time.perf_counter()
         c0 = tt_dot(v, e0)
         if c0 != 0.0:

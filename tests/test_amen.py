@@ -18,7 +18,7 @@ from tthjb.amen import (
     _solve_local,
     amen_solve_shifted,
 )
-from tthjb.cross import GridFunction, tt_cross
+from tthjb.cross import tt_cross
 from tthjb.models import lq
 from tthjb.policy import SolverConfig, policy_iterate
 from tthjb.tt import (
@@ -618,7 +618,7 @@ class TestNoNumpyFactorizations:
         tt_sum_round(terms, Accuracy(1e-3))
         assert sketches
         t = TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng)
-        tt_cross(GridFunction(evaluator=t.eval, grid=[np.arange(5.0)] * 4), Accuracy(1e-12))
+        tt_cross(t, lambda s: s, Accuracy(1e-12))
         _, state = policy_iterate(lq(3), SolverConfig(delta=1e-4, n=3, max_policy_iters=2))
         assert len(state.history) == 2
         assert calls == []

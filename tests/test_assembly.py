@@ -203,19 +203,19 @@ class TestConstraint:
         basis = build_basis(3, 1.0)
         pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=2.0)
         u = TTTensor.zeros((basis.m, basis.m))
-        res = apply_constraint(u, pen, Accuracy(1e-8), [basis.nodes] * 2)
+        res = apply_constraint(u, pen, Accuracy(1e-8))
         assert tt_norm(res.tensor) <= 1e-10
 
     def test_unconstrained_passthrough(self):
         pen = ControlPenalty(gamma=0.1)
-        assert apply_constraint(TTTensor.zeros((3,)), pen, ACC, [np.arange(3)]) is None
+        assert apply_constraint(TTTensor.zeros((3,)), pen, ACC) is None
 
     def test_small_inputs_near_identity(self, rng):
         basis = build_basis(3, 1.0)
         pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=10.0)
         vals = 0.1 * rng.standard_normal(basis.m)
         u = TTTensor.rank_one([vals, np.ones(basis.m)])
-        res = apply_constraint(u, pen, Accuracy(1e-10), [basis.nodes] * 2)
+        res = apply_constraint(u, pen, Accuracy(1e-10))
         idx = np.array(list(itertools.product(range(basis.m), repeat=2)))
         got = res.tensor.eval(idx)
         want = u.eval(idx)
@@ -228,7 +228,7 @@ class TestConstraint:
         pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=2.0, margin=1e-3)
         d = 3
         u = 10.0 * TTTensor.random((basis.m,) * d, [1, 2, 2, 1], rng)
-        res = apply_constraint(u, pen, Accuracy(1e-6), [basis.nodes] * d, seed=3)
+        res = apply_constraint(u, pen, Accuracy(1e-6), seed=3)
         idx = rng.integers(0, basis.m, size=(1000, d))
         got = res.tensor.eval(idx)
         cap = pen.clip
@@ -362,6 +362,6 @@ class TestCrossSamplesByInterfaces:
         b, res = system.rhs(u)
         assert res is not None and res.n_evals > 0
         pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=0.5)
-        res = apply_constraint(u, pen, Accuracy(1e-6), [basis.nodes] * 4)
+        res = apply_constraint(u, pen, Accuracy(1e-6))
         assert res.n_evals > 0
         assert calls == []

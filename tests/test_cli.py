@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -152,6 +153,70 @@ class TestRun:
         cfg["rollout"]["x0"] = [1.0, 2.0]
         assert run(cfg, tmp_path / "o") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("model, x0", [
+        ({"name": "lq", "d": 4}, "cos-bump"),
+        ({"name": "lq", "d": 4}, "right-sided"),
+        ({"name": "allen_cahn_1d", "d": 3}, "right-sided"),
+        ({"name": "fokker_planck", "D": 8}, "cos-bump"),
+    ])
+    def test_x0_preset_of_another_model(self, tmp_path, caplog, model, x0):
+        # a named initial state is its own model's; it never stands in for
+        # another model's default
+        cfg = resolve_config(overrides={"rollout": {"x0": x0}})
+        cfg["model"] = model
+        out = tmp_path / "o"
+        with caplog.at_level("ERROR", logger="tthjb.cli"):
+            assert run(cfg, out) == EXIT_CONFIG
+        assert f"x0 preset {x0!r} belongs to model" in caplog.text
+        assert not out.exists()
+
+    def test_x0_preset_of_own_model(self):
+        for preset in ("paper-allen-cahn-d14", "paper-fokker-planck-d10"):
+            cfg = resolve_config(preset=preset)
+            model = _build_model(cfg)
+            assert np.array_equal(cli._resolve_x0(cfg, model), model.x0_default)
+
+
+class TestBoundedControlRun:
+    """cli.run on a tanh-bounded control: both crosses run and the
+    closed-loop control stays inside the bound."""
+
+    U_MAX = 1.0
+
+    @pytest.fixture(scope="class")
+    def bounded_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bounded")
+        cfg = resolve_config(overrides={
+            "model": {"d": 3, "u_max": self.U_MAX, "omega": [-0.8, 0.1]},
+            "solver": {"delta": 1e-4, "n": 3, "mu0": 20.0},
+        })
+        return run(cfg, out), out
+
+    def test_converges_with_cross_columns(self, bounded_run):
+        code, out = bounded_run
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["converged"] is True
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 1
+        for prefix in ("constraint", "cross"):
+            for key in ("evals", "sweeps", "converged"):
+                assert f"{prefix}_{key}" in rows[0]
+        # the constraint cross soft-clips the feedback, which row 0 takes
+        # from the initial policy
+        assert rows[0]["constraint_evals"] == ""
+        for row in rows[1:]:
+            assert int(row["constraint_evals"]) > 0 and int(row["constraint_sweeps"]) >= 1
+        for row in rows:
+            assert int(row["cross_evals"]) > 0 and int(row["cross_sweeps"]) >= 1
+
+    def test_controls_within_bound(self, bounded_run):
+        _, out = bounded_run
+        traj = np.genfromtxt(out / "trajectory_hjb.csv", delimiter=",", names=True)
+        assert traj.size > 1
+        # measured 0.9797 u_max; the soft clip sits at 0.99 u_max
+        assert np.max(np.abs(traj["u"])) <= 0.99 * self.U_MAX
+
 
 class TestMain:
     def test_malformed_config_exit_2(self, tmp_path):
@@ -161,7 +226,7 @@ class TestMain:
         assert main(["--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["inner_sweeps", "divergence_window"])
+    @pytest.mark.parametrize("field", ["divergence_window"])
     def test_zero_sweep_count_exit_2(self, tmp_path, field):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 0}}))

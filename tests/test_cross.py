@@ -3,17 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from tthjb.cross import (
-    GridFunction,
-    TTMap,
-    grid_function_from_pointwise,
-    maxvol,
-    random_index_sets,
-    rank_adapt,
-    tt_cross,
-    tt_function_cross,
-)
-from tthjb.tt import Accuracy, TTTensor, quadratic_to_tt, tt_norm
+from tthjb.cross import _fibres, maxvol, random_index_sets, rank_adapt, tt_cross
+from tthjb.tt import Accuracy, TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
+
+
+def _all_indices(dims):
+    return np.array(list(itertools.product(*[range(n) for n in dims])))
 
 
 class TestMaxvol:
@@ -44,83 +39,80 @@ class TestMaxvol:
 
 class TestCross:
     def test_separable_function(self):
+        # exp(x_1 + .. + x_4) is a product of one-dimensional factors
         grid = [np.linspace(0.1, 1.0, 6)] * 4
-        res = tt_function_cross(
-            lambda pts: np.prod(np.sin(pts), axis=1), grid, Accuracy(1e-10)
-        )
+        res = tt_cross(linear_to_tt(np.ones(4), grid), np.exp, Accuracy(1e-10))
         assert all(r == 1 for r in res.tensor.ranks[1:-1])
-        idx = np.array(list(itertools.product(range(6), repeat=4)))
+        idx = _all_indices((6,) * 4)
         pts = np.stack([grid[k][idx[:, k]] for k in range(4)], axis=1)
-        want = np.prod(np.sin(pts), axis=1)
+        want = np.exp(np.sum(pts, axis=1))
         assert np.max(np.abs(res.tensor.eval(idx) - want)) <= 1e-10
 
     def test_quadratic_matches_direct_construction(self, rng):
+        # (c . x)^2 is the quadratic form of c c^T
         d = 5
-        P = rng.standard_normal((d, d))
-        P = 0.5 * (P + P.T)
+        c = rng.standard_normal(d)
         grid = [np.linspace(-1, 1, 3)] * d
-        direct = quadratic_to_tt(P, grid)
-        res = tt_function_cross(
-            lambda pts: np.einsum("ni,ij,nj->n", pts, P, pts), grid, Accuracy(1e-10)
-        )
+        direct = quadratic_to_tt(np.outer(c, c), grid)
+        res = tt_cross(linear_to_tt(c, grid), np.square, Accuracy(1e-10))
         idx = rng.integers(0, 3, size=(200, d))
         assert np.allclose(res.tensor.eval(idx), direct.eval(idx), atol=1e-8)
 
-    def test_generic_function_with_adaptation(self, rng):
+    def test_generic_function_with_adaptation(self):
+        # 1 / (1 + |x|^2) has no exact low-rank TT
         grid = [np.linspace(-1, 1, 8)] * 3
-
-        def func(pts):
-            return np.exp(-np.sum(pts**2, axis=1)) + np.sin(pts[:, 0] * pts[:, 2])
-
-        res = tt_function_cross(func, grid, Accuracy(1e-4))
-        idx = np.array(list(itertools.product(range(8), repeat=3)))
+        res = tt_cross(quadratic_to_tt(np.eye(3), grid), lambda s: 1.0 / (1.0 + s),
+                       Accuracy(1e-4))
+        idx = _all_indices((8,) * 3)
         pts = np.stack([grid[k][idx[:, k]] for k in range(3)], axis=1)
-        want = func(pts)
+        want = 1.0 / (1.0 + np.sum(pts**2, axis=1))
         err = np.linalg.norm(res.tensor.eval(idx) - want) / np.linalg.norm(want)
         assert err <= 1e-3
 
     def test_exact_recovery_of_low_rank_tensor(self, rng):
         t = TTTensor.random((5, 5, 5, 5), [1, 3, 3, 3, 1], rng)
-        grid = [np.arange(5.0)] * 4
-        f = GridFunction(evaluator=t.eval, grid=grid)
-        res = tt_cross(f, Accuracy(1e-12), seed=1)
+        res = tt_cross(t, lambda s: s, Accuracy(1e-12), seed=1)
         assert tt_norm(res.tensor - t) <= 1e-10 * tt_norm(t)
 
-    def test_determinism(self, rng):
-        grid = [np.linspace(-1, 1, 5)] * 3
+    def test_determinism(self):
+        t = quadratic_to_tt(np.eye(3), [np.linspace(-1, 1, 5)] * 3)
 
-        def func(pts):
-            return 1.0 / (1.0 + np.sum(pts**2, axis=1))
+        def func(s):
+            return 1.0 / (1.0 + s)
 
-        a = tt_function_cross(func, grid, Accuracy(1e-6), seed=7)
-        b = tt_function_cross(func, grid, Accuracy(1e-6), seed=7)
+        a = tt_cross(t, func, Accuracy(1e-6), seed=7)
+        b = tt_cross(t, func, Accuracy(1e-6), seed=7)
         assert a.tensor.ranks == b.tensor.ranks
         for x, y in zip(a.tensor.blocks, b.tensor.blocks):
             assert np.array_equal(x, y)
 
     def test_evaluation_counting(self):
-        grid = [np.arange(4.0)] * 3
-        f = grid_function_from_pointwise(lambda pts: np.sum(pts, axis=1), grid)
-        res = tt_cross(f, Accuracy(1e-10), max_sweeps=3)
+        t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
+        res = tt_cross(t, lambda s: s, Accuracy(1e-10), max_sweeps=3)
         assert res.n_evals == sum(res.per_sweep_evals)
         assert all(c > 0 for c in res.per_sweep_evals)
 
     def test_counts_are_per_call(self):
-        # the counts belong to one cross, not to the function it samples
-        grid = [np.arange(4.0)] * 3
-        f = grid_function_from_pointwise(lambda pts: 1.0 / (1.0 + np.sum(pts, axis=1)), grid)
-        first = tt_cross(f, Accuracy(1e-10), max_sweeps=2)
-        second = tt_cross(f, Accuracy(1e-10), max_sweeps=2)
+        # the counts belong to one cross, not to the tensor it samples
+        t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
+        first = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10), max_sweeps=2)
+        second = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10), max_sweeps=2)
         assert second.n_evals == first.n_evals > 0
         assert second.per_sweep_evals == first.per_sweep_evals
         assert len(second.per_sweep_evals) == second.sweeps
 
     def test_mismatched_initial_sets(self, rng):
-        grid = [np.arange(4.0)] * 3
-        f = grid_function_from_pointwise(lambda pts: np.sum(pts, axis=1), grid)
+        t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
         bad = random_index_sets((5, 5, 5), 2, rng)
         with pytest.raises(ValueError):
-            tt_cross(f, Accuracy(1e-6), initial=bad)
+            tt_cross(t, lambda s: s, Accuracy(1e-6), initial=bad)
+
+    def test_unconverged_cross_warns(self, rng, caplog):
+        t = TTTensor.random((4, 5, 3, 6, 4), [1, 3, 4, 4, 3, 1], rng)
+        with caplog.at_level("WARNING", logger="tthjb.cross"):
+            res = tt_cross(t, np.tanh, Accuracy(1e-10), max_sweeps=1)
+        assert not res.converged
+        assert "unconverged" in caplog.text
 
 
 class TestRankAdapt:
@@ -135,53 +127,34 @@ class TestRankAdapt:
         assert all(a.shape == b.shape for a, b in zip(new.right, state.right))
 
     def test_reaches_target_rank(self, rng):
-        # rank-5 tensor approximated starting from rank 2
-        t = TTTensor.random((6, 6, 6), [1, 5, 5, 1], rng)
-        grid = [np.arange(6.0)] * 3
-        f = GridFunction(evaluator=t.eval, grid=grid)
-        res = tt_cross(f, Accuracy(1e-10), seed=0, max_sweeps=4, initial_rank=2)
-        assert max(res.tensor.ranks) >= 5
+        # (c . x)^5 has ranks (1, 6, 6, 1) on 6 nodes; the cross of a rank-2
+        # tensor starts at rank 2 + 2 = 4 and must grow past it
+        c = rng.standard_normal(3)
+        t = linear_to_tt(c, [np.linspace(-1, 1, 6)] * 3)
+        first = tt_cross(t, lambda s: s**5, Accuracy(1e-10), max_sweeps=1)
+        assert first.tensor.ranks == (1, 4, 4, 1)
+        res = tt_cross(t, lambda s: s**5, Accuracy(1e-10), max_sweeps=4)
+        assert res.converged and res.tensor.ranks == (1, 6, 6, 1)
+        want = t.to_dense() ** 5
+        assert np.max(np.abs(res.tensor.to_dense() - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-class TestTTMap:
+class TestFibres:
     """Fibres of an entrywise map of a TT tensor from interface products."""
 
-    @staticmethod
-    def _pair(rng, func=np.tanh):
+    def test_fibres_match_dense_at_every_position(self, rng):
         dims = (4, 5, 3, 6, 4)
         t = TTTensor.random(dims, [1, 3, 4, 4, 3, 1], rng)
-        grid = [np.arange(float(n)) for n in dims]
-        pointwise = GridFunction(evaluator=lambda idx: func(t.eval(idx)), grid=grid)
-        return t, TTMap(t, func, grid), pointwise
-
-    def test_fibres_match_pointwise_at_every_position(self, rng):
-        t, fmap, pointwise = self._pair(rng)
+        dense = np.tanh(t.to_dense())
         d = t.d
         for k in range(d):
-            left = (rng.integers(0, np.array(t.dims[:k]), size=(7, k)) if k
+            left = (rng.integers(0, np.array(dims[:k]), size=(7, k)) if k
                     else np.zeros((1, 0), dtype=int))
-            right = (rng.integers(0, np.array(t.dims[k + 1:]), size=(5, d - k - 1))
+            right = (rng.integers(0, np.array(dims[k + 1:]), size=(5, d - k - 1))
                      if k < d - 1 else np.zeros((1, 0), dtype=int))
-            got = fmap.fibres(left, k, right)
-            want = pointwise.fibres(left, k, right)
-            assert got.shape == (left.shape[0] * t.dims[k] * right.shape[0],)
+            got = _fibres(t, np.tanh, left, k, right)
+            # left rows x {0..n_k-1} x right rows, row-major
+            want = np.array([dense[tuple(lr) + (i,) + tuple(rr)]
+                             for lr in left for i in range(dims[k]) for rr in right])
+            assert got.shape == want.shape == (left.shape[0] * dims[k] * right.shape[0],)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_cross_picks_same_pivots_as_pointwise(self, rng):
-        t, fmap, pointwise = self._pair(rng, func=lambda v: v * v)
-        a = tt_cross(fmap, Accuracy(1e-10), seed=2)
-        b = tt_cross(pointwise, Accuracy(1e-10), seed=2)
-        assert a.n_evals == b.n_evals and a.n_evals > 0
-        assert a.per_sweep_evals == b.per_sweep_evals
-        assert a.sweeps == b.sweeps and a.converged == b.converged
-        for x, y in zip(a.index_sets.left + a.index_sets.right,
-                        b.index_sets.left + b.index_sets.right):
-            assert np.array_equal(x, y)
-        assert tt_norm(a.tensor - b.tensor) <= 1e-12 * tt_norm(b.tensor)
-
-    def test_unconverged_cross_warns(self, rng, caplog):
-        _, fmap, _ = self._pair(rng)
-        with caplog.at_level("WARNING", logger="tthjb.cross"):
-            res = tt_cross(fmap, Accuracy(1e-10), max_sweeps=1)
-        assert not res.converged
-        assert "unconverged" in caplog.text

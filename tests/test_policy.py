@@ -294,10 +294,9 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
 
-    @pytest.mark.parametrize("field", ["inner_sweeps", "divergence_window"])
+    @pytest.mark.parametrize("field", ["divergence_window"])
     def test_zero_counts_rejected(self, field):
-        # zero inner sweeps would report convergence on an unsolved V; a zero
-        # window would call the first step divergent
+        # a zero window would call the first step divergent
         with pytest.raises(ValueError):
             SolverConfig(**{field: 0})
 
