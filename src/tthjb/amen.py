@@ -35,7 +35,8 @@ log = logging.getLogger(__name__)
 _GMRES_CROSSOVER = 325
 # largest local matrix formed: the dense fallback of an unconverged GMRES
 _DENSE_LIMIT = 2000
-# alternating sweeps of the rank-rho residual fit that drives enrichment
+# rank of the residual fit that drives enrichment, and its alternating sweeps
+_RHO = 4
 _FIT_SWEEPS = 2
 
 
@@ -288,13 +289,12 @@ def amen_solve_shifted(
     shift: float,
     acc: Accuracy,
     sweeps: int = 1,
-    rho: int = 4,
     stats: dict | None = None,
 ) -> TTTensor:
     """Sweeps of alternating solves for (A + shift I) v = b + shift v_prev.
 
     v_prev seeds the iteration.  Each sweep runs left to right: local solve,
-    SVD truncation to acc, residual-based enrichment (rank at most rho),
+    SVD truncation to acc, residual-based enrichment (rank at most _RHO),
     then an interface update.  A given stats dict is filled with the health
     of the local solves over all sweeps: max_local_res, the largest relative
     residual ||(H + shift I) x - g|| / ||g||; gmres_fallbacks, the GMRES
@@ -317,7 +317,7 @@ def amen_solve_shifted(
         # residual of the shifted system without forming (A + shift I) v;
         # the first sweep starts from v_prev itself, so its shift terms cancel
         terms = rhs + [(-shift, v)] if sweep else rhs[:1]
-        res = _fit_combination(A, v, terms, rho, rng)
+        res = _fit_combination(A, v, terms, _RHO, rng)
         RA, Rs = _right_interfaces(v, A, v, vecs)
         LA = np.ones((1, 1, 1))
         Ls = [np.ones((1, 1)) for _ in vecs]

@@ -22,7 +22,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, tt_cross
-from .tt import Accuracy, TTMatrix, TTTensor, tt_matvec, tt_round, tt_square_sum, tt_sum_round
+from .tt import (Accuracy, TTMatrix, TTTensor, flag_chain, tt_matvec, tt_round, tt_square_sum,
+                 tt_sum_round)
 
 __all__ = [
     "ControlPenalty",
@@ -38,36 +39,39 @@ __all__ = [
 class ControlPenalty:
     """Running-cost penalty on the control.
 
-    kind "unconstrained" charges gamma u^2.  kind "tanh" charges the convex
-    penalty whose pointwise minimizer is u_max tanh(w / u_max), which keeps
-    the feedback strictly inside [-u_max, u_max]; the realized controls are
-    soft-clipped at (1 - margin) u_max so the penalty stays finite.
+    Without u_max it charges gamma u^2.  With u_max it is bounded: it charges
+    the convex penalty whose pointwise minimizer is u_max tanh(w / u_max),
+    which keeps the feedback strictly inside [-u_max, u_max]; the realized
+    controls are soft-clipped at (1 - margin) u_max so the penalty stays
+    finite.
     """
 
     gamma: float
-    kind: str = "unconstrained"
     u_max: float | None = None
     margin: float = 0.01
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.kind not in ("unconstrained", "tanh"):
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == "tanh" and (self.u_max is None or self.u_max <= 0):
-            raise ValueError("tanh penalty needs a positive u_max")
+        if self.u_max is not None and self.u_max <= 0:
+            raise ValueError("u_max must be positive")
 
     @property
     def clip(self) -> float | None:
-        if self.kind == "unconstrained":
+        if self.u_max is None:
             return None
         return (1.0 - self.margin) * self.u_max
+
+    def saturate(self, u):
+        """The tanh cap clip tanh(u / clip); unbounded controls pass through."""
+        cap = self.clip
+        return u if cap is None else cap * np.tanh(u / cap)
 
 
 def penalty_cost(u, penalty: ControlPenalty):
     """Pointwise running-cost contribution W(u) of the control."""
     u = np.asarray(u, dtype=float)
-    if penalty.kind == "unconstrained":
+    if penalty.u_max is None:
         return penalty.gamma * u * u
     um = penalty.u_max
     z = np.clip(u / um, -1.0 + 1e-12, 1.0 - 1e-12)
@@ -89,26 +93,6 @@ def _weighted_block(blk, test, trial):
     return out.transpose(0, 2, 3, 1)
 
 
-def _flag_chain(G: list, H: list) -> TTMatrix:
-    """sum_k G_0 x .. x H_k x .. x G_{d-1} from per-dimension operator blocks.
-
-    The chain carries a single flag for whether the H factor has been spent,
-    giving blocks [[G, H], [0, G]] instead of a d-term sum; ranks only double.
-    """
-    if len(G) == 1:
-        return TTMatrix(H)
-    blocks = [np.concatenate([G[0], H[0]], axis=3)]
-    for g, h in zip(G[1:-1], H[1:-1]):
-        r0, n, m, r1 = g.shape
-        blk = np.zeros((2 * r0, n, m, 2 * r1))
-        blk[:r0, :, :, :r1] = g
-        blk[:r0, :, :, r1:] = h
-        blk[r0:, :, :, r1:] = g
-        blocks.append(blk)
-    blocks.append(np.concatenate([H[-1], G[-1]], axis=0))
-    return TTMatrix(blocks)
-
-
 def _field_chain(field, u: TTTensor, test, trial, dtrial) -> TTMatrix:
     """sum_p of the operators that meet component p of the flag field times u
     by test and, along every dimension k, trial (dtrial for k = p).
@@ -118,9 +102,9 @@ def _field_chain(field, u: TTTensor, test, trial, dtrial) -> TTMatrix:
     chain has twice the ranks of u.
     """
     g, h = field
-    return _flag_chain(
+    return TTMatrix(flag_chain(
         [_weighted_block(b * gk[:, None], test, trial) for b, gk in zip(u.blocks, g)],
-        [_weighted_block(b * hk[:, None], test, dtrial) for b, hk in zip(u.blocks, h)])
+        [_weighted_block(b * hk[:, None], test, dtrial) for b, hk in zip(u.blocks, h)]))
 
 
 def _advection(fields, u: TTTensor, basis: SpectralBasis) -> list:
@@ -156,10 +140,9 @@ def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TT
 def apply_constraint(u_tt: TTTensor, penalty: ControlPenalty, acc: Accuracy,
                      initial=None, seed=0) -> CrossResult | None:
     """Soft-clip the feedback through the saturating reparametrization."""
-    if penalty.kind == "unconstrained":
+    if penalty.u_max is None:
         return None
-    cap = penalty.clip
-    return tt_cross(u_tt, lambda u: cap * np.tanh(u / cap), acc, initial, seed)
+    return tt_cross(u_tt, penalty.saturate, acc, initial, seed)
 
 
 @dataclass
@@ -189,7 +172,7 @@ class GalerkinSystem:
         """(b, CrossResult or None).  The quadratic penalty is sketched from
         the blocks of u (tt_square_sum); the tanh penalty goes through cross,
         started from the index sets ``initial`` when given."""
-        if self.penalty.kind == "unconstrained":
+        if self.penalty.u_max is None:
             wphi = self.basis.weights[:, None] * self.basis.phi
             b = tt_square_sum(self.ell_proj, u_tt, wphi, self.penalty.gamma, self.acc,
                               self.seed)

@@ -57,16 +57,14 @@ class SpectralBasis:
         return np.sqrt((2 * np.arange(self.n) + 1) / (2 * self.a))
 
 
-def build_basis(n: int, a: float, m: int | None = None) -> SpectralBasis:
-    """Gauss-Legendre nodes come from the Jacobi-matrix eigenvalue method."""
+def build_basis(n: int, a: float) -> SpectralBasis:
+    """Degree n-1 on [-a, a] with m = 2n Gauss-Legendre points, which integrate
+    every Galerkin product of the assembly exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if a <= 0:
         raise ValueError("a must be positive")
-    if m is None:
-        m = 2 * n
-    if m < n:
-        raise ValueError("m must be >= n")
+    m = 2 * n
     t, w = np.polynomial.legendre.leggauss(m)
     nodes = a * t
     weights = a * w

@@ -252,7 +252,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         lqr = solve_riccati(eval_model.lin_A, eval_model.lin_B,
                             eval_model.cost_matrix, eval_model.gamma)
         controllers["lqr"] = lqr.feedback
-    except (ValueError, RuntimeError):
+    except ValueError:
         lqr = None
         log.info("no LQR baseline (linearization not stabilizable)")
 

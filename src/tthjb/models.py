@@ -200,10 +200,6 @@ def allen_cahn_1d(
     """
     if d < 3:
         raise ValueError("need at least 3 interior nodes for the boundary closure")
-    if u_max is None:
-        penalty = ControlPenalty(gamma=gamma)
-    else:
-        penalty = ControlPenalty(gamma=gamma, kind="tanh", u_max=u_max)
     E, L, full = _neumann_closure(d)
     xi = full[1 : d + 1]
     # tolerance so nodes landing exactly on the actuated boundary stay inside
@@ -213,7 +209,7 @@ def allen_cahn_1d(
     return ControlledDynamics(
         name="allen_cahn_1d",
         a=a,
-        penalty=penalty,
+        penalty=ControlPenalty(gamma=gamma, u_max=u_max),
         lin_A=sigma * L + np.eye(d),     # the reaction x - x^3 is this identity
         lin_B=ind.reshape(-1, 1),
         cost_matrix=0.5 * (Q + Q.T),
@@ -409,64 +405,28 @@ class LQRSolution:
         return -(X @ self.K.reshape(-1))
 
 
-def _stabilizing_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
-                      gamma: float) -> np.ndarray:
-    """Initial stabilizing gain for the Newton iteration.
-
-    Tries the direct algebraic Riccati solve first; for stiff spectra (e.g.
-    pseudospectral Laplacians) where that fails, falls back to the Bass shift
-    method.
-    """
-    try:
-        Pi = scipy.linalg.solve_continuous_are(A, B, Q, gamma * np.eye(B.shape[1]))
-        K = (1.0 / gamma) * B.T @ Pi
-        if np.max(np.linalg.eigvals(A - B @ K).real) < 0:
-            return K
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    beta = 1.1 * max(np.max(np.abs(np.linalg.eigvals(A).real)), 1.0)
-    As = A + beta * np.eye(A.shape[0])
-    X = scipy.linalg.solve_continuous_lyapunov(As, 2.0 * B @ B.T)
-    try:
-        K = scipy.linalg.solve(X, B).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("system appears unstabilizable (singular Bass Gramian)") from exc
-    if np.max(np.linalg.eigvals(A - B @ K).real) >= 0:
-        raise ValueError("failed to produce an initial stabilizing gain")
-    return K
-
-
-def solve_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, gamma: float,
-                  tol: float = 1e-10, max_iters: int = 100) -> LQRSolution:
-    """Stabilizing Riccati solution by Newton iteration on Lyapunov equations.
+def solve_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, gamma: float) -> LQRSolution:
+    """Stabilizing Riccati solution by scipy's CARE (a Schur/QZ solve).
 
     Solves A' Pi + Pi A - (1/gamma) Pi B B' Pi + Q = 0 with the cost
-    convention l(x) + gamma u^2, so the gain is K = (1/gamma) B' Pi.
+    convention l(x) + gamma u^2, so the gain is K = (1/gamma) B' Pi.  Raises
+    ValueError when the pair is not stabilizable: CARE fails, its relative
+    residual exceeds 1e-8 or its closed loop is not stable.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     Q = np.asarray(Q, dtype=float)
-    if np.max(np.linalg.eigvals(A).real) < 0:
-        K = np.zeros((B.shape[1], A.shape[0]))
-    else:
-        K = _stabilizing_gain(A, B, Q, gamma)
-    Pi = None
-    for _ in range(max_iters):
-        Acl = A - B @ K
-        rhs = -(Q + gamma * K.T @ K)
-        Pi = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
-        Pi = 0.5 * (Pi + Pi.T)
-        K_new = (1.0 / gamma) * B.T @ Pi
-        res = A.T @ Pi + Pi @ A - (1.0 / gamma) * Pi @ B @ B.T @ Pi + Q
-        if np.linalg.norm(res) <= max(tol, 1e-8) * np.linalg.norm(Q):
-            K = K_new
-            break
-        K = K_new
-    else:
-        raise RuntimeError("Riccati Newton iteration did not converge")
-    if np.max(np.linalg.eigvals(A - (1.0 / gamma) * B @ B.T @ Pi).real) >= 0:
+    try:
+        Pi = scipy.linalg.solve_continuous_are(A, B, Q, gamma * np.eye(B.shape[1]))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"Riccati solve failed: {exc}") from exc
+    K = (1.0 / gamma) * (B.T @ Pi)
+    res = A.T @ Pi + Pi @ A - Pi @ B @ K + Q
+    if not np.linalg.norm(res) <= 1e-8 * np.linalg.norm(Q):  # NaN fails too
+        raise ValueError("Riccati residual above 1e-8 relative")
+    if np.max(np.linalg.eigvals(A - B @ K).real) >= 0:
         raise ValueError("computed Riccati solution is not stabilizing")
-    return LQRSolution(Pi=Pi, K=(1.0 / gamma) * (B.T @ Pi))
+    return LQRSolution(Pi=Pi, K=K)
 
 
 MODELS = {

@@ -17,7 +17,6 @@ import numpy as np
 from .amen import amen_solve_shifted
 from .assembly import (
     GalerkinSystem,
-    _flag_chain,
     apply_constraint,
     assemble_drift,
     control_map,
@@ -28,7 +27,9 @@ from .basis import SpectralBasis, build_basis, legendre_rows, legendre_values
 from .models import ControlledDynamics, solve_riccati
 from .tt import (
     Accuracy,
+    TTMatrix,
     TTTensor,
+    flag_chain,
     linear_to_tt,
     tt_dot,
     tt_matvec,
@@ -79,8 +80,6 @@ class SolverConfig:
     mu_min: float = 1e-6
     max_policy_iters: int = 400
     n: int = 5
-    m: int | None = None
-    a: float | None = None
     max_rank: int = 60
     seed: int = 0
     divergence_window: int = 10
@@ -184,16 +183,10 @@ def _constant_mode(n: int, d: int) -> TTTensor:
     return TTTensor.rank_one([np.eye(n, 1).reshape(-1) for _ in range(d)])
 
 
-def _saturate(model: ControlledDynamics, u: np.ndarray) -> np.ndarray:
-    """The tanh cap of a bounded penalty; unbounded controls pass through."""
-    cap = model.penalty.clip
-    return u if cap is None else cap * np.tanh(u / cap)
-
-
 def _control(model: ControlledDynamics, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Minimizing (possibly saturated) controls (N,) from value gradients (N, d)."""
     u = -(0.5 / model.gamma) * np.sum(model.channel_eval(X) * grads, axis=1)
-    return _saturate(model, u)
+    return model.penalty.saturate(u)
 
 
 def _control_value(V: ValueFunction, model: ControlledDynamics) -> ValueFunction:
@@ -201,14 +194,14 @@ def _control_value(V: ValueFunction, model: ControlledDynamics) -> ValueFunction
     polynomial in V's own basis.
 
     phi_i' = sum_j D[j, i] phi_j with D = phi^T W phi', exact under the
-    basis's Gauss rule for every m >= n; the coefficients are a rank-2 flag
+    basis's Gauss rule of 2n points; the coefficients are a rank-2 flag
     chain of [I, B0_k D] applied to those of V.
     """
     basis = V.basis
     D = basis.phi.T @ (basis.weights[:, None] * basis.dphi)
     eye = np.eye(basis.n)[None, :, :, None]
-    chain = _flag_chain([eye] * V.d,
-                        [b * D[None, :, :, None] for b in model.lin_B.reshape(-1)])
+    chain = TTMatrix(flag_chain([eye] * V.d,
+                                [b * D[None, :, :, None] for b in model.lin_B.reshape(-1)]))
     c = tt_scale(tt_matvec(chain, V.v), -0.5 / model.gamma)
     return ValueFunction(tt_round(c, Accuracy(1e-14)), basis)
 
@@ -225,7 +218,7 @@ def feedback(V: ValueFunction, model: ControlledDynamics):
         U = _control_value(V, model)
 
         def controls(X):
-            return _saturate(model, U.eval(X))
+            return model.penalty.saturate(U.eval(X))
     else:
         def controls(X):
             return _control(model, X, V.gradient(X)[0])
@@ -262,8 +255,8 @@ def _needs_warm_start(model: ControlledDynamics) -> bool:
 
 
 def solver_basis(model: ControlledDynamics, config: SolverConfig) -> SpectralBasis:
-    """The Legendre basis of a solve: a defaults to the model's, m to 2n."""
-    return build_basis(config.n, config.a if config.a is not None else model.a, config.m)
+    """The Legendre basis of a solve: degree n - 1 on the model's [-a, a]."""
+    return build_basis(config.n, model.a)
 
 
 def initial_policy(model: ControlledDynamics, basis: SpectralBasis) -> TTTensor:
@@ -273,7 +266,7 @@ def initial_policy(model: ControlledDynamics, basis: SpectralBasis) -> TTTensor:
         return TTTensor.zeros(tuple(len(g) for g in grids))
     try:
         sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise ValueError(
             "uncontrolled dynamics inadmissible and linearization not "
             "stabilizable; supply a custom initial policy"
@@ -336,7 +329,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         constraint = None
         if s > 0:
             u = system.feedback(v)
-            if model.penalty.kind == "tanh":
+            if model.penalty.u_max is not None:
                 constraint = apply_constraint(u, model.penalty, acc, initial=constraint_state,
                                               seed=config.seed)
                 u = constraint.tensor

@@ -33,6 +33,7 @@ __all__ = [
     "tt_sum_round",
     "orthogonalize_left",
     "orthogonalize_right",
+    "flag_chain",
     "quadratic_to_tt",
     "linear_to_tt",
     "save_tt",
@@ -647,33 +648,36 @@ def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
                            start, full, _SUM_OVERSAMPLE, acc, seed)
 
 
-def linear_to_tt(c, grids) -> TTTensor:
-    """Exact TT tensor of the linear form sum_p c_p x_p on a tensor grid."""
-    c = np.asarray(c, dtype=float)
-    d = c.size
-    if len(grids) != d:
-        raise ValueError("need one grid per dimension")
-    if d == 1:
-        return TTTensor([(c[0] * np.asarray(grids[0])).reshape(1, -1, 1)])
-    blocks = []
-    for k, g in enumerate(grids):
-        g = np.asarray(g, dtype=float)
-        n = g.size
-        if k == 0:
-            blk = np.zeros((1, n, 2))
-            blk[0, :, 0] = c[0] * g
-            blk[0, :, 1] = 1.0
-        elif k == d - 1:
-            blk = np.zeros((2, n, 1))
-            blk[0, :, 0] = 1.0
-            blk[1, :, 0] = c[k] * g
-        else:
-            blk = np.zeros((2, n, 2))
-            blk[0, :, 0] = 1.0
-            blk[1, :, 0] = c[k] * g
-            blk[1, :, 1] = 1.0
+def flag_chain(G: list, H: list) -> list:
+    """Blocks of sum_k G_0 x .. x H_k x .. x G_{d-1} from per-dimension
+    blocks whose ranks are the first and last axes (TTTensor or TTMatrix
+    blocks alike).
+
+    The chain carries a single flag for whether the H factor has been spent,
+    giving blocks [[G, H], [0, G]] instead of a d-term sum; ranks only double.
+    """
+    if len(G) == 1:
+        return list(H)
+    blocks = [np.concatenate([G[0], H[0]], axis=-1)]
+    for g, h in zip(G[1:-1], H[1:-1]):
+        r0, r1 = g.shape[0], g.shape[-1]
+        blk = np.zeros((2 * r0, *g.shape[1:-1], 2 * r1))
+        blk[:r0, ..., :r1] = g
+        blk[:r0, ..., r1:] = h
+        blk[r0:, ..., r1:] = g
         blocks.append(blk)
-    return TTTensor(blocks)
+    blocks.append(np.concatenate([H[-1], G[-1]], axis=0))
+    return blocks
+
+
+def linear_to_tt(c, grids) -> TTTensor:
+    """Exact TT tensor of the linear form sum_p c_p x_p on a tensor grid:
+    the flag chain of 1 and c_k x_k."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if len(grids) != c.size:
+        raise ValueError("need one grid per dimension")
+    x = [np.asarray(g, dtype=float).reshape(1, -1, 1) for g in grids]
+    return TTTensor(flag_chain([np.ones_like(g) for g in x], [ck * g for ck, g in zip(c, x)]))
 
 
 def quadratic_to_tt(P: np.ndarray, grids) -> TTTensor:

@@ -480,7 +480,7 @@ class TestAmenSolve:
         def energy(x):
             return np.sqrt(x @ Ad @ x)
 
-        v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10), sweeps=1, rho=4)
+        v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10), sweeps=1)
         assert energy(tt_to_dense(v).reshape(-1) - want) <= 0.4 * energy(want)
 
     def test_contractive_fixed_point_map(self, rng):

@@ -201,7 +201,7 @@ class TestControlMap:
 class TestConstraint:
     def test_zero_input(self):
         basis = build_basis(3, 1.0)
-        pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=2.0)
+        pen = ControlPenalty(gamma=0.1, u_max=2.0)
         u = TTTensor.zeros((basis.m, basis.m))
         res = apply_constraint(u, pen, Accuracy(1e-8))
         assert tt_norm(res.tensor) <= 1e-10
@@ -212,7 +212,7 @@ class TestConstraint:
 
     def test_small_inputs_near_identity(self, rng):
         basis = build_basis(3, 1.0)
-        pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=10.0)
+        pen = ControlPenalty(gamma=0.1, u_max=10.0)
         vals = 0.1 * rng.standard_normal(basis.m)
         u = TTTensor.rank_one([vals, np.ones(basis.m)])
         res = apply_constraint(u, pen, Accuracy(1e-10))
@@ -225,7 +225,7 @@ class TestConstraint:
 
     def test_bound_and_pointwise_formula(self, rng):
         basis = build_basis(4, 1.0)
-        pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=2.0, margin=1e-3)
+        pen = ControlPenalty(gamma=0.1, u_max=2.0, margin=1e-3)
         d = 3
         u = 10.0 * TTTensor.random((basis.m,) * d, [1, 2, 2, 1], rng)
         res = apply_constraint(u, pen, Accuracy(1e-6), seed=3)
@@ -246,7 +246,7 @@ class TestPenaltyCost:
     def test_tanh_matches_quadrature_oracle(self):
         from scipy.integrate import quad
 
-        pen = ControlPenalty(gamma=0.2, kind="tanh", u_max=2.0)
+        pen = ControlPenalty(gamma=0.2, u_max=2.0)
         for u in (0.0, 0.5, -1.3, 1.9):
             want = 2.0 * pen.gamma * quad(
                 lambda s: pen.u_max * np.arctanh(s / pen.u_max), 0.0, u
@@ -257,9 +257,7 @@ class TestPenaltyCost:
         with pytest.raises(ValueError):
             ControlPenalty(gamma=-1.0)
         with pytest.raises(ValueError):
-            ControlPenalty(gamma=1.0, kind="tanh")
-        with pytest.raises(ValueError):
-            ControlPenalty(gamma=1.0, kind="box")
+            ControlPenalty(gamma=1.0, u_max=0.0)
 
 
 class TestCoupling:
@@ -361,7 +359,7 @@ class TestCrossSamplesByInterfaces:
         calls.clear()
         b, res = system.rhs(u)
         assert res is not None and res.n_evals > 0
-        pen = ControlPenalty(gamma=0.1, kind="tanh", u_max=0.5)
+        pen = ControlPenalty(gamma=0.1, u_max=0.5)
         res = apply_constraint(u, pen, Accuracy(1e-6))
         assert res.n_evals > 0
         assert calls == []

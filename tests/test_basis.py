@@ -8,12 +8,12 @@ from tthjb.tt import TTTensor
 
 class TestQuadrature:
     def test_two_point_rule(self):
-        b = build_basis(1, 1.0, m=2)
+        b = build_basis(1, 1.0)
         assert np.allclose(np.sort(b.nodes), [-1 / np.sqrt(3), 1 / np.sqrt(3)])
         assert np.allclose(b.weights, [1.0, 1.0])
 
     def test_integrates_x_squared(self):
-        b = build_basis(1, 1.0, m=2)
+        b = build_basis(1, 1.0)
         assert np.isclose(np.sum(b.weights * b.nodes**2), 2.0 / 3.0)
 
     def test_exact_up_to_degree_2m_minus_1(self):
@@ -93,5 +93,3 @@ class TestLegendreTable:
             build_basis(0, 1.0)
         with pytest.raises(ValueError):
             build_basis(3, -1.0)
-        with pytest.raises(ValueError):
-            build_basis(4, 1.0, m=2)

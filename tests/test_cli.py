@@ -234,6 +234,16 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["a", "m"])
+    def test_basis_solver_field_exit_2(self, tmp_path, field, caplog):
+        # the basis is the model's [-a, a] with 2n nodes; the solver sets only n
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 3}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown solver fields" in caplog.text
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["--preset", "bogus", "--out", str(tmp_path / "o")]) \
             == EXIT_CONFIG

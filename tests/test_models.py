@@ -82,8 +82,9 @@ class TestAllenCahn1D:
 
     def test_constrained_variant(self):
         m = allen_cahn_1d(10, u_max=2.0)
-        assert m.penalty.kind == "tanh"
         assert m.penalty.u_max == 2.0
+        assert m.penalty.clip == pytest.approx(0.99 * 2.0)
+        assert allen_cahn_1d(10).penalty.clip is None
 
 
 class TestFokkerPlanck:
@@ -193,18 +194,26 @@ class TestRiccati:
         assert np.allclose(sol.Pi, want, atol=1e-8)
         assert np.allclose(sol.K, 0.0, atol=1e-10)
 
-    def test_laplacian_chain(self):
-        m = lq(6)
+    @pytest.mark.parametrize("make", [lambda: lq(6), lambda: allen_cahn_1d(14),
+                                      lambda: fokker_planck(11)],
+                             ids=["lq6", "ac14", "fp11"])
+    def test_laplacian_chain(self, make):
+        m = make()
         sol = solve_riccati(m.lin_A, m.lin_B, m.cost_matrix, m.gamma)
         res = (m.lin_A.T @ sol.Pi + sol.Pi @ m.lin_A
                - sol.Pi @ m.lin_B @ m.lin_B.T @ sol.Pi / m.gamma + m.cost_matrix)
-        assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(m.cost_matrix)
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(m.cost_matrix)
         cl = m.lin_A - m.lin_B @ sol.K
         assert np.max(np.linalg.eigvals(cl).real) < 0
 
+    def test_unstabilizable_pair_raises(self):
+        # dy/dt = y with no control: no gain stabilizes it, so CARE fails
+        with pytest.raises(ValueError):
+            solve_riccati(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), 1.0)
+
     def test_unstable_stiff_system_warm_start(self):
-        # Chebyshev diffusion with unstable shift: the direct ARE call can
-        # fail, the Bass fallback must still produce a stabilizing gain
+        # Chebyshev diffusion with an unstable reaction: the stiff spectrum
+        # must not keep CARE from a stabilizing gain
         m = allen_cahn_1d(10)
         sol = solve_riccati(m.lin_A, m.lin_B, m.cost_matrix, m.gamma)
         cl = m.lin_A - m.lin_B @ sol.K

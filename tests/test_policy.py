@@ -20,10 +20,9 @@ from tthjb.tt import Accuracy, TTTensor, quadratic_to_tt, tt_add, tt_norm, tt_ro
 
 def scalar_unstable_model(u_max=None):
     """dy/dt = y + u with unit quadratic costs; Riccati gives K = 1 + sqrt(2)."""
-    kind = "unconstrained" if u_max is None else "tanh"
     return ControlledDynamics(
         name="scalar", a=2.0,
-        penalty=ControlPenalty(gamma=1.0, kind=kind, u_max=u_max),
+        penalty=ControlPenalty(gamma=1.0, u_max=u_max),
         lin_A=np.array([[1.0]]), lin_B=np.array([[1.0]]), cost_matrix=np.eye(1),
         admissible_uncontrolled=False,
     )
@@ -43,6 +42,13 @@ class TestInitialPolicy:
         # u(x) = -K x with K = 1 + sqrt(2)
         want = -(1.0 + np.sqrt(2.0)) * basis.nodes
         assert np.allclose(u.to_dense(), want, atol=1e-8)
+
+    def test_unstabilizable_linearization_raises(self):
+        # d = 3 actuates only the middle node, which the unstable mode
+        # antisymmetric about it does not see
+        model = allen_cahn_1d(3)
+        with pytest.raises(ValueError, match="supply a custom initial policy"):
+            initial_policy(model, build_basis(3, model.a))
 
 
 class TestValueGradient:
@@ -176,7 +182,7 @@ class TestControlLaw:
     def test_allen_cahn_value(self):
         # a small second term that a loose rounding of the law would drop
         model = allen_cahn_1d(5)
-        basis = build_basis(5, model.a, 7)
+        basis = build_basis(5, model.a)
         rng = np.random.default_rng(12)
         big, small = (TTTensor.random((5,) * 5, [1, 2, 3, 3, 2, 1], rng) for _ in range(2))
         V = ValueFunction(tt_add(big, tt_scale(small, 1e-8)), basis)
