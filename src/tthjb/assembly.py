@@ -11,8 +11,10 @@ closed loop has spectrum in the right half plane, so positive shifts
 regularize rather than destabilize the linear solves.
 
 f and g come as flag fields (see models).  Each field gives one exact TT
-operator, a flag chain of weighted blocks: the drift's at u = 1, the
-coupling's at the feedback u, and the control map's against the nodes.
+operator, a flag chain of weighted blocks: the drift's against the basis and
+the control map's against the nodes.  The coupling -< (g u) . grad phi_j,
+phi_i > is then 2 gamma wphi^T diag(u) bmap, for wphi the weighted basis on
+the nodes and bmap the control map: one TT of ranks r_u r_bmap per feedback.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import CrossResult, tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, flag_chain, tt_matvec, tt_round, tt_square_sum,
-                 tt_sum_round)
+from .tt import (Accuracy, TTMatrix, TTTensor, flag_chain, tt_matvec, tt_round, tt_scale,
+                 tt_square_sum, tt_sum_round)
 
 __all__ = [
     "ControlPenalty",
@@ -93,28 +95,30 @@ def _weighted_block(blk, test, trial):
     return out.transpose(0, 2, 3, 1)
 
 
-def _field_chain(field, u: TTTensor, test, trial, dtrial) -> TTMatrix:
-    """sum_p of the operators that meet component p of the flag field times u
-    by test and, along every dimension k, trial (dtrial for k = p).
+def _field_chain(field, test, trial, dtrial) -> TTMatrix:
+    """sum_p of the operators that meet component p of the flag field by
+    test and, along every dimension k, trial (dtrial for k = p).
 
-    Component p of field = (g, h) is h_p(x_p) prod_{k != p} g_k(x_k); the
-    blocks of u are scaled along their node mode by g_k and h_k, so the
-    chain has twice the ranks of u.
+    Component p of field = (g, h) is h_p(x_p) prod_{k != p} g_k(x_k), so the
+    chain has rank 2.
     """
     g, h = field
     return TTMatrix(flag_chain(
-        [_weighted_block(b * gk[:, None], test, trial) for b, gk in zip(u.blocks, g)],
-        [_weighted_block(b * hk[:, None], test, dtrial) for b, hk in zip(u.blocks, h)]))
+        [_weighted_block(gk.reshape(1, -1, 1), test, trial) for gk in g],
+        [_weighted_block(hk.reshape(1, -1, 1), test, dtrial) for hk in h]))
 
 
-def _advection(fields, u: TTTensor, basis: SpectralBasis) -> list:
-    """-< (field u) . grad phi_j, phi_i > for each flag field, exact."""
-    wphi = basis.weights[:, None] * basis.phi
-    return [-1.0 * _field_chain(f, u, wphi, basis.phi, basis.dphi) for f in fields]
-
-
-def _ones(basis: SpectralBasis, d: int) -> TTTensor:
-    return TTTensor.rank_one([np.ones(basis.m)] * d)
+def _coupling(bmap: TTMatrix, u: TTTensor, wphi) -> TTMatrix:
+    """wphi^T diag(u) bmap: blocks sum_q wphi[q, i] u[a, q, b] bmap[c, q, j, e],
+    one GEMM over the nodes q each, of ranks u's times bmap's."""
+    blocks = []
+    for ub, mb in zip(u.blocks, bmap.blocks):
+        (a, m, b), (c, _, n, e) = ub.shape, mb.shape
+        left = (ub[:, :, :, None] * wphi[None, :, None, :]).transpose(0, 2, 3, 1)  # (a, b, i, q)
+        blk = left.reshape(-1, m) @ mb.transpose(1, 0, 2, 3).reshape(m, -1)
+        blocks.append(blk.reshape(a, b, n, c, n, e).transpose(0, 3, 2, 4, 1, 5)
+                      .reshape(a * c, n, n, b * e))
+    return TTMatrix(blocks)
 
 
 def _sum_round(ops: list, acc: Accuracy, seed: int = 0) -> TTMatrix:
@@ -125,15 +129,17 @@ def _sum_round(ops: list, acc: Accuracy, seed: int = 0) -> TTMatrix:
 
 def assemble_drift(fields, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
     """-< f . grad phi_j, phi_i > for the drift's flag fields, rounded."""
-    return _sum_round(_advection(fields, _ones(basis, len(fields[0][0])), basis), acc)
+    wphi = basis.weights[:, None] * basis.phi
+    return -1.0 * _sum_round([_field_chain(f, wphi, basis.phi, basis.dphi) for f in fields],
+                             acc)
 
 
 def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TTMatrix:
     """Operator taking value coefficients to nodal values of the minimizing
     control, u(x) = -(1 / 2 gamma) g(x) . grad V(x), for the channel's flag
     fields: each chain meets the nodes by the identity."""
-    ones, eye = _ones(basis, len(fields[0][0])), np.eye(basis.m)
-    chains = [_field_chain(f, ones, eye, basis.phi, basis.dphi) for f in fields]
+    eye = np.eye(basis.m)
+    chains = [_field_chain(f, eye, basis.phi, basis.dphi) for f in fields]
     return (-0.5 / gamma) * _sum_round(chains, acc)
 
 
@@ -151,7 +157,6 @@ class GalerkinSystem:
 
     basis: SpectralBasis
     drift: TTMatrix
-    channel: list
     bmap: TTMatrix
     ell_proj: TTTensor
     penalty: ControlPenalty
@@ -163,10 +168,11 @@ class GalerkinSystem:
         return tt_round(tt_matvec(self.bmap, v), self.acc)
 
     def operator(self, u_tt: TTTensor) -> TTMatrix:
-        """drift - < g u grad ., . >: the drift and one exact flag chain per
-        channel field, rounded together (tt_sum_round)."""
-        return _sum_round([self.drift, *_advection(self.channel, u_tt, self.basis)],
-                          self.acc, self.seed)
+        """drift - < g u grad ., . >: the drift and the exact coupling
+        2 gamma wphi^T diag(u) bmap, rounded together (tt_sum_round)."""
+        wphi = self.basis.weights[:, None] * self.basis.phi
+        coupling = _coupling(self.bmap, tt_scale(u_tt, 2.0 * self.penalty.gamma), wphi)
+        return _sum_round([self.drift, coupling], self.acc, self.seed)
 
     def rhs(self, u_tt: TTTensor, initial=None):
         """(b, CrossResult or None).  The quadratic penalty is sketched from

@@ -279,13 +279,11 @@ def _build_system(model: ControlledDynamics, basis: SpectralBasis,
     grids = [basis.nodes] * model.dim
     op_acc = Accuracy(delta=1e-12)
     drift = assemble_drift(model.f_tt_builder(grids), basis, op_acc)
-    channel = model.channel_builder(grids)
-    bmap = control_map(channel, basis, model.gamma, op_acc)
+    bmap = control_map(model.channel_builder(grids), basis, model.gamma, op_acc)
     ell_proj = project_to_basis(model.ell_tt(grids), basis)
     return GalerkinSystem(
         basis=basis,
         drift=drift,
-        channel=channel,
         bmap=bmap,
         ell_proj=ell_proj,
         penalty=model.penalty,

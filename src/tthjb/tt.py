@@ -626,15 +626,16 @@ def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
 
     The exact sum has the terms' ranks added.  With p the oversampling, a
     sketch rank at interface k would start at twice the largest term rank
-    plus p; where that already reaches the summed rank (or the mode products
-    on either side) at every interface, as for any two terms, the exact sum
-    is formed and rounded.  Otherwise the sum is compressed by one
-    randomized sketch (randomize-then-orthogonalize, Al Daas et al., SIAM J.
-    Sci. Comput. 2023) and then rounded, at cost O(d n R l^2) for the summed
-    rank R and sketch ranks l; the sketch rank doubles where the rounded
-    rank comes within p of it, and never exceeds the summed rank, the mode
-    products or acc.max_rank + p.  The Gaussian draws come from seed, so
-    equal inputs give bitwise-equal results.
+    plus p, capped at acc.max_rank + p; where that already reaches the summed
+    rank (or the mode products on either side) at every interface, as for
+    two terms within the cap, the exact sum is formed and rounded.
+    Otherwise the sum is compressed by one randomized sketch
+    (randomize-then-orthogonalize, Al Daas et al., SIAM J. Sci. Comput. 2023)
+    and then rounded, at cost O(d n R l^2) for the summed rank R and sketch
+    ranks l; the sketch rank doubles where the rounded rank comes within p
+    of it, and never exceeds the summed rank, the mode products or the cap.
+    The Gaussian draws come from seed, so equal inputs give bitwise-equal
+    results.
     """
     d, dims = terms[0].d, terms[0].dims
     if any(t.dims != dims for t in terms):
@@ -642,7 +643,8 @@ def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
     full = [min(sum(t.ranks[k] for t in terms), math.prod(dims[:k]), math.prod(dims[k:]))
             for k in range(d + 1)]
     start = [2 * max(t.ranks[k] for t in terms) + _SUM_OVERSAMPLE for k in range(d + 1)]
-    if all(s >= f for s, f in zip(start, full)):
+    cap = math.inf if acc.max_rank is None else acc.max_rank + _SUM_OVERSAMPLE
+    if all(min(s, cap) >= f for s, f in zip(start, full)):
         return tt_round(functools.reduce(tt_add, terms), acc)
     return _adaptive_round(lambda ell, rng: _sum_sketch(terms, ell, rng),
                            start, full, _SUM_OVERSAMPLE, acc, seed)

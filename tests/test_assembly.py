@@ -5,7 +5,7 @@ import pytest
 
 from tthjb.assembly import (
     ControlPenalty,
-    _advection,
+    _coupling,
     apply_constraint,
     assemble_drift,
     control_map,
@@ -14,7 +14,7 @@ from tthjb.assembly import (
 )
 from tthjb.basis import build_basis
 from tthjb.models import ControlledDynamics
-from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm
+from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm, tt_scale
 
 ACC = Accuracy(1e-12)
 
@@ -103,14 +103,6 @@ class TestDriftAssembly:
         A = assemble_drift(fields, basis, ACC).to_dense()
         want = dense_drift_oracle(funcs, basis, 3)
         assert np.allclose(A, want, atol=1e-10)
-
-    def test_rank_propagation(self, rng):
-        # the field scales u's blocks along the node mode: the chain has
-        # twice u's ranks, whatever the field
-        basis = build_basis(3, 1.0)
-        field = tuple([rng.standard_normal(basis.m) for _ in range(3)] for _ in range(2))
-        u = TTTensor.random((basis.m,) * 3, [1, 3, 2, 1], rng)
-        assert _advection([field], u, basis)[0].ranks == (1, 6, 4, 1)
 
     def test_constant_mode_annihilation(self, rng):
         basis = build_basis(4, 2.0)
@@ -262,19 +254,31 @@ class TestPenaltyCost:
 
 class TestCoupling:
     def test_matches_drift_of_gu(self, rng):
-        # the coupling chains at u against the dense quadrature of the
-        # velocity g(x) u(x); d = 3 reaches the middle [[G, H], [0, G]]
-        # block of the flag chain
-        basis = build_basis(3, 1.0)
+        # 2 gamma wphi^T diag(u) bmap against the dense quadrature of the
+        # velocity g(x) u(x); gamma != 1 checks that the control map's
+        # -1 / 2 gamma is undone
+        basis, gamma = build_basis(3, 1.0), 0.3
+        wphi = basis.weights[:, None] * basis.phi
         for d, form in itertools.product((1, 2, 3), CHANNEL_FORMS):
             model = channel_model(form, d, rng)
             u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
             u_vals = u.to_dense().reshape(-1)
             want = dense_drift_oracle([lambda pts, f=f: f(pts) * u_vals
                                        for f in channel_funcs(model)], basis, d)
-            C = sum(op.to_dense() for op in
-                    _advection(model.channel_builder([basis.nodes] * d), u, basis))
+            bmap = control_map(model.channel_builder([basis.nodes] * d), basis, gamma, ACC)
+            C = _coupling(bmap, tt_scale(u, 2.0 * gamma), wphi).to_dense()
             assert np.allclose(C, want, atol=1e-10), (d, form)
+
+    def test_rank_propagation(self, rng):
+        # each block meets one block of u and one of the control map along
+        # the nodes, so the ranks multiply, whatever u
+        basis = build_basis(3, 1.0)
+        u = TTTensor.random((basis.m,) * 3, [1, 3, 2, 1], rng)
+        for form in CHANNEL_FORMS:
+            model = channel_model(form, 3, rng)
+            bmap = control_map(model.channel_builder([basis.nodes] * 3), basis, 1.0, ACC)
+            C = _coupling(bmap, u, basis.phi)
+            assert C.ranks == tuple(a * b for a, b in zip(u.ranks, bmap.ranks)), form
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_operator_of_state_dependent_channel(self, rng, d):

@@ -71,3 +71,21 @@ def test_wrapped_builders_called_once_per_solve(small_model):
     names = [span[2] for span in tracer.spans]
     assert names.count("models.f_tt_builder") == 1
     assert names.count("models.channel_builder") == 1
+
+
+def test_operator_sums_two_terms(small_model, monkeypatch):
+    # constant and affine channels alike: the operator is the drift plus one
+    # coupling term, whatever the number of channel fields
+    from tthjb import assembly
+    from tthjb.policy import _build_system, initial_policy, solver_basis
+
+    counts = []
+    original = assembly.tt_sum_round
+    monkeypatch.setattr(assembly, "tt_sum_round",
+                        lambda terms, *args: counts.append(len(terms)) or original(terms, *args))
+    config = SolverConfig(n=2)
+    basis = solver_basis(small_model, config)
+    system = _build_system(small_model, basis, config)
+    counts.clear()
+    system.operator(initial_policy(small_model, basis))
+    assert counts == [2]

@@ -15,7 +15,8 @@ from tthjb.policy import (
     initial_policy,
     policy_iterate,
 )
-from tthjb.tt import Accuracy, TTTensor, quadratic_to_tt, tt_add, tt_norm, tt_round, tt_scale
+from tthjb.tt import (Accuracy, TTMatrix, TTTensor, flag_chain, quadratic_to_tt, tt_add, tt_norm,
+                      tt_round, tt_scale)
 
 
 def scalar_unstable_model(u_max=None):
@@ -525,13 +526,14 @@ class TestRankCapWarning:
 class TestStateDependentChannel:
     def test_error_and_rank_against_sequential_rounding(self, monkeypatch):
         # two iterations of fokker_planck(D=8) at the paper-fokker-planck-d10
-        # solver settings; g = B0 + M x, so the operator is the drift and
-        # d + 1 flag chains rounded together by one sketch
+        # solver settings; g = B0 + M x, so the operator is the drift and the
+        # coupling of rank r_u r_bmap, over the cap and rounded by one sketch
         from dataclasses import replace
         from functools import reduce
 
         from tthjb import assembly
 
+        model = fokker_planck(D=8)
         delta = 1e-3
         calls = []
         original = assembly.GalerkinSystem.operator
@@ -541,12 +543,19 @@ class TestStateDependentChannel:
             return calls[-1][2]
 
         monkeypatch.setattr(assembly.GalerkinSystem, "operator", recorded)
-        policy_iterate(fokker_planck(D=8),
-                       SolverConfig(delta=delta, mu0=50.0, n=5, max_policy_iters=2))
+        policy_iterate(model, SolverConfig(delta=delta, mu0=50.0, n=5, max_policy_iters=2))
         system, u, A = calls[1]
-        # the exact sum, whose ranks add, and the path the sketch replaced:
-        # the running sum rounded after every chain
-        chains = assembly._advection(system.channel, u, system.basis)
+        # the exact sum, whose ranks add, and the running sum rounded after
+        # every chain, from one flag chain at u per channel field:
+        # -< (component p of the field) u d/dx_p phi_j, phi_i >
+        basis = system.basis
+        wphi = basis.weights[:, None] * basis.phi
+        chains = [-1.0 * TTMatrix(flag_chain(
+            [assembly._weighted_block(b * gk[:, None], wphi, basis.phi)
+             for b, gk in zip(u.blocks, g)],
+            [assembly._weighted_block(b * hk[:, None], wphi, basis.dphi)
+             for b, hk in zip(u.blocks, h)]))
+            for g, h in model.channel_builder([basis.nodes] * model.dim)]
         exact = reduce(tt_add, [op.fuse() for op in [system.drift, *chains]])
         seq = system.drift.fuse()
         for chain in chains:
@@ -559,7 +568,8 @@ class TestStateDependentChannel:
         assert abs(A.max_rank - seq.max_rank) <= 2
         # A reaches the rank cap of 60 here, where no rounding of the sum
         # meets delta (measured: 1.74 delta, sequential 2.31 delta); without
-        # the cap the sketch meets 1.25 delta (measured: rank 76, 0.85 delta)
+        # the cap the exact sum of the drift and the coupling (ranks up to
+        # 168) is rounded, unsketched (measured: rank 76, 0.84 delta)
         assert A.max_rank == system.acc.max_rank
         assert error(A.fuse()) <= 1.25 * max(delta, error(seq))
         uncapped = replace(system, acc=Accuracy(delta)).operator(u)

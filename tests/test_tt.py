@@ -392,15 +392,25 @@ class TestSumRound:
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
     def test_exact_range_rounds_the_sum(self, rng, monkeypatch, count, r):
         # the summed ranks (at most 12, 18 and 60) stay within the starting
-        # sketch rank 2 r + 20 at every interface, the last one exactly: the
-        # exact sum is rounded, unsketched
+        # sketch rank 2 r + 20 and the cap max_rank + 20 at every interface,
+        # the last one exactly: the exact sum is rounded, unsketched
         sketches = self._sketches(monkeypatch)
         terms, _ = self._case(rng, 4, terms=count, r=r, flat=True)
-        acc = Accuracy(1e-3, max_rank=7)
+        acc = Accuracy(1e-3, max_rank=max(7, count * r - 20))
         b = tt_sum_round(terms, acc)
         want = tt_round(functools.reduce(tt_add, terms), acc)
         assert sketches == []
         assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+
+    def test_two_terms_over_the_cap_are_sketched(self, rng, monkeypatch):
+        # two terms of rank 20: the middle summed rank 40 is within the
+        # starting sketch but over the cap max_rank 7 + 20, so it is sketched
+        # at the cap, and the decaying terms still meet delta
+        sketches = self._sketches(monkeypatch)
+        terms, want = self._case(rng, 4, terms=2, r=20)
+        b = tt_sum_round(terms, Accuracy(1e-3, max_rank=7))
+        assert sketches == [[1, 12, 27, 12, 1]]
+        assert np.linalg.norm(b.to_dense() - want) <= 1.25e-3 * np.linalg.norm(want)
 
     def test_many_terms_are_sketched(self, rng, monkeypatch):
         # sixteen terms: the first interface (rank 12 at most) is within the
