@@ -10,6 +10,7 @@ mu times the identity because the frames are orthonormal.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dlartg, dtrtrs
@@ -19,11 +20,15 @@ from .tt import (
     TTMatrix,
     TTTensor,
     orthogonalize_right,
+    tt_scale,
     _carry_left,
     _check,
     _chop,
+    _matvec_term,
     _qr,
+    _sketch,
     _svd,
+    _tt_term,
 )
 
 __all__ = ["amen_solve_shifted"]
@@ -35,9 +40,8 @@ log = logging.getLogger(__name__)
 _GMRES_CROSSOVER = 325
 # largest local matrix formed: the dense fallback of an unconverged GMRES
 _DENSE_LIMIT = 2000
-# rank of the residual fit that drives enrichment, and its alternating sweeps
+# rank of the residual sketch that drives enrichment
 _RHO = 4
-_FIT_SWEEPS = 2
 
 
 # Index names in the comments: a, b, c, d frame ranks; A, B operator ranks;
@@ -67,8 +71,8 @@ def _advance_vec(L, vb, bb):
     return tmp.reshape(p * n, b).T @ bb.reshape(p * n, -1)
 
 
-def _right_interfaces(x: TTTensor, A: TTMatrix, w: TTTensor, vecs):
-    """Right interfaces against the frames of x: of A (with w) and of vecs.
+def _right_interfaces(x: TTTensor, A: TTMatrix, vecs):
+    """Right interfaces against the frames of x: of A and of vecs.
 
     Entry j contracts blocks j..d-1, so block k meets entry k + 1; entry d is
     the empty product.  Each is the advance kernel on blocks whose rank axes
@@ -79,8 +83,7 @@ def _right_interfaces(x: TTTensor, A: TTMatrix, w: TTTensor, vecs):
     Rs = [[None] * d + [np.ones((1, 1))] for _ in vecs]
     for j in range(d - 1, 0, -1):
         xb = x.blocks[j].transpose(2, 1, 0)
-        RA[j] = _advance_op(RA[j + 1], xb, A.blocks[j].transpose(3, 1, 2, 0),
-                            w.blocks[j].transpose(2, 1, 0))
+        RA[j] = _advance_op(RA[j + 1], xb, A.blocks[j].transpose(3, 1, 2, 0), xb)
         for R, t in zip(Rs, vecs):
             R[j] = _advance_vec(R[j + 1], xb, t.blocks[j].transpose(2, 1, 0))
     return RA, Rs
@@ -125,39 +128,6 @@ def _apply_local(LA, Ab, RA, x):
     tmp = tmp @ Ab.transpose(0, 2, 1, 3).reshape(A * m, n * B)    # a d i B
     tmp = tmp.reshape(a, d, n, B).transpose(0, 2, 1, 3).reshape(a * n, d * B)
     return (tmp @ RA.transpose(2, 1, 0).reshape(d * B, b)).reshape(a, n, b)
-
-
-def _fit_combination(A: TTMatrix, v: TTTensor, terms, rho: int, rng) -> TTTensor:
-    """Rank-rho alternating fit of sum_i c_i t_i - A v.
-
-    The product A v is never materialized: every local update only needs
-    interface contractions of A and v against the orthonormal frames of the
-    iterate, so the cost stays linear in d even when A v has huge ranks.
-    """
-    dims = v.dims
-    d = len(dims)
-    ranks = [1] + [rho] * (d - 1) + [1]
-    z = TTTensor.random(dims, ranks, rng)
-    vecs = [t for _, t in terms]
-    for _ in range(_FIT_SWEEPS):
-        z = orthogonalize_right(z, 1)
-        RA, Rs = _right_interfaces(z, A, v, vecs)
-        LA = np.ones((1, 1, 1))
-        Ls = [np.ones((1, 1)) for _ in vecs]
-        blocks = list(z.blocks)
-        for k in range(d):
-            blk = (_project(terms, Ls, Rs, k)
-                   - _apply_local(LA, A.blocks[k], RA[k + 1], v.blocks[k]))
-            if k == d - 1:
-                blocks[k] = blk
-                break
-            r0, _, r1 = blk.shape
-            q = _qr(blk.reshape(r0 * dims[k], r1), "q")
-            blocks[k] = q.reshape(r0, dims[k], q.shape[1])
-            LA = _advance_op(LA, blocks[k], A.blocks[k], v.blocks[k])
-            Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
-        z = TTTensor(blocks)
-    return z
 
 
 def _block_jacobi(LA, Ab, RA, shift):
@@ -306,19 +276,21 @@ def amen_solve_shifted(
     if sweeps < 1:
         raise ValueError("need at least one sweep")
     v = v_prev
-    d = v.d
+    d, dims = v.d, v.dims
     rng = np.random.default_rng(1)
+    ell = [min(_RHO, math.prod(dims[:k]), math.prod(dims[k:])) for k in range(d + 1)]
     rhs = [(1.0, b), (shift, v_prev)]
     vecs = [b, v_prev]
     stats = {} if stats is None else stats
     stats.update(max_local_res=0.0, gmres_fallbacks=0, gmres_unconverged=0)
     for sweep in range(sweeps):
         v = orthogonalize_right(v, 1)
-        # residual of the shifted system without forming (A + shift I) v;
+        # sketch of the shifted system's residual, (A + shift I) v never formed;
         # the first sweep starts from v_prev itself, so its shift terms cancel
         terms = rhs + [(-shift, v)] if sweep else rhs[:1]
-        res = _fit_combination(A, v, terms, _RHO, rng)
-        RA, Rs = _right_interfaces(v, A, v, vecs)
+        res = _sketch([_tt_term(tt_scale(t, c)) for c, t in terms]
+                      + [_matvec_term(A, tt_scale(v, -1.0))], dims, ell, rng)
+        RA, Rs = _right_interfaces(v, A, vecs)
         LA = np.ones((1, 1, 1))
         Ls = [np.ones((1, 1)) for _ in vecs]
         Lz = np.ones((1, 1))

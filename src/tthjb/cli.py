@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import logging
+import numbers
 import os
 import sys
 import time
@@ -149,13 +150,15 @@ _NAMED_X0 = {"cos-bump": "allen_cahn_1d", "right-sided": "fokker_planck"}
 
 def _resolve_x0(cfg: dict, model) -> np.ndarray:
     spec = cfg["rollout"].get("x0", "default")
-    if isinstance(spec, (list, tuple)):
+    if isinstance(spec, (list, tuple)) and all(isinstance(x, numbers.Real) for x in spec):
         x0 = np.asarray(spec, dtype=float)
         if x0.size != model.dim:
             raise ConfigError(
                 f"x0 has {x0.size} entries, model dimension is {model.dim}"
             )
         return x0
+    if not isinstance(spec, str):
+        raise ConfigError(f"x0 must be a name or a list of numbers, got {spec!r}")
     if spec in _NAMED_X0 and _NAMED_X0[spec] != model.name:
         raise ConfigError(f"x0 preset {spec!r} belongs to model {_NAMED_X0[spec]!r}, "
                           f"not {model.name!r}")

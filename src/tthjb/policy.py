@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -91,8 +92,11 @@ class SolverConfig:
             raise ValueError("q must lie in (0, 1)")
         if self.mu0 <= 0 or self.mu_min <= 0:
             raise ValueError("shifts must be positive")
-        if self.divergence_window < 1:
-            raise ValueError("divergence_window must be at least 1")
+        for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0),
+                          ("divergence_window", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
     def value_accuracy(self) -> Accuracy:

@@ -488,55 +488,110 @@ def tt_round(t: TTTensor, acc: Accuracy) -> TTTensor:
     return TTTensor(blocks)
 
 
-def _square_sketch(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
-                   ell: list, rng) -> TTTensor:
-    """Left-orthonormal TT of ranks ell whose range holds that of
-    c + gamma P(u * u), by randomize-then-orthogonalize.
+def _tt_term(t: TTTensor):
+    """The sketch maps (right, left) of a TT tensor, from its blocks."""
 
-    The sum's rank index at interface k is c's e_k followed by the pairs
-    (b, b') of u's r_k, so its right sketches and left frames are carried as
-    one (e_k, .) and one (r_k, r_k, .) part; each block of the square is met
-    as two products with u's block and one with proj.
+    def right(k, w, g):
+        r0, n, r1 = t.blocks[k].shape
+        return (t.blocks[k].reshape(r0 * n, r1) @ w).reshape(r0, -1) @ g.reshape(-1, g.shape[2])
+
+    def left(k, f):
+        r0, n, r1 = t.blocks[k].shape
+        return (f @ t.blocks[k].reshape(r0, n * r1)).reshape(-1, r1)
+
+    return right, left
+
+
+def _square_term(u: TTTensor, proj: np.ndarray, gamma: float):
+    """The sketch maps of gamma P(u * u), P applying proj (m, n) to every
+    mode, without forming the square.
+
+    Its rank index at interface k is the pairs (b, b') of u's r_k; each
+    block of the square is met as two products with u's block and one with
+    proj.
     """
-    d, (m, n) = u.d, proj.shape
-    right = [None] * (d + 1)
-    right[d] = np.ones((2, 1))
-    for k in range(d - 1, 0, -1):
-        cb, ub = c.blocks[k], u.blocks[k]
-        e0, _, e1 = cb.shape
+    m, n = proj.shape
+
+    def right(k, w, g):
+        ub = u.blocks[k]
         r0, _, r1 = ub.shape
-        l0, l1 = ell[k], ell[k + 1]
-        g = rng.standard_normal((n, l1 * l0))                                  # (i, t s)
-        rc, ru = right[k + 1][:e1], right[k + 1][e1:]
-        new_c = (cb.reshape(e0 * n, e1) @ rc).reshape(e0, n * l1) @ g.reshape(n * l1, l0)
-        h = (proj @ g).reshape(m, l1, l0)                                      # (q, t, s)
+        _, l1, l0 = g.shape
+        h = (proj @ g.reshape(n, l1 * l0)).reshape(m, l1, l0)                 # (q, t, s)
         # the pair index of the square is symmetric, so either factor of u
         # may take either half of it
-        t = ub.reshape(r0 * m, r1) @ ru.reshape(r1, r1 * l1)                   # (a', q, b, t)
+        t = ub.reshape(r0 * m, r1) @ w.reshape(r1, r1 * l1)                   # (a', q, b, t)
         t = t.reshape(r0, m, r1, l1).transpose(1, 0, 2, 3).reshape(m, r0 * r1, l1) @ h
         t = t.reshape(m, r0, r1, l0).transpose(0, 2, 1, 3).reshape(m * r1, r0 * l0)
-        sketch = np.concatenate([new_c, (ub.reshape(r0, m * r1) @ t).reshape(r0 * r0, l0)])
+        return (ub.reshape(r0, m * r1) @ t).reshape(r0 * r0, l0)
+
+    def left(k, f):
+        ub = u.blocks[k]
+        r0, _, r1 = ub.shape
+        s = f.shape[0]
+        t = (gamma * f if k == 0 else f).reshape(s * r0, r0) @ ub.reshape(r0, m * r1)
+        t = t.reshape(s, r0, m, r1).transpose(2, 0, 3, 1).reshape(m, s * r1, r0)
+        t = t @ ub.transpose(1, 0, 2)                                          # (q, s, b, b')
+        core = (proj.T @ t.reshape(m, s * r1 * r1)).reshape(n, s, r1 * r1)
+        return core.transpose(1, 0, 2).reshape(s * n, r1 * r1)
+
+    return right, left
+
+
+def _matvec_term(A: TTMatrix, v: TTTensor):
+    """The sketch maps of A v, from the blocks of A and v: its rank index at
+    interface k is the pairs (B, p) of A's and v's ranks."""
+
+    def right(k, w, g):
+        Ab, vb = A.blocks[k], v.blocks[k]
+        R0, n, m, R1 = Ab.shape
+        p0, _, p1 = vb.shape
+        l1 = w.shape[1]
+        t = vb.reshape(p0 * m, p1) @ w.reshape(R1, p1, l1).transpose(1, 0, 2).reshape(p1, -1)
+        t = t.reshape(p0, m, R1, l1).transpose(1, 2, 0, 3).reshape(m * R1, p0 * l1)
+        t = (Ab.reshape(R0 * n, m * R1) @ t).reshape(R0, n, p0, l1)          # (A, i, p, t)
+        return t.transpose(0, 2, 1, 3).reshape(R0 * p0, n * l1) @ g.reshape(n * l1, -1)
+
+    def left(k, f):
+        Ab, vb = A.blocks[k], v.blocks[k]
+        R0, n, m, R1 = Ab.shape
+        p0, _, p1 = vb.shape
+        s = f.shape[0]
+        t = f.reshape(s, R0, p0).transpose(0, 2, 1).reshape(s * p0, R0) @ Ab.reshape(R0, -1)
+        t = t.reshape(s, p0, n, m, R1).transpose(0, 2, 4, 1, 3).reshape(s * n * R1, p0 * m)
+        return (t @ vb.reshape(p0 * m, p1)).reshape(s * n, R1 * p1)
+
+    return right, left
+
+
+def _sketch(terms, dims, ell: list, rng) -> TTTensor:
+    """Left-orthonormal TT of ranks ell whose range holds that of the sum of
+    the terms, by randomize-then-orthogonalize (Al Daas et al., SIAM J. Sci.
+    Comput. 2023); its last block is the sum met by the left frames.
+
+    A term is a pair of maps of its blocks, which need never be formed:
+    right(k, w, g) meets block k by the term's right sketch w (r_{k+1},
+    l_{k+1}) and the Gaussian g (n_k, l_{k+1}, l_k), giving (r_k, l_k);
+    left(k, f) meets it by the term's left frame f (s, r_k), giving
+    (s n_k, r_{k+1}).  The sum's rank index is the terms' one after another.
+    """
+    d = len(dims)
+    right = [None] * d + [[np.ones((1, 1))] * len(terms)]
+    for k in range(d - 1, 0, -1):
+        g = rng.standard_normal((dims[k], ell[k + 1], ell[k]))
+        sketch = [r(k, w, g) for (r, _), w in zip(terms, right[k + 1])]
         # a common scale keeps d products of Gaussian blocks in range
-        right[k] = sketch / max(np.linalg.norm(sketch), np.finfo(float).tiny)
-    frame = np.array([[1.0, gamma]])
+        scale = max(math.hypot(*(np.linalg.norm(w) for w in sketch)), np.finfo(float).tiny)
+        right[k] = [w / scale for w in sketch]
+    frames = [np.ones((1, 1))] * len(terms)
     blocks = []
     for k in range(d):
-        cb, ub = c.blocks[k], u.blocks[k]
-        e0, _, e1 = cb.shape
-        r0, _, r1 = ub.shape
-        s = frame.shape[0]
-        core_c = (frame[:, :e0] @ cb.reshape(e0, n * e1)).reshape(s, n, e1)
-        t = frame[:, e0:].reshape(s * r0, r0) @ ub.reshape(r0, m * r1)
-        t = t.reshape(s, r0, m, r1)                                            # (s, a', q, b)
-        t = t.transpose(2, 0, 3, 1).reshape(m, s * r1, r0) @ ub.transpose(1, 0, 2)
-        core_u = (proj.T @ t.reshape(m, s * r1 * r1)).reshape(n, s, r1 * r1)
-        core = np.concatenate([core_c, core_u.transpose(1, 0, 2)], axis=2).reshape(s * n, -1)
+        cores = [left(k, f) for (_, left), f in zip(terms, frames)]
         if k == d - 1:
-            blocks.append(core.sum(axis=1).reshape(s, n, 1))
+            blocks.append(sum(cores).reshape(-1, dims[k], 1))
             break
-        q = _qr(core @ right[k + 1], "q")
-        blocks.append(q.reshape(s, n, -1))
-        frame = q.T @ core
+        q = _qr(sum(c @ w for c, w in zip(cores, right[k + 1])), "q")
+        blocks.append(q.reshape(-1, dims[k], q.shape[1]))
+        frames = [q.T @ c for c in cores]
     return TTTensor(blocks)
 
 
@@ -547,107 +602,50 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
     P applies proj, of shape (m, n), to every mode of the square of u (modes
     m): P(t)[i] = sum_q t[q] prod_k proj[q_k, i_k]; c has modes n.  The
     square has ranks r (r + 1) / 2, so the sum is compressed by a randomized
-    sketch (randomize-then-orthogonalize, Al Daas et al., SIAM J. Sci.
-    Comput. 2023) at cost O(d m r^3 l) for sketch ranks l, then rounded.
+    sketch (_sketch) at cost O(d m r^3 l) for sketch ranks l, then rounded.
     With e the ranks of c and p the oversampling, the sketch rank at
     interface k starts at min(r_k + e_k + p, e_k + r_k (r_k + 1) / 2), where
     the upper value spans the whole range and is exact, and doubles where
     the rounded rank comes within p of it; it never exceeds acc.max_rank + p.
-    The Gaussian draws come from seed, so equal inputs give bitwise-equal
-    results.
+    The Gaussian draws come from seed: equal inputs give equal bits.
     """
     if c.dims != proj.shape[1:] * u.d or u.dims != proj.shape[:1] * u.d:
         raise ValueError("c, u and proj do not share their modes")
     d, n = u.d, proj.shape[1]
     e, r = c.ranks, u.ranks
     full = [min(e[k] + r[k] * (r[k] + 1) // 2, n ** k, n ** (d - k)) for k in range(d + 1)]
-    start = [r[k] + e[k] + _OVERSAMPLE for k in range(d + 1)]
-    return _adaptive_round(lambda ell, rng: _square_sketch(c, u, proj, gamma, ell, rng),
-                           start, full, _OVERSAMPLE, acc, seed)
-
-
-def _adaptive_round(sketch, start, full, over: int, acc: Accuracy, seed: int) -> TTTensor:
-    """tt_round(sketch(ell, rng), acc) at sketch ranks ell that start at
-    start, never exceed full (the rank of the exact tensor) or
-    acc.max_rank + over, and double wherever the rounded rank comes within
-    over of them; rng is seeded once, so every sketch draws in turn."""
-    cap = [f if acc.max_rank is None else min(f, acc.max_rank + over) for f in full]
-    ell = [min(s, f) for s, f in zip(start, cap)]
+    cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
+    ell = [min(r[k] + e[k] + _OVERSAMPLE, cap[k]) for k in range(d + 1)]
+    terms = [_tt_term(c), _square_term(u, proj, gamma)]
     rng = np.random.default_rng(seed)
     while True:
-        b = tt_round(sketch(ell, rng), acc)
-        grow = [k for k in range(1, b.d) if b.ranks[k] > ell[k] - over and ell[k] < cap[k]]
+        b = tt_round(_sketch(terms, c.dims, ell, rng), acc)
+        grow = [k for k in range(1, d) if b.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
         if not grow:
             return b
         for k in grow:
             ell[k] = min(2 * ell[k], cap[k])
 
 
-def _sum_sketch(terms, ell: list, rng) -> TTTensor:
-    """Left-orthonormal TT of ranks ell whose range holds that of the sum
-    of terms, by randomize-then-orthogonalize.
-
-    The sum's rank index at interface k is the terms' rank indices one after
-    another, so its right sketches and left frames are kept per term: no
-    block of the sum is formed, and one term's products are held at a time.
-    """
-    d, dims = terms[0].d, terms[0].dims
-    right = [None] * (d + 1)
-    right[d] = [np.ones((1, 1))] * len(terms)
-    for k in range(d - 1, 0, -1):
-        g = rng.standard_normal((dims[k] * ell[k + 1], ell[k]))               # (i t, s)
-        sketch = [(t.blocks[k].reshape(-1, w.shape[0]) @ w).reshape(t.blocks[k].shape[0], -1) @ g
-                  for t, w in zip(terms, right[k + 1])]
-        # a common scale keeps d products of Gaussian blocks in range
-        scale = max(math.hypot(*(np.linalg.norm(w) for w in sketch)), np.finfo(float).tiny)
-        right[k] = [w / scale for w in sketch]
-    frames = [np.ones((1, 1))] * len(terms)
-    blocks = []
-    for k in range(d):
-        n, s = dims[k], frames[0].shape[0]
-        # the block of the sum met by the frames, one term's columns at a time
-        cores = ((f @ t.blocks[k].reshape(f.shape[1], -1)).reshape(s * n, -1)
-                 for f, t in zip(frames, terms))
-        if k == d - 1:
-            blocks.append(sum(cores).reshape(s, n, 1))
-            break
-        q = _qr(sum(c @ w for c, w in zip(cores, right[k + 1])), "q")
-        l1 = q.shape[1]
-        blocks.append(q.reshape(s, n, l1))
-        # the next frames are q^T times those columns, met block by block
-        frames = [(f.T @ q.reshape(s, n * l1)).reshape(-1, n, l1).transpose(2, 0, 1)
-                  .reshape(l1, -1) @ t.blocks[k].reshape(-1, t.blocks[k].shape[2])
-                  for f, t in zip(frames, terms)]
-    return TTTensor(blocks)
-
-
 def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
-    """round(sum of terms, acc), sketched when the sum is large.
+    """round(sum of terms, acc), sketched when the sum is over the cap.
 
-    The exact sum has the terms' ranks added.  With p the oversampling, a
-    sketch rank at interface k would start at twice the largest term rank
-    plus p, capped at acc.max_rank + p; where that already reaches the summed
-    rank (or the mode products on either side) at every interface, as for
-    two terms within the cap, the exact sum is formed and rounded.
-    Otherwise the sum is compressed by one randomized sketch
-    (randomize-then-orthogonalize, Al Daas et al., SIAM J. Sci. Comput. 2023)
-    and then rounded, at cost O(d n R l^2) for the summed rank R and sketch
-    ranks l; the sketch rank doubles where the rounded rank comes within p
-    of it, and never exceeds the summed rank, the mode products or the cap.
-    The Gaussian draws come from seed, so equal inputs give bitwise-equal
-    results.
+    Where the summed rank (or the mode products, if smaller) stays within
+    acc.max_rank + p for the oversampling p at every interface, or there is
+    no max_rank, the exact sum is rounded.  Otherwise one _sketch at that
+    rank capped at acc.max_rank + p, of cost O(d n R l^2) for summed rank R
+    and sketch ranks l, is rounded; its Gaussian draws come from seed.
     """
     d, dims = terms[0].d, terms[0].dims
     if any(t.dims != dims for t in terms):
         raise ValueError("terms do not share their modes")
     full = [min(sum(t.ranks[k] for t in terms), math.prod(dims[:k]), math.prod(dims[k:]))
             for k in range(d + 1)]
-    start = [2 * max(t.ranks[k] for t in terms) + _SUM_OVERSAMPLE for k in range(d + 1)]
-    cap = math.inf if acc.max_rank is None else acc.max_rank + _SUM_OVERSAMPLE
-    if all(min(s, cap) >= f for s, f in zip(start, full)):
+    if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
         return tt_round(functools.reduce(tt_add, terms), acc)
-    return _adaptive_round(lambda ell, rng: _sum_sketch(terms, ell, rng),
-                           start, full, _SUM_OVERSAMPLE, acc, seed)
+    ell = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
+    return tt_round(_sketch([_tt_term(t) for t in terms], dims, ell,
+                            np.random.default_rng(seed)), acc)
 
 
 def flag_chain(G: list, H: list) -> list:

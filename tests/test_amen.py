@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from tthjb.amen import (
     _advance_vec,
     _apply_local,
     _block_jacobi,
-    _fit_combination,
     _gmres,
     _local_matrix,
     _project,
@@ -32,6 +32,7 @@ from tthjb.tt import (
     tt_matvec,
     tt_norm,
     tt_round,
+    tt_scale,
     tt_square_sum,
     tt_sum_round,
     tt_to_dense,
@@ -46,21 +47,45 @@ def random_tt_matrix(rng, dims, ranks):
 
 
 class TestResidualFit:
-    @pytest.mark.parametrize("shifted", [False, True], ids=["one_term", "three_terms"])
-    def test_matches_dense_residual(self, rng, shifted):
-        # rho above every rank of a (3, 4, 3) tensor: the fit is exact, so it
-        # must reproduce the dense residual, shift terms included
-        dims, ranks, mu = (3, 4, 3), [1, 2, 2, 1], 0.7
+    """The enrichment residual sum_i c_i t_i - A v, sketched by tt._sketch
+    from the terms' blocks as amen_solve_shifted does."""
+
+    @staticmethod
+    def _case(rng, dims, shifted):
+        ranks, mu = [1] + [2] * (len(dims) - 1) + [1], 0.7
         A = random_tt_matrix(rng, dims, ranks)
         v, b, v_prev = (TTTensor.random(dims, ranks, rng) for _ in range(3))
         terms = [(1.0, b)]
         if shifted:
             terms += [(mu, v_prev), (-mu, v)]
-        res = _fit_combination(A, v, terms, 12, rng)
+        sketch_terms = ([tt._tt_term(tt_scale(t, c)) for c, t in terms]
+                        + [tt._matvec_term(A, tt_scale(v, -1.0))])
         want = sum(c * tt_to_dense(t).reshape(-1) for c, t in terms)
-        want = want - A.to_dense() @ tt_to_dense(v).reshape(-1)
+        return sketch_terms, want - A.to_dense() @ tt_to_dense(v).reshape(-1)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["one_term", "three_terms"])
+    def test_matches_dense_residual(self, rng, shifted):
+        # sketch ranks at the mode products of a (3, 4, 3) tensor span the
+        # whole range: the sketch is exact, so it must reproduce the dense
+        # residual, shift terms included
+        terms, want = self._case(rng, (3, 4, 3), shifted)
+        res = tt._sketch(terms, (3, 4, 3), [1, 3, 3, 1], rng)
         got = tt_to_dense(res).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dims", [(3, 4, 3), (5, 6, 5)])
+    def test_blocks_left_orthonormal(self, rng, dims):
+        # at the enrichment ranks min(4, mode products), below the range of
+        # (5, 6, 5), every block but the last is left-orthonormal: the
+        # enrichment meets only those blocks
+        terms, _ = self._case(rng, dims, True)
+        ell = [min(amen._RHO, math.prod(dims[:k]), math.prod(dims[k:]))
+               for k in range(len(dims) + 1)]
+        res = tt._sketch(terms, dims, ell, rng)
+        assert res.ranks == tuple(ell)
+        for blk in res.blocks[:-1]:
+            mat = blk.reshape(-1, blk.shape[2])
+            assert np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=1e-12)
 
 
 def local_parts(rng, r0, n, r1, R0=3, R1=2, diagonal_right=False, scale=1.0):
@@ -102,19 +127,17 @@ class TestKernels:
         assert np.allclose(_advance_vec(L, vb, bb), want, rtol=1e-12, atol=1e-12)
 
     def test_right_interfaces(self, rng):
-        # the advance kernels on blocks with reversed rank axes; x, A, w and
-        # the vector have different ranks and A has rectangular modes
-        rows, cols = (2, 3, 4, 5), (3, 5, 2, 4)
-        x = TTTensor.random(rows, [1, 2, 3, 4, 1], rng)
-        A = TTMatrix([rng.standard_normal((r0, n, m, r1)) for r0, n, m, r1
-                      in zip([1, 5, 6, 7], rows, cols, [5, 6, 7, 1])])
-        w = TTTensor.random(cols, [1, 4, 3, 2, 1], rng)
-        t = TTTensor.random(rows, [1, 6, 5, 3, 1], rng)
-        RA, (Rt,) = _right_interfaces(x, A, w, [t])
+        # the advance kernels on blocks with reversed rank axes; x, A and
+        # the vector have different ranks
+        dims = (2, 3, 4, 5)
+        x = TTTensor.random(dims, [1, 2, 3, 4, 1], rng)
+        A = random_tt_matrix(rng, dims, [1, 5, 6, 7, 1])
+        t = TTTensor.random(dims, [1, 6, 5, 3, 1], rng)
+        RA, (Rt,) = _right_interfaces(x, A, [t])
         want_A, want_t = np.ones((1, 1, 1)), np.ones((1, 1))
         for j in range(x.d - 1, 0, -1):
             want_A = np.einsum("aib,AijB,cjd,bBd->aAc", x.blocks[j], A.blocks[j],
-                               w.blocks[j], want_A)
+                               x.blocks[j], want_A)
             want_t = np.einsum("aib,piq,bq->ap", x.blocks[j], t.blocks[j], want_t)
             assert np.allclose(RA[j], want_A, rtol=1e-12, atol=1e-12)
             assert np.allclose(Rt[j], want_t, rtol=1e-12, atol=1e-12)
@@ -609,13 +632,12 @@ class TestNoNumpyFactorizations:
         orthogonalize_right(v, 0)
         u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
         tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))
-        # eight terms of rank 6 add to 48 > 2 * 6 + 20: the sketched branch
+        # eight terms of rank 6 add to 48 > max_rank 4 + 20: the sketched branch
         sketches = []
-        sum_sketch = tt._sum_sketch
-        monkeypatch.setattr(tt, "_sum_sketch",
-                            lambda *args: sketches.append(1) or sum_sketch(*args))
+        sketch = tt._sketch
+        monkeypatch.setattr(tt, "_sketch", lambda *args: sketches.append(1) or sketch(*args))
         terms = [TTTensor.random((6,) * 4, [1, 6, 6, 6, 1], rng) for _ in range(8)]
-        tt_sum_round(terms, Accuracy(1e-3))
+        tt_sum_round(terms, Accuracy(1e-3, max_rank=4))
         assert sketches
         t = TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng)
         tt_cross(t, lambda s: s, Accuracy(1e-12))

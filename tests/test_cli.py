@@ -226,10 +226,26 @@ class TestMain:
         assert main(["--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["divergence_window"])
+    @pytest.mark.parametrize("field", ["divergence_window", "n", "max_rank"])
     def test_zero_sweep_count_exit_2(self, tmp_path, field):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 0}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value", [
+        ("rollout", {"x0": {"a": 1}}),
+        ("rollout", {"x0": [1, 2, "x", 4]}),
+        ("rollout", {"x0": [[1, 2], [3, 4]]}),
+        ("solver", {"n": "5"}),
+        ("solver", {"n": 2.5}),
+    ])
+    def test_invalid_value_exit_2(self, tmp_path, section, value):
+        # an x0 that is neither a name nor a list of numbers, and a count
+        # that is not an integer, are config errors
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, section: {**FAST_LQ[section], **value}}))
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

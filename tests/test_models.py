@@ -120,12 +120,14 @@ class TestFokkerPlanck:
             assert abs(np.sum(Z @ z0)) <= 1e-8
 
     def test_uncontrolled_reference_decay_rate(self):
-        # high-resolution reference: squared deviation decays near exp(-0.29 t)
+        # high-resolution reference: squared deviation decays near exp(-0.29 t).
+        # The uncontrolled drift is linear (no cubic term), so BDF gets its
+        # Jacobian lin_A instead of estimating it by finite differences
         m = fokker_planck(D=255)
         m0 = fokker_planck_unshifted(m)
         sol = solve_ivp(lambda t, z: m0.drift(z.reshape(1, -1))[0], (0, 9.2),
                         m.x0_default, method="BDF", rtol=1e-8, atol=1e-10,
-                        dense_output=True)
+                        jac=m0.lin_A, dense_output=True)
         ts = np.linspace(2.0, 9.2, 200)
         e2 = np.sum(sol.sol(ts) ** 2, axis=0) * m.extras["h"]
         rate = np.polyfit(ts, np.log(e2), 1)[0]

@@ -89,3 +89,38 @@ def test_operator_sums_two_terms(small_model, monkeypatch):
     counts.clear()
     system.operator(initial_policy(small_model, basis))
     assert counts == [2]
+
+
+def test_one_sketch_for_every_unformed_sum(monkeypatch):
+    # the penalty right-hand side, a sum over its rank cap and AMEn's
+    # enrichment residual are each sketched by the one routine tt._sketch
+    from tthjb import amen, tt
+    from tthjb.tt import Accuracy, TTMatrix, TTTensor
+
+    assert amen._sketch is tt._sketch
+    calls = []
+    sketch = tt._sketch
+
+    def counting(*args):
+        calls.append(1)
+        return sketch(*args)
+
+    monkeypatch.setattr(tt, "_sketch", counting)
+    monkeypatch.setattr(amen, "_sketch", counting)
+    rng = np.random.default_rng(0)
+    u = TTTensor.random((4,) * 3, [1, 3, 3, 1], rng)
+    tt.tt_square_sum(TTTensor.zeros((4,) * 3), u, np.eye(4), 1.0, Accuracy(1e-3))
+    assert len(calls) >= 1
+    calls.clear()
+    # summed rank 36 in the middle, over max_rank 4 + 20
+    terms = [TTTensor.random((6,) * 4, [1, 6, 6, 6, 1], rng) for _ in range(8)]
+    tt.tt_sum_round(terms, Accuracy(1e-3))
+    assert calls == []  # no max_rank: the exact sum is rounded
+    tt.tt_sum_round(terms, Accuracy(1e-3, max_rank=4))
+    assert len(calls) == 1
+    calls.clear()
+    dims = (4, 3, 5)
+    A = TTMatrix.identity(dims) * 2.0
+    b = TTTensor.random(dims, [1, 2, 2, 1], rng)
+    amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
+    assert len(calls) == 2  # one residual per sweep

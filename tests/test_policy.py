@@ -301,11 +301,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
 
-    @pytest.mark.parametrize("field", ["divergence_window"])
+    @pytest.mark.parametrize("field", ["divergence_window", "n", "max_rank"])
     def test_zero_counts_rejected(self, field):
-        # a zero window would call the first step divergent
+        # a zero window would call the first step divergent; a zero basis
+        # size or rank cap has nothing to solve on
         with pytest.raises(ValueError):
             SolverConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["n", "max_rank", "max_policy_iters", "divergence_window"])
+    @pytest.mark.parametrize("value", ["5", 2.5, -1])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
     def test_zero_policy_iterations_allowed(self):
         assert SolverConfig(max_policy_iters=0).max_policy_iters == 0

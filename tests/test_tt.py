@@ -276,6 +276,17 @@ def decaying_tt(dims, r, rng, ratio=0.3):
     return TTTensor([blk * ratio ** np.arange(blk.shape[2]) for blk in t.blocks])
 
 
+def sketch_ranks(monkeypatch):
+    """The sketch ranks of every tt._sketch call, in order."""
+    from tthjb import tt
+
+    ranks = []
+    original = tt._sketch
+    monkeypatch.setattr(tt, "_sketch", lambda terms, dims, ell, rng: ranks.append(list(ell))
+                        or original(terms, dims, ell, rng))
+    return ranks
+
+
 class TestSquareSum:
     """tt_square_sum(c, u, W, gamma) against the dense c + gamma W(u^2)."""
 
@@ -291,15 +302,6 @@ class TestSquareSum:
             dense = np.tensordot(dense, W, axes=(0, 0))
         return c, u, W, c.to_dense() + dense
 
-    def _sketches(self, monkeypatch):
-        from tthjb import tt
-
-        ranks = []
-        original = tt._square_sketch
-        monkeypatch.setattr(tt, "_square_sketch",
-                            lambda *args: ranks.append(list(args[4])) or original(*args))
-        return ranks
-
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("r", [4, 13, 20])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
@@ -311,7 +313,7 @@ class TestSquareSum:
     def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
         # rank 13 at d=4: the middle sketch of rank 13+2+5 stays below the
         # 36 of the full range, is not doubled, and still meets delta
-        sketches = self._sketches(monkeypatch)
+        sketches = sketch_ranks(monkeypatch)
         c, u, W, want = self._case(rng, 4, 13)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3))
         assert sketches == [[1, 6, 20, 6, 1]]
@@ -320,7 +322,7 @@ class TestSquareSum:
     def test_saturated_sketch_doubles(self, rng, monkeypatch):
         # a flat spectrum saturates the middle sketch of rank 20, which
         # doubles, capped at the full 36 and then exact
-        sketches = self._sketches(monkeypatch)
+        sketches = sketch_ranks(monkeypatch)
         c, u, W, want = self._case(rng, 4, 13, flat=True)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-6))
         assert sketches == [[1, 6, 20, 6, 1], [1, 6, 36, 6, 1]]
@@ -333,7 +335,7 @@ class TestSquareSum:
         assert all(np.array_equal(x, y) for x, y in zip(b1.blocks, b2.blocks))
 
     def test_ranks_respect_max_rank(self, rng, monkeypatch):
-        sketches = self._sketches(monkeypatch)
+        sketches = sketch_ranks(monkeypatch)
         c, u, W, _ = self._case(rng, 4, 20, flat=True)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-12, max_rank=4))
         assert b.max_rank <= 4
@@ -352,49 +354,19 @@ class TestSumRound:
                  else decaying_tt((self.N,) * d, r, rng, ratio) for _ in range(terms)]
         return terms, sum(t.to_dense() for t in terms)
 
-    def _sketches(self, monkeypatch):
-        from tthjb import tt
-
-        ranks = []
-        original = tt._sum_sketch
-        monkeypatch.setattr(tt, "_sum_sketch",
-                            lambda terms, ell, rng: ranks.append(list(ell))
-                            or original(terms, ell, rng))
-        return ranks
-
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
     def test_dense_oracle(self, rng, d, delta):
-        # at d=4 and delta 1e-3 the middle sketch doubles once, from 32 to
-        # 64, and stays below the summed rank 96
         terms, want = self._case(rng, d)
         b = tt_sum_round(terms, Accuracy(delta))
         assert np.linalg.norm(b.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
 
-    def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
-        # eight terms of rank 8 at d=4: the middle sketch of rank 2 * 8 + 20
-        # stays below the summed 64, is not doubled, and still meets delta
-        sketches = self._sketches(monkeypatch)
-        terms, want = self._case(rng, 4, terms=8, r=8, ratio=0.02)
-        b = tt_sum_round(terms, Accuracy(1e-3))
-        assert sketches == [[1, 12, 36, 12, 1]]
-        assert np.linalg.norm(b.to_dense() - want) <= 1.25e-3 * np.linalg.norm(want)
-
-    def test_saturated_sketch_doubles(self, rng, monkeypatch):
-        # a flat spectrum saturates the middle sketch of rank 32, which
-        # doubles, and again, capped at the summed 96 and then exact
-        sketches = self._sketches(monkeypatch)
-        terms, want = self._case(rng, 4, flat=True)
-        b = tt_sum_round(terms, Accuracy(1e-6))
-        assert sketches == [[1, 12, 32, 12, 1], [1, 12, 64, 12, 1], [1, 12, 96, 12, 1]]
-        assert np.linalg.norm(b.to_dense() - want) <= 1e-6 * np.linalg.norm(want)
-
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
     def test_exact_range_rounds_the_sum(self, rng, monkeypatch, count, r):
-        # the summed ranks (at most 12, 18 and 60) stay within the starting
-        # sketch rank 2 r + 20 and the cap max_rank + 20 at every interface,
-        # the last one exactly: the exact sum is rounded, unsketched
-        sketches = self._sketches(monkeypatch)
+        # the summed ranks (at most 12, 18 and 60) stay within the cap
+        # max_rank + 20 at every interface, the last one exactly: the exact
+        # sum is rounded, unsketched
+        sketches = sketch_ranks(monkeypatch)
         terms, _ = self._case(rng, 4, terms=count, r=r, flat=True)
         acc = Accuracy(1e-3, max_rank=max(7, count * r - 20))
         b = tt_sum_round(terms, acc)
@@ -403,31 +375,34 @@ class TestSumRound:
         assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
 
     def test_two_terms_over_the_cap_are_sketched(self, rng, monkeypatch):
-        # two terms of rank 20: the middle summed rank 40 is within the
-        # starting sketch but over the cap max_rank 7 + 20, so it is sketched
-        # at the cap, and the decaying terms still meet delta
-        sketches = self._sketches(monkeypatch)
+        # two terms of rank 20: the middle summed rank 40 is over the cap
+        # max_rank 7 + 20, so it is sketched at the cap, and the decaying
+        # terms still meet delta
+        sketches = sketch_ranks(monkeypatch)
         terms, want = self._case(rng, 4, terms=2, r=20)
         b = tt_sum_round(terms, Accuracy(1e-3, max_rank=7))
         assert sketches == [[1, 12, 27, 12, 1]]
         assert np.linalg.norm(b.to_dense() - want) <= 1.25e-3 * np.linalg.norm(want)
 
-    def test_many_terms_are_sketched(self, rng, monkeypatch):
-        # sixteen terms: the first interface (rank 12 at most) is within the
-        # starting sketch, the middle one (summed rank 96) is not
-        sketches = self._sketches(monkeypatch)
+    def test_uncapped_terms_are_not_sketched(self, rng, monkeypatch):
+        # sixteen terms (summed rank 96) without a max_rank: the exact sum
+        # is rounded, whatever its rank
+        sketches = sketch_ranks(monkeypatch)
         terms, _ = self._case(rng, 4, terms=16)
-        tt_sum_round(terms, Accuracy(1e-3))
-        assert sketches and sketches[0] == [1, 12, 32, 12, 1]
+        b = tt_sum_round(terms, Accuracy(1e-3))
+        want = tt_round(functools.reduce(tt_add, terms), Accuracy(1e-3))
+        assert sketches == []
+        assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
 
     def test_bitwise_repeatable(self, rng):
+        # capped, so the summed rank 96 is sketched
         terms, _ = self._case(rng, 4, flat=True)
-        b1 = tt_sum_round(terms, Accuracy(1e-3), seed=3)
-        b2 = tt_sum_round(terms, Accuracy(1e-3), seed=3)
+        b1 = tt_sum_round(terms, Accuracy(1e-3, max_rank=10), seed=3)
+        b2 = tt_sum_round(terms, Accuracy(1e-3, max_rank=10), seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(b1.blocks, b2.blocks))
 
     def test_ranks_respect_max_rank(self, rng, monkeypatch):
-        sketches = self._sketches(monkeypatch)
+        sketches = sketch_ranks(monkeypatch)
         terms, _ = self._case(rng, 4, flat=True)
         b = tt_sum_round(terms, Accuracy(1e-12, max_rank=4))
         assert b.max_rank <= 4
