@@ -12,7 +12,7 @@ from .policy import (
     feedback,
     policy_iterate,
 )
-from .rollout import Trajectory, compare, interpolate_controller, rollout
+from .rollout import Trajectory, compare, rollout
 from .tt import Accuracy, TTMatrix, TTTensor, load_tt, save_tt, tt_round
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "build_basis",
     "compare",
     "feedback",
-    "interpolate_controller",
     "load_tt",
     "policy_iterate",
     "rollout",

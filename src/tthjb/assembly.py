@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralBasis
-from .cross import CrossResult, tt_cross
+from .cross import tt_cross
 from .tt import (Accuracy, TTMatrix, TTTensor, flag_chain, tt_matvec, tt_round, tt_scale,
                  tt_square_sum, tt_sum_round)
 
@@ -33,9 +33,11 @@ __all__ = [
     "project_to_basis",
     "assemble_drift",
     "control_map",
-    "apply_constraint",
     "penalty_cost",
 ]
+
+_CLIP_MARGIN = 0.01    # bounded controls are soft-clipped at (1 - this) u_max
+
 
 @dataclass(frozen=True)
 class ControlPenalty:
@@ -44,13 +46,12 @@ class ControlPenalty:
     Without u_max it charges gamma u^2.  With u_max it is bounded: it charges
     the convex penalty whose pointwise minimizer is u_max tanh(w / u_max),
     which keeps the feedback strictly inside [-u_max, u_max]; the realized
-    controls are soft-clipped at (1 - margin) u_max so the penalty stays
-    finite.
+    controls are soft-clipped at (1 - _CLIP_MARGIN) u_max so the penalty
+    stays finite.
     """
 
     gamma: float
     u_max: float | None = None
-    margin: float = 0.01
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -62,7 +63,7 @@ class ControlPenalty:
     def clip(self) -> float | None:
         if self.u_max is None:
             return None
-        return (1.0 - self.margin) * self.u_max
+        return (1.0 - _CLIP_MARGIN) * self.u_max
 
     def saturate(self, u):
         """The tanh cap clip tanh(u / clip); unbounded controls pass through."""
@@ -84,8 +85,7 @@ def penalty_cost(u, penalty: ControlPenalty):
 
 def project_to_basis(t: TTTensor, basis: SpectralBasis) -> TTTensor:
     """Quadrature projection of grid values onto basis coefficients."""
-    wphi = basis.weights[:, None] * basis.phi
-    return TTTensor([np.einsum("aqb,qi->aib", blk, wphi) for blk in t.blocks])
+    return TTTensor([np.einsum("aqb,qi->aib", blk, basis.wphi) for blk in t.blocks])
 
 
 def _weighted_block(blk, test, trial):
@@ -129,9 +129,8 @@ def _sum_round(ops: list, acc: Accuracy, seed: int = 0) -> TTMatrix:
 
 def assemble_drift(fields, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
     """-< f . grad phi_j, phi_i > for the drift's flag fields, rounded."""
-    wphi = basis.weights[:, None] * basis.phi
-    return -1.0 * _sum_round([_field_chain(f, wphi, basis.phi, basis.dphi) for f in fields],
-                             acc)
+    return -1.0 * _sum_round([_field_chain(f, basis.wphi, basis.phi, basis.dphi)
+                              for f in fields], acc)
 
 
 def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TTMatrix:
@@ -141,14 +140,6 @@ def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TT
     eye = np.eye(basis.m)
     chains = [_field_chain(f, eye, basis.phi, basis.dphi) for f in fields]
     return (-0.5 / gamma) * _sum_round(chains, acc)
-
-
-def apply_constraint(u_tt: TTTensor, penalty: ControlPenalty, acc: Accuracy,
-                     initial=None, seed=0) -> CrossResult | None:
-    """Soft-clip the feedback through the saturating reparametrization."""
-    if penalty.u_max is None:
-        return None
-    return tt_cross(u_tt, penalty.saturate, acc, initial, seed)
 
 
 @dataclass
@@ -170,8 +161,8 @@ class GalerkinSystem:
     def operator(self, u_tt: TTTensor) -> TTMatrix:
         """drift - < g u grad ., . >: the drift and the exact coupling
         2 gamma wphi^T diag(u) bmap, rounded together (tt_sum_round)."""
-        wphi = self.basis.weights[:, None] * self.basis.phi
-        coupling = _coupling(self.bmap, tt_scale(u_tt, 2.0 * self.penalty.gamma), wphi)
+        coupling = _coupling(self.bmap, tt_scale(u_tt, 2.0 * self.penalty.gamma),
+                             self.basis.wphi)
         return _sum_round([self.drift, coupling], self.acc, self.seed)
 
     def rhs(self, u_tt: TTTensor, initial=None):
@@ -179,9 +170,8 @@ class GalerkinSystem:
         the blocks of u (tt_square_sum); the tanh penalty goes through cross,
         started from the index sets ``initial`` when given."""
         if self.penalty.u_max is None:
-            wphi = self.basis.weights[:, None] * self.basis.phi
-            b = tt_square_sum(self.ell_proj, u_tt, wphi, self.penalty.gamma, self.acc,
-                              self.seed)
+            b = tt_square_sum(self.ell_proj, u_tt, self.basis.wphi, self.penalty.gamma,
+                              self.acc, self.seed)
             return b, None
         res = tt_cross(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc, initial,
                        self.seed)

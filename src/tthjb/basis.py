@@ -52,6 +52,7 @@ class SpectralBasis:
     weights: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)     # (m, n) values at nodes
     dphi: np.ndarray = field(repr=False)    # (m, n) derivatives at nodes
+    wphi: np.ndarray = field(repr=False)    # (m, n) weights[:, None] * phi
 
     def scale(self) -> np.ndarray:
         return np.sqrt((2 * np.arange(self.n) + 1) / (2 * self.a))
@@ -72,5 +73,6 @@ def build_basis(n: int, a: float) -> SpectralBasis:
     scale = np.sqrt((2 * np.arange(n) + 1) / (2 * a))
     phi = np.ascontiguousarray(vals.T * scale)
     dphi = np.ascontiguousarray(ders.T * scale / a)
-    return SpectralBasis(n=n, a=float(a), m=m, nodes=nodes, weights=weights, phi=phi, dphi=dphi)
+    return SpectralBasis(n=n, a=float(a), m=m, nodes=nodes, weights=weights, phi=phi, dphi=dphi,
+                         wphi=weights[:, None] * phi)
 

@@ -23,6 +23,11 @@ __all__ = ["CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt",
 
 log = logging.getLogger(__name__)
 
+_MAX_SWEEPS = 20       # sweeps before a cross stops unconverged
+_MAXVOL_TOL = 5e-2     # maxvol stops once no entry of F inv(F[rows]) exceeds 1 + this
+_MAXVOL_ITERS = 500    # row swaps before maxvol stops regardless
+_RANK_STEP = 2         # rows added to each right set by one rank adaptation
+
 
 def _fibres(t: TTTensor, func, left_rows: np.ndarray, k: int,
             right_rows: np.ndarray) -> np.ndarray:
@@ -88,10 +93,11 @@ def _distinct_rows(dims, count, rng, existing=None):
     return np.array(rows, dtype=int).reshape(count, len(dims))
 
 
-def maxvol(F: np.ndarray, tol: float = 5e-2, max_iters: int = 500) -> np.ndarray:
+def maxvol(F: np.ndarray) -> np.ndarray:
     """Rows of a dominant (locally maximum-volume) square submatrix of F.
 
-    On exit every entry of F @ inv(F[rows]) has magnitude <= 1 + tol.
+    On exit every entry of F @ inv(F[rows]) has magnitude <= 1 + _MAXVOL_TOL,
+    unless _MAXVOL_ITERS swaps ran out first.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
@@ -110,10 +116,10 @@ def maxvol(F: np.ndarray, tol: float = 5e-2, max_iters: int = 500) -> np.ndarray
         perm[i], perm[p] = perm[p], perm[i]
     rows = perm[:r].copy()
     B = F @ np.linalg.inv(F[rows])
-    for _ in range(max_iters):
+    for _ in range(_MAXVOL_ITERS):
         flat = np.argmax(np.abs(B))
         i, j = np.unravel_index(flat, B.shape)
-        if abs(B[i, j]) <= 1.0 + tol:
+        if abs(B[i, j]) <= 1.0 + _MAXVOL_TOL:
             break
         # swap row rows[j] <- i with a rank-1 update of B
         ej = np.zeros(r)
@@ -129,13 +135,12 @@ class CrossResult:
     index_sets: CrossIndexSets
     n_evals: int
     sweeps: int
-    per_sweep_evals: list
     converged: bool
 
 
-def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
-               increment: int = 2):
-    """Grow right index sets where the sweep-to-sweep change exceeds delta.
+def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng):
+    """Grow every right index set by _RANK_STEP rows when the sweep-to-sweep
+    change exceeds delta.
 
     Returns the new state; ranks never exceed acc.max_rank nor the
     combinatorial capacity of the grid.
@@ -148,7 +153,7 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng,
     for k in range(d - 1):
         rows = state.right[k]
         cap = int(min(np.prod(dims[k + 1 :], dtype=float), np.prod(dims[: k + 1], dtype=float), 1 << 20))
-        target = rows.shape[0] + increment
+        target = rows.shape[0] + _RANK_STEP
         if acc.max_rank is not None:
             target = min(target, acc.max_rank)
         target = min(target, cap)
@@ -222,18 +227,18 @@ def _backward_pass(fibres, dims, left_sets, delta: float):
 
 
 def tt_cross(t: TTTensor, func, acc: Accuracy, initial: CrossIndexSets | None = None,
-             seed: int = 0, max_sweeps: int = 20) -> CrossResult:
+             seed: int = 0) -> CrossResult:
     """TT-Cross of func(t), the entrywise map of t, with maxvol pivot
     selection and rank adaptation.
 
     One sweep is a full left-to-right pass (which also assembles the TT
     blocks from the inverted intersection matrices) followed by a
     right-to-left pass.  Convergence is declared when the relative change of
-    the assembled iterate drops below acc.delta; a cross that stops without
-    it logs a warning.  Without ``initial`` the index sets start at random
-    at rank min(t.max_rank + 2, 10).  Values are requested fibre by fibre,
-    and the evaluations of this call are counted from the fibre blocks'
-    sizes.
+    the assembled iterate drops below acc.delta; a cross still unconverged
+    after _MAX_SWEEPS sweeps logs a warning.  Without ``initial`` the index
+    sets start at random at rank min(t.max_rank + 2, 10).  Values are
+    requested fibre by fibre, and the evaluations of this call are counted
+    from the fibre blocks' sizes.
     """
     rng = np.random.default_rng(seed)
     dims = t.dims
@@ -241,19 +246,19 @@ def tt_cross(t: TTTensor, func, acc: Accuracy, initial: CrossIndexSets | None = 
              else random_index_sets(dims, min(t.max_rank + 2, 10), rng))
     if state.dims != dims:
         raise ValueError("initial index sets built for a different grid")
-    per_sweep_evals = []
+    n_evals = 0
 
     def fibres(left_rows, k, right_rows):
+        nonlocal n_evals
         vals = _fibres(t, func, left_rows, k, right_rows)
-        per_sweep_evals[-1] += vals.size
+        n_evals += vals.size
         return vals
 
     prev = None
     tensor = None
     converged = False
     sweeps = 0
-    for sweep in range(max_sweeps):
-        per_sweep_evals.append(0)
+    for sweep in range(_MAX_SWEEPS):
         sweeps = sweep + 1
         cores, left_sets = _forward_pass(fibres, dims, state.right, acc.delta)
         tensor = TTTensor(cores)
@@ -269,16 +274,9 @@ def tt_cross(t: TTTensor, func, acc: Accuracy, initial: CrossIndexSets | None = 
         # sizes right sets by the left ranks, so earlier growth would be lost
         state = rank_adapt(state, np.inf if change is None else change, acc, rng)
         prev = tensor
-    n_evals = sum(per_sweep_evals)
     if not converged:
         log.warning("TT-cross stopped unconverged after %d sweeps (%d evaluations, rank %d)",
                     sweeps, n_evals, tensor.max_rank)
-    return CrossResult(
-        tensor=tensor,
-        index_sets=state,
-        n_evals=n_evals,
-        sweeps=sweeps,
-        per_sweep_evals=per_sweep_evals,
-        converged=converged,
-    )
+    return CrossResult(tensor=tensor, index_sets=state, n_evals=n_evals, sweeps=sweeps,
+                       converged=converged)
 

@@ -26,7 +26,6 @@ __all__ = [
     "lq",
     "solve_riccati",
     "MODELS",
-    "chebyshev_interior_nodes",
 ]
 
 
@@ -113,11 +112,6 @@ def _column_field(col, q: int, x: list) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Chebyshev pseudospectral pieces of Allen-Cahn
-
-def chebyshev_interior_nodes(d: int) -> np.ndarray:
-    k = np.arange(1, d + 1)
-    return -np.cos(np.pi * k / (d + 1))
-
 
 def _chebyshev_full_nodes(d: int) -> np.ndarray:
     k = np.arange(0, d + 2)

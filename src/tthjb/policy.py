@@ -3,7 +3,7 @@
 Each iteration refreshes the feedback from the current value gradient,
 assembles the linearized equation, and performs one (configurable) sweep of
 the shifted solver seeded with the previous value tensor.  The shift decays
-geometrically from mu0 and never drops below mu_min.
+geometrically from mu0 and never drops below _MIN_SHIFT.
 """
 from __future__ import annotations
 
@@ -18,19 +18,17 @@ import numpy as np
 from .amen import amen_solve_shifted
 from .assembly import (
     GalerkinSystem,
-    apply_constraint,
     assemble_drift,
     control_map,
     penalty_cost,
     project_to_basis,
 )
 from .basis import SpectralBasis, build_basis, legendre_rows, legendre_values
+from .cross import tt_cross
 from .models import ControlledDynamics, solve_riccati
 from .tt import (
     Accuracy,
-    TTMatrix,
     TTTensor,
-    flag_chain,
     linear_to_tt,
     tt_dot,
     tt_matvec,
@@ -53,6 +51,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_MIN_SHIFT = 1e-6          # floor of the geometrically decaying shift
+_DIVERGENCE_WINDOW = 10    # growing iterations in a row that raise PolicyDivergence
 
 _PHASE_FIELDS = ("feedback_s", "operator_s", "rhs_s", "solve_s", "u_rank", "A_rank", "b_rank",
                  "max_local_res", "gmres_fallbacks", "gmres_unconverged")
@@ -78,22 +79,19 @@ class SolverConfig:
     delta: float = 1e-3
     mu0: float = 50.0
     q: float = 0.98
-    mu_min: float = 1e-6
     max_policy_iters: int = 400
     n: int = 5
     max_rank: int = 60
     seed: int = 0
-    divergence_window: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.mu0 <= 0 or self.mu_min <= 0:
-            raise ValueError("shifts must be positive")
-        for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0),
-                          ("divergence_window", 1)):
+        if self.mu0 <= 0:
+            raise ValueError("mu0 must be positive")
+        for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -197,16 +195,14 @@ def _control_value(V: ValueFunction, model: ControlledDynamics) -> ValueFunction
     """-(1/2 gamma) sum_p B0_p dV/dx_p for a constant channel g = B0, as a
     polynomial in V's own basis.
 
-    phi_i' = sum_j D[j, i] phi_j with D = phi^T W phi', exact under the
-    basis's Gauss rule of 2n points; the coefficients are a rank-2 flag
-    chain of [I, B0_k D] applied to those of V.
+    The solver's control map gives the law's values on the nodes, and the
+    projection takes them back to coefficients; both are exact under the
+    basis's Gauss rule of 2n points, as the law has V's degree.
     """
     basis = V.basis
-    D = basis.phi.T @ (basis.weights[:, None] * basis.dphi)
-    eye = np.eye(basis.n)[None, :, :, None]
-    chain = TTMatrix(flag_chain([eye] * V.d,
-                                [b * D[None, :, :, None] for b in model.lin_B.reshape(-1)]))
-    c = tt_scale(tt_matvec(chain, V.v), -0.5 / model.gamma)
+    bmap = control_map(model.channel_builder([basis.nodes] * V.d), basis, model.gamma,
+                       Accuracy(1e-12))
+    c = project_to_basis(tt_matvec(bmap, V.v), basis)
     return ValueFunction(tt_round(c, Accuracy(1e-14)), basis)
 
 
@@ -327,13 +323,13 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     for s in range(config.max_policy_iters):
         t0 = time.perf_counter()
         v_prev = v
-        mu = max(mu * config.q, config.mu_min)
+        mu = max(mu * config.q, _MIN_SHIFT)
         constraint = None
         if s > 0:
             u = system.feedback(v)
             if model.penalty.u_max is not None:
-                constraint = apply_constraint(u, model.penalty, acc, initial=constraint_state,
-                                              seed=config.seed)
+                constraint = tt_cross(u, model.penalty.saturate, acc, constraint_state,
+                                      config.seed)
                 u = constraint.tensor
                 constraint_state = constraint.index_sets
         t1 = time.perf_counter()
@@ -375,7 +371,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         grows = rel > prev_rel or nv > 2.0 * prev_norm
         grow_count = grow_count + 1 if grows else 0
         prev_rel, prev_norm = rel, nv
-        if grow_count >= config.divergence_window:
+        if grow_count >= _DIVERGENCE_WINDOW:
             raise PolicyDivergence(
                 f"relative change grew or the value norm more than doubled for "
                 f"{grow_count} consecutive iterations (last rel {rel:.3e}, norm "
@@ -387,14 +383,13 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     return V, state
 
 
-def history_to_csv(history, path) -> None:
-    """Write history rows (a list, or a PolicyIterationState's) as CSV.
+def history_to_csv(rows: list, path) -> None:
+    """Write the history rows of a solve as CSV.
 
     The columns of each cross (the constraint and the right-hand side) are
     written only when some iteration ran it; empty cells mark iterations
     that did not.
     """
-    rows = getattr(history, "history", history)
     fields = ["iteration", "rel_change", "max_rank", "shift", "seconds", *_PHASE_FIELDS]
     fields += [key for key in _CROSS_FIELDS
                if any(row.get(key) is not None for row in rows)]

@@ -11,12 +11,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .assembly import penalty_cost
-from .models import ControlledDynamics, _barycentric_weights
+from .models import ControlledDynamics
 
 __all__ = [
     "Trajectory",
     "rollout",
-    "interpolate_controller",
     "score",
     "compare",
     "trajectory_to_csv",
@@ -97,45 +96,6 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
     return Trajectory(times=ts, states=X, controls=us, running_cost=cost,
                       total_cost=total, failed=failed,
                       message="" if sol.success else sol.message)
-
-
-def interpolate_controller(V, coarse_model: ControlledDynamics,
-                           fine_model: ControlledDynamics):
-    """Feedback for a finer discretization of the same underlying dynamics.
-
-    The fine nodal state is resampled onto the coarse interior nodes by
-    barycentric interpolation over the full node set (boundary values come
-    from each model's Neumann extension), and the coarse control law, built
-    once, is applied.
-    """
-    from .policy import feedback as coarse_feedback
-
-    for key in ("extension", "full_nodes"):
-        if key not in coarse_model.extras or key not in fine_model.extras:
-            raise ValueError("both models must carry Chebyshev node metadata")
-    if coarse_model.name != fine_model.name:
-        raise ValueError("models discretize different dynamics")
-    Ef = fine_model.extras["extension"]
-    fine_full = fine_model.extras["full_nodes"]
-    coarse_xi = coarse_model.extras["xi"]
-    w = _barycentric_weights(fine_full)
-    # barycentric interpolation matrix from fine full nodes to coarse interior
-    P = np.empty((coarse_xi.size, fine_full.size))
-    for i, x in enumerate(coarse_xi):
-        diff = x - fine_full
-        hit = np.isclose(diff, 0.0)
-        if np.any(hit):
-            P[i] = hit.astype(float)
-        else:
-            r = w / diff
-            P[i] = r / np.sum(r)
-    R = P @ Ef   # fine interior values -> coarse interior values
-    law = coarse_feedback(V, coarse_model)
-
-    def controller(X):
-        return law(np.asarray(X, dtype=float) @ R.T)
-
-    return controller
 
 
 def _decay_rate(traj: Trajectory) -> float:

@@ -6,13 +6,13 @@ import pytest
 from tthjb.assembly import (
     ControlPenalty,
     _coupling,
-    apply_constraint,
     assemble_drift,
     control_map,
     penalty_cost,
     project_to_basis,
 )
 from tthjb.basis import build_basis
+from tthjb.cross import tt_cross
 from tthjb.models import ControlledDynamics
 from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm, tt_scale
 
@@ -195,19 +195,15 @@ class TestConstraint:
         basis = build_basis(3, 1.0)
         pen = ControlPenalty(gamma=0.1, u_max=2.0)
         u = TTTensor.zeros((basis.m, basis.m))
-        res = apply_constraint(u, pen, Accuracy(1e-8))
+        res = tt_cross(u, pen.saturate, Accuracy(1e-8))
         assert tt_norm(res.tensor) <= 1e-10
-
-    def test_unconstrained_passthrough(self):
-        pen = ControlPenalty(gamma=0.1)
-        assert apply_constraint(TTTensor.zeros((3,)), pen, ACC) is None
 
     def test_small_inputs_near_identity(self, rng):
         basis = build_basis(3, 1.0)
         pen = ControlPenalty(gamma=0.1, u_max=10.0)
         vals = 0.1 * rng.standard_normal(basis.m)
         u = TTTensor.rank_one([vals, np.ones(basis.m)])
-        res = apply_constraint(u, pen, Accuracy(1e-10))
+        res = tt_cross(u, pen.saturate, Accuracy(1e-10))
         idx = np.array(list(itertools.product(range(basis.m), repeat=2)))
         got = res.tensor.eval(idx)
         want = u.eval(idx)
@@ -217,10 +213,10 @@ class TestConstraint:
 
     def test_bound_and_pointwise_formula(self, rng):
         basis = build_basis(4, 1.0)
-        pen = ControlPenalty(gamma=0.1, u_max=2.0, margin=1e-3)
+        pen = ControlPenalty(gamma=0.1, u_max=2.0)
         d = 3
         u = 10.0 * TTTensor.random((basis.m,) * d, [1, 2, 2, 1], rng)
-        res = apply_constraint(u, pen, Accuracy(1e-6), seed=3)
+        res = tt_cross(u, pen.saturate, Accuracy(1e-6), seed=3)
         idx = rng.integers(0, basis.m, size=(1000, d))
         got = res.tensor.eval(idx)
         cap = pen.clip
@@ -364,6 +360,6 @@ class TestCrossSamplesByInterfaces:
         b, res = system.rhs(u)
         assert res is not None and res.n_evals > 0
         pen = ControlPenalty(gamma=0.1, u_max=0.5)
-        res = apply_constraint(u, pen, Accuracy(1e-6))
+        res = tt_cross(u, pen.saturate, Accuracy(1e-6))
         assert res.n_evals > 0
         assert calls == []

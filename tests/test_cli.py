@@ -250,9 +250,10 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["a", "m"])
+    @pytest.mark.parametrize("field", ["a", "m", "mu_min", "divergence_window"])
     def test_basis_solver_field_exit_2(self, tmp_path, field, caplog):
-        # the basis is the model's [-a, a] with 2n nodes; the solver sets only n
+        # the basis is the model's [-a, a] with 2n nodes; the solver sets only
+        # n, and the shift floor and the divergence window are constants
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 3}}))
         out = tmp_path / "out"

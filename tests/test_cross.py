@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tthjb import cross
 from tthjb.cross import _fibres, maxvol, random_index_sets, rank_adapt, tt_cross
 from tthjb.tt import Accuracy, TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
 
@@ -30,7 +31,7 @@ class TestMaxvol:
         F = rng.standard_normal((50, 5))
         sel = maxvol(F)
         C = F @ np.linalg.inv(F[sel])
-        assert np.max(np.abs(C)) <= 1.0 + 5e-2 + 1e-12
+        assert np.max(np.abs(C)) <= 1.0 + cross._MAXVOL_TOL + 1e-12
         vol = abs(np.linalg.det(F[sel]))
         for _ in range(1000):
             rows = rng.choice(50, size=5, replace=False)
@@ -86,20 +87,30 @@ class TestCross:
         for x, y in zip(a.tensor.blocks, b.tensor.blocks):
             assert np.array_equal(x, y)
 
-    def test_evaluation_counting(self):
-        t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
-        res = tt_cross(t, lambda s: s, Accuracy(1e-10), max_sweeps=3)
-        assert res.n_evals == sum(res.per_sweep_evals)
-        assert all(c > 0 for c in res.per_sweep_evals)
+    def test_evaluation_counting(self, monkeypatch):
+        # every value of every fibre block is one evaluation
+        sizes = []
 
-    def test_counts_are_per_call(self):
-        # the counts belong to one cross, not to the tensor it samples
+        def recorded(*args):
+            vals = _fibres(*args)
+            sizes.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 3)
+        monkeypatch.setattr(cross, "_fibres", recorded)
         t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
-        first = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10), max_sweeps=2)
-        second = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10), max_sweeps=2)
+        res = tt_cross(t, lambda s: s, Accuracy(1e-10))
+        assert all(c > 0 for c in sizes)
+        assert res.n_evals == sum(sizes)
+
+    def test_counts_are_per_call(self, monkeypatch):
+        # the counts belong to one cross, not to the tensor it samples
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 2)
+        t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
+        first = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10))
+        second = tt_cross(t, lambda s: 1.0 / (1.0 + s), Accuracy(1e-10))
         assert second.n_evals == first.n_evals > 0
-        assert second.per_sweep_evals == first.per_sweep_evals
-        assert len(second.per_sweep_evals) == second.sweeps
+        assert second.sweeps == first.sweeps
 
     def test_mismatched_initial_sets(self, rng):
         t = linear_to_tt(np.ones(3), [np.arange(4.0)] * 3)
@@ -107,10 +118,11 @@ class TestCross:
         with pytest.raises(ValueError):
             tt_cross(t, lambda s: s, Accuracy(1e-6), initial=bad)
 
-    def test_unconverged_cross_warns(self, rng, caplog):
+    def test_unconverged_cross_warns(self, rng, caplog, monkeypatch):
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 1)
         t = TTTensor.random((4, 5, 3, 6, 4), [1, 3, 4, 4, 3, 1], rng)
         with caplog.at_level("WARNING", logger="tthjb.cross"):
-            res = tt_cross(t, np.tanh, Accuracy(1e-10), max_sweeps=1)
+            res = tt_cross(t, np.tanh, Accuracy(1e-10))
         assert not res.converged
         assert "unconverged" in caplog.text
 
@@ -126,14 +138,16 @@ class TestRankAdapt:
         new = rank_adapt(state, 1.0, Accuracy(1e-6, max_rank=3), rng)
         assert all(a.shape == b.shape for a, b in zip(new.right, state.right))
 
-    def test_reaches_target_rank(self, rng):
+    def test_reaches_target_rank(self, rng, monkeypatch):
         # (c . x)^5 has ranks (1, 6, 6, 1) on 6 nodes; the cross of a rank-2
         # tensor starts at rank 2 + 2 = 4 and must grow past it
         c = rng.standard_normal(3)
         t = linear_to_tt(c, [np.linspace(-1, 1, 6)] * 3)
-        first = tt_cross(t, lambda s: s**5, Accuracy(1e-10), max_sweeps=1)
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 1)
+        first = tt_cross(t, lambda s: s**5, Accuracy(1e-10))
         assert first.tensor.ranks == (1, 4, 4, 1)
-        res = tt_cross(t, lambda s: s**5, Accuracy(1e-10), max_sweeps=4)
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 4)
+        res = tt_cross(t, lambda s: s**5, Accuracy(1e-10))
         assert res.converged and res.tensor.ranks == (1, 6, 6, 1)
         want = t.to_dense() ** 5
         assert np.max(np.abs(res.tensor.to_dense() - want)) <= 1e-10 * np.max(np.abs(want))

@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 from tthjb.models import (
     MODELS,
     allen_cahn_1d,
-    chebyshev_interior_nodes,
     fokker_planck,
     fokker_planck_unshifted,
     lq,
@@ -234,6 +233,6 @@ class TestRegistry:
             assert abs(m.state_cost(z)[0]) <= 1e-12
 
     def test_interior_nodes(self):
-        xi = chebyshev_interior_nodes(5)
+        xi = allen_cahn_1d(5).extras["xi"]
         assert np.all(np.diff(xi) > 0)
         assert np.all(np.abs(xi) < 1)

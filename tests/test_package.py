@@ -124,3 +124,13 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     b = TTTensor.random(dims, [1, 2, 2, 1], rng)
     amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
     assert len(calls) == 2  # one residual per sweep
+
+
+def test_option_surface():
+    # every settable value doubles the configurations to cover; the ones no
+    # preset or workload varies are module constants
+    from tthjb.assembly import ControlPenalty
+
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == {
+        "delta", "mu0", "q", "max_policy_iters", "n", "max_rank", "seed"}
+    assert {f.name for f in dataclasses.fields(ControlPenalty)} == {"gamma", "u_max"}

@@ -4,7 +4,10 @@ import pytest
 from tthjb.assembly import ControlPenalty
 from tthjb.basis import build_basis
 from tthjb.models import ControlledDynamics, allen_cahn_1d, fokker_planck, lq, solve_riccati
+from tthjb.cross import _MAX_SWEEPS
 from tthjb.policy import (
+    _DIVERGENCE_WINDOW,
+    _MIN_SHIFT,
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
@@ -15,8 +18,8 @@ from tthjb.policy import (
     initial_policy,
     policy_iterate,
 )
-from tthjb.tt import (Accuracy, TTMatrix, TTTensor, flag_chain, quadratic_to_tt, tt_add, tt_norm,
-                      tt_round, tt_scale)
+from tthjb.tt import (Accuracy, TTMatrix, TTTensor, flag_chain, quadratic_to_tt, tt_add, tt_dot,
+                      tt_norm, tt_round, tt_scale)
 
 
 def scalar_unstable_model(u_max=None):
@@ -301,14 +304,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
 
-    @pytest.mark.parametrize("field", ["divergence_window", "n", "max_rank"])
+    @pytest.mark.parametrize("field", ["n", "max_rank"])
     def test_zero_counts_rejected(self, field):
-        # a zero window would call the first step divergent; a zero basis
-        # size or rank cap has nothing to solve on
+        # a zero basis size or rank cap has nothing to solve on
         with pytest.raises(ValueError):
             SolverConfig(**{field: 0})
 
-    @pytest.mark.parametrize("field", ["n", "max_rank", "max_policy_iters", "divergence_window"])
+    @pytest.mark.parametrize("field", ["n", "max_rank", "max_policy_iters"])
     @pytest.mark.parametrize("value", ["5", 2.5, -1])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -351,7 +353,7 @@ class TestPolicyIterationLQ:
         assert state.converged
         assert state.history[-1]["rel_change"] <= config.delta
         shifts = [row["shift"] for row in state.history]
-        want = [max(config.mu0 * config.q ** (s + 1), config.mu_min)
+        want = [max(config.mu0 * config.q ** (s + 1), _MIN_SHIFT)
                 for s in range(len(shifts))]
         assert np.allclose(shifts, want, rtol=1e-12)
 
@@ -367,7 +369,7 @@ class TestPolicyIterationLQ:
 
         _, _, _, state = solved
         path = tmp_path / "hist.csv"
-        history_to_csv(state, path)
+        history_to_csv(state.history, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("iteration,rel_change,max_rank,shift,seconds,"
                             "feedback_s,operator_s,rhs_s,solve_s,u_rank,A_rank,b_rank,"
@@ -413,25 +415,19 @@ class TestCrossHistory:
     """Every history row reports the right-hand-side cross of its iteration."""
 
     @staticmethod
-    def _solve(monkeypatch, **cross_kwargs):
-        import functools
-
-        from tthjb import assembly
-
+    def _solve():
         # the tanh penalty is the one right-hand side that runs cross; this
         # actuator reaches every mode of the d=3 chain
-        monkeypatch.setattr(assembly, "tt_cross",
-                            functools.partial(assembly.tt_cross, **cross_kwargs))
         config = SolverConfig(delta=1e-4, n=3, mu0=20.0, max_policy_iters=3)
         return policy_iterate(allen_cahn_1d(3, u_max=1.0, omega=(-0.8, 0.1)), config)
 
-    def test_rows_carry_cross_outcome(self, monkeypatch, tmp_path):
+    def test_rows_carry_cross_outcome(self, tmp_path):
         from tthjb.policy import history_to_csv
 
-        _, state = self._solve(monkeypatch)
+        _, state = self._solve()
         for row in state.history:
             assert row["cross_evals"] > 0
-            assert 1 <= row["cross_sweeps"] <= 20
+            assert 1 <= row["cross_sweeps"] <= _MAX_SWEEPS
             assert row["cross_converged"] is True
         path = tmp_path / "hist.csv"
         history_to_csv(state.history, path)
@@ -440,8 +436,11 @@ class TestCrossHistory:
         assert len(lines) == len(state.history) + 1
 
     def test_unconverged_cross_flagged(self, monkeypatch, caplog):
+        from tthjb import cross
+
+        monkeypatch.setattr(cross, "_MAX_SWEEPS", 1)
         with caplog.at_level("WARNING", logger="tthjb.cross"):
-            _, state = self._solve(monkeypatch, max_sweeps=1)
+            _, state = self._solve()
         assert [row["cross_converged"] for row in state.history] == [False] * 3
         assert all(row["cross_sweeps"] == 1 for row in state.history)
         assert caplog.text.count("unconverged") >= 3
@@ -453,17 +452,17 @@ class TestCrossHistory:
             assert row["cross_evals"] is None and row["cross_converged"] is None
             assert row["constraint_evals"] is None
 
-    def test_rows_carry_constraint_cross(self, monkeypatch, tmp_path):
+    def test_rows_carry_constraint_cross(self, tmp_path):
         # the feedback of row 0 is the initial policy; later rows saturate
         # theirs through the constraint cross
         from tthjb.policy import history_to_csv
 
-        _, state = self._solve(monkeypatch)
+        _, state = self._solve()
         first, *rest = state.history
         assert first["constraint_evals"] is None and first["constraint_converged"] is None
         for row in rest:
             assert row["constraint_evals"] > 0
-            assert 1 <= row["constraint_sweeps"] <= 20
+            assert 1 <= row["constraint_sweeps"] <= _MAX_SWEEPS
             assert row["constraint_converged"] is True
         path = tmp_path / "hist.csv"
         history_to_csv(state.history, path)
@@ -477,8 +476,6 @@ class TestDivergence:
     returning scale(s) * w at iteration s; w has no constant mode, so the
     gauge fix leaves it alone."""
 
-    WINDOW = 4
-
     def _solve(self, monkeypatch, scale):
         from tthjb import policy
 
@@ -491,8 +488,7 @@ class TestDivergence:
             return tt_scale(w, scale(len(calls) - 1))
 
         monkeypatch.setattr(policy, "amen_solve_shifted", stub)
-        config = SolverConfig(delta=1e-4, n=n, max_policy_iters=30,
-                              divergence_window=self.WINDOW)
+        config = SolverConfig(delta=1e-4, n=n, max_policy_iters=30)
         with pytest.raises(PolicyDivergence):
             policy_iterate(lq(d), config)
         return len(calls)
@@ -502,12 +498,12 @@ class TestDivergence:
         # falls every iteration, only the norm shows the blow-up; iteration 0
         # grows from the random start and does not count
         calls = self._solve(monkeypatch, lambda s: np.prod(4.0 - 0.1 * np.arange(s)))
-        assert calls == self.WINDOW + 1
+        assert calls == _DIVERGENCE_WINDOW + 1
 
     def test_growing_step(self, monkeypatch):
         # scale 1/(s+1)!: the norm falls while the relative change s grows
         calls = self._solve(monkeypatch, lambda s: 1.0 / np.prod(np.arange(1.0, s + 2)))
-        assert calls <= self.WINDOW + 2
+        assert calls <= _DIVERGENCE_WINDOW + 2
 
 
 class TestRankCapWarning:
@@ -536,7 +532,6 @@ class TestStateDependentChannel:
         # solver settings; g = B0 + M x, so the operator is the drift and the
         # coupling of rank r_u r_bmap, over the cap and rounded by one sketch
         from dataclasses import replace
-        from functools import reduce
 
         from tthjb import assembly
 
@@ -552,31 +547,34 @@ class TestStateDependentChannel:
         monkeypatch.setattr(assembly.GalerkinSystem, "operator", recorded)
         policy_iterate(model, SolverConfig(delta=delta, mu0=50.0, n=5, max_policy_iters=2))
         system, u, A = calls[1]
-        # the exact sum, whose ranks add, and the running sum rounded after
-        # every chain, from one flag chain at u per channel field:
-        # -< (component p of the field) u d/dx_p phi_j, phi_i >
+        # the terms of the exact sum, whose ranks add, and the running sum
+        # rounded after every chain, from one flag chain at u per channel
+        # field: -< (component p of the field) u d/dx_p phi_j, phi_i >
         basis = system.basis
-        wphi = basis.weights[:, None] * basis.phi
         chains = [-1.0 * TTMatrix(flag_chain(
-            [assembly._weighted_block(b * gk[:, None], wphi, basis.phi)
+            [assembly._weighted_block(b * gk[:, None], basis.wphi, basis.phi)
              for b, gk in zip(u.blocks, g)],
-            [assembly._weighted_block(b * hk[:, None], wphi, basis.dphi)
+            [assembly._weighted_block(b * hk[:, None], basis.wphi, basis.dphi)
              for b, hk in zip(u.blocks, h)]))
             for g, h in model.channel_builder([basis.nodes] * model.dim)]
-        exact = reduce(tt_add, [op.fuse() for op in [system.drift, *chains]])
-        seq = system.drift.fuse()
-        for chain in chains:
-            seq = tt_round(tt_add(seq, chain.fuse()), system.acc)
-        norm = tt_norm(exact)
+        terms = [op.fuse() for op in [system.drift, *chains]]
+        seq = terms[0]
+        for term in terms[1:]:
+            seq = tt_round(tt_add(seq, term), system.acc)
+        # the exact sum (rank 455) is never formed: the errors come from the
+        # inner products of the terms, which cost no QR at the summed rank
+        # and agree with the norms of the differences to eight digits
+        norm = np.sqrt(sum(tt_dot(s, t) for s in terms for t in terms))
 
         def error(fused):
-            return tt_norm(fused - exact) / norm
+            gap = tt_dot(fused, fused) - 2.0 * sum(tt_dot(fused, t) for t in terms) + norm**2
+            return np.sqrt(gap) / norm
 
         assert abs(A.max_rank - seq.max_rank) <= 2
         # A reaches the rank cap of 60 here, where no rounding of the sum
-        # meets delta (measured: 1.74 delta, sequential 2.31 delta); without
+        # meets delta (measured: 3.47 delta, sequential 3.27 delta); without
         # the cap the exact sum of the drift and the coupling (ranks up to
-        # 168) is rounded, unsketched (measured: rank 76, 0.84 delta)
+        # 203) is rounded, unsketched (measured: rank 90, 0.86 delta)
         assert A.max_rank == system.acc.max_rank
         assert error(A.fuse()) <= 1.25 * max(delta, error(seq))
         uncapped = replace(system, acc=Accuracy(delta)).operator(u)

@@ -5,12 +5,11 @@ import pytest
 import scipy.linalg
 
 from tthjb.assembly import ControlPenalty
-from tthjb.models import ControlledDynamics, allen_cahn_1d, lq
+from tthjb.models import ControlledDynamics, allen_cahn_1d
 from tthjb.rollout import (
     Trajectory,
     compare,
     comparison_to_json,
-    interpolate_controller,
     rollout,
     trajectory_to_csv,
 )
@@ -158,70 +157,6 @@ class TestCompare:
         report = compare(model, {"zero": None}, np.array([2.0]), 6.0)
         # running cost x(t)^2 decays at rate 2 * lambda
         assert np.isclose(report["zero"]["decay_rate"], -1.4, atol=1e-3)
-
-
-class TestInterpolateController:
-    @staticmethod
-    def neumann_polynomial(degree):
-        """Polynomial with p'(+-1) = 0, as the boundary extension assumes."""
-        q = np.polynomial.Polynomial(np.linspace(1.0, -1.0, degree - 3))
-        return np.polynomial.Polynomial([1.0, 0.0, -2.0, 0.0, 1.0]) * q
-
-    def test_identity_resampling(self):
-        coarse = allen_cahn_1d(10)
-        fine = allen_cahn_1d(10)
-        p = self.neumann_polynomial(9)
-        R = _resample_matrix(coarse, fine)
-        assert np.allclose(R @ p(fine.extras["xi"]), p(coarse.extras["xi"]),
-                           atol=1e-9)
-
-    def test_polynomial_exactness_40_to_14(self):
-        coarse = allen_cahn_1d(14)
-        fine = allen_cahn_1d(40)
-        R = _resample_matrix(coarse, fine)
-        p = self.neumann_polynomial(10)
-        got = R @ p(fine.extras["xi"])
-        want = p(coarse.extras["xi"])
-        assert np.max(np.abs(got - want)) <= 1e-6
-
-    def test_incompatible_models_rejected(self):
-        coarse = allen_cahn_1d(10)
-        fine = lq(12)
-        with pytest.raises(ValueError):
-            interpolate_controller(object(), coarse, fine)
-
-
-def _resample_matrix(coarse, fine):
-    """Extract the fine-to-coarse interpolation map by probing unit vectors.
-
-    The coarse feedback is swapped for a stub whose law captures the coarse
-    state; the controller builds that law when interpolate_controller is
-    called, so the stub must be installed before building the controller.
-    """
-    import tthjb.policy as pmod
-
-    captured = {}
-
-    def fake_feedback(V, model):
-        def law(x):
-            captured["x"] = np.array(x)
-            return 0.0
-
-        return law
-
-    saved = pmod.feedback
-    pmod.feedback = fake_feedback
-    try:
-        ctrl = interpolate_controller(object(), coarse, fine)
-        R = np.zeros((coarse.dim, fine.dim))
-        for j in range(fine.dim):
-            e = np.zeros(fine.dim)
-            e[j] = 1.0
-            ctrl(e)
-            R[:, j] = captured["x"]
-    finally:
-        pmod.feedback = saved
-    return R
 
 
 class TestTrajectoryInvariant:
