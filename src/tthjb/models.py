@@ -211,8 +211,7 @@ def allen_cahn_1d(
         cubic=1.0,                       # and this cube
         x0_default=2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi),
         horizon=3.2,
-        extras={"xi": xi, "full_nodes": full, "extension": E, "sigma": sigma,
-                "omega": tuple(omega)},
+        extras={"xi": xi, "sigma": sigma, "omega": tuple(omega)},
     )
 
 

@@ -45,9 +45,6 @@ _MAGIC = b"TTHJB1"
 _MAX_DENSE_SIZE = 1 << 26
 # oversampling p of the randomized sketch in tt_square_sum
 _OVERSAMPLE = 5
-# and in tt_sum_round: on the Fokker-Planck d=10 operator the sketch alone
-# lost 1.4 delta at an oversampling of 5, and 0.45 delta at 20
-_SUM_OVERSAMPLE = 20
 
 
 @dataclass(frozen=True)
@@ -627,25 +624,11 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
             ell[k] = min(2 * ell[k], cap[k])
 
 
-def tt_sum_round(terms: list, acc: Accuracy, seed: int = 0) -> TTTensor:
-    """round(sum of terms, acc), sketched when the sum is over the cap.
-
-    Where the summed rank (or the mode products, if smaller) stays within
-    acc.max_rank + p for the oversampling p at every interface, or there is
-    no max_rank, the exact sum is rounded.  Otherwise one _sketch at that
-    rank capped at acc.max_rank + p, of cost O(d n R l^2) for summed rank R
-    and sketch ranks l, is rounded; its Gaussian draws come from seed.
-    """
-    d, dims = terms[0].d, terms[0].dims
-    if any(t.dims != dims for t in terms):
+def tt_sum_round(terms: list, acc: Accuracy) -> TTTensor:
+    """round(sum of terms, acc): the exact sum, rounded once."""
+    if any(t.dims != terms[0].dims for t in terms):
         raise ValueError("terms do not share their modes")
-    full = [min(sum(t.ranks[k] for t in terms), math.prod(dims[:k]), math.prod(dims[k:]))
-            for k in range(d + 1)]
-    if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
-        return tt_round(functools.reduce(tt_add, terms), acc)
-    ell = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
-    return tt_round(_sketch([_tt_term(t) for t in terms], dims, ell,
-                            np.random.default_rng(seed)), acc)
+    return tt_round(functools.reduce(tt_add, terms), acc)
 
 
 def flag_chain(G: list, H: list) -> list:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from tthjb import amen, tt
+from tthjb import amen, assembly, tt
 from tthjb.amen import (
     _advance_op,
     _advance_vec,
@@ -18,9 +18,10 @@ from tthjb.amen import (
     _solve_local,
     amen_solve_shifted,
 )
+from tthjb.basis import build_basis
 from tthjb.cross import tt_cross
 from tthjb.models import lq
-from tthjb.policy import SolverConfig, policy_iterate
+from tthjb.policy import SolverConfig, _build_system, policy_iterate
 from tthjb.tt import (
     Accuracy,
     TTMatrix,
@@ -34,7 +35,6 @@ from tthjb.tt import (
     tt_round,
     tt_scale,
     tt_square_sum,
-    tt_sum_round,
     tt_to_dense,
 )
 
@@ -632,12 +632,12 @@ class TestNoNumpyFactorizations:
         orthogonalize_right(v, 0)
         u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
         tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))
-        # eight terms of rank 6 add to 48 > max_rank 4 + 20: the sketched branch
+        # the operator's middle summed rank 4 + 20 is over max_rank 1 + 20: its sketch
         sketches = []
-        sketch = tt._sketch
-        monkeypatch.setattr(tt, "_sketch", lambda *args: sketches.append(1) or sketch(*args))
-        terms = [TTTensor.random((6,) * 4, [1, 6, 6, 6, 1], rng) for _ in range(8)]
-        tt_sum_round(terms, Accuracy(1e-3, max_rank=4))
+        sketch = assembly._sketch
+        monkeypatch.setattr(assembly, "_sketch", lambda *args: sketches.append(1) or sketch(*args))
+        system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
+        system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
         assert sketches
         t = TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng)
         tt_cross(t, lambda s: s, Accuracy(1e-12))

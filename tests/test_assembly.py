@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from tthjb import assembly
 from tthjb.assembly import (
     ControlPenalty,
+    GalerkinSystem,
     _coupling,
+    _coupling_term,
+    _sum_round,
     assemble_drift,
     control_map,
     penalty_cost,
@@ -14,7 +19,8 @@ from tthjb.assembly import (
 from tthjb.basis import build_basis
 from tthjb.cross import tt_cross
 from tthjb.models import ControlledDynamics
-from tthjb.tt import Accuracy, TTTensor, tt_from_dense, tt_matvec, tt_norm, tt_scale
+from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _tt_term, tt_from_dense, tt_matvec, tt_norm,
+                      tt_scale)
 
 ACC = Accuracy(1e-12)
 
@@ -300,6 +306,123 @@ class TestCoupling:
         want = dense_drift_oracle([velocity(p) for p in range(d)], basis, d)
         A = system.operator(u).to_dense()
         assert np.linalg.norm(A - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def channel_system(form, d, rng, acc, seed=0):
+    """The system of channel_model(form, d) on three Legendre modes, with the
+    operator rounded to acc."""
+    from tthjb.policy import SolverConfig, _build_system
+
+    system = _build_system(channel_model(form, d, rng), build_basis(3, 1.0), SolverConfig(n=3))
+    return dataclasses.replace(system, acc=acc, seed=seed)
+
+
+def sketch_ranks(monkeypatch):
+    """The sketch ranks of every sketch the operator runs, in order."""
+    ranks = []
+    original = assembly._sketch
+    monkeypatch.setattr(assembly, "_sketch", lambda terms, dims, ell, rng: ranks.append(list(ell))
+                        or original(terms, dims, ell, rng))
+    return ranks
+
+
+def same_bits(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+
+
+class TestOperatorSketch:
+    """GalerkinSystem.operator: the exact sum within the cap max_rank + 20,
+    one sketch that never forms the coupling over it.
+
+    The affine channel at d = 4 has drift and control map ranks (1, 4, 6, 4,
+    1); with u of ranks 5 the summed ranks are (1, 24, 36, 24, 1), and the
+    fused modes of 3 x 3 Legendre pairs cap them at (1, 9, 36, 9, 1).
+    """
+
+    D, U_RANKS = 4, [1, 5, 5, 5, 1]
+
+    def _u(self, system, rng):
+        return TTTensor.random((system.basis.m,) * self.D, self.U_RANKS, rng)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("form", CHANNEL_FORMS)
+    def test_coupling_term_maps_match_the_formed_coupling(self, rng, d, form):
+        system = channel_system(form, d, rng, ACC)
+        wphi = system.basis.wphi
+        u = TTTensor.random((system.basis.m,) * d, [1] + [3] * (d - 1) + [1], rng)
+        C = _coupling(system.bmap, u, wphi).fuse()
+        (right, left), (want_right, want_left) = _coupling_term(system.bmap, u, wphi), _tt_term(C)
+        for k, (r0, n, r1) in enumerate(blk.shape for blk in C.blocks):
+            w, g = rng.standard_normal((r1, 4)), rng.standard_normal((n, 4, 5))
+            f = rng.standard_normal((6, r0))
+            for got, want in ((right(k, w, g), want_right(k, w, g)), (left(k, f), want_left(k, f))):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (form, d, k)
+
+    @pytest.mark.parametrize("max_rank, ell", [(4, [1, 9, 24, 9, 1]), (15, [1, 9, 35, 9, 1])])
+    def test_over_the_cap_never_forms_the_coupling(self, rng, monkeypatch, max_rank, ell):
+        # the middle summed rank 36 is over max_rank + 20, so the sum is
+        # sketched once at the summed ranks capped there
+        system = channel_system("affine", self.D, rng, Accuracy(1e-3, max_rank))
+        u = self._u(system, rng)
+        sketches = sketch_ranks(monkeypatch)
+
+        def no_coupling(*args):
+            raise AssertionError("the coupling was formed over the cap")
+
+        monkeypatch.setattr(assembly, "_coupling", no_coupling)
+        A = system.operator(u)
+        assert sketches == [ell]
+        assert A.max_rank <= max_rank
+
+    @pytest.mark.parametrize("max_rank", [None, 16])
+    def test_within_the_cap_rounds_the_exact_sum(self, rng, monkeypatch, max_rank):
+        # the middle summed rank 36 is at max_rank + 20, or there is no cap
+        system = channel_system("affine", self.D, rng, Accuracy(1e-3, max_rank))
+        u = self._u(system, rng)
+        sketches = sketch_ranks(monkeypatch)
+        A = system.operator(u)
+        coupling = _coupling(system.bmap, tt_scale(u, 2.0 * system.penalty.gamma),
+                             system.basis.wphi)
+        assert sketches == []
+        assert same_bits(A, _sum_round([system.drift, coupling], system.acc))
+
+    def test_over_the_cap_meets_delta(self, rng, monkeypatch):
+        # drift, control map and u whose rank directions decay by 0.03 each:
+        # the middle summed rank 4 + 4 * 6 = 28 is over the cap max_rank 7 +
+        # 20, so it is sketched at the cap and still meets delta
+        basis, d, delta = build_basis(3, 1.0), self.D, 1e-3
+        m, n = basis.m, basis.n
+        ranks = [1] + [4] * (d - 1) + [1]
+
+        def decaying(rows, cols):
+            return TTMatrix([rng.standard_normal((ranks[k], rows, cols, ranks[k + 1]))
+                             * 0.03 ** np.arange(ranks[k + 1]) for k in range(d)])
+
+        u = TTTensor([blk * 0.03 ** np.arange(blk.shape[2]) for blk in
+                      TTTensor.random((m,) * d, [1] + [6] * (d - 1) + [1], rng).blocks])
+        system = GalerkinSystem(basis=basis, drift=decaying(n, n), bmap=decaying(m, n),
+                                ell_proj=None, penalty=ControlPenalty(gamma=0.7),
+                                acc=Accuracy(delta, max_rank=7))
+        sketches = sketch_ranks(monkeypatch)
+        A = system.operator(u)
+        want = (system.drift.to_dense()
+                + _coupling(system.bmap, tt_scale(u, 1.4), basis.wphi).to_dense())
+        assert sketches == [[1, 9, 27, 9, 1]]
+        assert np.linalg.norm(A.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
+
+    def test_bitwise_repeatable(self, rng):
+        system = channel_system("affine", self.D, rng, Accuracy(1e-3, max_rank=10), seed=3)
+        u = self._u(system, rng)
+        assert same_bits(system.operator(u), system.operator(u))
+
+    def test_ranks_respect_max_rank(self, rng, monkeypatch):
+        system = channel_system("affine", self.D, rng, Accuracy(1e-12, max_rank=4))
+        u = self._u(system, rng)
+        sketches = sketch_ranks(monkeypatch)
+        assert system.operator(u).max_rank <= 4
+        # no sketch is wider than max_rank plus the oversampling
+        assert sketches == [[1, 9, 24, 9, 1]]
 
 
 class TestHadamardRhs:

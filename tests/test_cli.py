@@ -226,7 +226,7 @@ class TestMain:
         assert main(["--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["divergence_window", "n", "max_rank"])
+    @pytest.mark.parametrize("field", ["n", "max_rank"])
     def test_zero_sweep_count_exit_2(self, tmp_path, field):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, "solver": {**FAST_LQ["solver"], field: 0}}))

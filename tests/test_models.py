@@ -62,8 +62,6 @@ class TestAllenCahn1D:
         d = 10
         m = allen_cahn_1d(d)
         xi = m.extras["xi"]
-        E = m.extras["extension"]
-        full = m.extras["full_nodes"]
         # quadratic with zero Neumann data at +-1: p(x) = 1 (trivial) is too
         # weak; use the sigma-Laplacian on cos(pi x), whose derivative
         # vanishes at the boundary

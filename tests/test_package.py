@@ -92,12 +92,16 @@ def test_operator_sums_two_terms(small_model, monkeypatch):
 
 
 def test_one_sketch_for_every_unformed_sum(monkeypatch):
-    # the penalty right-hand side, a sum over its rank cap and AMEn's
+    # the penalty right-hand side, the operator over its rank cap and AMEn's
     # enrichment residual are each sketched by the one routine tt._sketch
-    from tthjb import amen, tt
+    from tthjb import amen, assembly, tt
+    from tthjb.basis import build_basis
+    from tthjb.models import lq
+    from tthjb.policy import _build_system
     from tthjb.tt import Accuracy, TTMatrix, TTTensor
 
     assert amen._sketch is tt._sketch
+    assert assembly._sketch is tt._sketch
     calls = []
     sketch = tt._sketch
 
@@ -105,18 +109,16 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
         calls.append(1)
         return sketch(*args)
 
-    monkeypatch.setattr(tt, "_sketch", counting)
-    monkeypatch.setattr(amen, "_sketch", counting)
+    for module in (tt, amen, assembly):
+        monkeypatch.setattr(module, "_sketch", counting)
     rng = np.random.default_rng(0)
     u = TTTensor.random((4,) * 3, [1, 3, 3, 1], rng)
     tt.tt_square_sum(TTTensor.zeros((4,) * 3), u, np.eye(4), 1.0, Accuracy(1e-3))
     assert len(calls) >= 1
     calls.clear()
-    # summed rank 36 in the middle, over max_rank 4 + 20
-    terms = [TTTensor.random((6,) * 4, [1, 6, 6, 6, 1], rng) for _ in range(8)]
-    tt.tt_sum_round(terms, Accuracy(1e-3))
-    assert calls == []  # no max_rank: the exact sum is rounded
-    tt.tt_sum_round(terms, Accuracy(1e-3, max_rank=4))
+    # the operator's middle summed rank 4 + 20 is over the cap max_rank 1 + 20
+    system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
+    system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
     assert len(calls) == 1
     calls.clear()
     dims = (4, 3, 5)
