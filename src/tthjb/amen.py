@@ -24,7 +24,7 @@ from .tt import (
     _carry_left,
     _check,
     _chop,
-    _matvec_term,
+    _product_term,
     _qr,
     _sketch,
     _svd,
@@ -283,13 +283,16 @@ def amen_solve_shifted(
     vecs = [b, v_prev]
     stats = {} if stats is None else stats
     stats.update(max_local_res=0.0, gmres_fallbacks=0, gmres_unconverged=0)
+    # A v as a product term: A's columns are the contracted axis q, its rows j
+    A_qj = [blk.transpose(0, 2, 1, 3) for blk in A.blocks]
+    ones = [np.ones((m, 1)) for m in A.col_dims]
     for sweep in range(sweeps):
         v = orthogonalize_right(v, 1)
         # sketch of the shifted system's residual, (A + shift I) v never formed;
         # the first sweep starts from v_prev itself, so its shift terms cancel
         terms = rhs + [(-shift, v)] if sweep else rhs[:1]
         res = _sketch([_tt_term(tt_scale(t, c)) for c, t in terms]
-                      + [_matvec_term(A, tt_scale(v, -1.0))], dims, ell, rng)
+                      + [_product_term(tt_scale(v, -1.0), A_qj, ones)], dims, ell, rng)
         RA, Rs = _right_interfaces(v, A, vecs)
         LA = np.ones((1, 1, 1))
         Ls = [np.ones((1, 1)) for _ in vecs]

@@ -15,10 +15,13 @@ operator, a flag chain of weighted blocks: the drift's against the basis and
 the control map's against the nodes.  The coupling -< (g u) . grad phi_j,
 phi_i > is then 2 gamma wphi^T diag(u) bmap, for wphi the weighted basis on
 the nodes and bmap the control map: one TT of ranks r_u r_bmap per feedback,
-formed only while its sum with the drift is within the rank cap.
+formed only while its sum with the drift is within the rank cap.  Over the
+cap the sketch meets it as a product term of u and bmap (tt._product_term),
+as it meets the penalty gamma P(u^2) of the right-hand side.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +29,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, _sketch, _tt_term, flag_chain, tt_matvec,
-                 tt_round, tt_scale, tt_square_sum, tt_sum_round)
+from .tt import (Accuracy, TTMatrix, TTTensor, _product_term, _sketch, _tt_term, flag_chain,
+                 tt_add, tt_matvec, tt_round, tt_scale, tt_square_sum)
 
 __all__ = [
     "ControlPenalty",
@@ -59,10 +62,10 @@ class ControlPenalty:
     u_max: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.u_max is not None and self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        if self.u_max is not None and not (math.isfinite(self.u_max) and self.u_max > 0):
+            raise ValueError(f"u_max must be finite and positive, got {self.u_max!r}")
 
     @property
     def clip(self) -> float | None:
@@ -126,42 +129,9 @@ def _coupling(bmap: TTMatrix, u: TTTensor, wphi) -> TTMatrix:
     return TTMatrix(blocks)
 
 
-def _coupling_term(bmap: TTMatrix, u: TTTensor, wphi):
-    """The sketch maps (right, left) of _coupling(bmap, u, wphi), fused, from
-    the blocks of u and bmap: each map meets u, bmap and wphi one at a time,
-    so the blocks (r_u r_b, n^2, r_u r_b) are never formed.  The fused mode
-    is (i, j), the rank index (a, c) of u's and bmap's ranks, as in
-    _coupling."""
-    m, n = wphi.shape
-
-    def right(k, w, g):
-        ub, mb = u.blocks[k], bmap.blocks[k]
-        a, _, b = ub.shape
-        c, _, _, e = mb.shape
-        l1, l0 = g.shape[1:]
-        t = (ub.reshape(a * m, b) @ w.reshape(b, e * l1)).reshape(a, m, e, l1)
-        t = t.transpose(1, 2, 0, 3).reshape(m, e, a * l1)
-        t = mb.transpose(1, 0, 2, 3).reshape(m, c * n, e) @ t                   # (q, c j, a t)
-        t = (wphi.T @ t.reshape(m, -1)).reshape(n, c, n, a, l1)                 # (i, c, j, a, t)
-        return t.transpose(3, 1, 0, 2, 4).reshape(a * c, n * n * l1) @ g.reshape(-1, l0)
-
-    def left(k, f):
-        ub, mb = u.blocks[k], bmap.blocks[k]
-        a, _, b = ub.shape
-        c, _, _, e = mb.shape
-        s = f.shape[0]
-        t = f.reshape(s, a, c).transpose(0, 2, 1).reshape(s * c, a) @ ub.reshape(a, m * b)
-        t = t.reshape(s, c, m, b).transpose(2, 0, 3, 1).reshape(m, s * b, c)
-        t = t @ mb.transpose(1, 0, 2, 3).reshape(m, c, n * e)                   # (q, s b, j e)
-        t = (wphi.T @ t.reshape(m, -1)).reshape(n, s, b, n, e)                  # (i, s, b, j, e)
-        return t.transpose(1, 0, 3, 2, 4).reshape(s * n * n, b * e)
-
-    return right, left
-
-
 def _sum_round(ops: list, acc: Accuracy) -> TTMatrix:
-    """round(sum of the operators, acc) by tt_sum_round."""
-    total = tt_sum_round([op.fuse() for op in ops], acc)
+    """round(sum of the operators, acc): the exact sum, rounded once."""
+    total = tt_round(functools.reduce(tt_add, [op.fuse() for op in ops]), acc)
     return TTMatrix.unfuse(total, ops[0].row_dims, ops[0].col_dims)
 
 
@@ -204,9 +174,9 @@ class GalerkinSystem:
         max_rank + p for the oversampling p at every interface, or there is
         no max_rank, the coupling is formed and the exact sum rounded.  Over
         that cap the sum is sketched once at its ranks capped at max_rank + p
-        (_sketch), the coupling met through the blocks of u and bmap
-        (_coupling_term) and never formed, then rounded; the Gaussian draws
-        come from seed.
+        (_sketch), the coupling met through the blocks of u and bmap as a
+        product term (_product_term) and never formed, then rounded; the
+        Gaussian draws come from seed.
         """
         drift, bmap, acc = self.drift, self.bmap, self.acc
         u = tt_scale(u_tt, 2.0 * self.penalty.gamma)
@@ -216,7 +186,7 @@ class GalerkinSystem:
         if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
             return _sum_round([drift, _coupling(bmap, u, self.basis.wphi)], acc)
         ell = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
-        terms = [_tt_term(drift.fuse()), _coupling_term(bmap, u, self.basis.wphi)]
+        terms = [_tt_term(drift.fuse()), _product_term(u, bmap.blocks, [self.basis.wphi] * u.d)]
         total = tt_round(_sketch(terms, dims, ell, np.random.default_rng(self.seed)), acc)
         return TTMatrix.unfuse(total, drift.row_dims, drift.col_dims)
 

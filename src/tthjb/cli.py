@@ -152,6 +152,8 @@ def _resolve_x0(cfg: dict, model) -> np.ndarray:
     spec = cfg["rollout"].get("x0", "default")
     if isinstance(spec, (list, tuple)) and all(isinstance(x, numbers.Real) for x in spec):
         x0 = np.asarray(spec, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError(f"x0 entries must be finite, got {spec!r}")
         if x0.size != model.dim:
             raise ConfigError(
                 f"x0 has {x0.size} entries, model dimension is {model.dim}"
@@ -173,6 +175,13 @@ def _resolve_x0(cfg: dict, model) -> np.ndarray:
             )
         return np.asarray(model.extras["x0_uniform"], dtype=float)
     raise ConfigError(f"unknown x0 preset {spec!r}")
+
+
+def _positive(value, name: str) -> float:
+    """A rollout setting as a finite number > 0."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+        raise ConfigError(f"rollout {name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _cache_key(cfg: dict) -> str:
@@ -207,6 +216,10 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         model = _build_model(cfg)
         config = _build_solver_config(cfg)
         x0 = _resolve_x0(cfg, model)
+        horizon = cfg["rollout"].get("horizon")     # null: the evaluated model's own
+        if horizon is not None:
+            horizon = _positive(horizon, "horizon")
+        tol = _positive(cfg["rollout"].get("tolerance", 1e-8), "tolerance")
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
@@ -246,8 +259,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     # physical dynamics
     eval_model = (fokker_planck_unshifted(model)
                   if model.name == "fokker_planck" else model)
-    horizon = cfg["rollout"].get("horizon") or eval_model.horizon
-    tol = float(cfg["rollout"].get("tolerance", 1e-8))
+    horizon = horizon or eval_model.horizon
     controllers = {"hjb": feedback(V, model)}
     if eval_model.admissible_uncontrolled:
         controllers["uncontrolled"] = None

@@ -53,6 +53,10 @@ class ControlledDynamics:
     horizon: float = 3.2
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not (np.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a must be finite and positive, got {self.a!r}")
+
     @property
     def dim(self) -> int:
         return self.lin_A.shape[0]

@@ -89,8 +89,8 @@ class SolverConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+        if not (np.isfinite(self.mu0) and self.mu0 > 0):
+            raise ValueError(f"mu0 must be finite and positive, got {self.mu0!r}")
         for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:

@@ -30,7 +30,6 @@ __all__ = [
     "tt_norm",
     "tt_hadamard",
     "tt_square_sum",
-    "tt_sum_round",
     "orthogonalize_left",
     "orthogonalize_right",
     "flag_chain",
@@ -499,63 +498,35 @@ def _tt_term(t: TTTensor):
     return right, left
 
 
-def _square_term(u: TTTensor, proj: np.ndarray, gamma: float):
-    """The sketch maps of gamma P(u * u), P applying proj (m, n) to every
-    mode, without forming the square.
+def _product_term(x: TTTensor, y: list, ws: list):
+    """The sketch maps (right, left) of the TT whose block k is
+    sum_q w_k[q, i] x_k[a, q, b] y_k[c, q, j, e], from x's blocks, the 4-way
+    blocks y and the matrices ws (m_k, n_k); no block of the product is
+    formed.  Its fused mode is (i, j), its rank index (a, c).
 
-    Its rank index at interface k is the pairs (b, b') of u's r_k; each
-    block of the square is met as two products with u's block and one with
-    proj.
+    The penalty gamma P(u * u) is x = gamma u, y = u with a unit j axis and
+    w = proj; the coupling 2 gamma wphi^T diag(u) bmap is x = 2 gamma u,
+    y = bmap and w = wphi; A v is x = v, y = A with its columns as q and its
+    rows as j, and w a column of ones.
     """
-    m, n = proj.shape
 
     def right(k, w, g):
-        ub = u.blocks[k]
-        r0, _, r1 = ub.shape
-        _, l1, l0 = g.shape
-        h = (proj @ g.reshape(n, l1 * l0)).reshape(m, l1, l0)                 # (q, t, s)
-        # the pair index of the square is symmetric, so either factor of u
-        # may take either half of it
-        t = ub.reshape(r0 * m, r1) @ w.reshape(r1, r1 * l1)                   # (a', q, b, t)
-        t = t.reshape(r0, m, r1, l1).transpose(1, 0, 2, 3).reshape(m, r0 * r1, l1) @ h
-        t = t.reshape(m, r0, r1, l0).transpose(0, 2, 1, 3).reshape(m * r1, r0 * l0)
-        return (ub.reshape(r0, m * r1) @ t).reshape(r0 * r0, l0)
+        (a, m, b), (c, _, nj, e), ni = x.blocks[k].shape, y[k].shape, ws[k].shape[1]
+        l1, l0 = g.shape[1:]
+        t = (x.blocks[k].reshape(a * m, b) @ w.reshape(b, e * l1)).reshape(a, m, e, l1)
+        t = t.transpose(1, 2, 0, 3).reshape(m, e, a * l1)
+        t = y[k].transpose(1, 0, 2, 3).reshape(m, c * nj, e) @ t              # (q, c j, a t)
+        t = (ws[k].T @ t.reshape(m, -1)).reshape(ni, c, nj, a, l1)             # (i, c, j, a, t)
+        return t.transpose(3, 1, 0, 2, 4).reshape(a * c, -1) @ g.reshape(-1, l0)
 
     def left(k, f):
-        ub = u.blocks[k]
-        r0, _, r1 = ub.shape
+        (a, m, b), (c, _, nj, e), ni = x.blocks[k].shape, y[k].shape, ws[k].shape[1]
         s = f.shape[0]
-        t = (gamma * f if k == 0 else f).reshape(s * r0, r0) @ ub.reshape(r0, m * r1)
-        t = t.reshape(s, r0, m, r1).transpose(2, 0, 3, 1).reshape(m, s * r1, r0)
-        t = t @ ub.transpose(1, 0, 2)                                          # (q, s, b, b')
-        core = (proj.T @ t.reshape(m, s * r1 * r1)).reshape(n, s, r1 * r1)
-        return core.transpose(1, 0, 2).reshape(s * n, r1 * r1)
-
-    return right, left
-
-
-def _matvec_term(A: TTMatrix, v: TTTensor):
-    """The sketch maps of A v, from the blocks of A and v: its rank index at
-    interface k is the pairs (B, p) of A's and v's ranks."""
-
-    def right(k, w, g):
-        Ab, vb = A.blocks[k], v.blocks[k]
-        R0, n, m, R1 = Ab.shape
-        p0, _, p1 = vb.shape
-        l1 = w.shape[1]
-        t = vb.reshape(p0 * m, p1) @ w.reshape(R1, p1, l1).transpose(1, 0, 2).reshape(p1, -1)
-        t = t.reshape(p0, m, R1, l1).transpose(1, 2, 0, 3).reshape(m * R1, p0 * l1)
-        t = (Ab.reshape(R0 * n, m * R1) @ t).reshape(R0, n, p0, l1)          # (A, i, p, t)
-        return t.transpose(0, 2, 1, 3).reshape(R0 * p0, n * l1) @ g.reshape(n * l1, -1)
-
-    def left(k, f):
-        Ab, vb = A.blocks[k], v.blocks[k]
-        R0, n, m, R1 = Ab.shape
-        p0, _, p1 = vb.shape
-        s = f.shape[0]
-        t = f.reshape(s, R0, p0).transpose(0, 2, 1).reshape(s * p0, R0) @ Ab.reshape(R0, -1)
-        t = t.reshape(s, p0, n, m, R1).transpose(0, 2, 4, 1, 3).reshape(s * n * R1, p0 * m)
-        return (t @ vb.reshape(p0 * m, p1)).reshape(s * n, R1 * p1)
+        t = f.reshape(s, a, c).transpose(0, 2, 1).reshape(s * c, a) @ x.blocks[k].reshape(a, m * b)
+        t = t.reshape(s, c, m, b).transpose(2, 0, 3, 1).reshape(m, s * b, c)
+        t = t @ y[k].transpose(1, 0, 2, 3).reshape(m, c, nj * e)               # (q, s b, j e)
+        t = (ws[k].T @ t.reshape(m, -1)).reshape(ni, s, b, nj, e)              # (i, s, b, j, e)
+        return t.transpose(1, 0, 3, 2, 4).reshape(-1, b * e)
 
     return right, left
 
@@ -565,7 +536,8 @@ def _sketch(terms, dims, ell: list, rng) -> TTTensor:
     the terms, by randomize-then-orthogonalize (Al Daas et al., SIAM J. Sci.
     Comput. 2023); its last block is the sum met by the left frames.
 
-    A term is a pair of maps of its blocks, which need never be formed:
+    A term is a pair of maps of its blocks, which need never be formed
+    (_tt_term of a TT tensor, _product_term of a product):
     right(k, w, g) meets block k by the term's right sketch w (r_{k+1},
     l_{k+1}) and the Gaussian g (n_k, l_{k+1}, l_k), giving (r_k, l_k);
     left(k, f) meets it by the term's left frame f (s, r_k), giving
@@ -613,7 +585,8 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
     full = [min(e[k] + r[k] * (r[k] + 1) // 2, n ** k, n ** (d - k)) for k in range(d + 1)]
     cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
     ell = [min(r[k] + e[k] + _OVERSAMPLE, cap[k]) for k in range(d + 1)]
-    terms = [_tt_term(c), _square_term(u, proj, gamma)]
+    square = _product_term(tt_scale(u, gamma), [b[:, :, None] for b in u.blocks], [proj] * d)
+    terms = [_tt_term(c), square]
     rng = np.random.default_rng(seed)
     while True:
         b = tt_round(_sketch(terms, c.dims, ell, rng), acc)
@@ -622,13 +595,6 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
             return b
         for k in grow:
             ell[k] = min(2 * ell[k], cap[k])
-
-
-def tt_sum_round(terms: list, acc: Accuracy) -> TTTensor:
-    """round(sum of terms, acc): the exact sum, rounded once."""
-    if any(t.dims != terms[0].dims for t in terms):
-        raise ValueError("terms do not share their modes")
-    return tt_round(functools.reduce(tt_add, terms), acc)
 
 
 def flag_chain(G: list, H: list) -> list:

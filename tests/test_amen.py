@@ -59,7 +59,9 @@ class TestResidualFit:
         if shifted:
             terms += [(mu, v_prev), (-mu, v)]
         sketch_terms = ([tt._tt_term(tt_scale(t, c)) for c, t in terms]
-                        + [tt._matvec_term(A, tt_scale(v, -1.0))])
+                        + [tt._product_term(tt_scale(v, -1.0),
+                                            [blk.transpose(0, 2, 1, 3) for blk in A.blocks],
+                                            [np.ones((n, 1)) for n in dims])])
         want = sum(c * tt_to_dense(t).reshape(-1) for c, t in terms)
         return sketch_terms, want - A.to_dense() @ tt_to_dense(v).reshape(-1)
 
@@ -71,6 +73,21 @@ class TestResidualFit:
         terms, want = self._case(rng, (3, 4, 3), shifted)
         res = tt._sketch(terms, (3, 4, 3), [1, 3, 3, 1], rng)
         got = tt_to_dense(res).reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_solver_sketches_its_own_residual(self, rng, monkeypatch):
+        # the residual that amen_solve_shifted sketches in its first sweep is
+        # b - A v_prev, of a non-symmetric A: at the enrichment ranks of a
+        # (3, 4, 3) tensor the sketch is exact
+        sketches = []
+        monkeypatch.setattr(amen, "_sketch",
+                            lambda *args: sketches.append(tt._sketch(*args)) or sketches[-1])
+        dims, ranks = (3, 4, 3), [1, 2, 2, 1]
+        A = random_tt_matrix(rng, dims, ranks)
+        b, v_prev = (TTTensor.random(dims, ranks, rng) for _ in range(2))
+        amen_solve_shifted(A, b, v_prev, 0.7, Accuracy(1e-10))
+        want = tt_to_dense(b).reshape(-1) - A.to_dense() @ tt_to_dense(v_prev).reshape(-1)
+        got = tt_to_dense(sketches[0]).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dims", [(3, 4, 3), (5, 6, 5)])

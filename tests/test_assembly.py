@@ -9,7 +9,6 @@ from tthjb.assembly import (
     ControlPenalty,
     GalerkinSystem,
     _coupling,
-    _coupling_term,
     _sum_round,
     assemble_drift,
     control_map,
@@ -19,8 +18,8 @@ from tthjb.assembly import (
 from tthjb.basis import build_basis
 from tthjb.cross import tt_cross
 from tthjb.models import ControlledDynamics
-from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _tt_term, tt_from_dense, tt_matvec, tt_norm,
-                      tt_scale)
+from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _product_term, _tt_term, tt_from_dense,
+                      tt_hadamard, tt_matvec, tt_norm, tt_scale)
 
 ACC = Accuracy(1e-12)
 
@@ -252,6 +251,11 @@ class TestPenaltyCost:
             ControlPenalty(gamma=-1.0)
         with pytest.raises(ValueError):
             ControlPenalty(gamma=1.0, u_max=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ControlPenalty(gamma=bad)
+            with pytest.raises(ValueError):
+                ControlPenalty(gamma=1.0, u_max=bad)
 
 
 class TestCoupling:
@@ -330,6 +334,52 @@ def same_bits(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
 
 
+class TestProductTerm:
+    """tt._product_term against _tt_term of the formed product, for its three
+    uses: the penalty gamma P(u * u), the coupling of each channel form and
+    A v with unequal mode sizes."""
+
+    @staticmethod
+    def _case(product, d, rng):
+        """(the product term, the formed product in its rank order)."""
+        ranks = [1] + [3] * (d - 1) + [1]
+        if product == "matvec":
+            rows, cols = (2, 3, 4)[:d], (3, 4, 2)[:d]
+            A = TTMatrix([rng.standard_normal((ranks[k], rows[k], cols[k], ranks[k + 1]))
+                          for k in range(d)])
+            v = TTTensor.random(cols, ranks, rng)
+            term = _product_term(v, [blk.transpose(0, 2, 1, 3) for blk in A.blocks],
+                                 [np.ones((n, 1)) for n in cols])
+            # A and v share their ranks; tt_matvec's rank index is (A's, v's),
+            # the term's (v's, A's)
+            return term, TTTensor([blk.reshape(r0, r0, n, r1, r1).transpose(1, 0, 2, 4, 3)
+                                   .reshape(r0 * r0, n, r1 * r1) for blk, r0, n, r1
+                                   in zip(tt_matvec(A, v).blocks, ranks, rows, ranks[1:])])
+        if product == "square":
+            basis = build_basis(2, 1.0)
+            u = TTTensor.random((basis.m,) * d, ranks, rng)
+            term = _product_term(tt_scale(u, 0.7), [blk[:, :, None] for blk in u.blocks],
+                                 [basis.wphi] * d)
+            return term, project_to_basis(tt_hadamard(tt_scale(u, 0.7), u), basis)
+        system = channel_system(product.split("-")[1], d, rng, ACC)
+        u = TTTensor.random((system.basis.m,) * d, ranks, rng)
+        term = _product_term(u, system.bmap.blocks, [system.basis.wphi] * d)
+        return term, _coupling(system.bmap, u, system.basis.wphi).fuse()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("product", ["square", "matvec",
+                                         *(f"coupling-{form}" for form in CHANNEL_FORMS)])
+    def test_maps_match_the_formed_product(self, rng, d, product):
+        (right, left), formed = self._case(product, d, rng)
+        want_right, want_left = _tt_term(formed)
+        for k, (r0, n, r1) in enumerate(blk.shape for blk in formed.blocks):
+            w, g = rng.standard_normal((r1, 4)), rng.standard_normal((n, 4, 5))
+            f = rng.standard_normal((6, r0))
+            for got, want in ((right(k, w, g), want_right(k, w, g)), (left(k, f), want_left(k, f))):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (product, d, k)
+
+
 class TestOperatorSketch:
     """GalerkinSystem.operator: the exact sum within the cap max_rank + 20,
     one sketch that never forms the coupling over it.
@@ -343,21 +393,6 @@ class TestOperatorSketch:
 
     def _u(self, system, rng):
         return TTTensor.random((system.basis.m,) * self.D, self.U_RANKS, rng)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("form", CHANNEL_FORMS)
-    def test_coupling_term_maps_match_the_formed_coupling(self, rng, d, form):
-        system = channel_system(form, d, rng, ACC)
-        wphi = system.basis.wphi
-        u = TTTensor.random((system.basis.m,) * d, [1] + [3] * (d - 1) + [1], rng)
-        C = _coupling(system.bmap, u, wphi).fuse()
-        (right, left), (want_right, want_left) = _coupling_term(system.bmap, u, wphi), _tt_term(C)
-        for k, (r0, n, r1) in enumerate(blk.shape for blk in C.blocks):
-            w, g = rng.standard_normal((r1, 4)), rng.standard_normal((n, 4, 5))
-            f = rng.standard_normal((6, r0))
-            for got, want in ((right(k, w, g), want_right(k, w, g)), (left(k, f), want_left(k, f))):
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (form, d, k)
 
     @pytest.mark.parametrize("max_rank, ell", [(4, [1, 9, 24, 9, 1]), (15, [1, 9, 35, 9, 1])])
     def test_over_the_cap_never_forms_the_coupling(self, rng, monkeypatch, max_rank, ell):

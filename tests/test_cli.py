@@ -250,6 +250,27 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, value", [
+        ("solver", {"mu0": float("nan")}),
+        ("model", {"gamma": float("nan")}),
+        ("model", {"a": float("inf")}),
+        ("rollout", {"x0": [float("nan"), 0.0, 0.0, 0.0]}),
+        ("rollout", {"horizon": float("nan")}),
+        ("rollout", {"horizon": -1}),
+        ("rollout", {"tolerance": -1}),
+        ("rollout", {"tolerance": "x"}),
+    ], ids=["mu0-nan", "gamma-nan", "a-inf", "x0-nan", "horizon-nan", "horizon-negative",
+            "tolerance-negative", "tolerance-text"])
+    def test_out_of_range_value_exit_2_before_the_solve(self, tmp_path, section, value):
+        # json reads NaN and Infinity; each such value, and a horizon or
+        # tolerance that is not a number > 0, is a config error caught
+        # before the solve writes anything
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, section: {**FAST_LQ[section], **value}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()                  # so no history.csv either
+
     @pytest.mark.parametrize("field", ["a", "m", "mu_min", "divergence_window"])
     def test_basis_solver_field_exit_2(self, tmp_path, field, caplog):
         # the basis is the model's [-a, a] with 2n nodes; the solver sets only

@@ -80,9 +80,9 @@ def test_operator_sums_two_terms(small_model, monkeypatch):
     from tthjb.policy import _build_system, initial_policy, solver_basis
 
     counts = []
-    original = assembly.tt_sum_round
-    monkeypatch.setattr(assembly, "tt_sum_round",
-                        lambda terms, *args: counts.append(len(terms)) or original(terms, *args))
+    original = assembly._sum_round
+    monkeypatch.setattr(assembly, "_sum_round",
+                        lambda ops, *args: counts.append(len(ops)) or original(ops, *args))
     config = SolverConfig(n=2)
     basis = solver_basis(small_model, config)
     system = _build_system(small_model, basis, config)
@@ -93,39 +93,47 @@ def test_operator_sums_two_terms(small_model, monkeypatch):
 
 def test_one_sketch_for_every_unformed_sum(monkeypatch):
     # the penalty right-hand side, the operator over its rank cap and AMEn's
-    # enrichment residual are each sketched by the one routine tt._sketch
+    # enrichment residual are each sketched by the one routine tt._sketch,
+    # and each meets its product (gamma P(u^2), the coupling, A v) as one
+    # tt._product_term
     from tthjb import amen, assembly, tt
     from tthjb.basis import build_basis
     from tthjb.models import lq
     from tthjb.policy import _build_system
     from tthjb.tt import Accuracy, TTMatrix, TTTensor
 
-    assert amen._sketch is tt._sketch
-    assert assembly._sketch is tt._sketch
-    calls = []
-    sketch = tt._sketch
+    modules = (tt, amen, assembly)
+    for name in ("_sketch", "_product_term"):
+        assert all(getattr(module, name) is getattr(tt, name) for module in modules)
+    calls = {"_sketch": 0, "_product_term": 0}
+    for name in calls:
+        def wrapper(*args, name=name, original=getattr(tt, name)):
+            calls[name] += 1
+            return original(*args)
 
-    def counting(*args):
-        calls.append(1)
-        return sketch(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
 
-    for module in (tt, amen, assembly):
-        monkeypatch.setattr(module, "_sketch", counting)
+    def take():
+        counts = (calls["_sketch"], calls["_product_term"])
+        calls.update(_sketch=0, _product_term=0)
+        return counts
+
     rng = np.random.default_rng(0)
     u = TTTensor.random((4,) * 3, [1, 3, 3, 1], rng)
     tt.tt_square_sum(TTTensor.zeros((4,) * 3), u, np.eye(4), 1.0, Accuracy(1e-3))
-    assert len(calls) >= 1
-    calls.clear()
+    sketches, products = take()
+    assert sketches >= 1 and products == 1  # one square, however many sketch ranks
     # the operator's middle summed rank 4 + 20 is over the cap max_rank 1 + 20
     system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
+    take()
     system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
-    assert len(calls) == 1
-    calls.clear()
+    assert take() == (1, 1)
     dims = (4, 3, 5)
     A = TTMatrix.identity(dims) * 2.0
     b = TTTensor.random(dims, [1, 2, 2, 1], rng)
     amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
-    assert len(calls) == 2  # one residual per sweep
+    assert take() == (2, 2)  # one residual per sweep
 
 
 def test_option_surface():

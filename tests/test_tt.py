@@ -23,7 +23,6 @@ from tthjb.tt import (
     tt_round,
     tt_scale,
     tt_square_sum,
-    tt_sum_round,
     tt_to_dense,
 )
 
@@ -344,7 +343,9 @@ class TestSquareSum:
 
 
 class TestSumRound:
-    """tt_sum_round(terms) against the dense sum of the terms."""
+    """assembly._sum_round(ops), the exact sum of TT operators rounded once,
+    against the dense sum of the operators; a fused mode of 12 is a 3 x 4
+    operator block."""
 
     N = 12
 
@@ -352,41 +353,49 @@ class TestSumRound:
         ranks = [1] + [r] * (d - 1) + [1]
         terms = [TTTensor.random((self.N,) * d, ranks, rng) if flat
                  else decaying_tt((self.N,) * d, r, rng, ratio) for _ in range(terms)]
-        return terms, sum(t.to_dense() for t in terms)
+        ops = [TTMatrix.unfuse(t, (3,) * d, (4,) * d) for t in terms]
+        return ops, sum(t.to_dense() for t in terms)
+
+    @staticmethod
+    def _exact(ops, acc, monkeypatch):
+        # the rounded sum, checked never to be sketched
+        from tthjb import assembly
+
+        def no_sketch(*args):
+            raise AssertionError("an exact sum was sketched")
+
+        monkeypatch.setattr(assembly, "_sketch", no_sketch)
+        b = assembly._sum_round(ops, acc).fuse()
+        want = tt_round(functools.reduce(tt_add, [op.fuse() for op in ops]), acc)
+        return all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
     def test_dense_oracle(self, rng, d, delta):
-        terms, want = self._case(rng, d)
-        b = tt_sum_round(terms, Accuracy(delta))
+        from tthjb.assembly import _sum_round
+
+        ops, want = self._case(rng, d)
+        b = _sum_round(ops, Accuracy(delta)).fuse()
         assert np.linalg.norm(b.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
 
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
     def test_exact_range_rounds_the_sum(self, rng, monkeypatch, count, r):
         # summed ranks 12, 18 and 60 under a cap: the exact sum is rounded,
         # unsketched (the operator sketches its own sums over the cap)
-        sketches = sketch_ranks(monkeypatch)
-        terms, _ = self._case(rng, 4, terms=count, r=r, flat=True)
-        acc = Accuracy(1e-3, max_rank=max(7, count * r - 20))
-        b = tt_sum_round(terms, acc)
-        want = tt_round(functools.reduce(tt_add, terms), acc)
-        assert sketches == []
-        assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+        ops, _ = self._case(rng, 4, terms=count, r=r, flat=True)
+        assert self._exact(ops, Accuracy(1e-3, max_rank=max(7, count * r - 20)), monkeypatch)
 
     def test_uncapped_terms_are_not_sketched(self, rng, monkeypatch):
         # sixteen terms (summed rank 96) without a max_rank: the exact sum
         # is rounded, whatever its rank
-        sketches = sketch_ranks(monkeypatch)
-        terms, _ = self._case(rng, 4, terms=16)
-        b = tt_sum_round(terms, Accuracy(1e-3))
-        want = tt_round(functools.reduce(tt_add, terms), Accuracy(1e-3))
-        assert sketches == []
-        assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+        ops, _ = self._case(rng, 4, terms=16)
+        assert self._exact(ops, Accuracy(1e-3), monkeypatch)
 
-    def test_mismatched_modes(self, rng):
+    def test_mismatched_modes(self):
+        from tthjb.assembly import _sum_round
+
         with pytest.raises(ValueError):
-            tt_sum_round([TTTensor.random((3, 4), [1, 2, 1], rng),
-                          TTTensor.random((3, 5), [1, 2, 1], rng)], Accuracy(1e-3))
+            _sum_round([TTMatrix.identity((3, 4)), TTMatrix.identity((3, 5))], Accuracy(1e-3))
 
 
 class TestOrthogonalize:
