@@ -132,12 +132,21 @@ def _build_model(cfg: dict):
         raise ConfigError(f"invalid parameters for model {name!r}: {exc}") from exc
 
 
-def _build_solver_config(cfg: dict) -> SolverConfig:
+def _seed(cfg: dict) -> int:
+    """The run's seed: the solver's unless it sets its own, the residual's
+    and the Riccati check's."""
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
+def _build_solver_config(cfg: dict, seed: int) -> SolverConfig:
     solver_cfg = dict(cfg["solver"])
     unknown = set(solver_cfg) - _SOLVER_FIELDS
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
-    solver_cfg.setdefault("seed", int(cfg.get("seed", 0)))
+    solver_cfg.setdefault("seed", seed)
     try:
         return SolverConfig(**solver_cfg)
     except (TypeError, ValueError) as exc:
@@ -214,7 +223,8 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     t_start = time.perf_counter()
     try:
         model = _build_model(cfg)
-        config = _build_solver_config(cfg)
+        seed = _seed(cfg)
+        config = _build_solver_config(cfg, seed)
         x0 = _resolve_x0(cfg, model)
         horizon = cfg["rollout"].get("horizon")     # null: the evaluated model's own
         if horizon is not None:
@@ -286,15 +296,15 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         "policy_iterations": iterations,
         "converged": converged,
         "max_tt_rank": V.v.max_rank,
-        "hjb_residual": hjb_residual(V, model, seed=int(cfg.get("seed", 0))),
+        "hjb_residual": hjb_residual(V, model, seed=seed),
         "wall_seconds": time.perf_counter() - t_start,
         "config": cfg,
         "code_version": __version__,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": seed,
     }
     # lq is its own eval_model, so lqr solved the same Riccati equation
     if model.name == "lq" and lqr is not None:
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(seed)
         pts = rng.uniform(-0.5 * model.a, 0.5 * model.a, size=(100, model.dim))
         exact = lqr.value(pts)
         approx = V.eval(pts)

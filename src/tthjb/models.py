@@ -56,6 +56,10 @@ class ControlledDynamics:
     def __post_init__(self):
         if not (np.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a must be finite and positive, got {self.a!r}")
+        for name in ("lin_A", "lin_B", "cost_matrix", "channel_slope"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite entries")
 
     @property
     def dim(self) -> int:
@@ -198,10 +202,15 @@ def allen_cahn_1d(
     """
     if d < 3:
         raise ValueError("need at least 3 interior nodes for the boundary closure")
+    lo, hi = omega
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"omega must be two finite numbers lo < hi, got {omega!r}")
     E, L, full = _neumann_closure(d)
     xi = full[1 : d + 1]
     # tolerance so nodes landing exactly on the actuated boundary stay inside
-    ind = ((xi >= omega[0] - 1e-12) & (xi <= omega[1] + 1e-12)).astype(float)
+    ind = ((xi >= lo - 1e-12) & (xi <= hi + 1e-12)).astype(float)
+    if not ind.any():
+        raise ValueError(f"omega {omega!r} holds no interior node, so no node is actuated")
     w_full = _clenshaw_curtis_weights(full)
     Q = E.T @ (w_full[:, None] * E)
     return ControlledDynamics(

@@ -91,7 +91,7 @@ class SolverConfig:
             raise ValueError("q must lie in (0, 1)")
         if not (np.isfinite(self.mu0) and self.mu0 > 0):
             raise ValueError(f"mu0 must be finite and positive, got {self.mu0!r}")
-        for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0)):
+        for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -30,7 +30,6 @@ __all__ = [
     "tt_norm",
     "tt_hadamard",
     "tt_square_sum",
-    "orthogonalize_left",
     "orthogonalize_right",
     "flag_chain",
     "quadratic_to_tt",
@@ -121,47 +120,69 @@ def _svd(mat: np.ndarray):
     return vt.T, s, u.T
 
 
-class TTTensor:
-    """d-dimensional tensor in TT format."""
+class _Chain:
+    """Chain of blocks whose first and last axes are the TT ranks: 3-way
+    blocks for a tensor, 4-way for an operator.  Rank-axis arithmetic (add,
+    scale, round) reads only those two axes, so it serves both."""
 
     __slots__ = ("blocks",)
+    _ndim = 0
 
     def __init__(self, blocks):
         blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
         if not blocks:
-            raise ValueError("TTTensor needs at least one block")
+            raise ValueError(f"{type(self).__name__} needs at least one block")
         for k, b in enumerate(blocks):
-            if b.ndim != 3:
-                raise ValueError(f"block {k} must be 3-way, got shape {b.shape}")
-            if b.shape[1] < 1:
+            if b.ndim != self._ndim:
+                raise ValueError(f"block {k} must be {self._ndim}-way, got shape {b.shape}")
+            if min(b.shape[1:-1]) < 1:
                 raise ValueError(f"block {k} has empty mode")
-            if k + 1 < len(blocks) and b.shape[2] != blocks[k + 1].shape[0]:
+            if k + 1 < len(blocks) and b.shape[-1] != blocks[k + 1].shape[0]:
                 raise ValueError(
                     f"rank mismatch between blocks {k} and {k + 1}: "
-                    f"{b.shape[2]} != {blocks[k + 1].shape[0]}"
+                    f"{b.shape[-1]} != {blocks[k + 1].shape[0]}"
                 )
-        if blocks[0].shape[0] != 1 or blocks[-1].shape[2] != 1:
+        if blocks[0].shape[0] != 1 or blocks[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must be 1")
         object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TTTensor is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def d(self) -> int:
         return len(self.blocks)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.blocks)
-
-    @property
     def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(b.shape[2] for b in self.blocks)
+        return (1,) + tuple(b.shape[-1] for b in self.blocks)
 
     @property
     def max_rank(self) -> int:
         return max(self.ranks)
+
+    @property
+    def _modes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(b.shape[1:-1] for b in self.blocks)
+
+    def __add__(self, other):
+        return tt_add(self, other)
+
+    def __mul__(self, c):
+        return tt_scale(self, c)
+
+    __rmul__ = __mul__
+
+
+class TTTensor(_Chain):
+    """d-dimensional tensor in TT format."""
+
+    __slots__ = ()
+    _ndim = 3
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(b.shape[1] for b in self.blocks)
 
     @classmethod
     def zeros(cls, dims) -> "TTTensor":
@@ -198,45 +219,18 @@ class TTTensor:
             cur = cur @ b[:, indices[:, k], :].transpose(1, 0, 2)
         return cur[:, 0, 0]
 
-    def __add__(self, other):
-        return tt_add(self, other)
-
     def __sub__(self, other):
         return tt_add(self, tt_scale(other, -1.0))
-
-    def __mul__(self, c):
-        return tt_scale(self, c)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TTTensor(dims={self.dims}, ranks={self.ranks})"
 
 
-class TTMatrix:
+class TTMatrix(_Chain):
     """Operator in matrix-TT format with paired row/column indices."""
 
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
-        if not blocks:
-            raise ValueError("TTMatrix needs at least one block")
-        for k, b in enumerate(blocks):
-            if b.ndim != 4:
-                raise ValueError(f"block {k} must be 4-way, got shape {b.shape}")
-            if k + 1 < len(blocks) and b.shape[3] != blocks[k + 1].shape[0]:
-                raise ValueError(f"rank mismatch between blocks {k} and {k + 1}")
-        if blocks[0].shape[0] != 1 or blocks[-1].shape[3] != 1:
-            raise ValueError("boundary ranks must be 1")
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TTMatrix is immutable")
-
-    @property
-    def d(self) -> int:
-        return len(self.blocks)
+    __slots__ = ()
+    _ndim = 4
 
     @property
     def row_dims(self) -> tuple[int, ...]:
@@ -246,26 +240,13 @@ class TTMatrix:
     def col_dims(self) -> tuple[int, ...]:
         return tuple(b.shape[2] for b in self.blocks)
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(b.shape[3] for b in self.blocks)
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
-
     @classmethod
     def identity(cls, dims) -> "TTMatrix":
         return cls([np.eye(n).reshape(1, n, n, 1) for n in dims])
 
-    def fuse(self) -> TTTensor:
-        """View with row/column pairs merged into one mode (for add/round)."""
-        return TTTensor(
-            [b.reshape(b.shape[0], b.shape[1] * b.shape[2], b.shape[3]) for b in self.blocks]
-        )
-
     @classmethod
     def unfuse(cls, t: TTTensor, row_dims, col_dims) -> "TTMatrix":
+        """The operator whose block k is t's with its mode split (row, col)."""
         return cls(
             [
                 b.reshape(b.shape[0], row_dims[k], col_dims[k], b.shape[2])
@@ -273,32 +254,10 @@ class TTMatrix:
             ]
         )
 
-    def __add__(self, other):
-        if self.row_dims != other.row_dims or self.col_dims != other.col_dims:
-            raise ValueError("dimension mismatch in TTMatrix add")
-        return TTMatrix.unfuse(
-            tt_add(self.fuse(), other.fuse()), self.row_dims, self.col_dims
-        )
-
-    def __mul__(self, c):
-        return TTMatrix.unfuse(tt_scale(self.fuse(), c), self.row_dims, self.col_dims)
-
-    __rmul__ = __mul__
-
     def to_dense(self) -> np.ndarray:
         d = self.d
-        total_rows = int(np.prod(self.row_dims))
-        total_cols = int(np.prod(self.col_dims))
-        if total_rows * total_cols > _MAX_DENSE_SIZE:
-            raise MemoryError(
-                f"dense operator would hold {total_rows * total_cols} entries"
-            )
-        cur = self.blocks[0]
-        for b in self.blocks[1:]:
-            cur = np.einsum("aijb,bklc->aikjlc", cur, b).reshape(
-                1, cur.shape[1] * b.shape[1], cur.shape[2] * b.shape[2], b.shape[3]
-            )
-        return cur[0, :, :, 0]
+        dense = tt_to_dense(self).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+        return dense.reshape(math.prod(self.row_dims), math.prod(self.col_dims))
 
     def __repr__(self):
         return (
@@ -337,57 +296,53 @@ def tt_from_dense(tensor: np.ndarray, acc: Accuracy = Accuracy()) -> TTTensor:
     return TTTensor(blocks)
 
 
-def tt_to_dense(t: TTTensor) -> np.ndarray:
-    total = int(np.prod(t.dims))
+def tt_to_dense(t: _Chain) -> np.ndarray:
+    """Dense array of a tensor, or of an operator with its modes (row, col)
+    interleaved by dimension."""
+    shape = sum(t._modes, ())
+    total = math.prod(shape)
     if total > _MAX_DENSE_SIZE:
         raise MemoryError(f"dense tensor would hold {total} entries")
     cur = t.blocks[0]
     for b in t.blocks[1:]:
-        cur = np.tensordot(cur, b, axes=(-1, 0)).reshape(1, -1, b.shape[2])
-    return cur.reshape(t.dims)
+        cur = np.tensordot(cur, b, axes=(-1, 0)).reshape(1, -1, b.shape[-1])
+    return cur.reshape(shape)
 
 
-def tt_add(a: TTTensor, b: TTTensor) -> TTTensor:
-    """Exact sum; interior ranks add."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+def tt_add(a: _Chain, b: _Chain) -> _Chain:
+    """Exact sum of two tensors or two operators; interior ranks add."""
+    if a._modes != b._modes:
+        raise ValueError(f"mode mismatch: {a!r} vs {b!r}")
     if a.d == 1:
-        return TTTensor([a.blocks[0] + b.blocks[0]])
-    blocks = []
-    for k in range(a.d):
-        ab, bb = a.blocks[k], b.blocks[k]
-        if k == 0:
-            blocks.append(np.concatenate([ab, bb], axis=2))
-        elif k == a.d - 1:
-            blocks.append(np.concatenate([ab, bb], axis=0))
-        else:
-            ra0, n, ra1 = ab.shape
-            rb0, _, rb1 = bb.shape
-            blk = np.zeros((ra0 + rb0, n, ra1 + rb1))
-            blk[:ra0, :, :ra1] = ab
-            blk[ra0:, :, ra1:] = bb
-            blocks.append(blk)
-    return TTTensor(blocks)
+        return type(a)([a.blocks[0] + b.blocks[0]])
+    blocks = [np.concatenate([a.blocks[0], b.blocks[0]], axis=-1)]
+    for ab, bb in zip(a.blocks[1:-1], b.blocks[1:-1]):
+        ra0, ra1 = ab.shape[0], ab.shape[-1]
+        blk = np.zeros((ra0 + bb.shape[0], *ab.shape[1:-1], ra1 + bb.shape[-1]))
+        blk[:ra0, ..., :ra1] = ab
+        blk[ra0:, ..., ra1:] = bb
+        blocks.append(blk)
+    blocks.append(np.concatenate([a.blocks[-1], b.blocks[-1]], axis=0))
+    return type(a)(blocks)
 
 
-def tt_scale(a: TTTensor, c: float) -> TTTensor:
+def tt_scale(a: _Chain, c: float) -> _Chain:
     blocks = list(a.blocks)
     blocks[0] = blocks[0] * float(c)
-    return TTTensor(blocks)
+    return type(a)(blocks)
 
 
-def tt_dot(a: TTTensor, b: TTTensor) -> float:
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+def tt_dot(a: _Chain, b: _Chain) -> float:
+    if a._modes != b._modes:
+        raise ValueError(f"mode mismatch: {a!r} vs {b!r}")
     cur = np.ones((1, 1))
     for ab, bb in zip(a.blocks, b.blocks):
-        p, q = cur.shape
-        _, n, r = ab.shape
-        cur = (cur.T @ ab.reshape(p, n * r)).reshape(q * n, r).T @ bb.reshape(q * n, -1)
+        p, r = cur.shape[0], ab.shape[-1]
+        cur = (cur.T @ ab.reshape(p, -1)).reshape(-1, r).T @ bb.reshape(-1, bb.shape[-1])
     return float(cur[0, 0])
 
 
-def tt_norm(a: TTTensor) -> float:
+def tt_norm(a: _Chain) -> float:
     """2-norm of block 0 after right-orthogonalization: policy_iterate and
     tt_cross stop on near-equal differences.
 
@@ -396,8 +351,7 @@ def tt_norm(a: TTTensor) -> float:
     """
     carry = a.blocks[-1]
     for blk in a.blocks[-2::-1]:
-        r0, n, r1 = carry.shape
-        rm = _qr(carry.reshape(r0, n * r1).T, "r")
+        rm = _qr(carry.reshape(carry.shape[0], -1).T, "r")
         carry = _carry_right(blk, rm.T)
     return float(np.linalg.norm(carry))
 
@@ -429,44 +383,28 @@ def tt_hadamard(a: TTTensor, b: TTTensor) -> TTTensor:
 
 
 def _carry_left(m: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """m (s, r) times block (r, n, r') along its left rank: (s, n, r')."""
-    r, n, r1 = blk.shape
-    return (m @ blk.reshape(r, n * r1)).reshape(m.shape[0], n, r1)
+    """m (s, r) times block (r, ..., r') along its left rank: (s, ..., r')."""
+    return (m @ blk.reshape(blk.shape[0], -1)).reshape(m.shape[0], *blk.shape[1:])
 
 
 def _carry_right(blk: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Block (r, n, r') times m (r', s) along its right rank: (r, n, s)."""
-    r, n, r1 = blk.shape
-    return (blk.reshape(r * n, r1) @ m).reshape(r, n, m.shape[1])
+    """Block (r, ..., r') times m (r', s) along its right rank: (r, ..., s)."""
+    return (blk.reshape(-1, blk.shape[-1]) @ m).reshape(*blk.shape[:-1], m.shape[1])
 
 
-def orthogonalize_left(t: TTTensor, upto: int) -> TTTensor:
-    """Make blocks 0..upto-1 left-orthonormal without changing the tensor."""
-    if not 0 <= upto <= t.d:
-        raise ValueError(f"upto out of range: {upto}")
-    blocks = list(t.blocks)
-    for k in range(min(upto, t.d - 1)):
-        r0, n, r1 = blocks[k].shape
-        q, rm = _qr(blocks[k].reshape(r0 * n, r1))
-        blocks[k] = q.reshape(r0, n, q.shape[1])
-        blocks[k + 1] = _carry_left(rm, blocks[k + 1])
-    return TTTensor(blocks)
-
-
-def orthogonalize_right(t: TTTensor, downto: int) -> TTTensor:
-    """Make blocks downto..d-1 right-orthonormal without changing the tensor."""
+def orthogonalize_right(t: _Chain, downto: int) -> _Chain:
+    """Make blocks downto..d-1 right-orthonormal without changing the chain."""
     if not 0 <= downto <= t.d:
         raise ValueError(f"downto out of range: {downto}")
     blocks = list(t.blocks)
     for k in range(t.d - 1, max(downto, 1) - 1, -1):
-        r0, n, r1 = blocks[k].shape
-        q, rm = _qr(blocks[k].reshape(r0, n * r1).T)
-        blocks[k] = q.T.reshape(q.shape[1], n, r1)
+        q, rm = _qr(blocks[k].reshape(blocks[k].shape[0], -1).T)
+        blocks[k] = q.T.reshape(q.shape[1], *blocks[k].shape[1:])
         blocks[k - 1] = _carry_right(blocks[k - 1], rm.T)
-    return TTTensor(blocks)
+    return type(t)(blocks)
 
 
-def tt_round(t: TTTensor, acc: Accuracy) -> TTTensor:
+def tt_round(t: _Chain, acc: Accuracy) -> _Chain:
     """Truncate TT ranks to the relative tolerance acc.delta in the 2-norm."""
     if t.d == 1:
         return t
@@ -475,25 +413,26 @@ def tt_round(t: TTTensor, acc: Accuracy) -> TTTensor:
     budget = acc.delta * nrm / np.sqrt(max(t.d - 1, 1))
     blocks = list(t.blocks)
     for k in range(t.d - 1):
-        r0, n, r1 = blocks[k].shape
-        u, s, vt = _svd(blocks[k].reshape(r0 * n, r1))
+        u, s, vt = _svd(blocks[k].reshape(-1, blocks[k].shape[-1]))
         rk = _chop(s, budget, acc.max_rank)
-        blocks[k] = u[:, :rk].reshape(r0, n, rk)
+        blocks[k] = u[:, :rk].reshape(*blocks[k].shape[:-1], rk)
         blocks[k + 1] = _carry_left(s[:rk, None] * vt[:rk], blocks[k + 1])
     # never exceed the input ranks: exact nullspaces aside, _chop keeps rk <= r1
-    return TTTensor(blocks)
+    return type(t)(blocks)
 
 
-def _tt_term(t: TTTensor):
-    """The sketch maps (right, left) of a TT tensor, from its blocks."""
+def _tt_term(t: _Chain):
+    """The sketch maps (right, left) of a TT tensor or operator, from its
+    blocks; an operator's mode is its (row, col) pair."""
 
     def right(k, w, g):
-        r0, n, r1 = t.blocks[k].shape
-        return (t.blocks[k].reshape(r0 * n, r1) @ w).reshape(r0, -1) @ g.reshape(-1, g.shape[2])
+        blk = t.blocks[k]
+        sketch = (blk.reshape(-1, blk.shape[-1]) @ w).reshape(blk.shape[0], -1)
+        return sketch @ g.reshape(-1, g.shape[2])
 
     def left(k, f):
-        r0, n, r1 = t.blocks[k].shape
-        return (f @ t.blocks[k].reshape(r0, n * r1)).reshape(-1, r1)
+        blk = t.blocks[k]
+        return (f @ blk.reshape(blk.shape[0], -1)).reshape(-1, blk.shape[-1])
 
     return right, left
 

@@ -26,7 +26,6 @@ from tthjb.tt import (
     Accuracy,
     TTMatrix,
     TTTensor,
-    orthogonalize_left,
     orthogonalize_right,
     tt_dot,
     tt_from_dense,
@@ -615,7 +614,7 @@ class TestNoTensordot:
         tt_norm(v - b)
         tt_dot(v, b)
         tt_matvec(A, v)
-        orthogonalize_left(v, v.d - 1)
+        tt_round(A + A, Accuracy(1e-10))  # an operator's carries
         assert calls == []
 
 
@@ -645,7 +644,6 @@ class TestNoNumpyFactorizations:
             v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
         tt_round(v + b, Accuracy(1e-10))
         tt_norm(v - b)
-        orthogonalize_left(v, v.d - 1)
         orthogonalize_right(v, 0)
         u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
         tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))

@@ -271,6 +271,24 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()                  # so no history.csv either
 
+    @pytest.mark.parametrize("override", [
+        {"seed": float("nan")},
+        {"solver": {**FAST_LQ["solver"], "seed": -1}},
+        {"model": {"name": "allen_cahn_1d", "d": 4, "sigma": float("nan")}},
+        {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [float("nan"), 0.2]}},
+        {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [2.0, 2.5]}},
+    ], ids=["seed-nan", "solver-seed-negative", "sigma-nan", "omega-nan", "omega-unactuated"])
+    def test_seed_and_model_value_exit_2(self, tmp_path, caplog, override):
+        # a seed that is not an integer >= 0, a model whose matrices are not
+        # finite and an actuated interval that is malformed or holds no node
+        # are config errors, not crashes in numpy or in the Riccati warm start
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, **override}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error:" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["a", "m", "mu_min", "divergence_window"])
     def test_basis_solver_field_exit_2(self, tmp_path, field, caplog):
         # the basis is the model's [-a, a] with 2n nodes; the solver sets only

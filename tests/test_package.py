@@ -40,6 +40,15 @@ def test_traced_names_resolve():
     for module, attr in names:
         importlib.import_module(module)
         assert callable(tracing._resolve(module, attr)[2]), (module, attr)
+    # a traced run installs a wrapper at every name and puts the originals back
+    before = [tracing._resolve(module, attr)[2] for module, attr in names]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert all(tracing._resolve(module, attr)[2] is obj
+               for (module, attr), obj in zip(names, before))
 
 
 def test_model_contract_of_the_benchmark(small_model):

@@ -557,7 +557,7 @@ class TestStateDependentChannel:
             [assembly._weighted_block(b * hk[:, None], basis.wphi, basis.dphi)
              for b, hk in zip(u.blocks, h)]))
             for g, h in model.channel_builder([basis.nodes] * model.dim)]
-        terms = [op.fuse() for op in [system.drift, *chains]]
+        terms = [system.drift, *chains]
         seq = terms[0]
         for term in terms[1:]:
             seq = tt_round(tt_add(seq, term), system.acc)
@@ -566,8 +566,8 @@ class TestStateDependentChannel:
         # and agree with the norms of the differences to eight digits
         norm = np.sqrt(sum(tt_dot(s, t) for s in terms for t in terms))
 
-        def error(fused):
-            gap = tt_dot(fused, fused) - 2.0 * sum(tt_dot(fused, t) for t in terms) + norm**2
+        def error(op):
+            gap = tt_dot(op, op) - 2.0 * sum(tt_dot(op, t) for t in terms) + norm**2
             return np.sqrt(gap) / norm
 
         assert abs(A.max_rank - seq.max_rank) <= 2
@@ -576,6 +576,6 @@ class TestStateDependentChannel:
         # the cap the exact sum of the drift and the coupling (ranks up to
         # 203) is rounded, unsketched (measured: rank 90, 0.86 delta)
         assert A.max_rank == system.acc.max_rank
-        assert error(A.fuse()) <= 1.25 * max(delta, error(seq))
+        assert error(A) <= 1.25 * max(delta, error(seq))
         uncapped = replace(system, acc=Accuracy(delta)).operator(u)
-        assert error(uncapped.fuse()) <= 1.25 * delta
+        assert error(uncapped) <= 1.25 * delta

@@ -10,7 +10,6 @@ from tthjb.tt import (
     TTTensor,
     linear_to_tt,
     load_tt,
-    orthogonalize_left,
     orthogonalize_right,
     quadratic_to_tt,
     save_tt,
@@ -29,6 +28,17 @@ from tthjb.tt import (
 
 def random_dense(rng, dims):
     return rng.standard_normal(dims)
+
+
+def fused(op):
+    """The TT tensor whose block k is op's with its (row, col) pair as one mode."""
+    return TTTensor([b.reshape(b.shape[0], -1, b.shape[-1]) for b in op.blocks])
+
+
+def same_fused_bits(op, t):
+    """Whether the operator op holds the blocks of the tensor t, bit for bit."""
+    return type(op) is TTMatrix and all(
+        np.array_equal(x.reshape(y.shape), y) for x, y in zip(op.blocks, t.blocks))
 
 
 class TestFromDense:
@@ -174,6 +184,35 @@ class TestAddScale:
         b = TTTensor.random((3, 5), [1, 2, 1], rng)
         with pytest.raises(ValueError):
             tt_add(a, b)
+        # an operator's modes are (row, col) pairs: never a tensor's, nor a
+        # transposed operator's, even where the fused sizes agree; a unit
+        # mode, or a single block, would broadcast silently in numpy
+        for x, y in ((TTTensor.random((9, 4), [1, 2, 1], rng), TTMatrix.identity((3, 2))),
+                     (TTTensor.random((3,), [1, 1], rng), TTMatrix.identity((3,))),
+                     (TTTensor.random((3, 5, 4), [1, 2, 2, 1], rng),
+                      TTTensor.random((3, 1, 4), [1, 2, 2, 1], rng)),
+                     (TTMatrix.unfuse(a, (1, 2), (3, 2)), TTMatrix.unfuse(a, (3, 2), (1, 2))),
+                     (TTMatrix.identity((3, 4)), TTMatrix.identity((3, 5)))):
+            with pytest.raises(ValueError):
+                tt_add(x, y)
+            with pytest.raises(ValueError):
+                tt_add(y, x)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_operator_matches_fused_blocks(self, rng, d):
+        # add, scale, round, norm and dot read only the rank axes: on an operator
+        # they give the bits of the same call on its fused blocks
+        ranks = [1] + [3] * (d - 1) + [1]
+        a, b = TTTensor.random((6,) * d, ranks, rng), TTTensor.random((6,) * d, ranks, rng)
+        A, B = (TTMatrix.unfuse(t, (2,) * d, (3,) * d) for t in (a, b))
+        assert same_fused_bits(tt_add(A, B), tt_add(a, b))
+        assert same_fused_bits(A + B, a + b)
+        assert same_fused_bits(tt_scale(A, -2.5), tt_scale(a, -2.5))
+        assert same_fused_bits(0.5 * A, 0.5 * a)
+        for acc in (Accuracy(1e-2), Accuracy(0.0, max_rank=2)):
+            assert same_fused_bits(tt_round(A + B, acc), tt_round(a + b, acc))
+        assert tt_norm(A + B) == tt_norm(a + b)
+        assert tt_dot(A, B) == tt_dot(a, b)
 
 
 class TestMatvec:
@@ -242,7 +281,7 @@ class TestDotNorm:
         a = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
         c = TTTensor.random(a.dims, [1, 2, 2, 2, 1], rng)
         eps = 1e-12 * tt_norm(a) / tt_norm(c)
-        b = orthogonalize_left(a, a.d - 1) + eps * c
+        b = tt_round(a, Accuracy(0.0)) + eps * c
         want = np.linalg.norm(tt_to_dense(a - b))
         assert abs(tt_norm(a - b) - want) <= 16 * np.finfo(float).eps * tt_norm(a)
 
@@ -358,16 +397,16 @@ class TestSumRound:
 
     @staticmethod
     def _exact(ops, acc, monkeypatch):
-        # the rounded sum, checked never to be sketched
+        # the rounded sum, checked never to be sketched, against the
+        # rounded sum of the fused blocks
         from tthjb import assembly
 
         def no_sketch(*args):
             raise AssertionError("an exact sum was sketched")
 
         monkeypatch.setattr(assembly, "_sketch", no_sketch)
-        b = assembly._sum_round(ops, acc).fuse()
-        want = tt_round(functools.reduce(tt_add, [op.fuse() for op in ops]), acc)
-        return all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+        want = tt_round(functools.reduce(tt_add, [fused(op) for op in ops]), acc)
+        return same_fused_bits(assembly._sum_round(ops, acc), want)
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
@@ -375,8 +414,8 @@ class TestSumRound:
         from tthjb.assembly import _sum_round
 
         ops, want = self._case(rng, d)
-        b = _sum_round(ops, Accuracy(delta)).fuse()
-        assert np.linalg.norm(b.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
+        b = tt_to_dense(_sum_round(ops, Accuracy(delta))).reshape(want.shape)
+        assert np.linalg.norm(b - want) <= 1.25 * delta * np.linalg.norm(want)
 
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
     def test_exact_range_rounds_the_sum(self, rng, monkeypatch, count, r):
@@ -402,7 +441,7 @@ class TestOrthogonalize:
     def test_values_preserved(self, rng):
         t = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
         X = tt_to_dense(t)
-        for q in (orthogonalize_left(t, t.d - 1), orthogonalize_right(t, 0)):
+        for q in (tt_round(t, Accuracy(0.0)), orthogonalize_right(t, 0)):
             assert np.linalg.norm(tt_to_dense(q) - X) <= 1e-12 * np.linalg.norm(X)
 
     def test_right_gram_identity(self, rng):
@@ -415,7 +454,7 @@ class TestOrthogonalize:
 
     def test_left_norm_identity(self, rng):
         t = TTTensor.random((3, 3, 3), [1, 2, 2, 1], rng)
-        q = orthogonalize_left(t, t.d - 1)
+        q = tt_round(t, Accuracy(0.0))
         assert np.isclose(np.linalg.norm(q.blocks[-1]), tt_norm(t))
 
 
