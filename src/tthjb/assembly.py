@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, _product_term, _sketch, _tt_term, flag_chain,
-                 tt_add, tt_matvec, tt_round, tt_scale, tt_square_sum)
+from .tt import (Accuracy, TTMatrix, TTTensor, _product_term, _round_sketch, _sketch, _tt_term,
+                 flag_chain, tt_add, tt_matvec, tt_round, tt_scale, tt_square_sum)
 
 __all__ = [
     "ControlPenalty",
@@ -174,8 +174,9 @@ class GalerkinSystem:
         no max_rank, the coupling is formed and the exact sum rounded.  Over
         that cap the sum is sketched once at its ranks capped at max_rank + p
         (_sketch), the coupling met through the blocks of u and bmap as a
-        product term (_product_term) and never formed, then rounded; the
-        Gaussian draws come from seed.
+        product term (_product_term) and never formed, then rounded by one
+        SVD sweep on the sketch's own frames (_round_sketch); the Gaussian
+        draws come from seed.
         """
         drift, bmap, acc = self.drift, self.bmap, self.acc
         u = tt_scale(u_tt, 2.0 * self.penalty.gamma)
@@ -188,7 +189,7 @@ class GalerkinSystem:
         terms = [_tt_term(drift), _product_term(u, bmap.blocks, [self.basis.wphi] * u.d)]
         # rounded as it comes: a name held on the sketch keeps its blocks
         # through the round, 5 MB more peak on Fokker-Planck d=10
-        total = tt_round(_sketch(terms, dims, ell, np.random.default_rng(self.seed)), acc)
+        total = _round_sketch(_sketch(terms, dims, ell, np.random.default_rng(self.seed)), acc)
         return TTMatrix.unfuse(total, drift.row_dims, drift.col_dims)
 
     def rhs(self, u_tt: TTTensor, initial=None):

@@ -136,7 +136,7 @@ def _seed(cfg: dict) -> int:
     """The run's seed: the solver's unless it sets its own, the residual's
     and the Riccati check's."""
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     return int(seed)
 

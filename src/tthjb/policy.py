@@ -93,7 +93,7 @@ class SolverConfig:
             raise ValueError(f"mu0 must be finite and positive, got {self.mu0!r}")
         for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property

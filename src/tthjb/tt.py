@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,6 @@ __all__ = [
     "Accuracy",
     "TTTensor",
     "TTMatrix",
-    "tt_from_dense",
-    "tt_to_dense",
     "tt_round",
     "tt_add",
     "tt_scale",
@@ -39,8 +38,6 @@ __all__ = [
 ]
 
 _MAGIC = b"TTHJB1"
-# materialization guard for to_dense / from_dense
-_MAX_DENSE_SIZE = 1 << 26
 # oversampling p of the randomized sketch in tt_square_sum
 _OVERSAMPLE = 5
 
@@ -55,8 +52,10 @@ class Accuracy:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
+        rank = self.max_rank
+        if rank is not None and (not isinstance(rank, numbers.Integral)
+                                 or isinstance(rank, bool) or rank < 1):
+            raise ValueError(f"max_rank must be None or an integer >= 1, got {rank!r}")
 
 
 def _chop(s: np.ndarray, budget: float, max_rank: int | None) -> int:
@@ -206,9 +205,6 @@ class TTTensor(_Chain):
             ]
         )
 
-    def to_dense(self) -> np.ndarray:
-        return tt_to_dense(self)
-
     def eval(self, indices: np.ndarray) -> np.ndarray:
         """Entries at a batch of multi-indices, shape (N, d) -> (N,)."""
         indices = np.atleast_2d(np.asarray(indices, dtype=int))
@@ -254,59 +250,11 @@ class TTMatrix(_Chain):
             ]
         )
 
-    def to_dense(self) -> np.ndarray:
-        d = self.d
-        dense = tt_to_dense(self).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
-        return dense.reshape(math.prod(self.row_dims), math.prod(self.col_dims))
-
     def __repr__(self):
         return (
             f"TTMatrix(row_dims={self.row_dims}, col_dims={self.col_dims}, "
             f"ranks={self.ranks})"
         )
-
-
-def tt_from_dense(tensor: np.ndarray, acc: Accuracy = Accuracy()) -> TTTensor:
-    """TT decomposition of a dense array via d-1 sequential SVDs.
-
-    The global relative tolerance is distributed as delta/sqrt(d-1) per
-    truncation step, which guarantees the overall 2-norm error bound.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim == 0 or any(s < 1 for s in tensor.shape):
-        raise ValueError("dense tensor must have at least one nonempty mode")
-    if tensor.size > _MAX_DENSE_SIZE:
-        raise MemoryError(f"refusing to decompose {tensor.size} entries")
-    if not np.all(np.isfinite(tensor)):
-        raise ValueError("dense tensor contains non-finite entries")
-    dims = tensor.shape
-    d = len(dims)
-    budget = acc.delta * np.linalg.norm(tensor) / np.sqrt(max(d - 1, 1))
-    blocks = []
-    cur = tensor.reshape(1, -1)
-    r = 1
-    for k in range(d - 1):
-        mat = cur.reshape(r * dims[k], -1)
-        u, s, vt = _svd(mat)
-        rk = _chop(s, budget, acc.max_rank)
-        blocks.append(u[:, :rk].reshape(r, dims[k], rk))
-        cur = s[:rk, None] * vt[:rk]
-        r = rk
-    blocks.append(cur.reshape(r, dims[-1], 1))
-    return TTTensor(blocks)
-
-
-def tt_to_dense(t: _Chain) -> np.ndarray:
-    """Dense array of a tensor, or of an operator with its modes (row, col)
-    interleaved by dimension."""
-    shape = sum(t._modes, ())
-    total = math.prod(shape)
-    if total > _MAX_DENSE_SIZE:
-        raise MemoryError(f"dense tensor would hold {total} entries")
-    cur = t.blocks[0]
-    for b in t.blocks[1:]:
-        cur = np.tensordot(cur, b, axes=(-1, 0)).reshape(1, -1, b.shape[-1])
-    return cur.reshape(shape)
 
 
 def tt_add(a: _Chain, b: _Chain) -> _Chain:
@@ -408,7 +356,12 @@ def tt_round(t: _Chain, acc: Accuracy) -> _Chain:
     """Truncate TT ranks to the relative tolerance acc.delta in the 2-norm."""
     if t.d == 1:
         return t
-    t = orthogonalize_right(t, 1)
+    return _svd_sweep(orthogonalize_right(t, 1), acc)
+
+
+def _svd_sweep(t: _Chain, acc: Accuracy) -> _Chain:
+    """tt_round's SVD sweep, left to right, over a chain whose blocks 1..d-1
+    are right-orthonormal, so block 0 carries its norm."""
     nrm = np.linalg.norm(t.blocks[0])
     budget = acc.delta * nrm / np.sqrt(max(t.d - 1, 1))
     blocks = list(t.blocks)
@@ -419,6 +372,22 @@ def tt_round(t: _Chain, acc: Accuracy) -> _Chain:
         blocks[k + 1] = _carry_left(s[:rk, None] * vt[:rk], blocks[k + 1])
     # never exceed the input ranks: exact nullspaces aside, _chop keeps rk <= r1
     return type(t)(blocks)
+
+
+def _round_sketch(s: TTTensor, acc: Accuracy) -> TTTensor:
+    """round(s, acc) for a _sketch output, whose blocks 0..d-2 are already
+    left-orthonormal: the SVD sweep alone, run from the last block.
+
+    Read backwards, each block transposed (2, 1, 0), s is right-orthonormal.
+    The flip is read as views (a copy would hold a second sketch); the result
+    is copied back to C-contiguous blocks, as tt_round returns, so that later
+    reshapes stay views.
+    """
+    def flip(blocks):
+        return [b.transpose(2, 1, 0) for b in reversed(blocks)]
+
+    r = _svd_sweep(TTTensor(flip(s.blocks)), acc)
+    return TTTensor([np.ascontiguousarray(b) for b in flip(r.blocks)])
 
 
 def _tt_term(t: _Chain):
@@ -510,7 +479,8 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
     P applies proj, of shape (m, n), to every mode of the square of u (modes
     m): P(t)[i] = sum_q t[q] prod_k proj[q_k, i_k]; c has modes n.  The
     square has ranks r (r + 1) / 2, so the sum is compressed by a randomized
-    sketch (_sketch) at cost O(d m r^3 l) for sketch ranks l, then rounded.
+    sketch (_sketch) at cost O(d m r^3 l) for sketch ranks l, then rounded
+    by one SVD sweep on the sketch's own left-orthonormal frames.
     With e the ranks of c and p the oversampling, the sketch rank at
     interface k starts at min(r_k + e_k + p, e_k + r_k (r_k + 1) / 2), where
     the upper value spans the whole range and is exact, and doubles where
@@ -528,7 +498,7 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
     terms = [_tt_term(c), square]
     rng = np.random.default_rng(seed)
     while True:
-        b = tt_round(_sketch(terms, c.dims, ell, rng), acc)
+        b = _round_sketch(_sketch(terms, c.dims, ell, rng), acc)
         grow = [k for k in range(1, d) if b.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
         if not grow:
             return b

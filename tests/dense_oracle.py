@@ -1,0 +1,41 @@
+"""Dense oracles of the tests: TT chains to and from full arrays.
+
+The library never forms a dense tensor; the tests compare against one on
+small cases only.
+"""
+import math
+
+import numpy as np
+
+from tthjb.tt import TTMatrix, TTTensor
+
+
+def full(t):
+    """The full array of a TT tensor, shape dims, or the matrix of a TT
+    operator, rows by columns."""
+    cur = np.ones((1, 1))
+    for b in t.blocks:
+        cur = (cur @ b.reshape(b.shape[0], -1)).reshape(-1, b.shape[-1])
+    if isinstance(t, TTMatrix):
+        d = t.d
+        cur = cur.reshape(sum((b.shape[1:3] for b in t.blocks), ()))
+        cur = cur.transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+        return cur.reshape(math.prod(t.row_dims), math.prod(t.col_dims))
+    return cur.reshape(t.dims)
+
+
+def from_full(array, delta) -> TTTensor:
+    """TT-SVD of a full array: d - 1 sequential truncated SVDs, each with the
+    share delta / sqrt(d - 1) of the relative error."""
+    array = np.asarray(array, dtype=float)
+    dims = array.shape
+    budget = delta * np.linalg.norm(array) / math.sqrt(max(len(dims) - 1, 1))
+    blocks, cur = [], array.reshape(1, -1)
+    for n in dims[:-1]:
+        u, s, vt = np.linalg.svd(cur.reshape(cur.shape[0] * n, -1), full_matrices=False)
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]   # tail[k]: error of keeping k
+        keep = max(1, int(np.sum(tail > budget)))
+        blocks.append(u[:, :keep].reshape(-1, n, keep))
+        cur = s[:keep, None] * vt[:keep]
+    blocks.append(cur.reshape(-1, dims[-1], 1))
+    return TTTensor(blocks)

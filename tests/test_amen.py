@@ -28,14 +28,14 @@ from tthjb.tt import (
     TTTensor,
     orthogonalize_right,
     tt_dot,
-    tt_from_dense,
     tt_matvec,
     tt_norm,
     tt_round,
     tt_scale,
     tt_square_sum,
-    tt_to_dense,
 )
+
+from dense_oracle import from_full, full
 
 
 def random_tt_matrix(rng, dims, ranks):
@@ -61,8 +61,8 @@ class TestResidualFit:
                         + [tt._product_term(tt_scale(v, -1.0),
                                             [blk.transpose(0, 2, 1, 3) for blk in A.blocks],
                                             [np.ones((n, 1)) for n in dims])])
-        want = sum(c * tt_to_dense(t).reshape(-1) for c, t in terms)
-        return sketch_terms, want - A.to_dense() @ tt_to_dense(v).reshape(-1)
+        want = sum(c * full(t).reshape(-1) for c, t in terms)
+        return sketch_terms, want - full(A) @ full(v).reshape(-1)
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["one_term", "three_terms"])
     def test_matches_dense_residual(self, rng, shifted):
@@ -71,7 +71,7 @@ class TestResidualFit:
         # residual, shift terms included
         terms, want = self._case(rng, (3, 4, 3), shifted)
         res = tt._sketch(terms, (3, 4, 3), [1, 3, 3, 1], rng)
-        got = tt_to_dense(res).reshape(-1)
+        got = full(res).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_solver_sketches_its_own_residual(self, rng, monkeypatch):
@@ -85,8 +85,8 @@ class TestResidualFit:
         A = random_tt_matrix(rng, dims, ranks)
         b, v_prev = (TTTensor.random(dims, ranks, rng) for _ in range(2))
         amen_solve_shifted(A, b, v_prev, 0.7, Accuracy(1e-10))
-        want = tt_to_dense(b).reshape(-1) - A.to_dense() @ tt_to_dense(v_prev).reshape(-1)
-        got = tt_to_dense(sketches[0]).reshape(-1)
+        want = full(b).reshape(-1) - full(A) @ full(v_prev).reshape(-1)
+        got = full(sketches[0]).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dims", [(3, 4, 3), (5, 6, 5)])
@@ -391,13 +391,13 @@ def spd_tt_matrix(rng, dims):
     N = int(np.prod(dims))
     M = rng.standard_normal((N, N))
     M = M @ M.T / N + 3.0 * np.eye(N)
-    fused = tt_from_dense(M.reshape(dims[0], dims[1], dims[2],
+    fused = from_full(M.reshape(dims[0], dims[1], dims[2],
                                     dims[0], dims[1], dims[2])
                           .transpose(0, 3, 1, 4, 2, 5)
                           .reshape(dims[0] * dims[0],
                                    dims[1] * dims[1],
                                    dims[2] * dims[2]),
-                          Accuracy(1e-13))
+                          1e-13)
     return TTMatrix.unfuse(fused, dims, dims)
 
 
@@ -408,7 +408,7 @@ class TestAmenSolve:
         ones = TTTensor.rank_one([np.ones(3)] * 3)
         b = 2.0 * ones
         v = amen_solve_shifted(A, b, ones, 1.0, Accuracy(1e-12), sweeps=3)
-        assert np.allclose(tt_to_dense(v), 1.5, atol=1e-10)
+        assert np.allclose(full(v), 1.5, atol=1e-10)
 
     def test_dense_solve_oracle(self, rng):
         dims = (4, 4, 4)
@@ -421,10 +421,10 @@ class TestAmenSolve:
         mu = 0.5
         v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-10), sweeps=8)
         want = np.linalg.solve(
-            A.to_dense() + mu * np.eye(64),
-            tt_to_dense(b).reshape(-1) + mu * tt_to_dense(v_prev).reshape(-1),
+            full(A) + mu * np.eye(64),
+            full(b).reshape(-1) + mu * full(v_prev).reshape(-1),
         )
-        got = tt_to_dense(v).reshape(-1)
+        got = full(v).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_degenerate_operator_with_shift(self, rng):
@@ -436,16 +436,16 @@ class TestAmenSolve:
         ones = np.ones(N) / 3.0
         M = M - np.outer(M @ ones, ones) / (ones @ ones)  # kill e direction
         M = M.T @ M  # PSD with the same nullspace
-        fused = tt_from_dense(
+        fused = from_full(
             M.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9),
-            Accuracy(1e-13),
+            1e-13,
         )
         A = TTMatrix.unfuse(fused, dims, dims)
         b = TTTensor.random(dims, [1, 2, 1], rng)
         v_prev = TTTensor.zeros(dims)
         v = amen_solve_shifted(A, b, v_prev, 1.0, Accuracy(1e-10), sweeps=6)
-        want = np.linalg.solve(M + np.eye(N), tt_to_dense(b).reshape(-1))
-        assert np.allclose(tt_to_dense(v).reshape(-1), want, atol=1e-7)
+        want = np.linalg.solve(M + np.eye(N), full(b).reshape(-1))
+        assert np.allclose(full(v).reshape(-1), want, atol=1e-7)
 
     def test_negative_shift_rejected(self, rng):
         dims = (3, 3)
@@ -470,9 +470,9 @@ class TestAmenSolve:
         b = TTTensor.random((n,), [1, 1], rng)
         v_prev = TTTensor.random((n,), [1, 1], rng)
         v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-12), sweeps=sweeps)
-        want = np.linalg.solve(A.to_dense() + mu * np.eye(n),
-                               tt_to_dense(b) + mu * tt_to_dense(v_prev))
-        assert np.linalg.norm(tt_to_dense(v) - want) <= 1e-12 * np.linalg.norm(want)
+        want = np.linalg.solve(full(A) + mu * np.eye(n),
+                               full(b) + mu * full(v_prev))
+        assert np.linalg.norm(full(v) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_monotone_residual_on_spd(self, rng):
         # on SPD A the sweeps minimize the energy error ||v - v*||_A, i.e. the
@@ -483,8 +483,8 @@ class TestAmenSolve:
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         v_prev = TTTensor.zeros(dims)
         acc = Accuracy(1e-12)
-        Ad = A.to_dense()
-        want = np.linalg.solve(Ad, tt_to_dense(b).reshape(-1))
+        Ad = full(A)
+        want = np.linalg.solve(Ad, full(b).reshape(-1))
 
         def energy(x):
             return np.sqrt(x @ Ad @ x)
@@ -493,7 +493,7 @@ class TestAmenSolve:
         errs = []
         for s in range(1, 5):
             v = amen_solve_shifted(A, b, v_prev, 0.0, acc, sweeps=s)
-            errs.append(energy(tt_to_dense(v).reshape(-1) - want))
+            errs.append(energy(full(v).reshape(-1) - want))
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev + floor
         assert errs[0] > floor
@@ -513,14 +513,14 @@ class TestAmenSolve:
         A = TTMatrix([np.stack([T, eye], axis=-1)[None], np.stack([eye, T])[..., None]])
         b = TTTensor.random((n, n), [1, 3, 1], rng)
         v_prev = TTTensor.random((n, n), [1, 1, 1], rng)
-        Ad = A.to_dense()
-        want = np.linalg.solve(Ad, tt_to_dense(b).reshape(-1))
+        Ad = full(A)
+        want = np.linalg.solve(Ad, full(b).reshape(-1))
 
         def energy(x):
             return np.sqrt(x @ Ad @ x)
 
         v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10), sweeps=1)
-        assert energy(tt_to_dense(v).reshape(-1) - want) <= 0.4 * energy(want)
+        assert energy(full(v).reshape(-1) - want) <= 0.4 * energy(want)
 
     def test_contractive_fixed_point_map(self, rng):
         # spectral radius of mu (A + mu I)^{-1} < 1 when Re(eig A) >= 0
@@ -682,7 +682,7 @@ class TestNoScipyGmres:
         v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=4, stats=stats)
         assert len(calls) == 3 * 4
         assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
-        want = np.linalg.solve(A.to_dense() + 0.5 * np.eye(60),
-                               1.5 * tt_to_dense(b).reshape(-1))
-        got = tt_to_dense(v).reshape(-1)
+        want = np.linalg.solve(full(A) + 0.5 * np.eye(60),
+                               1.5 * full(b).reshape(-1))
+        got = full(v).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)

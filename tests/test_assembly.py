@@ -18,8 +18,10 @@ from tthjb.assembly import (
 from tthjb.basis import build_basis
 from tthjb.cross import tt_cross
 from tthjb.models import ControlledDynamics
-from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _product_term, _tt_term, tt_from_dense,
-                      tt_hadamard, tt_matvec, tt_norm, tt_scale)
+from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _product_term, _tt_term, tt_hadamard,
+                      tt_matvec, tt_norm, tt_scale)
+
+from dense_oracle import from_full, full
 
 ACC = Accuracy(1e-12)
 
@@ -28,7 +30,7 @@ def nodal_tt(func, basis, d):
     """Rank-adapted TT of a separable-in-no-way function via dense sampling."""
     grids = np.meshgrid(*([basis.nodes] * d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return tt_from_dense(func(pts).reshape((basis.m,) * d), ACC)
+    return from_full(func(pts).reshape((basis.m,) * d), ACC.delta)
 
 
 def grid_points(basis, d):
@@ -88,7 +90,7 @@ class TestDriftAssembly:
     def test_d1_constant_velocity(self):
         basis = build_basis(2, 1.0)
         one = np.ones(basis.m)
-        A = assemble_drift([([one], [one])], basis, ACC).to_dense()
+        A = full(assemble_drift([([one], [one])], basis, ACC))
         want = np.array([[0.0, -np.sqrt(3.0)], [0.0, 0.0]])
         assert np.allclose(A, want, atol=1e-12)
 
@@ -96,7 +98,7 @@ class TestDriftAssembly:
         basis = build_basis(3, 1.0)
         one, zero = np.ones(basis.m), np.zeros(basis.m)
         A = assemble_drift([([one, one], [zero, zero])], basis, ACC)
-        assert np.allclose(A.to_dense(), 0.0, atol=1e-14)
+        assert np.allclose(full(A), 0.0, atol=1e-14)
 
     def test_dense_quadrature_oracle_d3(self):
         basis = build_basis(3, 1.0)
@@ -105,7 +107,7 @@ class TestDriftAssembly:
         x, one, zero = basis.nodes, np.ones(basis.m), np.zeros(basis.m)
         # (x_0, sin x_1, 0) and (0, 0, x_0 x_2)
         fields = [([one] * 3, [x, np.sin(x), zero]), ([x, one, one], [zero, zero, x])]
-        A = assemble_drift(fields, basis, ACC).to_dense()
+        A = full(assemble_drift(fields, basis, ACC))
         want = dense_drift_oracle(funcs, basis, 3)
         assert np.allclose(A, want, atol=1e-10)
 
@@ -122,7 +124,7 @@ class TestDriftAssembly:
     def test_channel_fields_dense_oracle(self, rng, form):
         basis = build_basis(3, 1.0)
         model = channel_model(form, 3, rng)
-        A = assemble_drift(model.channel_builder([basis.nodes] * 3), basis, ACC).to_dense()
+        A = full(assemble_drift(model.channel_builder([basis.nodes] * 3), basis, ACC))
         want = dense_drift_oracle(channel_funcs(model), basis, 3)
         assert np.allclose(A, want, atol=1e-10)
 
@@ -136,7 +138,7 @@ class TestRhsProjection:
     def test_x_squared_analytic(self):
         basis = build_basis(3, 1.0)
         ell = TTTensor.rank_one([basis.nodes**2])
-        b = project_to_basis(ell, basis).to_dense()
+        b = full(project_to_basis(ell, basis))
         assert np.allclose(b, [np.sqrt(2.0) / 3.0, 0.0, 2.0 / 3.0 * np.sqrt(0.4)],
                            atol=1e-12)
 
@@ -147,7 +149,7 @@ class TestRhsProjection:
             return np.exp(-p[:, 0] ** 2) * np.cos(p[:, 1])
 
         t = nodal_tt(func, basis, 2)
-        got = project_to_basis(t, basis).to_dense()
+        got = full(project_to_basis(t, basis))
         want = np.zeros((basis.n, basis.n))
         for i in range(basis.n):
             for j in range(basis.n):
@@ -175,7 +177,7 @@ class TestControlMap:
         bmap = control_map([([one], [one])], basis, gamma, ACC)
         coeffs = basis.phi.T @ (basis.weights * basis.nodes**2)
         v = TTTensor.rank_one([coeffs])
-        u = tt_matvec(bmap, v).to_dense()
+        u = full(tt_matvec(bmap, v))
         assert np.allclose(u, -basis.nodes / gamma, atol=1e-10)
 
     def test_dense_oracle_d3(self, rng):
@@ -191,7 +193,7 @@ class TestControlMap:
             model = channel_model(form, 3, rng)
             want = -(0.5 / gamma) * np.sum(model.channel_eval(pts) * grads, axis=1)
             bmap = control_map(model.channel_builder([basis.nodes] * 3), basis, gamma, ACC)
-            got = tt_matvec(bmap, v).to_dense().reshape(-1)
+            got = full(tt_matvec(bmap, v)).reshape(-1)
             assert np.allclose(got, want, atol=1e-10), form
 
 
@@ -268,11 +270,11 @@ class TestCoupling:
         for d, form in itertools.product((1, 2, 3), CHANNEL_FORMS):
             model = channel_model(form, d, rng)
             u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
-            u_vals = u.to_dense().reshape(-1)
+            u_vals = full(u).reshape(-1)
             want = dense_drift_oracle([lambda pts, f=f: f(pts) * u_vals
                                        for f in channel_funcs(model)], basis, d)
             bmap = control_map(model.channel_builder([basis.nodes] * d), basis, gamma, ACC)
-            C = _coupling(bmap, tt_scale(u, 2.0 * gamma), wphi).to_dense()
+            C = full(_coupling(bmap, tt_scale(u, 2.0 * gamma), wphi))
             assert np.allclose(C, want, atol=1e-10), (d, form)
 
     def test_rank_propagation(self, rng):
@@ -301,14 +303,14 @@ class TestCoupling:
         basis = build_basis(3, 1.0)
         system = _build_system(model, basis, SolverConfig(delta=1e-10, n=3))
         u = TTTensor.random((basis.m,) * d, [1] + [2] * (d - 1) + [1], rng)
-        u_vals = u.to_dense().reshape(-1)
+        u_vals = full(u).reshape(-1)
 
         def velocity(p):
             return lambda pts: (model.drift(pts)[:, p]
                                 + model.channel_eval(pts)[:, p] * u_vals)
 
         want = dense_drift_oracle([velocity(p) for p in range(d)], basis, d)
-        A = system.operator(u).to_dense()
+        A = full(system.operator(u))
         assert np.linalg.norm(A - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -443,10 +445,10 @@ class TestOperatorSketch:
                                 acc=Accuracy(delta, max_rank=7))
         sketches = sketch_ranks(monkeypatch)
         A = system.operator(u)
-        want = (system.drift.to_dense()
-                + _coupling(system.bmap, tt_scale(u, 1.4), basis.wphi).to_dense())
+        want = (full(system.drift)
+                + full(_coupling(system.bmap, tt_scale(u, 1.4), basis.wphi)))
         assert sketches == [[1, 9, 27, 9, 1]]
-        assert np.linalg.norm(A.to_dense() - want) <= 1.25 * delta * np.linalg.norm(want)
+        assert np.linalg.norm(full(A) - want) <= 1.25 * delta * np.linalg.norm(want)
 
     def test_bitwise_repeatable(self, rng):
         system = channel_system("affine", self.D, rng, Accuracy(1e-3, max_rank=10), seed=3)
@@ -475,9 +477,9 @@ class TestHadamardRhs:
         u = TTTensor.random((basis.m,) * d, [1, 4, 4, 1], rng)
         b, res = system.rhs(u)
         assert res is None
-        pen = tt_from_dense(system.penalty.gamma * u.to_dense() ** 2, ACC)
-        want = system.ell_proj.to_dense() + project_to_basis(pen, basis).to_dense()
-        assert np.linalg.norm(b.to_dense() - want) <= system.acc.delta * np.linalg.norm(want)
+        pen = from_full(system.penalty.gamma * full(u) ** 2, ACC.delta)
+        want = full(system.ell_proj) + full(project_to_basis(pen, basis))
+        assert np.linalg.norm(full(b) - want) <= system.acc.delta * np.linalg.norm(want)
 
     def test_rank_20_never_runs_cross(self, rng, monkeypatch):
         from tthjb import assembly
@@ -494,9 +496,9 @@ class TestHadamardRhs:
         u = TTTensor.random((basis.m,) * d, [1, 6, 20, 6, 1], rng)
         b, res = system.rhs(u)
         assert res is None
-        pen = tt_from_dense(system.penalty.gamma * u.to_dense() ** 2, ACC)
-        want = system.ell_proj.to_dense() + project_to_basis(pen, basis).to_dense()
-        assert np.linalg.norm(b.to_dense() - want) <= system.acc.delta * np.linalg.norm(want)
+        pen = from_full(system.penalty.gamma * full(u) ** 2, ACC.delta)
+        want = full(system.ell_proj) + full(project_to_basis(pen, basis))
+        assert np.linalg.norm(full(b) - want) <= system.acc.delta * np.linalg.norm(want)
 
 
 class TestCrossSamplesByInterfaces:

@@ -240,10 +240,14 @@ class TestMain:
         ("rollout", {"x0": [[1, 2], [3, 4]]}),
         ("solver", {"n": "5"}),
         ("solver", {"n": 2.5}),
+        ("solver", {"n": True}),
+        ("solver", {"max_rank": True}),
+        ("solver", {"max_policy_iters": False}),
     ])
     def test_invalid_value_exit_2(self, tmp_path, section, value):
         # an x0 that is neither a name nor a list of numbers, and a count
-        # that is not an integer, are config errors
+        # that is not an integer, are config errors; json's true and false
+        # are bools, which python counts as integers
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, section: {**FAST_LQ[section], **value}}))
         out = tmp_path / "out"
@@ -273,11 +277,13 @@ class TestMain:
 
     @pytest.mark.parametrize("override", [
         {"seed": float("nan")},
+        {"seed": True},
         {"solver": {**FAST_LQ["solver"], "seed": -1}},
+        {"solver": {**FAST_LQ["solver"], "seed": True}},
         {"model": {"name": "allen_cahn_1d", "d": 4, "sigma": float("nan")}},
         {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [float("nan"), 0.2]}},
         {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [2.0, 2.5]}},
-    ], ids=["seed-nan", "solver-seed-negative", "sigma-nan", "omega-nan", "omega-unactuated"])
+    ], ids=["seed-nan", "seed-bool", "solver-seed-negative", "solver-seed-bool", "sigma-nan", "omega-nan", "omega-unactuated"])
     def test_seed_and_model_value_exit_2(self, tmp_path, caplog, override):
         # a seed that is not an integer >= 0, a model whose matrices are not
         # finite and an actuated interval that is malformed or holds no node

@@ -7,6 +7,8 @@ from tthjb import cross
 from tthjb.cross import _fibres, maxvol, random_index_sets, rank_adapt, tt_cross
 from tthjb.tt import Accuracy, TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
 
+from dense_oracle import full
+
 
 def _all_indices(dims):
     return np.array(list(itertools.product(*[range(n) for n in dims])))
@@ -149,8 +151,8 @@ class TestRankAdapt:
         monkeypatch.setattr(cross, "_MAX_SWEEPS", 4)
         res = tt_cross(t, lambda s: s**5, Accuracy(1e-10))
         assert res.converged and res.tensor.ranks == (1, 6, 6, 1)
-        want = t.to_dense() ** 5
-        assert np.max(np.abs(res.tensor.to_dense() - want)) <= 1e-10 * np.max(np.abs(want))
+        want = full(t) ** 5
+        assert np.max(np.abs(full(res.tensor) - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestFibres:
@@ -159,7 +161,7 @@ class TestFibres:
     def test_fibres_match_dense_at_every_position(self, rng):
         dims = (4, 5, 3, 6, 4)
         t = TTTensor.random(dims, [1, 3, 4, 4, 3, 1], rng)
-        dense = np.tanh(t.to_dense())
+        dense = np.tanh(full(t))
         d = t.d
         for k in range(d):
             left = (rng.integers(0, np.array(dims[:k]), size=(7, k)) if k

@@ -104,45 +104,49 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     # the penalty right-hand side, the operator over its rank cap and AMEn's
     # enrichment residual are each sketched by the one routine tt._sketch,
     # and each meets its product (gamma P(u^2), the coupling, A v) as one
-    # tt._product_term
+    # tt._product_term. A sketch is already left-orthonormal, so it is
+    # rounded without the QR sweep of tt_round (orthogonalize_right), which
+    # AMEn runs once per sweep on its iterate
     from tthjb import amen, assembly, tt
     from tthjb.basis import build_basis
     from tthjb.models import lq
     from tthjb.policy import _build_system
     from tthjb.tt import Accuracy, TTMatrix, TTTensor
 
-    modules = (tt, amen, assembly)
-    for name in ("_sketch", "_product_term"):
-        assert all(getattr(module, name) is getattr(tt, name) for module in modules)
-    calls = {"_sketch": 0, "_product_term": 0}
+    modules = {"_sketch": (tt, amen, assembly), "_product_term": (tt, amen, assembly),
+               "orthogonalize_right": (tt, amen)}
+    calls = dict.fromkeys(modules, 0)
     for name in calls:
+        assert all(getattr(module, name) is getattr(tt, name) for module in modules[name])
+
         def wrapper(*args, name=name, original=getattr(tt, name)):
             calls[name] += 1
             return original(*args)
 
-        for module in modules:
+        for module in modules[name]:
             monkeypatch.setattr(module, name, wrapper)
 
     def take():
-        counts = (calls["_sketch"], calls["_product_term"])
-        calls.update(_sketch=0, _product_term=0)
+        counts = tuple(calls.values())
+        calls.update(dict.fromkeys(calls, 0))
         return counts
 
     rng = np.random.default_rng(0)
     u = TTTensor.random((4,) * 3, [1, 3, 3, 1], rng)
     tt.tt_square_sum(TTTensor.zeros((4,) * 3), u, np.eye(4), 1.0, Accuracy(1e-3))
-    sketches, products = take()
-    assert sketches >= 1 and products == 1  # one square, however many sketch ranks
+    sketches, products, sweeps = take()
+    # one square, however many sketch ranks, and no QR sweep
+    assert sketches >= 1 and products == 1 and sweeps == 0
     # the operator's middle summed rank 4 + 20 is over the cap max_rank 1 + 20
     system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
     take()
     system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
-    assert take() == (1, 1)
+    assert take() == (1, 1, 0)
     dims = (4, 3, 5)
     A = TTMatrix.identity(dims) * 2.0
     b = TTTensor.random(dims, [1, 2, 2, 1], rng)
     amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
-    assert take() == (2, 2)  # one residual per sweep
+    assert take() == (2, 2, 2)  # one residual and one QR sweep per sweep
 
 
 def test_option_surface():

@@ -21,6 +21,8 @@ from tthjb.policy import (
 from tthjb.tt import (Accuracy, TTMatrix, TTTensor, flag_chain, quadratic_to_tt, tt_add, tt_dot,
                       tt_norm, tt_round, tt_scale)
 
+from dense_oracle import full
+
 
 def scalar_unstable_model(u_max=None):
     """dy/dt = y + u with unit quadratic costs; Riccati gives K = 1 + sqrt(2)."""
@@ -45,7 +47,7 @@ class TestInitialPolicy:
         u = initial_policy(model, basis)
         # u(x) = -K x with K = 1 + sqrt(2)
         want = -(1.0 + np.sqrt(2.0)) * basis.nodes
-        assert np.allclose(u.to_dense(), want, atol=1e-8)
+        assert np.allclose(full(u), want, atol=1e-8)
 
     def test_unstabilizable_linearization_raises(self):
         # d = 3 actuates only the middle node, which the unstable mode
@@ -97,7 +99,7 @@ class TestValueGradient:
         v = TTTensor.random((4,) * 3, [1, 2, 6, 1], rng)
         V = ValueFunction(v, basis)
         X = rng.uniform(-1.4, 1.4, size=(npts, 3))
-        dense = v.to_dense()
+        dense = full(v)
         # numpy's Legendre series: P_k' from legder, (degree n-2, n) coefficients
         leg = np.polynomial.legendre
         dcoef = leg.legder(np.eye(basis.n))

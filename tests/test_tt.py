@@ -15,19 +15,15 @@ from tthjb.tt import (
     save_tt,
     tt_add,
     tt_dot,
-    tt_from_dense,
     tt_hadamard,
     tt_matvec,
     tt_norm,
     tt_round,
     tt_scale,
     tt_square_sum,
-    tt_to_dense,
 )
 
-
-def random_dense(rng, dims):
-    return rng.standard_normal(dims)
+from dense_oracle import full
 
 
 def fused(op):
@@ -41,39 +37,14 @@ def same_fused_bits(op, t):
         np.array_equal(x.reshape(y.shape), y) for x, y in zip(op.blocks, t.blocks))
 
 
-class TestFromDense:
-    def test_rank_one_separable(self, rng):
-        u, v, w = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
-        X = np.einsum("i,j,k->ijk", u, v, w)
-        t = tt_from_dense(X, Accuracy(1e-12))
-        assert t.ranks == (1, 1, 1, 1)
-        assert np.allclose(tt_to_dense(t), X, atol=1e-12)
-
-    def test_all_zeros(self):
-        X = np.zeros((3, 4, 2))
-        t = tt_from_dense(X, Accuracy(1e-12))
-        assert np.all(tt_to_dense(t) == 0.0)
-
-    def test_random_reconstruction(self, rng):
-        X = random_dense(rng, (5, 5, 5, 5))
-        t = tt_from_dense(X, Accuracy(1e-12))
-        err = np.linalg.norm(tt_to_dense(t) - X) / np.linalg.norm(X)
-        assert err <= 1e-10
-
-    def test_roundtrip_exact(self, rng):
-        X = random_dense(rng, (4, 3, 4))
-        t = tt_from_dense(X, Accuracy(0.0))
-        assert np.allclose(tt_to_dense(t), X, rtol=0, atol=1e-13 * np.linalg.norm(X))
-
-
 class TestToDense:
     def test_rank_one_ones(self):
         t = TTTensor.rank_one([np.ones(3), np.ones(2), np.ones(4)])
-        assert np.all(tt_to_dense(t) == 1.0)
+        assert np.all(full(t) == 1.0)
 
     def test_matches_triple_loop(self, rng):
         t = TTTensor.random((3, 4, 2), [1, 2, 3, 1], rng)
-        X = tt_to_dense(t)
+        X = full(t)
         b0, b1, b2 = t.blocks
         for i in range(3):
             for j in range(4):
@@ -89,12 +60,12 @@ class TestRound:
         assert doubled.max_rank == 2
         r = tt_round(doubled, Accuracy(1e-12))
         assert r.max_rank == 1
-        assert np.allclose(tt_to_dense(r), tt_to_dense(x))
+        assert np.allclose(full(r), full(x))
 
     def test_delta_zero_preserves_values(self, rng):
         t = TTTensor.random((3, 3, 3), [1, 3, 3, 1], rng)
         r = tt_round(t, Accuracy(0.0))
-        assert np.allclose(tt_to_dense(r), tt_to_dense(t), atol=1e-12)
+        assert np.allclose(full(r), full(t), atol=1e-12)
 
     def test_relative_error_contract(self):
         for seed in range(100):
@@ -175,9 +146,9 @@ class TestAddScale:
     def test_dense_oracle(self, rng):
         a = TTTensor.random((3, 4, 2), [1, 2, 3, 1], rng)
         b = TTTensor.random((3, 4, 2), [1, 3, 2, 1], rng)
-        assert np.allclose(tt_to_dense(tt_add(a, b)),
-                           tt_to_dense(a) + tt_to_dense(b))
-        assert np.allclose(tt_to_dense(tt_scale(a, -2.5)), -2.5 * tt_to_dense(a))
+        assert np.allclose(full(tt_add(a, b)),
+                           full(a) + full(b))
+        assert np.allclose(full(tt_scale(a, -2.5)), -2.5 * full(a))
 
     def test_dim_mismatch(self, rng):
         a = TTTensor.random((3, 4), [1, 2, 1], rng)
@@ -219,7 +190,7 @@ class TestMatvec:
     def test_identity(self, rng):
         v = TTTensor.random((3, 4, 5), [1, 2, 2, 1], rng)
         A = TTMatrix.identity((3, 4, 5))
-        assert np.allclose(tt_to_dense(tt_matvec(A, v)), tt_to_dense(v))
+        assert np.allclose(full(tt_matvec(A, v)), full(v))
 
     def test_zero_matrix(self, rng):
         v = TTTensor.random((3, 3), [1, 2, 1], rng)
@@ -231,8 +202,8 @@ class TestMatvec:
                       rng.standard_normal((2, 4, 4, 3)),
                       rng.standard_normal((3, 4, 4, 1))])
         v = TTTensor.random((4, 4, 4), [1, 3, 3, 1], rng)
-        got = tt_to_dense(tt_matvec(A, v)).reshape(-1)
-        want = A.to_dense() @ tt_to_dense(v).reshape(-1)
+        got = full(tt_matvec(A, v)).reshape(-1)
+        want = full(A) @ full(v).reshape(-1)
         assert np.allclose(got, want, atol=1e-12 * np.linalg.norm(want))
 
     def test_rectangular_dense_oracle(self, rng):
@@ -244,8 +215,8 @@ class TestMatvec:
         v = TTTensor.random((3, 6, 2), [1, 5, 2, 1], rng)
         got = tt_matvec(A, v)
         assert got.ranks == (1, 20, 14, 1)
-        want = A.to_dense() @ tt_to_dense(v).reshape(-1)
-        assert np.allclose(tt_to_dense(got).reshape(-1), want,
+        want = full(A) @ full(v).reshape(-1)
+        assert np.allclose(full(got).reshape(-1), want,
                            atol=1e-12 * np.linalg.norm(want))
 
 
@@ -264,16 +235,16 @@ class TestDotNorm:
     def test_dense_oracle(self, rng):
         a = TTTensor.random((3, 3, 3, 3), [1, 2, 3, 2, 1], rng)
         b = TTTensor.random((3, 3, 3, 3), [1, 3, 2, 3, 1], rng)
-        want = np.sum(tt_to_dense(a) * tt_to_dense(b))
+        want = np.sum(full(a) * full(b))
         assert abs(tt_dot(a, b) - want) <= 1e-12 * abs(want)
 
     def test_distinct_sizes_dense_oracle(self, rng):
         a = TTTensor.random((2, 3, 4, 5), [1, 6, 7, 3, 1], rng)
         b = TTTensor.random((2, 3, 4, 5), [1, 2, 4, 5, 1], rng)
-        want = np.sum(tt_to_dense(a) * tt_to_dense(b))
-        assert abs(tt_dot(a, b) - want) <= 1e-12 * np.linalg.norm(tt_to_dense(a)) * \
-            np.linalg.norm(tt_to_dense(b))
-        assert tt_norm(a) == pytest.approx(np.linalg.norm(tt_to_dense(a)), rel=1e-12)
+        want = np.sum(full(a) * full(b))
+        assert abs(tt_dot(a, b) - want) <= 1e-12 * np.linalg.norm(full(a)) * \
+            np.linalg.norm(full(b))
+        assert tt_norm(a) == pytest.approx(np.linalg.norm(full(a)), rel=1e-12)
 
     def test_norm_of_near_equal_difference(self, rng):
         # the policy and cross stopping tests take norms of v - v_prev, two
@@ -282,7 +253,7 @@ class TestDotNorm:
         c = TTTensor.random(a.dims, [1, 2, 2, 2, 1], rng)
         eps = 1e-12 * tt_norm(a) / tt_norm(c)
         b = tt_round(a, Accuracy(0.0)) + eps * c
-        want = np.linalg.norm(tt_to_dense(a - b))
+        want = np.linalg.norm(full(a - b))
         assert abs(tt_norm(a - b) - want) <= 16 * np.finfo(float).eps * tt_norm(a)
 
 
@@ -290,8 +261,8 @@ class TestHadamard:
     def test_dense_oracle(self, rng):
         a = TTTensor.random((3, 4), [1, 2, 1], rng)
         b = TTTensor.random((3, 4), [1, 3, 1], rng)
-        assert np.allclose(tt_to_dense(tt_hadamard(a, b)),
-                           tt_to_dense(a) * tt_to_dense(b))
+        assert np.allclose(full(tt_hadamard(a, b)),
+                           full(a) * full(b))
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -300,8 +271,8 @@ class TestHadamard:
         # tt_hadamard(t, t)
         t = TTTensor.random((4,) * d, [1] + [r] * (d - 1) + [1], rng)
         sq = tt_square_sum(TTTensor.zeros((4,) * d), t, np.eye(4), 1.0, Accuracy(1e-14))
-        want = tt_to_dense(t) ** 2
-        assert np.linalg.norm(tt_to_dense(sq) - want) <= 1e-13 * np.linalg.norm(want)
+        want = full(t) ** 2
+        assert np.linalg.norm(full(sq) - want) <= 1e-13 * np.linalg.norm(want)
         assert sq.ranks == tuple(min(r * (r + 1) // 2, 4**k, 4 ** (d - k))
                                  for k in range(d + 1))
 
@@ -335,10 +306,10 @@ class TestSquareSum:
         u = (TTTensor.random((self.M,) * d, [1] + [r] * (d - 1) + [1], rng) if flat
              else decaying_tt((self.M,) * d, r, rng))
         c = TTTensor.random((self.N,) * d, [1] + [2] * (d - 1) + [1], rng)
-        dense = self.GAMMA * u.to_dense() ** 2
+        dense = self.GAMMA * full(u) ** 2
         for _ in range(d):
             dense = np.tensordot(dense, W, axes=(0, 0))
-        return c, u, W, c.to_dense() + dense
+        return c, u, W, full(c) + dense
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("r", [4, 13, 20])
@@ -346,7 +317,7 @@ class TestSquareSum:
     def test_dense_oracle(self, rng, d, r, delta):
         c, u, W, want = self._case(rng, d, r)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(delta))
-        assert np.linalg.norm(b.to_dense() - want) <= delta * np.linalg.norm(want)
+        assert np.linalg.norm(full(b) - want) <= delta * np.linalg.norm(want)
 
     def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
         # rank 13 at d=4: the middle sketch of rank 13+2+5 stays below the
@@ -355,7 +326,7 @@ class TestSquareSum:
         c, u, W, want = self._case(rng, 4, 13)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3))
         assert sketches == [[1, 6, 20, 6, 1]]
-        assert np.linalg.norm(b.to_dense() - want) <= 1e-3 * np.linalg.norm(want)
+        assert np.linalg.norm(full(b) - want) <= 1e-3 * np.linalg.norm(want)
 
     def test_saturated_sketch_doubles(self, rng, monkeypatch):
         # a flat spectrum saturates the middle sketch of rank 20, which
@@ -364,7 +335,7 @@ class TestSquareSum:
         c, u, W, want = self._case(rng, 4, 13, flat=True)
         b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-6))
         assert sketches == [[1, 6, 20, 6, 1], [1, 6, 36, 6, 1]]
-        assert np.linalg.norm(b.to_dense() - want) <= 1e-6 * np.linalg.norm(want)
+        assert np.linalg.norm(full(b) - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_bitwise_repeatable(self, rng):
         c, u, W, _ = self._case(rng, 4, 20, flat=True)
@@ -381,6 +352,55 @@ class TestSquareSum:
         assert sketches == [[1, 6, 9, 6, 1]]
 
 
+class TestRoundSketch:
+    """tt._round_sketch, the SVD sweep alone on a _sketch output, which is
+    left-orthonormal already; a TT term plus a product term as in
+    tt_square_sum, sketched below the full range of the sum."""
+
+    N, M, ELL = 6, 12, [1, 6, 20, 6, 1]
+
+    @pytest.fixture
+    def sketch(self, rng):
+        d = len(self.ELL) - 1
+        W = rng.standard_normal((self.M, self.N))
+        u = decaying_tt((self.M,) * d, 13, rng)
+        c = TTTensor.random((self.N,) * d, [1] + [2] * (d - 1) + [1], rng)
+        square = tt._product_term(tt_scale(u, 0.7), [b[:, :, None] for b in u.blocks], [W] * d)
+        return tt._sketch([tt._tt_term(c), square], c.dims, self.ELL, np.random.default_rng(0))
+
+    def test_sketch_is_left_orthonormal(self, sketch):
+        for b in sketch.blocks[:-1]:
+            mat = b.reshape(-1, b.shape[-1])
+            assert np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3])
+    def test_relative_error_contract(self, sketch, delta):
+        r = tt._round_sketch(sketch, Accuracy(delta))
+        assert r.max_rank < sketch.max_rank
+        assert np.linalg.norm(full(r) - full(sketch)) <= delta * np.linalg.norm(full(sketch))
+
+    def test_binding_max_rank(self, sketch):
+        r = tt._round_sketch(sketch, Accuracy(1e-12, max_rank=3))
+        assert sketch.max_rank > 3 and r.max_rank == 3
+
+    def test_delta_zero_preserves_values(self, sketch):
+        r = tt._round_sketch(sketch, Accuracy(0.0))
+        assert np.linalg.norm(full(r) - full(sketch)) <= 1e-13 * np.linalg.norm(full(sketch))
+
+    def test_blocks_are_c_contiguous(self, sketch):
+        r = tt._round_sketch(sketch, Accuracy(1e-3))
+        assert all(b.flags.c_contiguous for b in r.blocks)
+
+    def test_round_is_qr_sweep_then_svd_sweep(self, rng):
+        # on a chain that is not orthogonal, tt_round is the QR sweep, then
+        # the same SVD sweep, bit for bit
+        t = TTTensor.random((4, 5, 3, 4), [1, 4, 6, 4, 1], rng)
+        for acc in (Accuracy(1e-2), Accuracy(0.0, max_rank=3)):
+            want = tt._svd_sweep(orthogonalize_right(t, 1), acc)
+            got = tt_round(t, acc)
+            assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+
+
 class TestSumRound:
     """assembly._sum_round(ops), the exact sum of TT operators rounded once,
     against the dense sum of the operators; a fused mode of 12 is a 3 x 4
@@ -393,7 +413,7 @@ class TestSumRound:
         terms = [TTTensor.random((self.N,) * d, ranks, rng) if flat
                  else decaying_tt((self.N,) * d, r, rng, ratio) for _ in range(terms)]
         ops = [TTMatrix.unfuse(t, (3,) * d, (4,) * d) for t in terms]
-        return ops, sum(t.to_dense() for t in terms)
+        return ops, sum(full(t) for t in terms)
 
     @staticmethod
     def _exact(ops, acc, monkeypatch):
@@ -414,7 +434,7 @@ class TestSumRound:
         from tthjb.assembly import _sum_round
 
         ops, want = self._case(rng, d)
-        b = tt_to_dense(_sum_round(ops, Accuracy(delta))).reshape(want.shape)
+        b = full(fused(_sum_round(ops, Accuracy(delta))))
         assert np.linalg.norm(b - want) <= 1.25 * delta * np.linalg.norm(want)
 
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
@@ -440,9 +460,9 @@ class TestSumRound:
 class TestOrthogonalize:
     def test_values_preserved(self, rng):
         t = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
-        X = tt_to_dense(t)
+        X = full(t)
         for q in (tt_round(t, Accuracy(0.0)), orthogonalize_right(t, 0)):
-            assert np.linalg.norm(tt_to_dense(q) - X) <= 1e-12 * np.linalg.norm(X)
+            assert np.linalg.norm(full(q) - X) <= 1e-12 * np.linalg.norm(X)
 
     def test_right_gram_identity(self, rng):
         t = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
@@ -590,6 +610,14 @@ class TestValidation:
     def test_rank_chain(self):
         with pytest.raises(ValueError):
             TTTensor([np.zeros((1, 3, 2)), np.zeros((3, 3, 1))])
+
+    @pytest.mark.parametrize("max_rank", [2.5, True, 0, "3"])
+    def test_max_rank_must_be_an_integer(self, max_rank):
+        with pytest.raises(ValueError, match="max_rank"):
+            Accuracy(1e-3, max_rank=max_rank)
+
+    def test_numpy_integer_max_rank(self):
+        assert Accuracy(1e-3, max_rank=np.int64(3)).max_rank == 3
 
     def test_immutability(self, rng):
         t = TTTensor.random((3, 3), [1, 2, 1], rng)
