@@ -287,12 +287,12 @@ def amen_solve_shifted(
     A_qj = [blk.transpose(0, 2, 1, 3) for blk in A.blocks]
     ones = [np.ones((m, 1)) for m in A.col_dims]
     for sweep in range(sweeps):
-        v = orthogonalize_right(v, 1)
+        v = orthogonalize_right(v)
         # sketch of the shifted system's residual, (A + shift I) v never formed;
         # the first sweep starts from v_prev itself, so its shift terms cancel
         terms = rhs + [(-shift, v)] if sweep else rhs[:1]
         res = _sketch([_tt_term(tt_scale(t, c)) for c, t in terms]
-                      + [_product_term(tt_scale(v, -1.0), A_qj, ones)], dims, ell, rng)
+                      + [_product_term(tt_scale(v, -1.0), A_qj, ones)], v, ell, rng)
         RA, Rs = _right_interfaces(v, A, vecs)
         LA = np.ones((1, 1, 1))
         Ls = [np.ones((1, 1)) for _ in vecs]

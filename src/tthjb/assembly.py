@@ -189,8 +189,7 @@ class GalerkinSystem:
         terms = [_tt_term(drift), _product_term(u, bmap.blocks, [self.basis.wphi] * u.d)]
         # rounded as it comes: a name held on the sketch keeps its blocks
         # through the round, 5 MB more peak on Fokker-Planck d=10
-        total = _round_sketch(_sketch(terms, dims, ell, np.random.default_rng(self.seed)), acc)
-        return TTMatrix.unfuse(total, drift.row_dims, drift.col_dims)
+        return _round_sketch(_sketch(terms, drift, ell, np.random.default_rng(self.seed)), acc)
 
     def rhs(self, u_tt: TTTensor, initial=None):
         """(b, CrossResult or None).  The quadratic penalty is sketched from

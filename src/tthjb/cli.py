@@ -218,6 +218,14 @@ def _json_default(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
+def _write_whole(path: Path, write) -> None:
+    """write(tmp) to a temporary name beside path, then renamed over it, so
+    that no reader sees a half-written file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def run(cfg: dict, out_dir, cache_dir=None) -> int:
     """Execute one configured experiment; returns a process exit code."""
     t_start = time.perf_counter()
@@ -242,13 +250,18 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     tt_path = cache / f"{key}.tt"
     meta_path = cache / f"{key}.json"
 
+    cached = None
     if tt_path.exists() and meta_path.exists():
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            cached = load_tt(tt_path), meta["history"], meta["iterations"], meta["converged"]
+        except (OSError, ValueError, KeyError) as exc:
+            log.warning("unreadable value-function cache entry %s, solving again: %s", key, exc)
+    if cached is not None:
         log.info("value-function cache hit: %s", key)
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        V = ValueFunction(load_tt(tt_path), solver_basis(model, config))
-        history = meta["history"]
-        iterations, converged = meta["iterations"], meta["converged"]
+        v, history, iterations, converged = cached
+        V = ValueFunction(v, solver_basis(model, config))
     else:
         try:
             V, state = policy_iterate(model, config)
@@ -257,10 +270,10 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
             return EXIT_DIVERGENCE
         history = state.history
         iterations, converged = state.iteration, state.converged
-        save_tt(V.v, tt_path)
-        with open(meta_path, "w") as fh:
-            json.dump({"history": history, "iterations": iterations,
-                       "converged": converged}, fh)
+        # each file written whole, the .json last: a sweep's workers share the cache
+        _write_whole(tt_path, lambda path: save_tt(V.v, path))
+        _write_whole(meta_path, lambda path: path.write_text(json.dumps(
+            {"history": history, "iterations": iterations, "converged": converged})))
 
     save_tt(V.v, out / "value_function.tt")
     history_to_csv(history, out / "history.csv")
@@ -338,6 +351,8 @@ def _parse_sweep_arg(arg: str):
                 values.append(float(tok))
             except ValueError:
                 values.append(tok)
+    if not key.strip() or not values:
+        raise ConfigError(f"sweep spec {arg!r} needs a key and at least one value")
     return key.strip(), values
 
 

@@ -224,17 +224,12 @@ def allen_cahn_1d(
         cubic=1.0,                       # and this cube
         x0_default=2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi),
         horizon=3.2,
-        extras={"xi": xi, "sigma": sigma, "omega": tuple(omega)},
+        extras={"xi": xi, "sigma": sigma},
     )
 
 
 # ---------------------------------------------------------------------------
 # Fokker-Planck chain
-
-def _ground_potential(xi):
-    xi = np.asarray(xi, dtype=float)
-    return (((0.5 * xi**2 - 15.0) * xi**2 + 119.0) * xi**2 + 28.0 * xi + 50.0) / 200.0
-
 
 def _ground_potential_deriv(xi):
     xi = np.asarray(xi, dtype=float)
@@ -360,12 +355,8 @@ def fokker_planck(
         channel_slope=Z.T @ P @ N @ Z,
         x0_default=z0,
         horizon=9.2,
-        extras={
-            "D": D, "h": h, "centers": centers, "L": L, "N": N,
-            "x_inf": x_inf, "Z": Z, "P": P, "sigma_shift": sigma_shift,
-            "F_unshifted": Z.T @ P @ L @ Z,
-            "x0_uniform": z0_uniform,
-        },
+        extras={"h": h, "L": L, "x_inf": x_inf, "Z": Z, "P": P,
+                "F_unshifted": Z.T @ P @ L @ Z, "x0_uniform": z0_uniform},
     )
 
 

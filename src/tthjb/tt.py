@@ -9,7 +9,6 @@ lists, so tensors can be shared freely across threads.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -240,16 +239,6 @@ class TTMatrix(_Chain):
     def identity(cls, dims) -> "TTMatrix":
         return cls([np.eye(n).reshape(1, n, n, 1) for n in dims])
 
-    @classmethod
-    def unfuse(cls, t: TTTensor, row_dims, col_dims) -> "TTMatrix":
-        """The operator whose block k is t's with its mode split (row, col)."""
-        return cls(
-            [
-                b.reshape(b.shape[0], row_dims[k], col_dims[k], b.shape[2])
-                for k, b in enumerate(t.blocks)
-            ]
-        )
-
     def __repr__(self):
         return (
             f"TTMatrix(row_dims={self.row_dims}, col_dims={self.col_dims}, "
@@ -258,19 +247,19 @@ class TTMatrix(_Chain):
 
 
 def tt_add(a: _Chain, b: _Chain) -> _Chain:
-    """Exact sum of two tensors or two operators; interior ranks add."""
+    """Exact sum of two tensors or two operators; interior ranks add.  Block
+    k is diag(a_k, b_k); blocks 0 and d-1 sum their two unit boundary states."""
     if a._modes != b._modes:
         raise ValueError(f"mode mismatch: {a!r} vs {b!r}")
-    if a.d == 1:
-        return type(a)([a.blocks[0] + b.blocks[0]])
-    blocks = [np.concatenate([a.blocks[0], b.blocks[0]], axis=-1)]
-    for ab, bb in zip(a.blocks[1:-1], b.blocks[1:-1]):
+    blocks = []
+    for ab, bb in zip(a.blocks, b.blocks):
         ra0, ra1 = ab.shape[0], ab.shape[-1]
         blk = np.zeros((ra0 + bb.shape[0], *ab.shape[1:-1], ra1 + bb.shape[-1]))
         blk[:ra0, ..., :ra1] = ab
         blk[ra0:, ..., ra1:] = bb
         blocks.append(blk)
-    blocks.append(np.concatenate([a.blocks[-1], b.blocks[-1]], axis=0))
+    blocks[0] = blocks[0].sum(axis=0, keepdims=True)
+    blocks[-1] = blocks[-1].sum(axis=-1, keepdims=True)
     return type(a)(blocks)
 
 
@@ -340,12 +329,10 @@ def _carry_right(blk: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (blk.reshape(-1, blk.shape[-1]) @ m).reshape(*blk.shape[:-1], m.shape[1])
 
 
-def orthogonalize_right(t: _Chain, downto: int) -> _Chain:
-    """Make blocks downto..d-1 right-orthonormal without changing the chain."""
-    if not 0 <= downto <= t.d:
-        raise ValueError(f"downto out of range: {downto}")
+def orthogonalize_right(t: _Chain) -> _Chain:
+    """Make blocks 1..d-1 right-orthonormal without changing the chain."""
     blocks = list(t.blocks)
-    for k in range(t.d - 1, max(downto, 1) - 1, -1):
+    for k in range(t.d - 1, 0, -1):
         q, rm = _qr(blocks[k].reshape(blocks[k].shape[0], -1).T)
         blocks[k] = q.T.reshape(q.shape[1], *blocks[k].shape[1:])
         blocks[k - 1] = _carry_right(blocks[k - 1], rm.T)
@@ -354,9 +341,7 @@ def orthogonalize_right(t: _Chain, downto: int) -> _Chain:
 
 def tt_round(t: _Chain, acc: Accuracy) -> _Chain:
     """Truncate TT ranks to the relative tolerance acc.delta in the 2-norm."""
-    if t.d == 1:
-        return t
-    return _svd_sweep(orthogonalize_right(t, 1), acc)
+    return _svd_sweep(orthogonalize_right(t), acc)
 
 
 def _svd_sweep(t: _Chain, acc: Accuracy) -> _Chain:
@@ -374,20 +359,20 @@ def _svd_sweep(t: _Chain, acc: Accuracy) -> _Chain:
     return type(t)(blocks)
 
 
-def _round_sketch(s: TTTensor, acc: Accuracy) -> TTTensor:
+def _round_sketch(s: _Chain, acc: Accuracy) -> _Chain:
     """round(s, acc) for a _sketch output, whose blocks 0..d-2 are already
     left-orthonormal: the SVD sweep alone, run from the last block.
 
-    Read backwards, each block transposed (2, 1, 0), s is right-orthonormal.
+    Read backwards, each block's rank axes swapped, s is right-orthonormal.
     The flip is read as views (a copy would hold a second sketch); the result
     is copied back to C-contiguous blocks, as tt_round returns, so that later
     reshapes stay views.
     """
     def flip(blocks):
-        return [b.transpose(2, 1, 0) for b in reversed(blocks)]
+        return [b.transpose(-1, *range(1, b.ndim - 1), 0) for b in reversed(blocks)]
 
-    r = _svd_sweep(TTTensor(flip(s.blocks)), acc)
-    return TTTensor([np.ascontiguousarray(b) for b in flip(r.blocks)])
+    r = _svd_sweep(type(s)(flip(s.blocks)), acc)
+    return type(s)([np.ascontiguousarray(b) for b in flip(r.blocks)])
 
 
 def _tt_term(t: _Chain):
@@ -439,22 +424,23 @@ def _product_term(x: TTTensor, y: list, ws: list):
     return right, left
 
 
-def _sketch(terms, dims, ell: list, rng) -> TTTensor:
-    """Left-orthonormal TT of ranks ell whose range holds that of the sum of
-    the terms, by randomize-then-orthogonalize (Al Daas et al., SIAM J. Sci.
-    Comput. 2023); its last block is the sum met by the left frames.
+def _sketch(terms, like: _Chain, ell: list, rng) -> _Chain:
+    """Left-orthonormal chain of ranks ell in the modes of like, whose range
+    holds that of the sum of the terms, by randomize-then-orthogonalize (Al
+    Daas et al., SIAM J. Sci. Comput. 2023); its last block is the sum met by
+    the left frames.
 
     A term is a pair of maps of its blocks, which need never be formed
-    (_tt_term of a TT tensor, _product_term of a product):
-    right(k, w, g) meets block k by the term's right sketch w (r_{k+1},
-    l_{k+1}) and the Gaussian g (n_k, l_{k+1}, l_k), giving (r_k, l_k);
-    left(k, f) meets it by the term's left frame f (s, r_k), giving
-    (s n_k, r_{k+1}).  The sum's rank index is the terms' one after another.
+    (_tt_term of a TT chain, _product_term of a product): right(k, w, g)
+    meets block k by the term's right sketch w (r_{k+1}, l_{k+1}) and the
+    Gaussian g (n_k, l_{k+1}, l_k), giving (r_k, l_k); left(k, f) meets it by
+    the term's left frame f (s, r_k), giving (s n_k, r_{k+1}), with n_k
+    like's fused mode size.  The sum's rank index is the terms' in turn.
     """
-    d = len(dims)
+    d, modes = like.d, like._modes
     right = [None] * d + [[np.ones((1, 1))] * len(terms)]
     for k in range(d - 1, 0, -1):
-        g = rng.standard_normal((dims[k], ell[k + 1], ell[k]))
+        g = rng.standard_normal((math.prod(modes[k]), ell[k + 1], ell[k]))
         sketch = [r(k, w, g) for (r, _), w in zip(terms, right[k + 1])]
         # a common scale keeps d products of Gaussian blocks in range
         scale = max(math.hypot(*(np.linalg.norm(w) for w in sketch)), np.finfo(float).tiny)
@@ -464,12 +450,12 @@ def _sketch(terms, dims, ell: list, rng) -> TTTensor:
     for k in range(d):
         cores = [left(k, f) for (_, left), f in zip(terms, frames)]
         if k == d - 1:
-            blocks.append(sum(cores).reshape(-1, dims[k], 1))
+            blocks.append(sum(cores).reshape(-1, *modes[k], 1))
             break
         q = _qr(sum(c @ w for c, w in zip(cores, right[k + 1])), "q")
-        blocks.append(q.reshape(-1, dims[k], q.shape[1]))
+        blocks.append(q.reshape(-1, *modes[k], q.shape[1]))
         frames = [q.T @ c for c in cores]
-    return TTTensor(blocks)
+    return type(like)(blocks)
 
 
 def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
@@ -498,7 +484,7 @@ def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
     terms = [_tt_term(c), square]
     rng = np.random.default_rng(seed)
     while True:
-        b = _round_sketch(_sketch(terms, c.dims, ell, rng), acc)
+        b = _round_sketch(_sketch(terms, c, ell, rng), acc)
         grow = [k for k in range(1, d) if b.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
         if not grow:
             return b
@@ -513,18 +499,18 @@ def flag_chain(G: list, H: list) -> list:
 
     The chain carries a single flag for whether the H factor has been spent,
     giving blocks [[G, H], [0, G]] instead of a d-term sum; ranks only double.
+    Block 0 keeps its unflagged row and block d-1 its flagged column.
     """
-    if len(G) == 1:
-        return list(H)
-    blocks = [np.concatenate([G[0], H[0]], axis=-1)]
-    for g, h in zip(G[1:-1], H[1:-1]):
+    blocks = []
+    for g, h in zip(G, H):
         r0, r1 = g.shape[0], g.shape[-1]
         blk = np.zeros((2 * r0, *g.shape[1:-1], 2 * r1))
         blk[:r0, ..., :r1] = g
         blk[:r0, ..., r1:] = h
         blk[r0:, ..., r1:] = g
         blocks.append(blk)
-    blocks.append(np.concatenate([H[-1], G[-1]], axis=0))
+    blocks[0] = blocks[0][:1]
+    blocks[-1] = np.ascontiguousarray(blocks[-1][..., -1:])
     return blocks
 
 
@@ -552,66 +538,48 @@ def quadratic_to_tt(P: np.ndarray, grids) -> TTTensor:
     d = P.shape[0]
     if len(grids) != d:
         raise ValueError("need one grid per dimension")
-    if d == 1:
-        g = np.asarray(grids[0], dtype=float)
-        return TTTensor([(P[0, 0] * g * g).reshape(1, -1, 1)])
     blocks = []
-    for k in range(d):
+    for k in range(d):     # states [1, x_0..x_{k-1}, s] to [1, x_0..x_k, s]
         g = np.asarray(grids[k], dtype=float)
-        n = g.size
-        if k == 0:
-            blk = np.zeros((1, n, 3))
-            blk[0, :, 0] = 1.0
-            blk[0, :, 1] = g
-            blk[0, :, 2] = P[0, 0] * g * g
-        elif k == d - 1:
-            # incoming state: [1, x_0..x_{d-2}, s]
-            blk = np.zeros((d + 1, n, 1))
-            blk[0, :, 0] = P[k, k] * g * g
-            for j in range(k):
-                blk[1 + j, :, 0] = 2.0 * P[j, k] * g
-            blk[d, :, 0] = 1.0
-        else:
-            blk = np.zeros((k + 2, n, k + 3))
-            blk[0, :, 0] = 1.0
-            for j in range(k):
-                blk[1 + j, :, 1 + j] = 1.0
-            blk[0, :, k + 1] = g
-            blk[k + 1, :, k + 2] = 1.0
-            blk[0, :, k + 2] = P[k, k] * g * g
-            for j in range(k):
-                blk[1 + j, :, k + 2] = 2.0 * P[j, k] * g
+        blk = np.zeros((k + 2, g.size, k + 3))
+        blk[0, :, 0] = 1.0
+        for j in range(k):
+            blk[1 + j, :, 1 + j] = 1.0
+        blk[0, :, k + 1] = g
+        blk[k + 1, :, k + 2] = 1.0
+        blk[0, :, k + 2] = P[k, k] * g * g
+        for j in range(k):
+            blk[1 + j, :, k + 2] = 2.0 * P[j, k] * g
         blocks.append(blk)
+    blocks[0] = blocks[0][:1]             # from state 1 to state s
+    blocks[-1] = np.ascontiguousarray(blocks[-1][..., -1:])
     return tt_round(TTTensor(blocks), Accuracy(1e-14))
-
-
-def _write_header(buf, d, dims, ranks):
-    buf.write(_MAGIC)
-    header = np.array([d, *dims, *ranks], dtype="<i8")
-    buf.write(header.tobytes())
 
 
 def save_tt(t: TTTensor, path) -> None:
     """Binary serialization: magic, d, dims, ranks as int64 LE, then blocks."""
     with open(path, "wb") as fh:
-        _write_header(fh, t.d, t.dims, t.ranks)
+        fh.write(_MAGIC + np.array([t.d, *t.dims, *t.ranks], dtype="<i8").tobytes())
         for b in t.blocks:
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
 def load_tt(path) -> TTTensor:
+    """The tensor save_tt wrote to path; a truncated file raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
-    buf = io.BytesIO(data)
-    magic = buf.read(len(_MAGIC))
+    magic = data[:len(_MAGIC)]
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    d = int(np.frombuffer(buf.read(8), dtype="<i8")[0])
-    dims = np.frombuffer(buf.read(8 * d), dtype="<i8").astype(int)
-    ranks = np.frombuffer(buf.read(8 * (d + 1)), dtype="<i8").astype(int)
-    blocks = []
-    for k in range(d):
-        size = ranks[k] * dims[k] * ranks[k + 1]
-        raw = np.frombuffer(buf.read(8 * size), dtype="<f8")
-        blocks.append(raw.reshape(ranks[k], dims[k], ranks[k + 1]).copy())
-    return TTTensor(blocks)
+    pos = len(_MAGIC)
+
+    def take(count, dtype):
+        nonlocal pos
+        out = np.frombuffer(data, dtype, count, pos)   # ValueError past the end
+        pos += 8 * count
+        return out
+
+    d = int(take(1, "<i8")[0])
+    dims, ranks = take(d, "<i8").astype(int), take(d + 1, "<i8").astype(int)
+    return TTTensor([take(ranks[k] * dims[k] * ranks[k + 1], "<f8")
+                     .reshape(ranks[k], dims[k], ranks[k + 1]).copy() for k in range(d)])

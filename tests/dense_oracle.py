@@ -24,6 +24,12 @@ def full(t):
     return cur.reshape(t.dims)
 
 
+def unfuse(t: TTTensor, row_dims, col_dims) -> TTMatrix:
+    """The operator whose block k is t's with its mode split (row, col)."""
+    return TTMatrix([b.reshape(b.shape[0], row_dims[k], col_dims[k], b.shape[-1])
+                     for k, b in enumerate(t.blocks)])
+
+
 def from_full(array, delta) -> TTTensor:
     """TT-SVD of a full array: d - 1 sequential truncated SVDs, each with the
     share delta / sqrt(d - 1) of the relative error."""

@@ -35,7 +35,7 @@ from tthjb.tt import (
     tt_square_sum,
 )
 
-from dense_oracle import from_full, full
+from dense_oracle import from_full, full, unfuse
 
 
 def random_tt_matrix(rng, dims, ranks):
@@ -70,7 +70,7 @@ class TestResidualFit:
         # whole range: the sketch is exact, so it must reproduce the dense
         # residual, shift terms included
         terms, want = self._case(rng, (3, 4, 3), shifted)
-        res = tt._sketch(terms, (3, 4, 3), [1, 3, 3, 1], rng)
+        res = tt._sketch(terms, TTTensor.zeros((3, 4, 3)), [1, 3, 3, 1], rng)
         got = full(res).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -97,7 +97,7 @@ class TestResidualFit:
         terms, _ = self._case(rng, dims, True)
         ell = [min(amen._RHO, math.prod(dims[:k]), math.prod(dims[k:]))
                for k in range(len(dims) + 1)]
-        res = tt._sketch(terms, dims, ell, rng)
+        res = tt._sketch(terms, TTTensor.zeros(dims), ell, rng)
         assert res.ranks == tuple(ell)
         for blk in res.blocks[:-1]:
             mat = blk.reshape(-1, blk.shape[2])
@@ -398,7 +398,7 @@ def spd_tt_matrix(rng, dims):
                                    dims[1] * dims[1],
                                    dims[2] * dims[2]),
                           1e-13)
-    return TTMatrix.unfuse(fused, dims, dims)
+    return unfuse(fused, dims, dims)
 
 
 class TestAmenSolve:
@@ -440,7 +440,7 @@ class TestAmenSolve:
             M.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9),
             1e-13,
         )
-        A = TTMatrix.unfuse(fused, dims, dims)
+        A = unfuse(fused, dims, dims)
         b = TTTensor.random(dims, [1, 2, 1], rng)
         v_prev = TTTensor.zeros(dims)
         v = amen_solve_shifted(A, b, v_prev, 1.0, Accuracy(1e-10), sweeps=6)
@@ -644,7 +644,7 @@ class TestNoNumpyFactorizations:
             v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
         tt_round(v + b, Accuracy(1e-10))
         tt_norm(v - b)
-        orthogonalize_right(v, 0)
+        orthogonalize_right(v)
         u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
         tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))
         # the operator's middle summed rank 4 + 20 is over max_rank 1 + 20: its sketch

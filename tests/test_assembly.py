@@ -327,8 +327,8 @@ def sketch_ranks(monkeypatch):
     """The sketch ranks of every sketch the operator runs, in order."""
     ranks = []
     original = assembly._sketch
-    monkeypatch.setattr(assembly, "_sketch", lambda terms, dims, ell, rng: ranks.append(list(ell))
-                        or original(terms, dims, ell, rng))
+    monkeypatch.setattr(assembly, "_sketch", lambda terms, like, ell, rng: ranks.append(list(ell))
+                        or original(terms, like, ell, rng))
     return ranks
 
 
@@ -413,6 +413,15 @@ class TestOperatorSketch:
         A = system.operator(u)
         assert sketches == [ell]
         assert A.max_rank <= max_rank
+
+    def test_over_the_cap_returns_c_contiguous_operator_blocks(self, rng):
+        # the sketch is built in the drift's (row, col) modes and rounded
+        # back to C-contiguous 4-way blocks, so later reshapes stay views
+        system = channel_system("affine", self.D, rng, Accuracy(1e-3, max_rank=4))
+        A = system.operator(self._u(system, rng))
+        assert type(A) is TTMatrix
+        assert A.row_dims == system.drift.row_dims and A.col_dims == system.drift.col_dims
+        assert all(b.ndim == 4 and b.flags.c_contiguous for b in A.blocks)
 
     @pytest.mark.parametrize("max_rank", [None, 16])
     def test_within_the_cap_rounds_the_exact_sum(self, rng, monkeypatch, max_rank):

@@ -125,6 +125,28 @@ class TestRun:
         b.pop("wall_seconds")
         assert a == b
 
+    @pytest.mark.parametrize("suffix", [".json", ".tt"])
+    def test_truncated_cache_entry_is_a_miss(self, lq_run, tmp_path, monkeypatch, suffix):
+        # an entry cut short (a killed writer, a full disk) is solved again
+        # and written whole, never a crash of every later run
+        _, out, cfg = lq_run
+        cache = tmp_path / "cache"
+        shutil.copytree(out / "cache", cache)
+        whole = {p.suffix: p.read_bytes() for p in cache.iterdir()}
+        victim = next(cache.glob(f"*{suffix}"))
+        victim.write_bytes(whole[suffix][: len(whole[suffix]) // 2])
+        solves = []
+        original = cli.policy_iterate
+        monkeypatch.setattr(cli, "policy_iterate", lambda *a: solves.append(1) or original(*a))
+        assert run(cfg, tmp_path / "o", cache_dir=cache) == 0
+        assert solves == [1]
+        # the entry is whole again (the rerun repeats V bit for bit; the
+        # history's timings differ) and no temporary file is left
+        assert sorted(p.suffix for p in cache.iterdir()) == sorted(whole)
+        meta = json.loads(next(cache.glob("*.json")).read_text())
+        assert meta["iterations"] == json.loads(whole[".json"])["iterations"]
+        assert next(cache.glob("*.tt")).read_bytes() == whole[".tt"]
+
     def test_one_rollout_per_controller(self, lq_run, tmp_path, monkeypatch):
         _, out, cfg = lq_run
         seen = []
@@ -341,6 +363,16 @@ class TestSweep:
         assert key == "delta" and vals == [1e-3, 1e-4]
         with pytest.raises(ConfigError):
             _parse_sweep_arg("nonsense")
+
+    @pytest.mark.parametrize("spec", ["d=", "d=,,", "=1,2", " =1"])
+    def test_spec_without_key_or_values(self, spec):
+        with pytest.raises(ConfigError):
+            _parse_sweep_arg(spec)
+
+    @pytest.mark.parametrize("spec", ["d=", "=1,2"])
+    def test_spec_without_key_or_values_exit_2(self, tmp_path, spec):
+        assert main(["--sweep", spec, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_empty_grid_header_only(self, tmp_path):
         cfg = resolve_config(overrides=FAST_LQ)

@@ -85,11 +85,6 @@ class TestAllenCahn1D:
 
 
 class TestFokkerPlanck:
-    def test_ground_potential_at_zero(self):
-        from tthjb.models import _ground_potential
-
-        assert np.isclose(_ground_potential(0.0), 0.25)
-
     def test_steady_state_annihilated(self):
         m = fokker_planck(D=32)
         L = m.extras["L"]

@@ -8,6 +8,7 @@ from tthjb.tt import (
     Accuracy,
     TTMatrix,
     TTTensor,
+    flag_chain,
     linear_to_tt,
     load_tt,
     orthogonalize_right,
@@ -23,7 +24,7 @@ from tthjb.tt import (
     tt_square_sum,
 )
 
-from dense_oracle import full
+from dense_oracle import full, unfuse
 
 
 def fused(op):
@@ -162,7 +163,7 @@ class TestAddScale:
                      (TTTensor.random((3,), [1, 1], rng), TTMatrix.identity((3,))),
                      (TTTensor.random((3, 5, 4), [1, 2, 2, 1], rng),
                       TTTensor.random((3, 1, 4), [1, 2, 2, 1], rng)),
-                     (TTMatrix.unfuse(a, (1, 2), (3, 2)), TTMatrix.unfuse(a, (3, 2), (1, 2))),
+                     (unfuse(a, (1, 2), (3, 2)), unfuse(a, (3, 2), (1, 2))),
                      (TTMatrix.identity((3, 4)), TTMatrix.identity((3, 5)))):
             with pytest.raises(ValueError):
                 tt_add(x, y)
@@ -175,7 +176,7 @@ class TestAddScale:
         # they give the bits of the same call on its fused blocks
         ranks = [1] + [3] * (d - 1) + [1]
         a, b = TTTensor.random((6,) * d, ranks, rng), TTTensor.random((6,) * d, ranks, rng)
-        A, B = (TTMatrix.unfuse(t, (2,) * d, (3,) * d) for t in (a, b))
+        A, B = (unfuse(t, (2,) * d, (3,) * d) for t in (a, b))
         assert same_fused_bits(tt_add(A, B), tt_add(a, b))
         assert same_fused_bits(A + B, a + b)
         assert same_fused_bits(tt_scale(A, -2.5), tt_scale(a, -2.5))
@@ -291,8 +292,8 @@ def sketch_ranks(monkeypatch):
 
     ranks = []
     original = tt._sketch
-    monkeypatch.setattr(tt, "_sketch", lambda terms, dims, ell, rng: ranks.append(list(ell))
-                        or original(terms, dims, ell, rng))
+    monkeypatch.setattr(tt, "_sketch", lambda terms, like, ell, rng: ranks.append(list(ell))
+                        or original(terms, like, ell, rng))
     return ranks
 
 
@@ -366,7 +367,21 @@ class TestRoundSketch:
         u = decaying_tt((self.M,) * d, 13, rng)
         c = TTTensor.random((self.N,) * d, [1] + [2] * (d - 1) + [1], rng)
         square = tt._product_term(tt_scale(u, 0.7), [b[:, :, None] for b in u.blocks], [W] * d)
-        return tt._sketch([tt._tt_term(c), square], c.dims, self.ELL, np.random.default_rng(0))
+        return tt._sketch([tt._tt_term(c), square], c, self.ELL, np.random.default_rng(0))
+
+    def test_operator_template(self, rng):
+        # a TTMatrix template gives a TTMatrix in its (row, col) modes, the
+        # bits of the same sketch taken on the fused tensor, then split
+        d = len(self.ELL) - 1
+        ops = [unfuse(TTTensor.random((6,) * d, [1] + [4] * (d - 1) + [1], rng),
+                      (2,) * d, (3,) * d) for _ in range(3)]
+        terms = [tt._tt_term(op) for op in ops]
+        got = tt._sketch(terms, ops[0], self.ELL, np.random.default_rng(0))
+        want = tt._sketch(terms, fused(ops[0]), self.ELL, np.random.default_rng(0))
+        assert got.row_dims == ops[0].row_dims and got.col_dims == ops[0].col_dims
+        assert same_fused_bits(got, want)
+        assert same_fused_bits(tt._round_sketch(got, Accuracy(1e-3)),
+                               tt._round_sketch(want, Accuracy(1e-3)))
 
     def test_sketch_is_left_orthonormal(self, sketch):
         for b in sketch.blocks[:-1]:
@@ -396,7 +411,7 @@ class TestRoundSketch:
         # the same SVD sweep, bit for bit
         t = TTTensor.random((4, 5, 3, 4), [1, 4, 6, 4, 1], rng)
         for acc in (Accuracy(1e-2), Accuracy(0.0, max_rank=3)):
-            want = tt._svd_sweep(orthogonalize_right(t, 1), acc)
+            want = tt._svd_sweep(orthogonalize_right(t), acc)
             got = tt_round(t, acc)
             assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
 
@@ -412,7 +427,7 @@ class TestSumRound:
         ranks = [1] + [r] * (d - 1) + [1]
         terms = [TTTensor.random((self.N,) * d, ranks, rng) if flat
                  else decaying_tt((self.N,) * d, r, rng, ratio) for _ in range(terms)]
-        ops = [TTMatrix.unfuse(t, (3,) * d, (4,) * d) for t in terms]
+        ops = [unfuse(t, (3,) * d, (4,) * d) for t in terms]
         return ops, sum(full(t) for t in terms)
 
     @staticmethod
@@ -461,13 +476,13 @@ class TestOrthogonalize:
     def test_values_preserved(self, rng):
         t = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
         X = full(t)
-        for q in (tt_round(t, Accuracy(0.0)), orthogonalize_right(t, 0)):
+        for q in (tt_round(t, Accuracy(0.0)), orthogonalize_right(t)):
             assert np.linalg.norm(full(q) - X) <= 1e-12 * np.linalg.norm(X)
 
     def test_right_gram_identity(self, rng):
         t = TTTensor.random((3, 4, 3, 2), [1, 3, 4, 2, 1], rng)
-        q = orthogonalize_right(t, 2)
-        for k in range(2, t.d):
+        q = orthogonalize_right(t)
+        for k in range(1, t.d):
             b = q.blocks[k]
             mat = b.reshape(b.shape[0], -1)
             assert np.allclose(mat @ mat.T, np.eye(b.shape[0]), atol=1e-12)
@@ -539,6 +554,45 @@ class TestLapackKernels:
             tt._svd(rng.standard_normal((4, 3)))
 
 
+class TestChainBuilders:
+    """tt_add, flag_chain and quadratic_to_tt apply one block rule at every
+    position, d = 1 included, against the dense oracles."""
+
+    @staticmethod
+    def _chains(rng, d, op):
+        """Two random tensors of modes 3, or operators of modes (2, 3)."""
+        ranks = [1] + [2] * (d - 1) + [1]
+        ts = [TTTensor.random((6 if op else 3,) * d, ranks, rng) for _ in range(2)]
+        return [unfuse(t, (2,) * d, (3,) * d) for t in ts] if op else ts
+
+    @pytest.mark.parametrize("op", [False, True], ids=["tensor", "operator"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_add(self, rng, d, op):
+        a, b = self._chains(rng, d, op)
+        s = tt_add(a, b)
+        assert type(s) is type(a) and s.ranks == (1,) + (4,) * (d - 1) + (1,)
+        assert np.allclose(full(s), full(a) + full(b), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("op", [False, True], ids=["tensor", "operator"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_flag_chain(self, rng, d, op):
+        (g, h), kind = self._chains(rng, d, op), TTMatrix if op else TTTensor
+        chain = kind(flag_chain(g.blocks, h.blocks))
+        assert chain.ranks == (1,) + (4,) * (d - 1) + (1,)
+        want = sum(full(kind(g.blocks[:k] + h.blocks[k:k + 1] + g.blocks[k + 1:]))
+                   for k in range(d))
+        assert np.allclose(full(chain), want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_quadratic(self, rng, d):
+        P = rng.standard_normal((d, d))
+        P = 0.5 * (P + P.T)
+        grids = [np.linspace(-1.0, 1.0, 3 + k) for k in range(d)]
+        x = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)
+        want = np.einsum("...i,ij,...j->...", x, P, x)
+        assert np.allclose(full(quadratic_to_tt(P, grids)), want, rtol=1e-12, atol=1e-12)
+
+
 class TestQuadraticToTT:
     @staticmethod
     def grids(d, pts=3):
@@ -594,6 +648,17 @@ class TestSerialization:
         assert s.dims == t.dims and s.ranks == t.ranks
         for a, b in zip(s.blocks, t.blocks):
             assert np.array_equal(a, b)
+
+    def test_truncated_file_raises_value_error(self, rng, tmp_path):
+        # a cut anywhere, in the header or in a block, is a ValueError, which
+        # the CLI's cache reads as a miss
+        path = tmp_path / "t.tt"
+        save_tt(TTTensor.random((3, 5, 2), [1, 2, 4, 1], rng), path)
+        data = path.read_bytes()
+        for cut in (6, 10, 14, 30, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_tt(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tt"
