@@ -62,9 +62,10 @@ class ControlPenalty:
     u_max: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
+        if isinstance(self.gamma, bool) or not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
-        if self.u_max is not None and not (math.isfinite(self.u_max) and self.u_max > 0):
+        if self.u_max is not None and (isinstance(self.u_max, bool) or not (
+                math.isfinite(self.u_max) and self.u_max > 0)):
             raise ValueError(f"u_max must be finite and positive, got {self.u_max!r}")
 
     @property
@@ -191,15 +192,25 @@ class GalerkinSystem:
         # through the round, 5 MB more peak on Fokker-Planck d=10
         return _round_sketch(_sketch(terms, drift, ell, np.random.default_rng(self.seed)), acc)
 
-    def rhs(self, u_tt: TTTensor, initial=None):
+    def policy(self, u_tt: TTTensor, previous=None):
+        """(u, CrossResult or None): the control a row runs on, the initial
+        policy's included.  A bounded penalty caps u by cross of its tanh cap,
+        started from the index sets of the previous row's CrossResult."""
+        if self.penalty.u_max is None:
+            return u_tt, None
+        res = tt_cross(u_tt, self.penalty.saturate, self.acc,
+                       previous and previous.index_sets, self.seed)
+        return res.tensor, res
+
+    def rhs(self, u_tt: TTTensor, previous=None):
         """(b, CrossResult or None).  The quadratic penalty is sketched from
         the blocks of u (tt_square_sum); the tanh penalty goes through cross,
-        started from the index sets ``initial`` when given."""
+        started as policy's is."""
         if self.penalty.u_max is None:
             b = tt_square_sum(self.ell_proj, u_tt, self.basis.wphi, self.penalty.gamma,
                               self.acc, self.seed)
             return b, None
-        res = tt_cross(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc, initial,
-                       self.seed)
+        res = tt_cross(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
+                       previous and previous.index_sets, self.seed)
         b = tt_round(self.ell_proj + project_to_basis(res.tensor, self.basis), self.acc)
         return b, res

@@ -159,7 +159,8 @@ _NAMED_X0 = {"cos-bump": "allen_cahn_1d", "right-sided": "fokker_planck"}
 
 def _resolve_x0(cfg: dict, model) -> np.ndarray:
     spec = cfg["rollout"].get("x0", "default")
-    if isinstance(spec, (list, tuple)) and all(isinstance(x, numbers.Real) for x in spec):
+    if isinstance(spec, (list, tuple)) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in spec):
         x0 = np.asarray(spec, dtype=float)
         if not np.all(np.isfinite(x0)):
             raise ConfigError(f"x0 entries must be finite, got {spec!r}")
@@ -188,7 +189,8 @@ def _resolve_x0(cfg: dict, model) -> np.ndarray:
 
 def _positive(value, name: str) -> float:
     """A rollout setting as a finite number > 0."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
         raise ConfigError(f"rollout {name} must be a finite number > 0, got {value!r}")
     return float(value)
 

@@ -54,7 +54,7 @@ class ControlledDynamics:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
+        if isinstance(self.a, bool) or not (np.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a must be finite and positive, got {self.a!r}")
         for name in ("lin_A", "lin_B", "cost_matrix", "channel_slope"):
             value = getattr(self, name)

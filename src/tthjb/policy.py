@@ -24,7 +24,6 @@ from .assembly import (
     project_to_basis,
 )
 from .basis import SpectralBasis, build_basis, legendre_rows, legendre_values
-from .cross import tt_cross
 from .models import ControlledDynamics, solve_riccati
 from .tt import (
     Accuracy,
@@ -89,7 +88,7 @@ class SolverConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if not (np.isfinite(self.mu0) and self.mu0 > 0):
+        if isinstance(self.mu0, bool) or not (np.isfinite(self.mu0) and self.mu0 > 0):
             raise ValueError(f"mu0 must be finite and positive, got {self.mu0!r}")
         for name, low in (("n", 1), ("max_rank", 1), ("max_policy_iters", 0), ("seed", 0)):
             value = getattr(self, name)
@@ -303,7 +302,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
     d = model.dim
 
-    u = initial_policy(model, basis)
+    w0 = initial_policy(model, basis)
     v = tt_scale(
         TTTensor.random((basis.n,) * d, [1] + [2] * (d - 1) + [1], rng), 1e-3
     )
@@ -314,8 +313,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     # re-anchored to V(0) = 0 at the end regardless).
     e0 = _constant_mode(basis.n, d)
     state = PolicyIterationState()
-    cross_state = None
-    constraint_state = None
+    constraint = cross = None
     grow_count = 0
     prev_rel = np.inf
     prev_norm = np.inf
@@ -324,19 +322,12 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         t0 = time.perf_counter()
         v_prev = v
         mu = max(mu * config.q, _MIN_SHIFT)
-        constraint = None
-        if s > 0:
-            u = system.feedback(v)
-            if model.penalty.u_max is not None:
-                constraint = tt_cross(u, model.penalty.saturate, acc, constraint_state,
-                                      config.seed)
-                u = constraint.tensor
-                constraint_state = constraint.index_sets
+        w = system.feedback(v) if s > 0 else w0
+        u, constraint = system.policy(w, constraint)
         t1 = time.perf_counter()
         A = system.operator(u)
         t2 = time.perf_counter()
-        b, cross = system.rhs(u, cross_state)
-        cross_state = cross.index_sets if cross is not None else None
+        b, cross = system.rhs(u, cross)
         t3 = time.perf_counter()
         solve_stats = {}
         v = amen_solve_shifted(A, b, v_prev, mu, acc, stats=solve_stats)

@@ -235,10 +235,6 @@ class TTMatrix(_Chain):
     def col_dims(self) -> tuple[int, ...]:
         return tuple(b.shape[2] for b in self.blocks)
 
-    @classmethod
-    def identity(cls, dims) -> "TTMatrix":
-        return cls([np.eye(n).reshape(1, n, n, 1) for n in dims])
-
     def __repr__(self):
         return (
             f"TTMatrix(row_dims={self.row_dims}, col_dims={self.col_dims}, "

@@ -30,6 +30,11 @@ def unfuse(t: TTTensor, row_dims, col_dims) -> TTMatrix:
                      for k, b in enumerate(t.blocks)])
 
 
+def identity(dims) -> TTMatrix:
+    """The identity operator on dims, of rank 1."""
+    return TTMatrix([np.eye(n).reshape(1, n, n, 1) for n in dims])
+
+
 def from_full(array, delta) -> TTTensor:
     """TT-SVD of a full array: d - 1 sequential truncated SVDs, each with the
     share delta / sqrt(d - 1) of the relative error."""

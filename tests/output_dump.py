@@ -1,0 +1,83 @@
+"""Dump the outputs of three solves, and compare two dumps item by item.
+
+    python tests/output_dump.py dump OUT.pkl
+    python tests/output_dump.py compare A.pkl B.pkl
+
+The solves are lq(6) at the lq preset's solver settings, allen_cahn_1d(8)
+at paper-allen-cahn-d14's and fokker_planck(11) at
+paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
+blocks, every history value but the timings (the *_s and seconds columns),
+the feedback at 50 seeded states and hjb_residual.  compare prints one
+equal/unequal line per item and exits 1 on any difference.
+
+The solves import tthjb from the src/ next to this file and run on one BLAS
+thread, so a dump of one tree compares bitwise with a dump of another.
+"""
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pickle  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from tthjb.cli import PRESETS  # noqa: E402
+from tthjb.models import allen_cahn_1d, fokker_planck, lq  # noqa: E402
+from tthjb.policy import SolverConfig, feedback, hjb_residual, policy_iterate  # noqa: E402
+
+WORKLOADS = {
+    "lq6": (lambda: lq(6), dict(PRESETS["lq"]["solver"])),
+    "ac8": (lambda: allen_cahn_1d(8), dict(PRESETS["paper-allen-cahn-d14"]["solver"])),
+    "fp11": (lambda: fokker_planck(11),
+             dict(PRESETS["paper-fokker-planck-d10"]["solver"], max_policy_iters=2)),
+}
+
+
+def _outputs(model, config: SolverConfig) -> dict:
+    V, state = policy_iterate(model, config)
+    a = V.basis.a
+    X = np.random.default_rng(0).uniform(-0.5 * a, 0.5 * a, size=(50, V.d))
+    history = [{k: v for k, v in row.items() if not (k.endswith("_s") or k == "seconds")}
+               for row in state.history]
+    return {"V blocks": [np.ascontiguousarray(blk) for blk in V.v.blocks],
+            "history": history, "feedback@50": feedback(V, model)(X),
+            "hjb_residual": hjb_residual(V, model)}
+
+
+def dump(path) -> None:
+    out = {name: _outputs(make(), SolverConfig(**settings))
+           for name, (make, settings) in WORKLOADS.items()}
+    with open(path, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+def compare(path_a, path_b) -> int:
+    with open(path_a, "rb") as fh:
+        a = pickle.load(fh)
+    with open(path_b, "rb") as fh:
+        b = pickle.load(fh)
+    unequal = 0
+    for name in sorted(set(a) | set(b)):
+        for item in sorted(set(a.get(name, {})) | set(b.get(name, {}))):
+            va, vb = a.get(name, {}).get(item), b.get(name, {}).get(item)
+            same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
+            unequal += not same
+            detail = f" ({va!r} vs {vb!r})" if item == "hjb_residual" else ""
+            if item == "history":
+                detail = f" ({len(va or [])} vs {len(vb or [])} rows)"
+            print(f"{name} {item}: {'equal' if same else 'UNEQUAL'}{detail}")
+    return 1 if unequal else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)

@@ -1,11 +1,12 @@
-"""Nonlinear acceptance: a converged Allen-Cahn solve at the solver settings
-of the paper-allen-cahn-d14 preset, with bounds fixed from measured runs."""
+"""Nonlinear acceptance: converged Allen-Cahn solves, unbounded and with a
+tanh-bounded control, at the solver settings of the paper-allen-cahn-d14
+preset, with bounds fixed from measured runs."""
 import numpy as np
 import pytest
 
 from tthjb import amen
 from tthjb.models import allen_cahn_1d
-from tthjb.policy import SolverConfig, hjb_residual, policy_iterate
+from tthjb.policy import SolverConfig, feedback, hjb_residual, policy_iterate
 
 CONFIG = SolverConfig(delta=1e-3, mu0=50.0, n=5)
 
@@ -44,3 +45,35 @@ class TestAllenCahnD5:
                 == [row["max_rank"] for row in state.history])
         assert V_it.v.ranks == V.v.ranks
         assert value_at_x0(V_it, model) == pytest.approx(value_at_x0(V, model), rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def solved_bounded():
+    model = allen_cahn_1d(5, u_max=1.0, omega=(-0.8, 0.1))
+    V, state = policy_iterate(model, CONFIG)
+    return model, V, state
+
+
+class TestBoundedAllenCahnD5:
+    def test_converges_with_small_hjb_residual(self, solved_bounded):
+        # measured: 47 iterations, rank 8, residual 0.456
+        model, V, state = solved_bounded
+        assert state.converged
+        assert 40 <= state.iteration <= 55
+        assert V.v.max_rank <= 10
+        assert hjb_residual(V, model, seed=0) <= 0.5
+
+    def test_every_row_runs_on_the_capped_control(self, solved_bounded):
+        # the constraint cross caps the feedback of every row, the initial
+        # LQR policy of row 0 included; by the last row both crosses converge
+        _, _, state = solved_bounded
+        assert all((row["constraint_evals"] or 0) > 0 for row in state.history)
+        assert all((row["cross_evals"] or 0) > 0 for row in state.history)
+        last = state.history[-1]
+        assert last["constraint_converged"] is True and last["cross_converged"] is True
+
+    def test_feedback_within_the_clip(self, solved_bounded):
+        model, V, _ = solved_bounded
+        a = V.basis.a
+        X = np.random.default_rng(0).uniform(-0.5 * a, 0.5 * a, size=(200, model.dim))
+        assert np.max(np.abs(feedback(V, model)(X))) <= model.penalty.clip

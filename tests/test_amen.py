@@ -35,7 +35,7 @@ from tthjb.tt import (
     tt_square_sum,
 )
 
-from dense_oracle import from_full, full, unfuse
+from dense_oracle import from_full, full, identity, unfuse
 
 
 def random_tt_matrix(rng, dims, ranks):
@@ -404,7 +404,7 @@ def spd_tt_matrix(rng, dims):
 class TestAmenSolve:
     def test_scalar_identity_system(self):
         dims = (3, 3, 3)
-        A = TTMatrix.identity(dims)
+        A = identity(dims)
         ones = TTTensor.rank_one([np.ones(3)] * 3)
         b = 2.0 * ones
         v = amen_solve_shifted(A, b, ones, 1.0, Accuracy(1e-12), sweeps=3)
@@ -415,7 +415,7 @@ class TestAmenSolve:
         A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
         # push the field of values into the right half plane so the shifted
         # fixed point is well conditioned
-        A = A + 8.0 * TTMatrix.identity(dims)
+        A = A + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         v_prev = TTTensor.random(dims, [1, 2, 2, 1], rng)
         mu = 0.5
@@ -449,7 +449,7 @@ class TestAmenSolve:
 
     def test_negative_shift_rejected(self, rng):
         dims = (3, 3)
-        A = TTMatrix.identity(dims)
+        A = identity(dims)
         b = TTTensor.random(dims, [1, 2, 1], rng)
         with pytest.raises(ValueError):
             amen_solve_shifted(A, b, b, -1.0, Accuracy(1e-10))
@@ -457,7 +457,7 @@ class TestAmenSolve:
     def test_zero_sweeps_rejected(self, rng):
         # zero sweeps would hand back v_prev as if it were a solution
         dims = (3, 3)
-        A = TTMatrix.identity(dims)
+        A = identity(dims)
         b = TTTensor.random(dims, [1, 2, 1], rng)
         with pytest.raises(ValueError):
             amen_solve_shifted(A, b, b, 1.0, Accuracy(1e-10), sweeps=0)
@@ -466,7 +466,7 @@ class TestAmenSolve:
     def test_one_dimensional_dense_oracle(self, rng, sweeps):
         # d = 1 runs the general sweep: one local solve of the whole system
         n, mu = 5, 0.5
-        A = random_tt_matrix(rng, (n,), [1, 1]) + 8.0 * TTMatrix.identity((n,))
+        A = random_tt_matrix(rng, (n,), [1, 1]) + 8.0 * identity((n,))
         b = TTTensor.random((n,), [1, 1], rng)
         v_prev = TTTensor.random((n,), [1, 1], rng)
         v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-12), sweeps=sweeps)
@@ -536,7 +536,7 @@ class TestSolveStats:
     @staticmethod
     def _system(rng, scale=1.0):
         dims = (4, 3, 5)
-        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         v_prev = TTTensor.random(dims, [1, 3, 2, 1], rng)
         return A, scale * b, scale * v_prev
@@ -604,7 +604,7 @@ class TestNoTensordot:
         assert len(calls) == 1  # the counter sees calls through numpy
         calls.clear()
         dims = (4, 3, 5)
-        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         for crossover in (amen._GMRES_CROSSOVER, 0):
             # dense local solves, then every local solve through GMRES
@@ -636,7 +636,7 @@ class TestNoNumpyFactorizations:
         assert calls == ["qr", "svd", "solve"]  # the counters see calls through numpy
         calls.clear()
         dims = (4, 3, 5)
-        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         for crossover in (amen._GMRES_CROSSOVER, 0):
             # dense local solves, then every local solve through GMRES
@@ -676,7 +676,7 @@ class TestNoScipyGmres:
                             lambda *args, **kwargs: calls.append(1) or gmres(*args, **kwargs))
         monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
         dims = (4, 3, 5)
-        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * TTMatrix.identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         stats = {}
         v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=4, stats=stats)

@@ -253,7 +253,7 @@ class TestPenaltyCost:
             ControlPenalty(gamma=-1.0)
         with pytest.raises(ValueError):
             ControlPenalty(gamma=1.0, u_max=0.0)
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, True):
             with pytest.raises(ValueError):
                 ControlPenalty(gamma=bad)
             with pytest.raises(ValueError):

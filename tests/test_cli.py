@@ -224,12 +224,10 @@ class TestBoundedControlRun:
         for prefix in ("constraint", "cross"):
             for key in ("evals", "sweeps", "converged"):
                 assert f"{prefix}_{key}" in rows[0]
-        # the constraint cross soft-clips the feedback, which row 0 takes
-        # from the initial policy
-        assert rows[0]["constraint_evals"] == ""
-        for row in rows[1:]:
-            assert int(row["constraint_evals"]) > 0 and int(row["constraint_sweeps"]) >= 1
+        # the constraint cross soft-clips the feedback of every row, row 0's
+        # initial policy included
         for row in rows:
+            assert int(row["constraint_evals"]) > 0 and int(row["constraint_sweeps"]) >= 1
             assert int(row["cross_evals"]) > 0 and int(row["cross_sweeps"]) >= 1
 
     def test_controls_within_bound(self, bounded_run):
@@ -285,12 +283,21 @@ class TestMain:
         ("rollout", {"horizon": -1}),
         ("rollout", {"tolerance": -1}),
         ("rollout", {"tolerance": "x"}),
+        ("solver", {"mu0": True}),
+        ("model", {"gamma": True}),
+        ("model", {"name": "allen_cahn_1d", "u_max": True}),
+        ("model", {"a": True}),
+        ("rollout", {"x0": [True, False, True, False]}),
+        ("rollout", {"horizon": True}),
+        ("rollout", {"tolerance": True}),
     ], ids=["mu0-nan", "gamma-nan", "a-inf", "x0-nan", "horizon-nan", "horizon-negative",
-            "tolerance-negative", "tolerance-text"])
+            "tolerance-negative", "tolerance-text", "mu0-bool", "gamma-bool", "u_max-bool",
+            "a-bool", "x0-bool", "horizon-bool", "tolerance-bool"])
     def test_out_of_range_value_exit_2_before_the_solve(self, tmp_path, section, value):
-        # json reads NaN and Infinity; each such value, and a horizon or
-        # tolerance that is not a number > 0, is a config error caught
-        # before the solve writes anything
+        # json reads NaN and Infinity; each such value, a json true or false
+        # where a number is expected (python counts bools as 1 and 0), and a
+        # horizon or tolerance that is not a number > 0, is a config error
+        # caught before the solve writes anything
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, section: {**FAST_LQ[section], **value}}))
         out = tmp_path / "out"

@@ -229,3 +229,9 @@ class TestRegistry:
         xi = allen_cahn_1d(5).extras["xi"]
         assert np.all(np.diff(xi) > 0)
         assert np.all(np.abs(xi) < 1)
+
+    @pytest.mark.parametrize("a", [True, 0.0, np.inf])
+    def test_domain_must_be_a_positive_number(self, a):
+        # a json true is a bool, which python counts as the number 1
+        with pytest.raises(ValueError, match="a must be"):
+            lq(3, a=a)

@@ -107,11 +107,12 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     # tt._product_term. A sketch is already left-orthonormal, so it is
     # rounded without the QR sweep of tt_round (orthogonalize_right), which
     # AMEn runs once per sweep on its iterate
+    from dense_oracle import identity
     from tthjb import amen, assembly, tt
     from tthjb.basis import build_basis
     from tthjb.models import lq
     from tthjb.policy import _build_system
-    from tthjb.tt import Accuracy, TTMatrix, TTTensor
+    from tthjb.tt import Accuracy, TTTensor
 
     modules = {"_sketch": (tt, amen, assembly), "_product_term": (tt, amen, assembly),
                "orthogonalize_right": (tt, amen)}
@@ -143,7 +144,7 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
     assert take() == (1, 1, 0)
     dims = (4, 3, 5)
-    A = TTMatrix.identity(dims) * 2.0
+    A = identity(dims) * 2.0
     b = TTTensor.random(dims, [1, 2, 2, 1], rng)
     amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
     assert take() == (2, 2, 2)  # one residual and one QR sweep per sweep

@@ -305,6 +305,8 @@ class TestSolverConfig:
             SolverConfig(q=1.0)
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
+        with pytest.raises(ValueError, match="mu0"):
+            SolverConfig(mu0=True)
 
     @pytest.mark.parametrize("field", ["n", "max_rank"])
     def test_zero_counts_rejected(self, field):
@@ -455,22 +457,21 @@ class TestCrossHistory:
             assert row["constraint_evals"] is None
 
     def test_rows_carry_constraint_cross(self, tmp_path):
-        # the feedback of row 0 is the initial policy; later rows saturate
-        # theirs through the constraint cross
+        # every row saturates its feedback through the constraint cross, the
+        # initial policy of row 0 included
         from tthjb.policy import history_to_csv
 
         _, state = self._solve()
-        first, *rest = state.history
-        assert first["constraint_evals"] is None and first["constraint_converged"] is None
-        for row in rest:
+        for row in state.history:
             assert row["constraint_evals"] > 0
             assert 1 <= row["constraint_sweeps"] <= _MAX_SWEEPS
             assert row["constraint_converged"] is True
         path = tmp_path / "hist.csv"
         history_to_csv(state.history, path)
-        header, first_line = path.read_text().splitlines()[:2]
+        header, *lines = path.read_text().splitlines()
         assert ",constraint_evals,constraint_sweeps,constraint_converged,cross_evals," in header
-        assert ",,,," in first_line
+        assert len(lines) == len(state.history)
+        assert not any(",," in line or line.endswith(",") for line in lines)
 
 
 class TestDivergence:

@@ -24,7 +24,7 @@ from tthjb.tt import (
     tt_square_sum,
 )
 
-from dense_oracle import full, unfuse
+from dense_oracle import full, identity, unfuse
 
 
 def fused(op):
@@ -159,12 +159,12 @@ class TestAddScale:
         # an operator's modes are (row, col) pairs: never a tensor's, nor a
         # transposed operator's, even where the fused sizes agree; a unit
         # mode, or a single block, would broadcast silently in numpy
-        for x, y in ((TTTensor.random((9, 4), [1, 2, 1], rng), TTMatrix.identity((3, 2))),
-                     (TTTensor.random((3,), [1, 1], rng), TTMatrix.identity((3,))),
+        for x, y in ((TTTensor.random((9, 4), [1, 2, 1], rng), identity((3, 2))),
+                     (TTTensor.random((3,), [1, 1], rng), identity((3,))),
                      (TTTensor.random((3, 5, 4), [1, 2, 2, 1], rng),
                       TTTensor.random((3, 1, 4), [1, 2, 2, 1], rng)),
                      (unfuse(a, (1, 2), (3, 2)), unfuse(a, (3, 2), (1, 2))),
-                     (TTMatrix.identity((3, 4)), TTMatrix.identity((3, 5)))):
+                     (identity((3, 4)), identity((3, 5)))):
             with pytest.raises(ValueError):
                 tt_add(x, y)
             with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestAddScale:
 class TestMatvec:
     def test_identity(self, rng):
         v = TTTensor.random((3, 4, 5), [1, 2, 2, 1], rng)
-        A = TTMatrix.identity((3, 4, 5))
+        A = identity((3, 4, 5))
         assert np.allclose(full(tt_matvec(A, v)), full(v))
 
     def test_zero_matrix(self, rng):
@@ -469,7 +469,7 @@ class TestSumRound:
         from tthjb.assembly import _sum_round
 
         with pytest.raises(ValueError):
-            _sum_round([TTMatrix.identity((3, 4)), TTMatrix.identity((3, 5))], Accuracy(1e-3))
+            _sum_round([identity((3, 4)), identity((3, 5))], Accuracy(1e-3))
 
 
 class TestOrthogonalize:
