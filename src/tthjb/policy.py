@@ -2,8 +2,9 @@
 
 Each iteration refreshes the feedback from the current value gradient,
 assembles the linearized equation, and performs one (configurable) sweep of
-the shifted solver seeded with the previous value tensor.  The shift decays
-geometrically from mu0 and never drops below _MIN_SHIFT.
+the shifted solver seeded with the previous value tensor.  Each row is one
+step of pseudo-transient continuation, and its shift follows the lagged
+residual by switched evolution relaxation; it never drops below _MIN_SHIFT.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_MIN_SHIFT = 1e-6          # floor of the geometrically decaying shift
+_MIN_SHIFT = 1e-6          # floor of the shift
+_FASTEST_FALL = 0.9        # smallest factor of the shift in one row
 _DIVERGENCE_WINDOW = 10    # growing iterations in a row that raise PolicyDivergence
 
 _PHASE_FIELDS = ("feedback_s", "operator_s", "rhs_s", "solve_s", "u_rank", "A_rank", "b_rank",
@@ -69,12 +71,14 @@ def _cross_record(prefix: str, res) -> dict:
 
 
 class PolicyDivergence(RuntimeError):
-    """Raised when, for too many iterations in a row, the relative change
-    grows or the norm of the value tensor more than doubles."""
+    """Raised when, for too many iterations in a row, the residual grows, the
+    norm of the value tensor more than doubles or the shift exceeds mu0."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of a solve.  q is the slowest fall of the shift per row while
+    the residual falls, and the fixed factor of rows 0 and 1."""
     delta: float = 1e-3
     mu0: float = 50.0
     q: float = 0.98
@@ -314,14 +318,18 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
     e0 = _constant_mode(basis.n, d)
     state = PolicyIterationState()
     constraint = cross = None
+    res = []            # lagged residuals mu_k ||v_{k+1} - v_k||, one per row
     grow_count = 0
-    prev_rel = np.inf
     prev_norm = np.inf
     mu = config.mu0
     for s in range(config.max_policy_iters):
         t0 = time.perf_counter()
         v_prev = v
-        mu = max(mu * config.q, _MIN_SHIFT)
+        # switched evolution relaxation: the shift follows the ratio of the
+        # last two residuals, by the whole rise, or by a fall clamped to
+        # [_FASTEST_FALL, q]
+        r = res[-1] / max(res[-2], 1e-300) if s >= 2 else config.q
+        mu = max(mu * (r if r > 1.0 else min(max(r, _FASTEST_FALL), config.q)), _MIN_SHIFT)
         w = system.feedback(v) if s > 0 else w0
         u, constraint = system.policy(w, constraint)
         t1 = time.perf_counter()
@@ -335,12 +343,13 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         c0 = tt_dot(v, e0)
         if c0 != 0.0:
             v = tt_round(v - tt_scale(e0, c0), acc)
-        nv = tt_norm(v)
-        rel = tt_norm(v - v_prev) / max(nv, 1e-300)
+        nv, step = tt_norm(v), tt_norm(v - v_prev)
+        rel = step / max(nv, 1e-300)
+        res.append(mu * step)
         seconds = time.perf_counter() - t0
         state.history.append(
             {"iteration": s, "rel_change": rel, "max_rank": v.max_rank,
-             "shift": mu, "seconds": seconds,
+             "shift": mu, "residual": res[-1], "seconds": seconds,
              "feedback_s": t1 - t0, "operator_s": t2 - t1, "rhs_s": t3 - t2,
              "solve_s": t4 - t3,
              "u_rank": u.max_rank, "A_rank": A.max_rank, "b_rank": b.max_rank,
@@ -354,20 +363,24 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
                         "is no longer bounded by delta", s, " and ".join(capped), acc.max_rank)
         log.info("policy iter %3d: rel=%.3e rank=%d shift=%.3g (%.2fs)",
                  s, rel, v.max_rank, mu, seconds)
-        if rel <= config.delta:
+        # a blow-up drives the shift up, which shrinks the step and rel: no row
+        # above mu0 converges, and every such row counts as growing
+        if rel <= config.delta and mu <= config.mu0:
             state.converged = True
             break
-        # a blow-up keeps rel near 1, so it shows only in the norm; the first
-        # iteration grows from the tiny random start and is not counted
-        grows = rel > prev_rel or nv > 2.0 * prev_norm
+        # the first iteration grows from the tiny random start and is not counted
+        grows = (s > 0 and res[-1] > res[-2]) or nv > 2.0 * prev_norm or mu > config.mu0
         grow_count = grow_count + 1 if grows else 0
-        prev_rel, prev_norm = rel, nv
+        prev_norm = nv
         if grow_count >= _DIVERGENCE_WINDOW:
             raise PolicyDivergence(
-                f"relative change grew or the value norm more than doubled for "
-                f"{grow_count} consecutive iterations (last rel {rel:.3e}, norm "
-                f"{nv:.3e}); try a larger mu0 or delta"
+                f"the residual grew, the value norm more than doubled or the shift "
+                f"exceeded mu0 for {grow_count} consecutive iterations (last residual "
+                f"{res[-1]:.3e}, norm {nv:.3e}, shift {mu:.3e})"
             )
+    if state.iteration and not state.converged:
+        log.warning("policy iteration stopped unconverged after %d iterations "
+                    "(last rel %.3e, shift %.3g)", state.iteration, rel, mu)
     # drop enrichment leftovers the stopping tolerance cannot distinguish
     v = tt_round(v, acc)
     V = ValueFunction(v, basis).anchored()
@@ -381,7 +394,8 @@ def history_to_csv(rows: list, path) -> None:
     written only when some iteration ran it; empty cells mark iterations
     that did not.
     """
-    fields = ["iteration", "rel_change", "max_rank", "shift", "seconds", *_PHASE_FIELDS]
+    fields = ["iteration", "rel_change", "max_rank", "shift", "residual", "seconds",
+              *_PHASE_FIELDS]
     fields += [key for key in _CROSS_FIELDS
                if any(row.get(key) is not None for row in rows)]
     with open(path, "w", newline="") as fh:

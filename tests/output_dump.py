@@ -8,7 +8,9 @@ at paper-allen-cahn-d14's and fokker_planck(11) at
 paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
 blocks, every history value but the timings (the *_s and seconds columns),
 the feedback at 50 seeded states and hjb_residual.  compare prints one
-equal/unequal line per item and exits 1 on any difference.
+equal/unequal line per item and exits 1 on any difference.  Histories are
+compared on the columns both dumps share; a column only one dump has is
+named, not counted as a difference.
 
 The solves import tthjb from the src/ next to this file and run on one BLAS
 thread, so a dump of one tree compares bitwise with a dump of another.
@@ -56,6 +58,17 @@ def dump(path) -> None:
         pickle.dump(out, fh)
 
 
+def _shared_history(va, vb):
+    """Histories va and vb cut to the columns both share, and a note naming
+    the columns only one has."""
+    cols_a, cols_b = set().union(*va), set().union(*vb)
+    shared = sorted(cols_a & cols_b)
+    note = "".join(f"; only in {side}: {', '.join(sorted(cols))}"
+                   for side, cols in (("A", cols_a - cols_b), ("B", cols_b - cols_a)) if cols)
+    return ([{k: row.get(k) for k in shared} for row in va],
+            [{k: row.get(k) for k in shared} for row in vb], note)
+
+
 def compare(path_a, path_b) -> int:
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
@@ -65,11 +78,14 @@ def compare(path_a, path_b) -> int:
     for name in sorted(set(a) | set(b)):
         for item in sorted(set(a.get(name, {})) | set(b.get(name, {}))):
             va, vb = a.get(name, {}).get(item), b.get(name, {}).get(item)
-            same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
-            unequal += not same
             detail = f" ({va!r} vs {vb!r})" if item == "hjb_residual" else ""
             if item == "history":
-                detail = f" ({len(va or [])} vs {len(vb or [])} rows)"
+                note = ""
+                if va is not None and vb is not None:
+                    va, vb, note = _shared_history(va, vb)
+                detail = f" ({len(va or [])} vs {len(vb or [])} rows{note})"
+            same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
+            unequal += not same
             print(f"{name} {item}: {'equal' if same else 'UNEQUAL'}{detail}")
     return 1 if unequal else 0
 

@@ -7,6 +7,7 @@ from tthjb.models import ControlledDynamics, allen_cahn_1d, fokker_planck, lq, s
 from tthjb.cross import _MAX_SWEEPS
 from tthjb.policy import (
     _DIVERGENCE_WINDOW,
+    _FASTEST_FALL,
     _MIN_SHIFT,
     PolicyDivergence,
     SolverConfig,
@@ -353,13 +354,20 @@ class TestPolicyIterationLQ:
             assert r <= min(k, d - k) + 3
 
     def test_stopping_and_shift_schedule(self, solved):
+        # rows 0 and 1 decay by q; from row 2 on the shift follows the ratio r
+        # of the last two residuals: up by r on a rise, down by r clamped to
+        # [_FASTEST_FALL, q] on a fall
         _, config, _, state = solved
         assert state.converged
-        assert state.history[-1]["rel_change"] <= config.delta
-        shifts = [row["shift"] for row in state.history]
-        want = [max(config.mu0 * config.q ** (s + 1), _MIN_SHIFT)
-                for s in range(len(shifts))]
-        assert np.allclose(shifts, want, rtol=1e-12)
+        last = state.history[-1]
+        assert last["rel_change"] <= config.delta and last["shift"] <= config.mu0
+        res = [row["residual"] for row in state.history]
+        want = [config.mu0 * config.q, config.mu0 * config.q ** 2]
+        for s in range(2, len(res)):
+            r = res[s - 1] / res[s - 2]
+            factor = r if r > 1.0 else min(max(r, _FASTEST_FALL), config.q)
+            want.append(max(want[-1] * factor, _MIN_SHIFT))
+        assert np.allclose([row["shift"] for row in state.history], want, rtol=1e-12)
 
     def test_anchored_at_origin_and_positive(self, solved, rng):
         model, config, V, _ = solved
@@ -375,7 +383,7 @@ class TestPolicyIterationLQ:
         path = tmp_path / "hist.csv"
         history_to_csv(state.history, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ("iteration,rel_change,max_rank,shift,seconds,"
+        assert lines[0] == ("iteration,rel_change,max_rank,shift,residual,seconds,"
                             "feedback_s,operator_s,rhs_s,solve_s,u_rank,A_rank,b_rank,"
                             "max_local_res,gmres_fallbacks,gmres_unconverged")
         assert len(lines) == len(state.history) + 1
@@ -475,38 +483,60 @@ class TestCrossHistory:
 
 
 class TestDivergence:
-    """Both triggers of PolicyDivergence, with the solver replaced by a stub
-    returning scale(s) * w at iteration s; w has no constant mode, so the
-    gauge fix leaves it alone."""
+    """The triggers of PolicyDivergence, with the solver replaced by a stub
+    returning coef(s, shift) * w at iteration s; w has no constant mode, so
+    the gauge fix leaves it alone, and |w| = sqrt(3)."""
 
-    def _solve(self, monkeypatch, scale):
+    MU0 = 50.0
+
+    def _solve(self, monkeypatch, coef):
+        """The shifts of the rows run before PolicyDivergence."""
         from tthjb import policy
 
         n, d = 3, 2
         w = TTTensor.rank_one([np.eye(n)[1], np.ones(n)])
-        calls = []
+        shifts = []
 
         def stub(A, b, v_prev, shift, acc, **kwargs):
-            calls.append(shift)
-            return tt_scale(w, scale(len(calls) - 1))
+            shifts.append(shift)
+            return tt_scale(w, coef(len(shifts) - 1, shift))
 
         monkeypatch.setattr(policy, "amen_solve_shifted", stub)
-        config = SolverConfig(delta=1e-4, n=n, max_policy_iters=30)
+        config = SolverConfig(delta=1e-4, mu0=self.MU0, n=n, max_policy_iters=30)
         with pytest.raises(PolicyDivergence):
             policy_iterate(lq(d), config)
-        return len(calls)
+        return shifts
 
     def test_norm_blow_up(self, monkeypatch):
         # growth factors 4.0, 3.9, 3.8, ...: the relative change 1 - 1/factor
         # falls every iteration, only the norm shows the blow-up; iteration 0
         # grows from the random start and does not count
-        calls = self._solve(monkeypatch, lambda s: np.prod(4.0 - 0.1 * np.arange(s)))
-        assert calls == _DIVERGENCE_WINDOW + 1
+        shifts = self._solve(monkeypatch, lambda s, mu: np.prod(4.0 - 0.1 * np.arange(s)))
+        assert len(shifts) == _DIVERGENCE_WINDOW + 1
 
     def test_growing_step(self, monkeypatch):
-        # scale 1/(s+1)!: the norm falls while the relative change s grows
-        calls = self._solve(monkeypatch, lambda s: 1.0 / np.prod(np.arange(1.0, s + 2)))
-        assert calls <= _DIVERGENCE_WINDOW + 2
+        # after row 0 each step is 1.01^s / shift, so the residual
+        # shift * step * sqrt(3) rises by 1% a row from row 2 on; the norm
+        # grows by 2% a row and the shift stays below mu0, so only the
+        # residual shows the growth
+        coefs = [1.0]
+
+        def coef(s, mu):
+            if s:
+                coefs.append(coefs[-1] + 1.01 ** s / mu)
+            return coefs[-1]
+
+        shifts = self._solve(monkeypatch, coef)
+        assert max(shifts) <= self.MU0
+        assert len(shifts) == _DIVERGENCE_WINDOW + 2
+
+    def test_shift_above_mu0_never_converges(self, monkeypatch):
+        # a kick of 10 at row 1, then steps halving: the residual ratio drives
+        # the shift far above mu0, and the relative change would meet delta
+        # from row 14 on; every row above mu0 counts as growing instead
+        shifts = self._solve(monkeypatch, lambda s, mu: 1.0 + 20.0 * (1.0 - 0.5 ** s))
+        assert shifts[1] <= self.MU0 < min(shifts[2:])
+        assert len(shifts) == _DIVERGENCE_WINDOW + 1
 
 
 class TestRankCapWarning:
