@@ -162,10 +162,12 @@ def _gmres(matvec, psolve, g, x0, tol, restart=60):
     space of A M^-1 on the residual of x0, so the start makes no trip
     through M.  The basis is orthogonalized by classical Gram-Schmidt twice,
     as products with the whole basis, and the Hessenberg matrix is reduced
-    by LAPACK rotations.  The cycle stops when the residual estimate reaches
-    tol ||g||, on a breakdown (the Krylov space is invariant and the
-    estimate exact), or after restart steps.  Returns (x, ||g - A x||); a
-    residual above tol ||g|| means the cycle did not converge.
+    by LAPACK rotations.  A start whose residual exceeds ||g|| is worse than
+    zero, and the cycle starts from zero instead.  The cycle stops when the
+    residual estimate reaches tol ||g||, on a breakdown (the Krylov space is
+    invariant and the estimate exact), or after restart steps.  Returns
+    (x, ||g - A x||), at most ||g||; a residual above tol ||g|| means the
+    cycle did not converge.
     """
     gnorm = np.linalg.norm(g)
     if not gnorm:
@@ -173,6 +175,8 @@ def _gmres(matvec, psolve, g, x0, tol, restart=60):
     target = tol * gnorm
     r = g - matvec(x0)
     beta = np.linalg.norm(r)
+    if beta > gnorm:                              # zero's residual is g itself
+        x0, r, beta = np.zeros_like(g), g, gnorm
     if beta <= target:
         return x0, float(beta)
     m = min(restart, g.size)

@@ -80,7 +80,7 @@ class ControlledDynamics:
         X = np.atleast_2d(X)
         B = self.lin_B.reshape(-1)
         if self.channel_slope is None:
-            return np.broadcast_to(B, X.shape)
+            return np.tile(B, (len(X), 1))
         return X @ self.channel_slope.T + B
 
     def f_tt_builder(self, grids) -> list:

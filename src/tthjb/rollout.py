@@ -41,18 +41,21 @@ class Trajectory:
     total_cost: float
     failed: bool = False
     message: str = ""
+    rhs_evals: int = 0          # right-hand-side evaluations by the integrator
 
 
 def rollout(model: ControlledDynamics, controller, x0, T: float,
             tol: float = 1e-8) -> Trajectory:
-    """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law with RK45.
+    """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law with LSODA.
 
-    controller is a batch map from states (N, d) to controls (N,), or None
-    for the uncontrolled system.  The integrator calls it with one state at
-    a time (N = 1); the controls and running costs are then recorded on a
-    uniform grid of _RECORD_POINTS times in a single call, and the total
-    cost is their trapezoid quadrature.  On integrator failure the partial
-    trajectory is returned with failed=True.
+    LSODA switches between Adams (non-stiff) and BDF (stiff) steps by
+    itself; tol is its relative tolerance, and its absolute tolerance is
+    1e-2 tol.  controller is a batch map from states (N, d) to controls
+    (N,), or None for the uncontrolled system.  The integrator calls it with
+    one state at a time (N = 1); the controls and running costs are then
+    recorded on a uniform grid of _RECORD_POINTS times in a single call, and
+    the total cost is their trapezoid quadrature.  On integrator failure the
+    partial trajectory is returned with failed=True.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.dim:
@@ -72,7 +75,7 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
         return dx
 
     try:
-        sol = solve_ivp(rhs, (0.0, T), x0, method="RK45", rtol=tol,
+        sol = solve_ivp(rhs, (0.0, T), x0, method="LSODA", rtol=tol,
                         atol=tol * 1e-2, dense_output=True)
     except _NonFiniteDynamics as exc:
         log.warning("rollout aborted: %s", exc)
@@ -95,7 +98,8 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
         log.warning("rollout stopped at t=%.3g: %s", t_end, sol.message)
     return Trajectory(times=ts, states=X, controls=us, running_cost=cost,
                       total_cost=total, failed=failed,
-                      message="" if sol.success else sol.message)
+                      message="" if sol.success else sol.message,
+                      rhs_evals=int(sol.nfev))
 
 
 def _decay_rate(traj: Trajectory) -> float:
@@ -111,11 +115,13 @@ def _decay_rate(traj: Trajectory) -> float:
 
 
 def score(traj: Trajectory) -> dict:
-    """Comparison entry of one trajectory: cost, decay rate, steps, failure."""
+    """Comparison entry of one trajectory: cost, decay rate, recorded
+    samples, right-hand-side evaluations, failure."""
     return {
         "total_cost": traj.total_cost,
         "decay_rate": _decay_rate(traj),
         "steps": int(traj.times.size),
+        "rhs_evals": traj.rhs_evals,
         "failed": traj.failed,
     }
 
@@ -130,7 +136,7 @@ def compare(model: ControlledDynamics, controllers: dict, x0, T: float,
         except Exception as exc:  # noqa: BLE001 - isolate per controller
             log.warning("controller %s failed: %s", name, exc)
             report[name] = {"total_cost": np.nan, "decay_rate": np.nan,
-                            "steps": 0, "failed": True}
+                            "steps": 0, "rhs_evals": 0, "failed": True}
     return report
 
 
@@ -138,15 +144,12 @@ def trajectory_to_csv(traj: Trajectory, path, include_states: bool = False) -> N
     d = traj.states.shape[1]
     cols = ["t"] + ([f"x_{k + 1}" for k in range(d)] if include_states else []) \
         + ["u", "running_cost"]
+    columns = [traj.times[:, None]] + ([traj.states] if include_states else []) \
+        + [traj.controls[:, None], traj.running_cost[:, None]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for i in range(traj.times.size):
-            row = [traj.times[i]]
-            if include_states:
-                row.extend(traj.states[i])
-            row.extend([traj.controls[i], traj.running_cost[i]])
-            writer.writerow(row)
+        writer.writerows(np.hstack(columns).tolist())
 
 
 def comparison_to_json(report: dict, path) -> None:

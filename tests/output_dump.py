@@ -7,10 +7,15 @@ The solves are lq(6) at the lq preset's solver settings, allen_cahn_1d(8)
 at paper-allen-cahn-d14's and fokker_planck(11) at
 paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
 blocks, every history value but the timings (the *_s and seconds columns),
-the feedback at 50 seeded states and hjb_residual.  compare prints one
-equal/unequal line per item and exits 1 on any difference.  Histories are
-compared on the columns both dumps share; a column only one dump has is
-named, not counted as a difference.
+the feedback at 50 seeded states and hjb_residual.  lq6 (preset x0,
+horizon 10) and ac8 (x0_default, the model's horizon) also keep the
+closed-loop total cost of each controller cli.run builds there: hjb, lqr,
+and uncontrolled when the model is admissible, rolled out at tolerance
+1e-8.  compare prints one equal/unequal line per item and exits 1 on any
+difference.  The costs are compared to relative COST_RTOL (1e-8, the
+rollout tolerance), since they depend on the integrator; every other item
+must be bitwise equal.  Histories are compared on the columns both dumps
+share; a column only one dump has is named, not counted as a difference.
 
 The solves import tthjb from the src/ next to this file and run on one BLAS
 thread, so a dump of one tree compares bitwise with a dump of another.
@@ -29,31 +34,53 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from tthjb.cli import PRESETS  # noqa: E402
-from tthjb.models import allen_cahn_1d, fokker_planck, lq  # noqa: E402
+from tthjb.models import allen_cahn_1d, fokker_planck, lq, solve_riccati  # noqa: E402
 from tthjb.policy import SolverConfig, feedback, hjb_residual, policy_iterate  # noqa: E402
+from tthjb.rollout import rollout  # noqa: E402
 
+COST_RTOL = 1e-8
+ROLLOUT_TOL = 1e-8
+
+# name: (model, solver settings, horizon of the rollouts or None for none)
 WORKLOADS = {
-    "lq6": (lambda: lq(6), dict(PRESETS["lq"]["solver"])),
-    "ac8": (lambda: allen_cahn_1d(8), dict(PRESETS["paper-allen-cahn-d14"]["solver"])),
+    "lq6": (lambda: lq(6), dict(PRESETS["lq"]["solver"]), lambda model: 10.0),
+    "ac8": (lambda: allen_cahn_1d(8), dict(PRESETS["paper-allen-cahn-d14"]["solver"]),
+            lambda model: model.horizon),
     "fp11": (lambda: fokker_planck(11),
-             dict(PRESETS["paper-fokker-planck-d10"]["solver"], max_policy_iters=2)),
+             dict(PRESETS["paper-fokker-planck-d10"]["solver"], max_policy_iters=2), None),
 }
 
 
-def _outputs(model, config: SolverConfig) -> dict:
+def _costs(V, model, horizon) -> dict:
+    """The closed-loop total cost of each controller cli.run builds, from
+    the model's x0_default."""
+    controllers = {"hjb": feedback(V, model),
+                   "lqr": solve_riccati(model.lin_A, model.lin_B, model.cost_matrix,
+                                        model.gamma).feedback}
+    if model.admissible_uncontrolled:
+        controllers["uncontrolled"] = None
+    return {f"cost {name}": rollout(model, ctrl, model.x0_default, horizon,
+                                    tol=ROLLOUT_TOL).total_cost
+            for name, ctrl in controllers.items()}
+
+
+def _outputs(model, config: SolverConfig, horizon) -> dict:
     V, state = policy_iterate(model, config)
     a = V.basis.a
     X = np.random.default_rng(0).uniform(-0.5 * a, 0.5 * a, size=(50, V.d))
     history = [{k: v for k, v in row.items() if not (k.endswith("_s") or k == "seconds")}
                for row in state.history]
-    return {"V blocks": [np.ascontiguousarray(blk) for blk in V.v.blocks],
-            "history": history, "feedback@50": feedback(V, model)(X),
-            "hjb_residual": hjb_residual(V, model)}
+    out = {"V blocks": [np.ascontiguousarray(blk) for blk in V.v.blocks],
+           "history": history, "feedback@50": feedback(V, model)(X),
+           "hjb_residual": hjb_residual(V, model)}
+    if horizon is not None:
+        out.update(_costs(V, model, horizon(model)))
+    return out
 
 
 def dump(path) -> None:
-    out = {name: _outputs(make(), SolverConfig(**settings))
-           for name, (make, settings) in WORKLOADS.items()}
+    out = {name: _outputs(make(), SolverConfig(**settings), horizon)
+           for name, (make, settings, horizon) in WORKLOADS.items()}
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 
@@ -84,7 +111,11 @@ def compare(path_a, path_b) -> int:
                 if va is not None and vb is not None:
                     va, vb, note = _shared_history(va, vb)
                 detail = f" ({len(va or [])} vs {len(vb or [])} rows{note})"
-            same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
+            if item.startswith("cost ") and va is not None and vb is not None:
+                same = abs(va - vb) <= COST_RTOL * abs(va)
+                detail = f" ({va!r} vs {vb!r}, relative {abs(va - vb) / abs(va):.1e})"
+            else:
+                same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
             unequal += not same
             print(f"{name} {item}: {'equal' if same else 'UNEQUAL'}{detail}")
     return 1 if unequal else 0

@@ -352,6 +352,21 @@ class TestGmres:
         assert 1e-10 * np.linalg.norm(g) < res < np.linalg.norm(g)
         assert len(products) == 4  # start, two steps, returned residual
 
+    def test_start_worse_than_zero_is_dropped(self, rng):
+        # x0 = -10 x* leaves the residual 11 g; two steps from it end at
+        # 3.2 ||g||, two steps from zero at most at ||g||.  The guard reuses
+        # the start's residual, so the products stay at four
+        n = 40
+        A = np.diag(np.linspace(1.0, 50.0, n)) + 0.1 * rng.standard_normal((n, n))
+        g = rng.standard_normal(n)
+        x0 = -10.0 * np.linalg.solve(A, g)
+        products = []
+        x, res = _gmres(self._counting(A, products), lambda v: v, g, x0, 1e-10,
+                        restart=2)
+        assert res == np.linalg.norm(g - A @ x)
+        assert res <= np.linalg.norm(g)
+        assert len(products) == 4
+
     def test_breakdown_on_identity_plus_rank_one(self, rng):
         # A = I + u v^T maps g = 2u to (1 + v.u) g, so the Krylov space of g
         # is one-dimensional: the second basis vector is exactly zero, and

@@ -172,6 +172,12 @@ class TestTwoForms:
         if m.channel_slope is not None:
             want += [X[:, q, None] * m.channel_slope[:, q] for q in range(m.dim)]
         self._check(m.channel_builder(grids), idx, want, m.channel_eval(X))
+        if m.channel_slope is None:
+            # a constant channel repeats B0 in each of the N rows
+            for N in (1, 3):
+                rows = m.channel_eval(X[:N])
+                assert rows.shape == (N, m.dim)
+                assert np.array_equal(rows, np.tile(m.lin_B.reshape(-1), (N, 1)))
 
 
 class TestRiccati:

@@ -1,11 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from tthjb.assembly import ControlPenalty
-from tthjb.models import ControlledDynamics, allen_cahn_1d
+from tthjb.models import ControlledDynamics, allen_cahn_1d, solve_riccati
 from tthjb.rollout import (
     Trajectory,
     compare,
@@ -87,9 +89,27 @@ class TestRollout:
         model.drift = counting_drift
         traj = rollout(model, ctrl, np.array([1.0, -1.0]), 2.0)
         assert not traj.failed
+        assert traj.rhs_evals == len(rhs_evals)
         assert len(shapes) <= len(rhs_evals) + 1
         assert shapes[-1] == traj.states.shape
         assert np.allclose(traj.controls, -0.3 * traj.states[:, 0])
+
+    def test_stiff_allen_cahn_under_lqr(self):
+        # the d=14 Allen-Cahn chain is stiff: RK45 takes 1,358 right-hand
+        # sides here and LSODA, switching to BDF, about 1,030
+        model = allen_cahn_1d(14)
+        ctrl = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma).feedback
+        traj = rollout(model, ctrl, model.x0_default, model.horizon, tol=1e-8)
+        assert not traj.failed
+        assert traj.rhs_evals <= 1200
+
+        def rhs(t, x):
+            x = x[None]
+            return model.drift(x)[0] + model.channel_eval(x)[0] * ctrl(x)[0]
+
+        ref = solve_ivp(rhs, (0.0, model.horizon), model.x0_default, method="DOP853",
+                        rtol=1e-12, atol=1e-14).y[:, -1]
+        assert np.linalg.norm(traj.states[-1] - ref) <= 1e-7 * np.linalg.norm(ref)
 
     def test_column_controls_rejected(self):
         # (N, 1) controls broadcast silently inside the dynamics; the
@@ -127,6 +147,28 @@ class TestArtifacts:
         assert lines[0] == "t,x_1,x_2,u,running_cost"
         assert len(lines) == traj.times.size + 1
 
+    @pytest.mark.parametrize("include_states", [False, True])
+    def test_csv_bytes_match_row_by_row_writer(self, include_states, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.1, 1e-300])
+        traj = Trajectory(times=np.linspace(0.0, 1.0, 6),
+                          states=np.stack([special, special[::-1]], axis=1),
+                          controls=special[[3, 0, 1, 2, 5, 4]],
+                          running_cost=-special, total_cost=float("nan"))
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(traj, path, include_states=include_states)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + (["x_1", "x_2"] if include_states else [])
+                            + ["u", "running_cost"])
+            for i in range(traj.times.size):
+                row = [traj.times[i]]
+                if include_states:
+                    row.extend(traj.states[i])
+                row.extend([traj.controls[i], traj.running_cost[i]])
+                writer.writerow(row)
+        assert path.read_bytes() == want.read_bytes()
+
     def test_comparison_json(self, tmp_path):
         report = {"a": {"total_cost": 1.0, "decay_rate": float("nan"),
                         "steps": 10, "failed": False}}
@@ -150,7 +192,9 @@ class TestCompare:
                                                    and np.isnan(b[k]["total_cost"]))
                                   for k in a))
         assert a["broken"]["failed"]
+        assert a["broken"]["rhs_evals"] == 0
         assert not a["zero"]["failed"]
+        assert a["zero"]["rhs_evals"] > 0
 
     def test_decay_rate_of_pure_exponential(self):
         model = linear_model(np.array([[-0.7]]))
