@@ -264,6 +264,7 @@ def amen_solve_shifted(
     acc: Accuracy,
     sweeps: int = 1,
     stats: dict | None = None,
+    seed: int = 0,
 ) -> TTTensor:
     """Sweeps of alternating solves for (A + shift I) v = b + shift v_prev.
 
@@ -274,6 +275,7 @@ def amen_solve_shifted(
     residual ||(H + shift I) x - g|| / ||g||; gmres_fallbacks, the GMRES
     solves that stopped at maxiter and were redone by dense LU; and
     gmres_unconverged, those too large for that, which kept their iterate.
+    The Gaussian sketch of the residual that enriches v draws from seed + 1.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -281,7 +283,7 @@ def amen_solve_shifted(
         raise ValueError("need at least one sweep")
     v = v_prev
     d, dims = v.d, v.dims
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed + 1)
     ell = [min(_RHO, math.prod(dims[:k]), math.prod(dims[k:])) for k in range(d + 1)]
     rhs = [(1.0, b), (shift, v_prev)]
     vecs = [b, v_prev]

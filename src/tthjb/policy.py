@@ -209,19 +209,48 @@ def _control_value(V: ValueFunction, model: ControlledDynamics) -> ValueFunction
     return ValueFunction(tt_round(c, Accuracy(1e-14)), basis)
 
 
+def _at_one_state(U: ValueFunction):
+    """U at a single state (1, d), as an array (1,).
+
+    The scaled blocks are zero-padded to the largest rank R and stacked as
+    (d, n, R R) once, so a call is one Legendre table, one product giving
+    the d R x R matrices at the state and d - 1 vector-matrix products,
+    without the batch path's per-block reshapes and contractions.
+    """
+    d, n, a = U.d, U.basis.n, U.basis.a
+    R = U.v.max_rank
+    stacked = np.zeros((d, n, R, R))
+    for k, blk in enumerate(U._blocks):
+        r, _, s = blk.shape
+        stacked[k, :, :r, :s] = blk.transpose(1, 0, 2)
+    stacked = stacked.reshape(d, n, R * R)
+
+    def at(X):
+        vals = legendre_values(X[0] / a, n)             # (n, d)
+        mats = (vals.T[:, None, :] @ stacked).reshape(d, R, R)
+        row = mats[0, 0]
+        for k in range(1, d):
+            row = row @ mats[k]
+        return row[:1]
+
+    return at
+
+
 def feedback(V: ValueFunction, model: ControlledDynamics):
     """The optimal (possibly saturated) scalar control law of V.
 
     Returns a batch map from states (N, d) to controls (N,); a single state
     (d,) gives a float.  For a constant channel the law is one TT in V's
     basis, so each call is one evaluation; a state-dependent channel costs
-    one gradient pass per call.
+    one gradient pass per call.  One state of a constant channel, what a
+    rollout asks for at each right-hand side, takes _at_one_state's path.
     """
     if model.channel_slope is None:
         U = _control_value(V, model)
+        at_one = _at_one_state(U)
 
         def controls(X):
-            return model.penalty.saturate(U.eval(X))
+            return model.penalty.saturate(at_one(X) if len(X) == 1 else U.eval(X))
     else:
         def controls(X):
             return _control(model, X, V.gradient(X)[0])
@@ -338,7 +367,7 @@ def policy_iterate(model: ControlledDynamics, config: SolverConfig):
         b, cross = system.rhs(u, cross)
         t3 = time.perf_counter()
         solve_stats = {}
-        v = amen_solve_shifted(A, b, v_prev, mu, acc, stats=solve_stats)
+        v = amen_solve_shifted(A, b, v_prev, mu, acc, stats=solve_stats, seed=config.seed)
         t4 = time.perf_counter()
         c0 = tt_dot(v, e0)
         if c0 != 0.0:

@@ -1,14 +1,13 @@
 """Closed-loop trajectory rollouts, cost accounting, and controller comparison."""
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .assembly import penalty_cost
 from .models import ControlledDynamics
@@ -48,14 +47,20 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
             tol: float = 1e-8) -> Trajectory:
     """Integrate dx/dt = f(x) + g(x) u(x) under a feedback law with LSODA.
 
-    LSODA switches between Adams (non-stiff) and BDF (stiff) steps by
-    itself; tol is its relative tolerance, and its absolute tolerance is
-    1e-2 tol.  controller is a batch map from states (N, d) to controls
-    (N,), or None for the uncontrolled system.  The integrator calls it with
-    one state at a time (N = 1); the controls and running costs are then
-    recorded on a uniform grid of _RECORD_POINTS times in a single call, and
-    the total cost is their trapezoid quadrature.  On integrator failure the
-    partial trajectory is returned with failed=True.
+    ODEPACK's own loop (scipy's odeint) steps LSODA, which switches between
+    Adams (non-stiff) and BDF (stiff) steps by itself, and interpolates the
+    state onto a uniform grid of _RECORD_POINTS times; tol is its relative
+    tolerance, and its absolute tolerance is 1e-2 tol.  controller is a
+    batch map from states (N, d) to controls (N,), or None for the
+    uncontrolled system.  The integrator calls it with one state at a time
+    (N = 1); the controls and running costs are then recorded on the grid
+    in a single call, and the total cost is their trapezoid quadrature.
+
+    Each interval of the grid has a budget of 500 steps, so a finite-time
+    escape stops soon after it starts.  A failure (that budget spent, a
+    step size underflow, non-finite dynamics) returns x0 alone with
+    failed=True and the reason: ODEPACK leaves the grid rows after a
+    failure unset, so no partial trajectory is kept.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.dim:
@@ -64,42 +69,44 @@ def rollout(model: ControlledDynamics, controller, x0, T: float,
         warnings.warn("initial state lies outside the value-function domain",
                       stacklevel=2)
     ctrl = (lambda X: np.zeros(len(X))) if controller is None else controller
+    last_t = 0.0
 
     def rhs(t, x):
+        nonlocal last_t
+        last_t = t
         x = x[None]
         dx = model.drift(x)[0] + model.channel_eval(x)[0] * ctrl(x)[0]
         # NaN poisons the integrator's step-size control (NaN error norm ->
         # NaN step -> infinite loop), so fail hard instead
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise _NonFiniteDynamics(f"non-finite dynamics at t={t:.3g}")
         return dx
 
+    ts = np.linspace(0.0, T, _RECORD_POINTS)
     try:
-        sol = solve_ivp(rhs, (0.0, T), x0, method="LSODA", rtol=tol,
-                        atol=tol * 1e-2, dense_output=True)
+        # odeint also warns on failure; the failure is logged below instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ODEintWarning)
+            X, info = odeint(rhs, x0, ts, rtol=tol, atol=tol * 1e-2,
+                             full_output=True, tfirst=True)
+        failure = None if info["message"] == "Integration successful." else \
+            f"{info['message']} Last right-hand side at t={last_t:.3g}."
     except _NonFiniteDynamics as exc:
-        log.warning("rollout aborted: %s", exc)
+        failure = str(exc)
+    if failure is not None:
+        log.warning("rollout aborted: %s", failure)
         return Trajectory(times=np.zeros(1), states=x0.reshape(1, -1),
                           controls=np.full(1, np.nan),
                           running_cost=np.full(1, np.nan),
-                          total_cost=float("nan"), failed=True,
-                          message=str(exc))
-    t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, _RECORD_POINTS)
-    X = sol.sol(ts).T
+                          total_cost=float("nan"), failed=True, message=failure)
     us = np.asarray(ctrl(X), dtype=float)
     if us.shape != ts.shape:
         raise ValueError(f"controller returned shape {us.shape} for "
                          f"{len(ts)} states; it must map (N, d) to (N,)")
     cost = model.state_cost(X) + penalty_cost(us, model.penalty)
-    total = float(np.trapezoid(cost, ts))
-    failed = not sol.success or not np.all(np.isfinite(X))
-    if failed:
-        log.warning("rollout stopped at t=%.3g: %s", t_end, sol.message)
     return Trajectory(times=ts, states=X, controls=us, running_cost=cost,
-                      total_cost=total, failed=failed,
-                      message="" if sol.success else sol.message,
-                      rhs_evals=int(sol.nfev))
+                      total_cost=float(np.trapezoid(cost, ts)),
+                      rhs_evals=int(info["nfe"][-1]))
 
 
 def _decay_rate(traj: Trajectory) -> float:
@@ -146,10 +153,12 @@ def trajectory_to_csv(traj: Trajectory, path, include_states: bool = False) -> N
         + ["u", "running_cost"]
     columns = [traj.times[:, None]] + ([traj.states] if include_states else []) \
         + [traj.controls[:, None], traj.running_cost[:, None]]
+    # csv.writer's bytes (repr of each float, commas, CRLF), without its
+    # per-field quoting checks: no header name or float needs quoting
+    lines = [",".join(cols)] + [",".join(map(repr, row))
+                                for row in np.hstack(columns).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows(np.hstack(columns).tolist())
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def comparison_to_json(report: dict, path) -> None:

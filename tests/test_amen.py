@@ -462,6 +462,21 @@ class TestAmenSolve:
         want = np.linalg.solve(M + np.eye(N), full(b).reshape(-1))
         assert np.allclose(full(v).reshape(-1), want, atol=1e-7)
 
+    def test_enrichment_follows_seed(self, rng):
+        # from a rank-1 start one sweep's ranks come from the residual
+        # sketch, so its draw shows in the iterate
+        dims = (5, 5, 5, 5)
+        A = random_tt_matrix(rng, dims, [1, 2, 2, 2, 1]) + 8.0 * identity(dims)
+        b = TTTensor.random(dims, [1, 4, 4, 4, 1], rng)
+        v_prev = TTTensor.rank_one([np.ones(5)] * 4)
+
+        def solve(**kwargs):
+            return full(amen_solve_shifted(A, b, v_prev, 0.5, Accuracy(1e-10), **kwargs))
+
+        zero, three = solve(seed=0), solve(seed=3)
+        assert np.array_equal(solve(), zero)
+        assert np.linalg.norm(zero - three) > 0.1 * np.linalg.norm(zero)
+
     def test_negative_shift_rejected(self, rng):
         dims = (3, 3)
         A = identity(dims)

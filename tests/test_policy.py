@@ -268,6 +268,54 @@ class TestControlLaw:
         assert abs(traj.total_cost - ref.total_cost) <= 1e-10 * abs(ref.total_cost)
 
 
+def assert_one_state_matches_batch(law, X, rtol=1e-13):
+    """Each state alone, as (d,) and as (1, d), gives its control in the batch."""
+    batch = law(X)
+    tol = rtol * np.max(np.abs(batch))
+    for x, want in zip(X, batch):
+        row = law(x[None])
+        assert row.shape == (1,)
+        assert abs(row[0] - want) <= tol and abs(law(x) - want) <= tol
+
+
+class TestOneStateLaw:
+    """A constant channel's law at one state (what a rollout asks for) skips
+    the batch evaluation; it must give the batch's controls."""
+
+    @pytest.fixture(scope="class", params=["lq6", "allen_cahn8"])
+    def solved(self, request):
+        model = lq(6) if request.param == "lq6" else allen_cahn_1d(8)
+        V, state = policy_iterate(model, SolverConfig(delta=1e-3, n=4, mu0=50.0))
+        assert state.converged
+        return model, V
+
+    def test_inside_and_outside_domain(self, solved):
+        model, V = solved
+        # the law's ranks are not all equal, so the padded stack is exercised
+        assert len(set(_control_value(V, model).v.ranks[1:-1])) > 1
+        rng = np.random.default_rng(18)
+        X = rng.uniform(-1.3 * model.a, 1.3 * model.a, size=(40, model.dim))
+        assert np.any(np.abs(X) > model.a) and np.any(np.all(np.abs(X) < model.a, axis=1))
+        assert_one_state_matches_batch(feedback(V, model), X)
+
+    def test_scalar_state(self):
+        model = scalar_unstable_model()
+        basis = build_basis(5, model.a)
+        V = ValueFunction(TTTensor.rank_one([np.random.default_rng(19).standard_normal(5)]), basis)
+        X = np.linspace(-1.5 * model.a, 1.5 * model.a, 31)[:, None]
+        assert_one_state_matches_batch(feedback(V, model), X)
+
+    def test_bounded_law_saturates(self):
+        model = scalar_unstable_model(u_max=2.0)
+        basis = build_basis(4, model.a)
+        coeffs = basis.phi.T @ (basis.weights * (50.0 * basis.nodes**2))
+        law = feedback(ValueFunction(TTTensor.rank_one([coeffs]), basis), model)
+        X = np.linspace(-model.a, model.a, 21)[:, None]
+        assert_one_state_matches_batch(law, X)
+        u = np.array([law(x) for x in X])
+        assert np.all(np.abs(u) < 2.0) and np.max(np.abs(u)) > 1.9
+
+
 class TestNoPathPlanning:
     def test_solve_and_rollout_plan_no_einsum(self, monkeypatch):
         """np.einsum(optimize=...) re-plans its path on every call, which

@@ -49,15 +49,29 @@ class TestRollout:
         assert np.isclose(full.total_cost, first.total_cost + second.total_cost,
                           atol=10 * 1e-6)
 
-    def test_failure_flag_on_finite_escape(self):
-        # x' = x^3 from x = 1 escapes at t = 1/2
+    def test_failure_flag_on_finite_escape(self, capfd):
+        # x' = x^3 from x = 1 escapes at t = 1/2; the step budget of one
+        # output interval stops it long before the state overflows
         model = ControlledDynamics(
             name="blowup", a=100.0, penalty=ControlPenalty(gamma=1.0),
             lin_A=np.zeros((1, 1)), lin_B=np.zeros((1, 1)),
             cost_matrix=np.eye(1), admissible_uncontrolled=True, cubic=-1.0,
         )
+        drift = model.drift
+        calls = []
+
+        def counting_drift(X):
+            calls.append(1)
+            return drift(X)
+
+        model.drift = counting_drift
         traj = rollout(model, None, np.array([1.0]), 5.0)
         assert traj.failed
+        assert "t=0.5" in traj.message
+        assert len(calls) <= 3000
+        assert np.array_equal(traj.states, [[1.0]])
+        assert traj.rhs_evals == 0
+        assert capfd.readouterr() == ("", "")
 
     def test_domain_warning(self):
         model = linear_model(-np.eye(2), a=1.0)
