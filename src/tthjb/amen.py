@@ -262,28 +262,25 @@ def amen_solve_shifted(
     v_prev: TTTensor,
     shift: float,
     acc: Accuracy,
-    sweeps: int = 1,
     stats: dict | None = None,
     seed: int = 0,
 ) -> TTTensor:
-    """Sweeps of alternating solves for (A + shift I) v = b + shift v_prev.
+    """One sweep of alternating solves for (A + shift I) v = b + shift v_prev.
 
-    v_prev seeds the iteration.  Each sweep runs left to right: local solve,
-    SVD truncation to acc, residual-based enrichment (rank at most _RHO),
-    then an interface update.  A given stats dict is filled with the health
-    of the local solves over all sweeps: max_local_res, the largest relative
+    v_prev seeds the sweep, which runs left to right: local solve, SVD
+    truncation to acc, residual-based enrichment (rank at most _RHO), then
+    an interface update.  From v_prev the shift terms of the residual
+    cancel, so the residual that enriches v is b - A v_prev, sketched once
+    by a Gaussian drawn from seed + 1.  A given stats dict is filled with
+    the health of the local solves: max_local_res, the largest relative
     residual ||(H + shift I) x - g|| / ||g||; gmres_fallbacks, the GMRES
     solves that stopped at maxiter and were redone by dense LU; and
     gmres_unconverged, those too large for that, which kept their iterate.
-    The Gaussian sketch of the residual that enriches v draws from seed + 1.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    if sweeps < 1:
-        raise ValueError("need at least one sweep")
-    v = v_prev
+    v = orthogonalize_right(v_prev)
     d, dims = v.d, v.dims
-    rng = np.random.default_rng(seed + 1)
     ell = [min(_RHO, math.prod(dims[:k]), math.prod(dims[k:])) for k in range(d + 1)]
     rhs = [(1.0, b), (shift, v_prev)]
     vecs = [b, v_prev]
@@ -292,49 +289,41 @@ def amen_solve_shifted(
     # A v as a product term: A's columns are the contracted axis q, its rows j
     A_qj = [blk.transpose(0, 2, 1, 3) for blk in A.blocks]
     ones = [np.ones((m, 1)) for m in A.col_dims]
-    for sweep in range(sweeps):
-        v = orthogonalize_right(v)
-        # sketch of the shifted system's residual, (A + shift I) v never formed;
-        # the first sweep starts from v_prev itself, so its shift terms cancel
-        terms = rhs + [(-shift, v)] if sweep else rhs[:1]
-        res = _sketch([_tt_term(tt_scale(t, c)) for c, t in terms]
-                      + [_product_term(tt_scale(v, -1.0), A_qj, ones)], v, ell, rng)
-        RA, Rs = _right_interfaces(v, A, vecs)
-        LA = np.ones((1, 1, 1))
-        Ls = [np.ones((1, 1)) for _ in vecs]
-        Lz = np.ones((1, 1))
-        blocks = list(v.blocks)
-        for k in range(d):
-            g = _project(rhs, Ls, Rs, k).reshape(-1)
-            x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
-                                        blocks[k], acc.delta, stats)
-            # relative to ||g||; absolute for a zero right-hand side
-            gnorm = np.linalg.norm(g)
-            stats["max_local_res"] = max(stats["max_local_res"],
-                                         local_res / gnorm if gnorm else local_res)
-            r0, n, r1 = blocks[k].shape
-            if k == d - 1:
-                blocks[k] = x.reshape(r0, n, r1)
-                break
-            u, s, vt = _svd(x.reshape(r0 * n, r1))
-            keep = _chop(s, acc.delta * np.linalg.norm(s) / np.sqrt(d - 1),
-                         acc.max_rank)
-            u = u[:, :keep]
-            carry = s[:keep, None] * vt[:keep]
-            # enrichment: project the global residual onto the left frame
-            zb = Lz @ res.blocks[k].reshape(Lz.shape[1], -1)
-            aug = np.concatenate([u, zb.reshape(r0 * n, -1)], axis=1)
-            rho_k = aug.shape[1] - keep
-            q, rm = _qr(aug)
-            blocks[k] = q.reshape(r0, n, q.shape[1])
-            carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
-            blocks[k + 1] = _carry_left(carry, blocks[k + 1])
-            LA = _advance_op(LA, blocks[k], A.blocks[k], blocks[k])
-            Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
-            Lz = _advance_vec(Lz, blocks[k], res.blocks[k])
-        v = TTTensor(blocks)
-        log.debug(
-            "amen sweep %d: shift=%.3g max_rank=%d max_local_res=%.3g",
-            sweep, shift, v.max_rank, stats["max_local_res"],
-        )
+    res = _sketch([_tt_term(b), _product_term(tt_scale(v, -1.0), A_qj, ones)], v, ell,
+                  np.random.default_rng(seed + 1))
+    RA, Rs = _right_interfaces(v, A, vecs)
+    LA = np.ones((1, 1, 1))
+    Ls = [np.ones((1, 1)) for _ in vecs]
+    Lz = np.ones((1, 1))
+    blocks = list(v.blocks)
+    for k in range(d):
+        g = _project(rhs, Ls, Rs, k).reshape(-1)
+        x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
+                                    blocks[k], acc.delta, stats)
+        # relative to ||g||; absolute for a zero right-hand side
+        gnorm = np.linalg.norm(g)
+        stats["max_local_res"] = max(stats["max_local_res"],
+                                     local_res / gnorm if gnorm else local_res)
+        r0, n, r1 = blocks[k].shape
+        if k == d - 1:
+            blocks[k] = x.reshape(r0, n, r1)
+            break
+        u, s, vt = _svd(x.reshape(r0 * n, r1))
+        keep = _chop(s, acc.delta * np.linalg.norm(s) / np.sqrt(d - 1), acc.max_rank)
+        u = u[:, :keep]
+        carry = s[:keep, None] * vt[:keep]
+        # enrichment: project the global residual onto the left frame
+        zb = Lz @ res.blocks[k].reshape(Lz.shape[1], -1)
+        aug = np.concatenate([u, zb.reshape(r0 * n, -1)], axis=1)
+        rho_k = aug.shape[1] - keep
+        q, rm = _qr(aug)
+        blocks[k] = q.reshape(r0, n, q.shape[1])
+        carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
+        blocks[k + 1] = _carry_left(carry, blocks[k + 1])
+        LA = _advance_op(LA, blocks[k], A.blocks[k], blocks[k])
+        Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
+        Lz = _advance_vec(Lz, blocks[k], res.blocks[k])
+    v = TTTensor(blocks)
+    log.debug("amen sweep: shift=%.3g max_rank=%d max_local_res=%.3g",
+              shift, v.max_rank, stats["max_local_res"])
     return v

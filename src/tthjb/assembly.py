@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import tt_cross
-from .tt import (Accuracy, TTMatrix, TTTensor, _product_term, _round_sketch, _sketch, _tt_term,
-                 flag_chain, tt_add, tt_matvec, tt_round, tt_scale, tt_square_sum)
+from .tt import (_OVERSAMPLE, Accuracy, TTMatrix, TTTensor, _product_term, _sketch_round,
+                 _tt_term, flag_chain, tt_add, tt_matvec, tt_round, tt_scale)
 
 __all__ = [
     "ControlPenalty",
@@ -174,10 +174,9 @@ class GalerkinSystem:
         max_rank + p for the oversampling p at every interface, or there is
         no max_rank, the coupling is formed and the exact sum rounded.  Over
         that cap the sum is sketched once at its ranks capped at max_rank + p
-        (_sketch), the coupling met through the blocks of u and bmap as a
-        product term (_product_term) and never formed, then rounded by one
-        SVD sweep on the sketch's own frames (_round_sketch); the Gaussian
-        draws come from seed.
+        (tt._sketch_round with ell = cap), the coupling met through the
+        blocks of u and bmap as a product term (_product_term) and never
+        formed; the Gaussian draws come from seed.
         """
         drift, bmap, acc = self.drift, self.bmap, self.acc
         u = tt_scale(u_tt, 2.0 * self.penalty.gamma)
@@ -186,11 +185,9 @@ class GalerkinSystem:
                     math.prod(dims[:k]), math.prod(dims[k:])) for k in range(u.d + 1)]
         if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
             return _sum_round([drift, _coupling(bmap, u, self.basis.wphi)], acc)
-        ell = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
+        cap = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
         terms = [_tt_term(drift), _product_term(u, bmap.blocks, [self.basis.wphi] * u.d)]
-        # rounded as it comes: a name held on the sketch keeps its blocks
-        # through the round, 5 MB more peak on Fokker-Planck d=10
-        return _round_sketch(_sketch(terms, drift, ell, np.random.default_rng(self.seed)), acc)
+        return _sketch_round(terms, drift, cap, cap, acc, self.seed)
 
     def policy(self, u_tt: TTTensor, previous=None):
         """(u, CrossResult or None): the control a row runs on, the initial
@@ -203,13 +200,25 @@ class GalerkinSystem:
         return res.tensor, res
 
     def rhs(self, u_tt: TTTensor, previous=None):
-        """(b, CrossResult or None).  The quadratic penalty is sketched from
-        the blocks of u (tt_square_sum); the tanh penalty goes through cross,
-        started as policy's is."""
+        """(b, CrossResult or None).  The tanh penalty goes through cross,
+        started as policy's is.  The quadratic penalty gamma P(u^2), P the
+        projection wphi on every mode, is a product term of the blocks of u,
+        summed with ell_proj by tt._sketch_round and never formed.  With e
+        the ranks of ell_proj and p the oversampling, the sketch rank at
+        interface k starts at min(r_k + e_k + p, e_k + r_k (r_k + 1) / 2),
+        the upper value the exact range of the sum, and is capped at
+        max_rank + p.
+        """
         if self.penalty.u_max is None:
-            b = tt_square_sum(self.ell_proj, u_tt, self.basis.wphi, self.penalty.gamma,
-                              self.acc, self.seed)
-            return b, None
+            c, d, acc = self.ell_proj, u_tt.d, self.acc
+            e, r = c.ranks, u_tt.ranks
+            full = [min(e[k] + r[k] * (r[k] + 1) // 2,
+                        math.prod(c.dims[:k]), math.prod(c.dims[k:])) for k in range(d + 1)]
+            cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
+            ell = [min(r[k] + e[k] + _OVERSAMPLE, cap[k]) for k in range(d + 1)]
+            square = _product_term(tt_scale(u_tt, self.penalty.gamma),
+                                   [blk[:, :, None] for blk in u_tt.blocks], [self.basis.wphi] * d)
+            return _sketch_round([_tt_term(c), square], c, ell, cap, acc, self.seed), None
         res = tt_cross(u_tt, lambda u: penalty_cost(u, self.penalty), self.acc,
                        previous and previous.index_sets, self.seed)
         b = tt_round(self.ell_proj + project_to_basis(res.tensor, self.basis), self.acc)

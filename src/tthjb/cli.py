@@ -83,10 +83,15 @@ class ConfigError(ValueError):
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
+    """override laid over base, section by section.  A section that names
+    another model than the one it lands on replaces it: one model's
+    parameters never reach another's constructor."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+        here = out.get(key)
+        if isinstance(val, dict) and isinstance(here, dict) and (
+                val.get("name", here.get("name")) == here.get("name")):
+            out[key] = _deep_merge(here, val)
         else:
             out[key] = copy.deepcopy(val)
     return out
@@ -102,9 +107,6 @@ def resolve_config(preset: str | None = None, config_path=None,
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         cfg = _deep_merge(cfg, PRESETS[preset])
-        # a preset names its own model: the default model's parameters
-        # would reach that model's constructor as unknown arguments
-        cfg["model"] = copy.deepcopy(PRESETS[preset]["model"])
     if config_path is not None:
         try:
             with open(config_path) as fh:

@@ -10,6 +10,7 @@ over its fields.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,19 @@ __all__ = [
     "solve_riccati",
     "MODELS",
 ]
+
+
+def _count(name: str, value, least: int) -> None:
+    """A size parameter: an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _reals(**values) -> None:
+    """Real parameters: a bool (a JSON true or false) is none."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -200,9 +214,9 @@ def allen_cahn_1d(
     Laplacian under homogeneous Neumann conditions and B the indicator of
     the actuated subinterval.
     """
-    if d < 3:
-        raise ValueError("need at least 3 interior nodes for the boundary closure")
+    _count("d", d, 3)     # the boundary closure needs 3 interior nodes
     lo, hi = omega
+    _reals(sigma=sigma, omega_lo=lo, omega_hi=hi)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"omega must be two finite numbers lo < hi, got {omega!r}")
     E, L, full = _neumann_closure(d)
@@ -320,8 +334,8 @@ def fokker_planck(
     orthonormal basis Z of that subspace, giving a linear drift (with the
     destabilizing shift included) and a single affine control channel.
     """
-    if D < 8:
-        raise ValueError("need at least 8 cells")
+    _count("D", D, 8)
+    _reals(nu=nu, sigma_shift=sigma_shift)
     centers, h, L, N, x_inf = _fp_operators(D, nu)
     if not np.all(np.isfinite(x_inf)) or np.linalg.norm(x_inf) == 0:
         raise ValueError("steady state is not normalizable")
@@ -372,6 +386,7 @@ def fokker_planck_unshifted(model: ControlledDynamics) -> ControlledDynamics:
 
 def lq(d: int = 6, gamma: float = 1.0, a: float = 3.0) -> ControlledDynamics:
     """Stable tridiagonal chain with a single two-node actuator."""
+    _count("d", d, 1)
     A = np.diag(-2.0 * np.ones(d)) + np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
     B = np.zeros((d, 1))
     B[d // 2] = 1.0

@@ -27,7 +27,6 @@ __all__ = [
     "tt_dot",
     "tt_norm",
     "tt_hadamard",
-    "tt_square_sum",
     "orthogonalize_right",
     "flag_chain",
     "quadratic_to_tt",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 _MAGIC = b"TTHJB1"
-# oversampling p of the randomized sketch in tt_square_sum
+# oversampling p of a randomized sketch; _sketch_round grows a rank within p
 _OVERSAMPLE = 5
 
 
@@ -454,36 +453,22 @@ def _sketch(terms, like: _Chain, ell: list, rng) -> _Chain:
     return type(like)(blocks)
 
 
-def tt_square_sum(c: TTTensor, u: TTTensor, proj: np.ndarray, gamma: float,
-                  acc: Accuracy, seed: int = 0) -> TTTensor:
-    """round(c + gamma P(u * u), acc) without forming the entrywise square.
-
-    P applies proj, of shape (m, n), to every mode of the square of u (modes
-    m): P(t)[i] = sum_q t[q] prod_k proj[q_k, i_k]; c has modes n.  The
-    square has ranks r (r + 1) / 2, so the sum is compressed by a randomized
-    sketch (_sketch) at cost O(d m r^3 l) for sketch ranks l, then rounded
-    by one SVD sweep on the sketch's own left-orthonormal frames.
-    With e the ranks of c and p the oversampling, the sketch rank at
-    interface k starts at min(r_k + e_k + p, e_k + r_k (r_k + 1) / 2), where
-    the upper value spans the whole range and is exact, and doubles where
-    the rounded rank comes within p of it; it never exceeds acc.max_rank + p.
-    The Gaussian draws come from seed: equal inputs give equal bits.
-    """
-    if c.dims != proj.shape[1:] * u.d or u.dims != proj.shape[:1] * u.d:
-        raise ValueError("c, u and proj do not share their modes")
-    d, n = u.d, proj.shape[1]
-    e, r = c.ranks, u.ranks
-    full = [min(e[k] + r[k] * (r[k] + 1) // 2, n ** k, n ** (d - k)) for k in range(d + 1)]
-    cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
-    ell = [min(r[k] + e[k] + _OVERSAMPLE, cap[k]) for k in range(d + 1)]
-    square = _product_term(tt_scale(u, gamma), [b[:, :, None] for b in u.blocks], [proj] * d)
-    terms = [_tt_term(c), square]
+def _sketch_round(terms, like: _Chain, ell: list, cap: list, acc: Accuracy,
+                  seed: int) -> _Chain:
+    """round(sum of the terms, acc): a _sketch at ranks ell, rounded on its
+    own frames (_round_sketch).  Where the rounded rank comes within
+    _OVERSAMPLE of ell, ell doubles, up to cap, and the sum is sketched
+    again, so ell = cap is one pass.  The Gaussian draws come from seed."""
+    ell = list(ell)
     rng = np.random.default_rng(seed)
     while True:
-        b = _round_sketch(_sketch(terms, c, ell, rng), acc)
-        grow = [k for k in range(1, d) if b.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
+        # rounded as it comes: a name held on the sketch keeps its blocks
+        # through the round, 5 MB more peak on Fokker-Planck d=10
+        t = _round_sketch(_sketch(terms, like, ell, rng), acc)
+        grow = [k for k in range(1, like.d)
+                if t.ranks[k] > ell[k] - _OVERSAMPLE and ell[k] < cap[k]]
         if not grow:
-            return b
+            return t
         for k in grow:
             ell[k] = min(2 * ell[k], cap[k])
 

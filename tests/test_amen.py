@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from tthjb import amen, assembly, tt
+from tthjb import amen, tt
 from tthjb.amen import (
     _advance_op,
     _advance_vec,
@@ -32,7 +32,6 @@ from tthjb.tt import (
     tt_norm,
     tt_round,
     tt_scale,
-    tt_square_sum,
 )
 
 from dense_oracle import from_full, full, identity, unfuse
@@ -422,23 +421,22 @@ class TestAmenSolve:
         A = identity(dims)
         ones = TTTensor.rank_one([np.ones(3)] * 3)
         b = 2.0 * ones
-        v = amen_solve_shifted(A, b, ones, 1.0, Accuracy(1e-12), sweeps=3)
+        # one call solves (A + I) v = b + v_prev: rank one, so exactly
+        v = amen_solve_shifted(A, b, ones, 1.0, Accuracy(1e-12))
         assert np.allclose(full(v), 1.5, atol=1e-10)
 
     def test_dense_solve_oracle(self, rng):
+        # calls iterated with v_prev <- v, as policy_iterate makes them,
+        # reach the dense solution of A v = b: with the spectrum of A in the
+        # right half plane, mu (A + mu I)^-1 is a contraction
         dims = (4, 4, 4)
-        A = random_tt_matrix(rng, dims, [1, 2, 2, 1])
-        # push the field of values into the right half plane so the shifted
-        # fixed point is well conditioned
-        A = A + 8.0 * identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 2, 1]) + 16.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        v_prev = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        mu = 0.5
-        v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-10), sweeps=8)
-        want = np.linalg.solve(
-            full(A) + mu * np.eye(64),
-            full(b).reshape(-1) + mu * full(v_prev).reshape(-1),
-        )
+        v = TTTensor.random(dims, [1, 2, 2, 1], rng)
+        assert np.linalg.eigvals(full(A)).real.min() > 0
+        want = np.linalg.solve(full(A), full(b).reshape(-1))
+        for _ in range(20):
+            v = amen_solve_shifted(A, b, v, 0.5, Accuracy(1e-10))
         got = full(v).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -458,7 +456,9 @@ class TestAmenSolve:
         A = unfuse(fused, dims, dims)
         b = TTTensor.random(dims, [1, 2, 1], rng)
         v_prev = TTTensor.zeros(dims)
-        v = amen_solve_shifted(A, b, v_prev, 1.0, Accuracy(1e-10), sweeps=6)
+        # the enrichment fills the left frame to the full mode size 3, so
+        # one call solves the last block in the whole space: exactly
+        v = amen_solve_shifted(A, b, v_prev, 1.0, Accuracy(1e-10))
         want = np.linalg.solve(M + np.eye(N), full(b).reshape(-1))
         assert np.allclose(full(v).reshape(-1), want, atol=1e-7)
 
@@ -484,34 +484,29 @@ class TestAmenSolve:
         with pytest.raises(ValueError):
             amen_solve_shifted(A, b, b, -1.0, Accuracy(1e-10))
 
-    def test_zero_sweeps_rejected(self, rng):
-        # zero sweeps would hand back v_prev as if it were a solution
-        dims = (3, 3)
-        A = identity(dims)
-        b = TTTensor.random(dims, [1, 2, 1], rng)
-        with pytest.raises(ValueError):
-            amen_solve_shifted(A, b, b, 1.0, Accuracy(1e-10), sweeps=0)
-
-    @pytest.mark.parametrize("sweeps", [1, 3])
-    def test_one_dimensional_dense_oracle(self, rng, sweeps):
-        # d = 1 runs the general sweep: one local solve of the whole system
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_one_dimensional_dense_oracle(self, rng, calls):
+        # d = 1 runs the general sweep: one local solve of the whole system,
+        # so each call is the dense shifted step v <- (A + mu I)^-1 (b + mu v)
         n, mu = 5, 0.5
         A = random_tt_matrix(rng, (n,), [1, 1]) + 8.0 * identity((n,))
         b = TTTensor.random((n,), [1, 1], rng)
-        v_prev = TTTensor.random((n,), [1, 1], rng)
-        v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-12), sweeps=sweeps)
-        want = np.linalg.solve(full(A) + mu * np.eye(n),
-                               full(b) + mu * full(v_prev))
+        v = TTTensor.random((n,), [1, 1], rng)
+        want = full(v)
+        for _ in range(calls):
+            v = amen_solve_shifted(A, b, v, mu, Accuracy(1e-12))
+            want = np.linalg.solve(full(A) + mu * np.eye(n), full(b) + mu * want)
         assert np.linalg.norm(full(v) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_monotone_residual_on_spd(self, rng):
-        # on SPD A the sweeps minimize the energy error ||v - v*||_A, i.e. the
-        # residual in the A^{-1}-norm; it may rise only by the truncation at
-        # delta, and the 2-norm residual carries no such guarantee
+        # on SPD A each unshifted call, from the last call's v, minimizes the
+        # energy error ||v - v*||_A, i.e. the residual in the A^{-1}-norm; it
+        # may rise only by the truncation at delta, and the 2-norm residual
+        # carries no such guarantee
         dims = (3, 3, 3)
         A = spd_tt_matrix(rng, dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        v_prev = TTTensor.zeros(dims)
+        v = TTTensor.zeros(dims)
         acc = Accuracy(1e-12)
         Ad = full(A)
         want = np.linalg.solve(Ad, full(b).reshape(-1))
@@ -521,8 +516,8 @@ class TestAmenSolve:
 
         floor = acc.delta * energy(want)
         errs = []
-        for s in range(1, 5):
-            v = amen_solve_shifted(A, b, v_prev, 0.0, acc, sweeps=s)
+        for _ in range(4):
+            v = amen_solve_shifted(A, b, v, 0.0, acc)
             errs.append(energy(full(v).reshape(-1) - want))
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev + floor
@@ -549,7 +544,7 @@ class TestAmenSolve:
         def energy(x):
             return np.sqrt(x @ Ad @ x)
 
-        v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10), sweeps=1)
+        v = amen_solve_shifted(A, b, v_prev, 0.0, Accuracy(1e-10))
         assert energy(full(v).reshape(-1) - want) <= 0.4 * energy(want)
 
     def test_contractive_fixed_point_map(self, rng):
@@ -573,8 +568,7 @@ class TestSolveStats:
 
     def test_dense_solves_are_exact(self, rng):
         stats = {}
-        v = amen_solve_shifted(*self._system(rng), 0.5, Accuracy(1e-10), sweeps=2,
-                               stats=stats)
+        v = amen_solve_shifted(*self._system(rng), 0.5, Accuracy(1e-10), stats=stats)
         assert isinstance(v, TTTensor)
         assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
         assert 0.0 <= stats["max_local_res"] <= 1e-12
@@ -582,11 +576,10 @@ class TestSolveStats:
     @pytest.mark.parametrize("dense_limit", [2000, 0], ids=["fallback", "unconverged"])
     def test_stalled_gmres_is_counted(self, rng, monkeypatch, dense_limit):
         # every local system goes to a GMRES that stops at once and returns
-        # zero with its true residual ||g||, unconverged even where a dense
-        # solve of the previous sweep made the warm start the answer: within
-        # _DENSE_LIMIT each is redone by dense LU, above it each keeps the
-        # zero iterate, whose residual is reported relative to ||g||, so it
-        # does not change when the system is scaled
+        # zero with its true residual ||g||: within _DENSE_LIMIT each is
+        # redone by dense LU, above it each keeps the zero iterate, whose
+        # residual is reported relative to ||g||, so it does not change when
+        # the system is scaled
         def stalled(matvec, psolve, g, x0, tol, restart=60):
             x = np.zeros_like(g)
             return x, float(np.linalg.norm(g - matvec(x)))
@@ -594,14 +587,13 @@ class TestSolveStats:
         monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
         monkeypatch.setattr(amen, "_DENSE_LIMIT", dense_limit)
         monkeypatch.setattr(amen, "_gmres", stalled)
-        sweeps = 2
         runs = []
         for scale in (1.0, 1e6):
             stats = {}
             amen_solve_shifted(*self._system(np.random.default_rng(3), scale), 0.5,
-                               Accuracy(1e-10), sweeps=sweeps, stats=stats)
+                               Accuracy(1e-10), stats=stats)
             runs.append(stats)
-        solves = 3 * sweeps
+        solves = 3
         for stats in runs:
             if dense_limit:
                 assert stats["gmres_fallbacks"] == solves
@@ -637,9 +629,12 @@ class TestNoTensordot:
         A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         for crossover in (amen._GMRES_CROSSOVER, 0):
-            # dense local solves, then every local solve through GMRES
+            # dense local solves, then every local solve through GMRES; the
+            # second call starts from the first's iterate
             monkeypatch.setattr(amen, "_GMRES_CROSSOVER", crossover)
-            v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
+            v = b
+            for _ in range(2):
+                v = amen_solve_shifted(A, b, v, 0.5, Accuracy(1e-10))
         tt_round(v + b, Accuracy(1e-10))
         tt_norm(v - b)
         tt_dot(v, b)
@@ -669,21 +664,24 @@ class TestNoNumpyFactorizations:
         A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
         for crossover in (amen._GMRES_CROSSOVER, 0):
-            # dense local solves, then every local solve through GMRES
+            # dense local solves, then every local solve through GMRES; the
+            # second call starts from the first's iterate
             monkeypatch.setattr(amen, "_GMRES_CROSSOVER", crossover)
-            v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
+            v = b
+            for _ in range(2):
+                v = amen_solve_shifted(A, b, v, 0.5, Accuracy(1e-10))
         tt_round(v + b, Accuracy(1e-10))
         tt_norm(v - b)
         orthogonalize_right(v)
-        u = TTTensor.random((4,) * 4, [1, 5, 5, 5, 1], rng)
-        tt_square_sum(TTTensor.zeros((4,) * 4), u, np.eye(4), 1.0, Accuracy(1e-3))
-        # the operator's middle summed rank 4 + 20 is over max_rank 1 + 20: its sketch
-        sketches = []
-        sketch = assembly._sketch
-        monkeypatch.setattr(assembly, "_sketch", lambda *args: sketches.append(1) or sketch(*args))
         system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
+        # the quadratic penalty and the operator, whose middle summed rank
+        # 4 + 20 is over max_rank 1 + 20, are both sketched
+        sketches = []
+        sketch = tt._sketch
+        monkeypatch.setattr(tt, "_sketch", lambda *args: sketches.append(1) or sketch(*args))
+        system.rhs(TTTensor.random((system.basis.m,) * 4, [1, 5, 5, 5, 1], rng))
         system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
-        assert sketches
+        assert len(sketches) >= 2
         t = TTTensor.random((5,) * 4, [1, 3, 3, 3, 1], rng)
         tt_cross(t, lambda s: s, Accuracy(1e-12))
         _, state = policy_iterate(lq(3), SolverConfig(delta=1e-4, n=3, max_policy_iters=2))
@@ -706,13 +704,16 @@ class TestNoScipyGmres:
                             lambda *args, **kwargs: calls.append(1) or gmres(*args, **kwargs))
         monkeypatch.setattr(amen, "_GMRES_CROSSOVER", 0)
         dims = (4, 3, 5)
-        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 8.0 * identity(dims)
+        A = random_tt_matrix(rng, dims, [1, 2, 3, 1]) + 24.0 * identity(dims)
         b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-        stats = {}
-        v = amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=4, stats=stats)
-        assert len(calls) == 3 * 4
-        assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
-        want = np.linalg.solve(full(A) + 0.5 * np.eye(60),
-                               1.5 * full(b).reshape(-1))
+        # calls iterated with v_prev <- v reach the dense solution of A v = b
+        assert np.linalg.eigvals(full(A)).real.min() > 0
+        v, calls_made = b, 20
+        for _ in range(calls_made):
+            stats = {}
+            v = amen_solve_shifted(A, b, v, 0.5, Accuracy(1e-10), stats=stats)
+            assert stats["gmres_fallbacks"] == stats["gmres_unconverged"] == 0
+        assert len(calls) == 3 * calls_made
+        want = np.linalg.solve(full(A), full(b).reshape(-1))
         got = full(v).reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tthjb import assembly
+from tthjb import assembly, tt
 from tthjb.assembly import (
     ControlPenalty,
     GalerkinSystem,
@@ -326,8 +326,8 @@ def channel_system(form, d, rng, acc, seed=0):
 def sketch_ranks(monkeypatch):
     """The sketch ranks of every sketch the operator runs, in order."""
     ranks = []
-    original = assembly._sketch
-    monkeypatch.setattr(assembly, "_sketch", lambda terms, like, ell, rng: ranks.append(list(ell))
+    original = tt._sketch
+    monkeypatch.setattr(tt, "_sketch", lambda terms, like, ell, rng: ranks.append(list(ell))
                         or original(terms, like, ell, rng))
     return ranks
 

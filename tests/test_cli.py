@@ -51,6 +51,37 @@ class TestConfigResolution:
         assert cfg["solver"]["n"] == 4
         assert cfg["model"]["d"] == 14
 
+    @staticmethod
+    def _layered(tmp_path, layer, model):
+        """The default config with the model section laid over it by one layer."""
+        if layer == "file":
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"model": model}))
+            return resolve_config(config_path=path)
+        if layer == "overrides":
+            return resolve_config(overrides={"model": model})
+        cfg = resolve_config()
+        for key, value in model.items():
+            cfg = cli._apply_sweep_value(cfg, f"model.{key}", value)
+        return cfg
+
+    @pytest.mark.parametrize("layer", ["file", "overrides", "sweep"])
+    @pytest.mark.parametrize("model, dim", [({"name": "fokker_planck", "D": 8}, 7),
+                                            ({"name": "lq"}, 6)], ids=["fokker_planck", "lq"])
+    def test_layer_naming_another_model_replaces_the_section(self, tmp_path, layer, model, dim):
+        # every layer merges by one rule: a model section that names another
+        # model than the one it lands on replaces it, so the default
+        # allen_cahn_1d's d = 10 reaches neither fokker_planck (which takes
+        # no d) nor lq (whose own d is 6)
+        cfg = self._layered(tmp_path, layer, model)
+        assert cfg["model"] == model
+        assert _build_model(cfg).dim == dim
+
+    @pytest.mark.parametrize("layer", ["file", "overrides", "sweep"])
+    def test_layer_naming_the_same_model_merges(self, tmp_path, layer):
+        cfg = self._layered(tmp_path, layer, {"name": "allen_cahn_1d", "sigma": 0.3})
+        assert cfg["model"] == {"name": "allen_cahn_1d", "d": 10, "sigma": 0.3}
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             resolve_config(preset="nope")
@@ -304,24 +335,38 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()                  # so no history.csv either
 
-    @pytest.mark.parametrize("override", [
-        {"seed": float("nan")},
-        {"seed": True},
-        {"solver": {**FAST_LQ["solver"], "seed": -1}},
-        {"solver": {**FAST_LQ["solver"], "seed": True}},
-        {"model": {"name": "allen_cahn_1d", "d": 4, "sigma": float("nan")}},
-        {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [float("nan"), 0.2]}},
-        {"model": {"name": "allen_cahn_1d", "d": 4, "omega": [2.0, 2.5]}},
-    ], ids=["seed-nan", "seed-bool", "solver-seed-negative", "solver-seed-bool", "sigma-nan", "omega-nan", "omega-unactuated"])
-    def test_seed_and_model_value_exit_2(self, tmp_path, caplog, override):
+    @pytest.mark.parametrize("override, says", [
+        ({"seed": float("nan")}, "seed must be"),
+        ({"seed": True}, "seed must be"),
+        ({"solver": {**FAST_LQ["solver"], "seed": -1}}, "seed must be"),
+        ({"solver": {**FAST_LQ["solver"], "seed": True}}, "seed must be"),
+        ({"model": {"name": "allen_cahn_1d", "d": 4, "sigma": float("nan")}}, "non-finite"),
+        ({"model": {"name": "allen_cahn_1d", "d": 4, "omega": [float("nan"), 0.2]}}, "omega"),
+        ({"model": {"name": "allen_cahn_1d", "d": 4, "omega": [2.0, 2.5]}}, "omega"),
+        ({"model": {"name": "allen_cahn_1d", "d": 5.0}}, "d must be an integer"),
+        ({"model": {"name": "allen_cahn_1d", "d": True}}, "d must be an integer"),
+        ({"model": {"name": "fokker_planck", "D": 8.0}}, "D must be an integer"),
+        ({"model": {"name": "lq", "d": 4.0}}, "d must be an integer"),
+        ({"model": {"name": "allen_cahn_1d", "d": 4, "sigma": True}}, "sigma must be a number"),
+        ({"model": {"name": "allen_cahn_1d", "d": 4, "omega": [True, 0.2]}},
+         "omega_lo must be a number"),
+        ({"model": {"name": "fokker_planck", "D": 8, "nu": True}}, "nu must be a number"),
+        ({"model": {"name": "fokker_planck", "D": 8, "sigma_shift": True}},
+         "sigma_shift must be a number"),
+    ], ids=["seed-nan", "seed-bool", "solver-seed-negative", "solver-seed-bool", "sigma-nan",
+            "omega-nan", "omega-unactuated", "d-float", "d-bool", "D-float", "lq-d-float",
+            "sigma-bool", "omega-bool", "nu-bool", "sigma_shift-bool"])
+    def test_seed_and_model_value_exit_2(self, tmp_path, caplog, override, says):
         # a seed that is not an integer >= 0, a model whose matrices are not
-        # finite and an actuated interval that is malformed or holds no node
-        # are config errors, not crashes in numpy or in the Riccati warm start
+        # finite, an actuated interval that is malformed or holds no node, a
+        # model size that is not an integer and a json true or false where a
+        # number is expected are config errors, not crashes in numpy or in
+        # the Riccati warm start
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({**FAST_LQ, **override}))
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
-        assert "configuration error:" in caplog.text
+        assert "configuration error:" in caplog.text and says in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["a", "m", "mu_min", "divergence_window"])

@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,52 @@ def test_traced_names_resolve():
         tracer.uninstall()
     assert all(tracing._resolve(module, attr)[2] is obj
                for (module, attr), obj in zip(names, before))
+
+
+# run in a fresh interpreter: tthjb.cli is the one import the tracer makes
+# before it resolves names, so every traced module must load through it
+_HOOKS = """
+import importlib.util, json, sys
+import tthjb.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+names = [(module, attr) for module, attr, _, _ in tracing.TRACED]
+names += [("tthjb.policy", "initial_policy"), ("tthjb.policy", "policy_iterate")]
+missing = []
+for module, attr in names:
+    try:
+        found = callable(tracing._resolve(module, attr)[2])
+    except (KeyError, AttributeError):
+        found = False
+    if not found:
+        missing.append(f"{module}.{attr}")
+small = json.loads(sys.argv[2])
+factories = [attr for _, attr, _, kind in tracing.TRACED if kind == "model"]
+for attr in factories:
+    model = tracing._resolve("tthjb.models", attr)[2](**small[attr])
+    missing += [f"{attr}().{builder}" for builder in ("f_tt_builder", "channel_builder")
+                if not callable(getattr(model, builder, None))]
+print(json.dumps({"missing": missing, "factories": factories}))
+"""
+
+
+def test_benchmark_hooks_resolve_after_importing_cli():
+    # perfbench/tracing.py wraps these names, and Tracer._wrap_model the two
+    # TT builders of every model a traced factory returns; a name deleted
+    # here would break only a traced benchmark run
+    from conftest import SMALL_MODEL_ARGS
+
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOOKS, str(root / "perfbench" / "tracing.py"),
+         json.dumps(SMALL_MODEL_ARGS)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["missing"] == []
+    assert sorted(out["factories"]) == sorted(SMALL_MODEL_ARGS)
 
 
 def test_model_contract_of_the_benchmark(small_model):
@@ -104,9 +154,10 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     # the penalty right-hand side, the operator over its rank cap and AMEn's
     # enrichment residual are each sketched by the one routine tt._sketch,
     # and each meets its product (gamma P(u^2), the coupling, A v) as one
-    # tt._product_term. A sketch is already left-orthonormal, so it is
+    # tt._product_term; the penalty and the operator are rounded by the one
+    # loop tt._sketch_round. A sketch is already left-orthonormal, so it is
     # rounded without the QR sweep of tt_round (orthogonalize_right), which
-    # AMEn runs once per sweep on its iterate
+    # AMEn runs once per call on its start
     from dense_oracle import identity
     from tthjb import amen, assembly, tt
     from tthjb.basis import build_basis
@@ -114,8 +165,8 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
     from tthjb.policy import _build_system
     from tthjb.tt import Accuracy, TTTensor
 
-    modules = {"_sketch": (tt, amen, assembly), "_product_term": (tt, amen, assembly),
-               "orthogonalize_right": (tt, amen)}
+    modules = {"_sketch": (tt, amen), "_product_term": (tt, amen, assembly),
+               "orthogonalize_right": (tt, amen), "_sketch_round": (tt, assembly)}
     calls = dict.fromkeys(modules, 0)
     for name in calls:
         assert all(getattr(module, name) is getattr(tt, name) for module in modules[name])
@@ -133,28 +184,33 @@ def test_one_sketch_for_every_unformed_sum(monkeypatch):
         return counts
 
     rng = np.random.default_rng(0)
-    u = TTTensor.random((4,) * 3, [1, 3, 3, 1], rng)
-    tt.tt_square_sum(TTTensor.zeros((4,) * 3), u, np.eye(4), 1.0, Accuracy(1e-3))
-    sketches, products, sweeps = take()
-    # one square, however many sketch ranks, and no QR sweep
-    assert sketches >= 1 and products == 1 and sweeps == 0
-    # the operator's middle summed rank 4 + 20 is over the cap max_rank 1 + 20
     system = _build_system(lq(4), build_basis(3, 1.0), SolverConfig(n=3, max_rank=1))
     take()
+    system.rhs(TTTensor.random((system.basis.m,) * 4, [1, 3, 3, 3, 1], rng))
+    sketches, products, sweeps, loops = take()
+    # one square, however many sketch ranks, one loop and no QR sweep
+    assert sketches >= 1 and products == 1 and sweeps == 0 and loops == 1
+    # the operator's middle summed rank 4 + 20 is over the cap max_rank 1 + 20
     system.operator(TTTensor.random((system.basis.m,) * 4, [1, 6, 20, 6, 1], rng))
-    assert take() == (1, 1, 0)
+    assert take() == (1, 1, 0, 1)
     dims = (4, 3, 5)
     A = identity(dims) * 2.0
     b = TTTensor.random(dims, [1, 2, 2, 1], rng)
-    amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10), sweeps=2)
-    assert take() == (2, 2, 2)  # one residual and one QR sweep per sweep
+    amen.amen_solve_shifted(A, b, b, 0.5, Accuracy(1e-10))
+    assert take() == (1, 1, 1, 0)  # one residual and one QR sweep per call
 
 
 def test_option_surface():
     # every settable value doubles the configurations to cover; the ones no
-    # preset or workload varies are module constants
+    # preset or workload varies are module constants, and a library mode
+    # that no caller runs (AMEn's sweep count) is no parameter
+    import inspect
+
+    from tthjb.amen import amen_solve_shifted
     from tthjb.assembly import ControlPenalty
 
     assert {f.name for f in dataclasses.fields(SolverConfig)} == {
         "delta", "mu0", "q", "max_policy_iters", "n", "max_rank", "seed"}
     assert {f.name for f in dataclasses.fields(ControlPenalty)} == {"gamma", "u_max"}
+    assert list(inspect.signature(amen_solve_shifted).parameters) == [
+        "A", "b", "v_prev", "shift", "acc", "stats", "seed"]

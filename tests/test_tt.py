@@ -1,4 +1,5 @@
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -21,10 +22,20 @@ from tthjb.tt import (
     tt_norm,
     tt_round,
     tt_scale,
-    tt_square_sum,
 )
 
 from dense_oracle import full, identity, unfuse
+
+
+def square_sum(c, u, W, gamma, acc, seed=0):
+    """c + gamma P(u * u), P meeting every mode by W (m, n), as
+    GalerkinSystem.rhs sketches the quadratic penalty: a system whose
+    basis is W alone."""
+    from tthjb.assembly import ControlPenalty, GalerkinSystem
+
+    system = GalerkinSystem(types.SimpleNamespace(wphi=W), None, None, c,
+                            ControlPenalty(gamma), acc, seed)
+    return system.rhs(u)[0]
 
 
 def fused(op):
@@ -271,7 +282,7 @@ class TestHadamard:
         # ranks r(r+1)/2, or the mode-count bound, instead of the r^2 of
         # tt_hadamard(t, t)
         t = TTTensor.random((4,) * d, [1] + [r] * (d - 1) + [1], rng)
-        sq = tt_square_sum(TTTensor.zeros((4,) * d), t, np.eye(4), 1.0, Accuracy(1e-14))
+        sq = square_sum(TTTensor.zeros((4,) * d), t, np.eye(4), 1.0, Accuracy(1e-14))
         want = full(t) ** 2
         assert np.linalg.norm(full(sq) - want) <= 1e-13 * np.linalg.norm(want)
         assert sq.ranks == tuple(min(r * (r + 1) // 2, 4**k, 4 ** (d - k))
@@ -298,7 +309,8 @@ def sketch_ranks(monkeypatch):
 
 
 class TestSquareSum:
-    """tt_square_sum(c, u, W, gamma) against the dense c + gamma W(u^2)."""
+    """The quadratic penalty's right-hand side, c + gamma W(u^2) sketched by
+    tt._sketch_round at GalerkinSystem.rhs's ranks, against the dense sum."""
 
     N, M, GAMMA = 6, 12, 0.7
 
@@ -317,7 +329,7 @@ class TestSquareSum:
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
     def test_dense_oracle(self, rng, d, r, delta):
         c, u, W, want = self._case(rng, d, r)
-        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(delta))
+        b = square_sum(c, u, W, self.GAMMA, Accuracy(delta))
         assert np.linalg.norm(full(b) - want) <= delta * np.linalg.norm(want)
 
     def test_sketch_below_full_rank_is_not_exact(self, rng, monkeypatch):
@@ -325,7 +337,7 @@ class TestSquareSum:
         # 36 of the full range, is not doubled, and still meets delta
         sketches = sketch_ranks(monkeypatch)
         c, u, W, want = self._case(rng, 4, 13)
-        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3))
+        b = square_sum(c, u, W, self.GAMMA, Accuracy(1e-3))
         assert sketches == [[1, 6, 20, 6, 1]]
         assert np.linalg.norm(full(b) - want) <= 1e-3 * np.linalg.norm(want)
 
@@ -334,20 +346,20 @@ class TestSquareSum:
         # doubles, capped at the full 36 and then exact
         sketches = sketch_ranks(monkeypatch)
         c, u, W, want = self._case(rng, 4, 13, flat=True)
-        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-6))
+        b = square_sum(c, u, W, self.GAMMA, Accuracy(1e-6))
         assert sketches == [[1, 6, 20, 6, 1], [1, 6, 36, 6, 1]]
         assert np.linalg.norm(full(b) - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_bitwise_repeatable(self, rng):
         c, u, W, _ = self._case(rng, 4, 20, flat=True)
-        b1 = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
-        b2 = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
+        b1 = square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
+        b2 = square_sum(c, u, W, self.GAMMA, Accuracy(1e-3), seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(b1.blocks, b2.blocks))
 
     def test_ranks_respect_max_rank(self, rng, monkeypatch):
         sketches = sketch_ranks(monkeypatch)
         c, u, W, _ = self._case(rng, 4, 20, flat=True)
-        b = tt_square_sum(c, u, W, self.GAMMA, Accuracy(1e-12, max_rank=4))
+        b = square_sum(c, u, W, self.GAMMA, Accuracy(1e-12, max_rank=4))
         assert b.max_rank <= 4
         # no sketch is wider than max_rank plus the oversampling
         assert sketches == [[1, 6, 9, 6, 1]]
@@ -355,8 +367,8 @@ class TestSquareSum:
 
 class TestRoundSketch:
     """tt._round_sketch, the SVD sweep alone on a _sketch output, which is
-    left-orthonormal already; a TT term plus a product term as in
-    tt_square_sum, sketched below the full range of the sum."""
+    left-orthonormal already; a TT term plus a product term as in the
+    quadratic penalty, sketched below the full range of the sum."""
 
     N, M, ELL = 6, 12, [1, 6, 20, 6, 1]
 
@@ -382,6 +394,23 @@ class TestRoundSketch:
         assert same_fused_bits(got, want)
         assert same_fused_bits(tt._round_sketch(got, Accuracy(1e-3)),
                                tt._round_sketch(want, Accuracy(1e-3)))
+
+    def test_sketch_round_at_its_cap_is_one_pass(self, rng, monkeypatch):
+        # tt._sketch_round with ell = cap, as the operator calls it, is one
+        # sketch rounded on its own frames, bit for bit, however close the
+        # rounded ranks come to ell
+        d = len(self.ELL) - 1
+        W = rng.standard_normal((self.M, self.N))
+        u = TTTensor.random((self.M,) * d, [1] + [13] * (d - 1) + [1], rng)
+        c = TTTensor.random((self.N,) * d, [1] + [2] * (d - 1) + [1], rng)
+        square = tt._product_term(tt_scale(u, 0.7), [b[:, :, None] for b in u.blocks], [W] * d)
+        terms, acc = [tt._tt_term(c), square], Accuracy(1e-6)
+        want = tt._round_sketch(tt._sketch(terms, c, self.ELL, np.random.default_rng(4)), acc)
+        assert want.ranks[2] > self.ELL[2] - tt._OVERSAMPLE   # a lower cap would grow
+        sketches = sketch_ranks(monkeypatch)
+        got = tt._sketch_round(terms, c, self.ELL, self.ELL, acc, 4)
+        assert sketches == [self.ELL]
+        assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
 
     def test_sketch_is_left_orthonormal(self, sketch):
         for b in sketch.blocks[:-1]:
@@ -439,7 +468,7 @@ class TestSumRound:
         def no_sketch(*args):
             raise AssertionError("an exact sum was sketched")
 
-        monkeypatch.setattr(assembly, "_sketch", no_sketch)
+        monkeypatch.setattr(tt, "_sketch", no_sketch)
         want = tt_round(functools.reduce(tt_add, [fused(op) for op in ops]), acc)
         return same_fused_bits(assembly._sum_round(ops, acc), want)
 
