@@ -10,7 +10,6 @@ mu times the identity because the frames are orthonormal.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dlartg, dtrtrs
@@ -21,6 +20,7 @@ from .tt import (
     TTTensor,
     orthogonalize_right,
     tt_scale,
+    _capacity,
     _carry_left,
     _check,
     _chop,
@@ -280,8 +280,8 @@ def amen_solve_shifted(
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     v = orthogonalize_right(v_prev)
-    d, dims = v.d, v.dims
-    ell = [min(_RHO, math.prod(dims[:k]), math.prod(dims[k:])) for k in range(d + 1)]
+    d = v.d
+    ell = [min(_RHO, m) for m in _capacity(v.dims)]
     rhs = [(1.0, b), (shift, v_prev)]
     vecs = [b, v_prev]
     stats = {} if stats is None else stats

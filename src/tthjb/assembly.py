@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .cross import tt_cross
-from .tt import (_OVERSAMPLE, Accuracy, TTMatrix, TTTensor, _product_term, _sketch_round,
-                 _tt_term, flag_chain, tt_add, tt_matvec, tt_round, tt_scale)
+from .tt import (_OVERSAMPLE, Accuracy, TTMatrix, TTTensor, _capacity, _product_term,
+                 _sketch_round, _tt_term, flag_chain, tt_add, tt_matvec, tt_round, tt_scale)
 
 __all__ = [
     "ControlPenalty",
@@ -181,8 +181,8 @@ class GalerkinSystem:
         drift, bmap, acc = self.drift, self.bmap, self.acc
         u = tt_scale(u_tt, 2.0 * self.penalty.gamma)
         dims = tuple(r * c for r, c in zip(drift.row_dims, drift.col_dims))
-        full = [min(drift.ranks[k] + u.ranks[k] * bmap.ranks[k],
-                    math.prod(dims[:k]), math.prod(dims[k:])) for k in range(u.d + 1)]
+        full = [min(drift.ranks[k] + u.ranks[k] * bmap.ranks[k], m)
+                for k, m in enumerate(_capacity(dims))]
         if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
             return _sum_round([drift, _coupling(bmap, u, self.basis.wphi)], acc)
         cap = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
@@ -212,8 +212,7 @@ class GalerkinSystem:
         if self.penalty.u_max is None:
             c, d, acc = self.ell_proj, u_tt.d, self.acc
             e, r = c.ranks, u_tt.ranks
-            full = [min(e[k] + r[k] * (r[k] + 1) // 2,
-                        math.prod(c.dims[:k]), math.prod(c.dims[k:])) for k in range(d + 1)]
+            full = [min(e[k] + r[k] * (r[k] + 1) // 2, m) for k, m in enumerate(_capacity(c.dims))]
             cap = [f if acc.max_rank is None else min(f, acc.max_rank + _OVERSAMPLE) for f in full]
             ell = [min(r[k] + e[k] + _OVERSAMPLE, cap[k]) for k in range(d + 1)]
             square = _product_term(tt_scale(u_tt, self.penalty.gamma),

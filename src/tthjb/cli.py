@@ -63,17 +63,14 @@ PRESETS = {
     "paper-allen-cahn-d14": {
         "model": {"name": "allen_cahn_1d", "d": 14},
         "solver": {"delta": 1e-3, "mu0": 50.0, "n": 5},
-        "rollout": {"x0": "cos-bump"},
     },
     "paper-fokker-planck-d10": {
         "model": {"name": "fokker_planck", "D": 11},
         "solver": {"delta": 1e-3, "mu0": 50.0, "n": 5},
-        "rollout": {"x0": "right-sided"},
     },
     "lq": {
         "model": {"name": "lq", "d": 6},
         "solver": {"delta": 1e-4, "n": 4},
-        "rollout": {"x0": "default", "horizon": 10.0},
     },
 }
 
@@ -155,38 +152,23 @@ def _build_solver_config(cfg: dict, seed: int) -> SolverConfig:
         raise ConfigError(f"invalid solver configuration: {exc}") from exc
 
 
-# named initial states: each is the default initial state of its model
-_NAMED_X0 = {"cos-bump": "allen_cahn_1d", "right-sided": "fokker_planck"}
-
-
 def _resolve_x0(cfg: dict, model) -> np.ndarray:
+    """The rollouts' initial state: "default", the model's own, or a list of
+    model.dim finite numbers."""
     spec = cfg["rollout"].get("x0", "default")
-    if isinstance(spec, (list, tuple)) and all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in spec):
-        x0 = np.asarray(spec, dtype=float)
-        if not np.all(np.isfinite(x0)):
-            raise ConfigError(f"x0 entries must be finite, got {spec!r}")
-        if x0.size != model.dim:
-            raise ConfigError(
-                f"x0 has {x0.size} entries, model dimension is {model.dim}"
-            )
-        return x0
-    if not isinstance(spec, str):
-        raise ConfigError(f"x0 must be a name or a list of numbers, got {spec!r}")
-    if spec in _NAMED_X0 and _NAMED_X0[spec] != model.name:
-        raise ConfigError(f"x0 preset {spec!r} belongs to model {_NAMED_X0[spec]!r}, "
-                          f"not {model.name!r}")
-    if spec == "default" or spec in _NAMED_X0:
+    if spec == "default":
         if model.x0_default is None:
             raise ConfigError(f"model {model.name!r} has no default initial state")
         return np.asarray(model.x0_default, dtype=float)
-    if spec == "uniform":
-        if "x0_uniform" not in model.extras:
-            raise ConfigError(
-                f"x0 preset 'uniform' is not defined for model {model.name!r}"
-            )
-        return np.asarray(model.extras["x0_uniform"], dtype=float)
-    raise ConfigError(f"unknown x0 preset {spec!r}")
+    if not (isinstance(spec, (list, tuple)) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in spec)):
+        raise ConfigError(f'x0 must be "default" or a list of numbers, got {spec!r}')
+    x0 = np.asarray(spec, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 entries must be finite, got {spec!r}")
+    if x0.size != model.dim:
+        raise ConfigError(f"x0 has {x0.size} entries, model dimension is {model.dim}")
+    return x0
 
 
 def _positive(value, name: str) -> float:
@@ -282,10 +264,9 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     save_tt(V.v, out / "value_function.tt")
     history_to_csv(history, out / "history.csv")
 
-    # the destabilizing-shift model is solved shifted but judged on the
-    # physical dynamics
-    eval_model = (fokker_planck_unshifted(model)
-                  if model.name == "fokker_planck" else model)
+    # a model solved with a destabilizing shift is judged on the physical
+    # dynamics
+    eval_model = model if model.unshifted_A is None else fokker_planck_unshifted(model)
     horizon = horizon or eval_model.horizon
     controllers = {"hjb": feedback(V, model)}
     if eval_model.admissible_uncontrolled:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .tt import Accuracy, TTTensor, _svd, tt_norm
+from .tt import Accuracy, TTTensor, _capacity, _svd, tt_norm
 
 __all__ = ["CrossIndexSets", "CrossResult", "maxvol", "tt_cross", "rank_adapt",
            "random_index_sets"]
@@ -64,22 +64,37 @@ class CrossIndexSets:
 
 
 def random_index_sets(dims, rank: int, rng) -> CrossIndexSets:
-    """Uniform random distinct right sets at the given rank."""
+    """Uniform random distinct right sets at the given rank: empty sets
+    grown to it."""
     dims = tuple(int(n) for n in dims)
-    d = len(dims)
-    right = []
+    empty = [np.zeros((0, len(dims) - k - 1), dtype=int) for k in range(len(dims) - 1)]
+    return _grow(dims, empty, [rank] * len(empty), rng)
+
+
+def _grow(dims: tuple, right, targets, rng) -> CrossIndexSets:
+    """The right sets grown to the target row counts, each capped by the
+    capacity of its interface, by distinct random rows drawn set by set
+    from k = 0; then cut to the nestedness-compatible chain
+    R_k <= R_{k-1} m_k, left to right, and R_k <= R_{k+1} m_{k+1}, right to
+    left."""
+    d, cap = len(dims), _capacity(dims)
+    grown = []
+    for k, (rows, target) in enumerate(zip(right, targets)):
+        target = min(target, cap[k + 1])
+        if target > rows.shape[0]:
+            extra = _distinct_rows(dims[k + 1 :], target - rows.shape[0], rng, rows)
+            rows = np.vstack([rows, extra])
+        grown.append(rows)
     for k in range(d - 1):
-        tail = dims[k + 1 :]
-        cap = int(np.prod([min(n, 1 << 16) for n in tail], dtype=float))
-        r = min(rank, cap, int(np.prod(dims[: k + 1], dtype=float)))
-        rows = _distinct_rows(tail, r, rng)
-        right.append(rows)
-    return CrossIndexSets(dims=dims, right=tuple(right))
+        grown[k] = grown[k][: (grown[k - 1].shape[0] if k > 0 else 1) * dims[k]]
+    for k in range(d - 2, -1, -1):
+        grown[k] = grown[k][: (grown[k + 1].shape[0] if k < d - 2 else 1) * dims[k + 1]]
+    return CrossIndexSets(dims=dims, right=tuple(grown))
 
 
-def _distinct_rows(dims, count, rng, existing=None):
+def _distinct_rows(dims, count, rng, existing):
     """count distinct random multi-indices over dims, avoiding existing rows."""
-    seen = set(map(tuple, existing)) if existing is not None else set()
+    seen = set(map(tuple, existing))
     rows = []
     attempts = 0
     while len(rows) < count:
@@ -147,30 +162,10 @@ def rank_adapt(state: CrossIndexSets, error_estimate: float, acc: Accuracy, rng)
     """
     if error_estimate <= acc.delta:
         return state
-    dims = state.dims
-    d = len(dims)
-    new_right = []
-    for k in range(d - 1):
-        rows = state.right[k]
-        cap = int(min(np.prod(dims[k + 1 :], dtype=float), np.prod(dims[: k + 1], dtype=float), 1 << 20))
-        target = rows.shape[0] + _RANK_STEP
-        if acc.max_rank is not None:
-            target = min(target, acc.max_rank)
-        target = min(target, cap)
-        if target > rows.shape[0]:
-            extra = _distinct_rows(dims[k + 1 :], target - rows.shape[0], rng, existing=rows)
-            rows = np.vstack([rows, extra])
-        new_right.append(rows)
-    # enforce the nestedness-compatible chain R_k <= R_{k-1} * m_k
-    for k in range(d - 1):
-        lim = (new_right[k - 1].shape[0] if k > 0 else 1) * dims[k]
-        if new_right[k].shape[0] > lim:
-            new_right[k] = new_right[k][:lim]
-    for k in range(d - 2, -1, -1):
-        lim = (new_right[k + 1].shape[0] if k < d - 2 else 1) * dims[k + 1]
-        if new_right[k].shape[0] > lim:
-            new_right[k] = new_right[k][:lim]
-    return replace(state, right=tuple(new_right))
+    targets = [rows.shape[0] + _RANK_STEP for rows in state.right]
+    if acc.max_rank is not None:
+        targets = [min(t, acc.max_rank) for t in targets]
+    return _grow(state.dims, state.right, targets, rng)
 
 
 def _trimmed_basis(F: np.ndarray, delta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ over its fields.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -49,9 +49,10 @@ class ControlledDynamics:
 
     The matrices are the model: A is ``lin_A``, kappa ``cubic`` (entrywise
     cube), B0 = g(0) the column ``lin_B`` and M ``channel_slope`` (None for
-    a constant channel).  The batch evaluators used by rollouts and the
-    flag-field builders used by the Galerkin assembly are both derived from
-    them.
+    a constant channel).  A model solved with a destabilizing shift in A is
+    judged in closed loop on ``unshifted_A`` (None: on A itself).  The batch
+    evaluators used by rollouts and the flag-field builders used by the
+    Galerkin assembly are both derived from them.
     """
 
     name: str
@@ -63,14 +64,14 @@ class ControlledDynamics:
     admissible_uncontrolled: bool
     cubic: float = 0.0
     channel_slope: np.ndarray | None = None
+    unshifted_A: np.ndarray | None = None
     x0_default: np.ndarray | None = None
     horizon: float = 3.2
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.a, bool) or not (np.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a must be finite and positive, got {self.a!r}")
-        for name in ("lin_A", "lin_B", "cost_matrix", "channel_slope"):
+        for name in ("lin_A", "lin_B", "cost_matrix", "channel_slope", "unshifted_A"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has non-finite entries")
@@ -135,30 +136,17 @@ def _column_field(col, q: int, x: list) -> tuple:
 # ---------------------------------------------------------------------------
 # Chebyshev pseudospectral pieces of Allen-Cahn
 
-def _chebyshev_full_nodes(d: int) -> np.ndarray:
-    k = np.arange(0, d + 2)
-    return -np.cos(np.pi * k / (d + 1))
-
-
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    # second-kind Chebyshev points: w_k = (-1)^k, halved at the ends
+def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
+    """Barycentric differentiation matrix on second-kind Chebyshev points
+    (weights (-1)^k, halved at the ends) with negative-sum-trick diagonal."""
     n = nodes.size
     w = (-1.0) ** np.arange(n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric differentiation matrix with negative-sum-trick diagonal."""
-    n = nodes.size
-    w = _barycentric_weights(nodes)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
-        D[i, i] = -np.sum(D[i, :])
+    w[[0, -1]] *= 0.5
+    gaps = nodes[:, None] - nodes
+    np.fill_diagonal(gaps, 1.0)
+    D = (w / w[:, None]) / gaps
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
     return D
 
 
@@ -184,7 +172,7 @@ def _neumann_closure(d: int):
     Boundary bordering: the two rows of the first-derivative matrix at the
     endpoints are set to zero and solved for the endpoint values.
     """
-    full = _chebyshev_full_nodes(d)
+    full = -np.cos(np.pi * np.arange(d + 2) / (d + 1))
     D = _diff_matrix(full)
     bnd = [0, d + 1]
     interior = np.arange(1, d + 1)
@@ -238,7 +226,6 @@ def allen_cahn_1d(
         cubic=1.0,                       # and this cube
         x0_default=2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi),
         horizon=3.2,
-        extras={"xi": xi, "sigma": sigma},
     )
 
 
@@ -283,6 +270,17 @@ def _bernoulli(z):
     return out
 
 
+def _face_fluxes(left, right) -> np.ndarray:
+    """The matrix of dx/dt for face fluxes S_j = right[j] x_{j+1} - left[j] x_j
+    (dx_j/dt += S_j, dx_{j+1}/dt -= S_j), built from its three diagonals;
+    each diagonal entry subtracts the face to its left, then the one to its
+    right."""
+    main = np.zeros(len(left) + 1)
+    main[1:] -= right
+    main[:-1] -= left
+    return np.diag(main) + np.diag(right, 1) + np.diag(left, -1)
+
+
 def _fp_operators(D: int, nu: float):
     """Drift and control operators of the finite-volume chain on (-6, 6).
 
@@ -296,22 +294,11 @@ def _fp_operators(D: int, nu: float):
     z = _ground_potential_deriv(faces) * h / nu
     bp = _bernoulli(z)      # weight of the left cell
     bm = _bernoulli(-z)     # weight of the right cell
-    L = np.zeros((D, D))
-    for j in range(D - 1):
-        # S_{j+1/2} = (nu/h) (bm x_{j+1} - bp x_j); dx_j/dt += S_{j+1/2}/h
-        c = nu / (h * h)
-        L[j, j] -= c * bp[j]
-        L[j, j + 1] += c * bm[j]
-        L[j + 1, j] += c * bp[j]
-        L[j + 1, j + 1] -= c * bm[j]
-    hp = _control_potential_deriv(faces)
-    N = np.zeros((D, D))
-    for j in range(D - 1):
-        c = hp[j] / (2.0 * h)
-        N[j, j] -= c
-        N[j, j + 1] -= c
-        N[j + 1, j] += c
-        N[j + 1, j + 1] += c
+    # S_{j+1/2} = (nu/h) (bm x_{j+1} - bp x_j); dx_j/dt += S_{j+1/2}/h
+    c = nu / (h * h)
+    L = _face_fluxes(c * bp, c * bm)
+    hp = _control_potential_deriv(faces) / (2.0 * h)
+    N = _face_fluxes(hp, -hp)
     # discrete steady state from the zero-flux recurrence, L2-normalized
     x_inf = np.ones(D)
     for j in range(D - 1):
@@ -354,10 +341,6 @@ def fokker_planck(
     x0_phys *= mass_inf / (np.sum(x0_phys) * h)
     z0 = Z.T @ (x0_phys - x_inf)
 
-    uniform = np.full(D, 1.0 / 12.0)
-    uniform *= mass_inf / (np.sum(uniform) * h)
-    z0_uniform = Z.T @ (uniform - x_inf)
-
     return ControlledDynamics(
         name="fokker_planck",
         a=a,
@@ -367,18 +350,16 @@ def fokker_planck(
         cost_matrix=h * np.eye(d),
         admissible_uncontrolled=False,
         channel_slope=Z.T @ P @ N @ Z,
+        unshifted_A=Z.T @ P @ L @ Z,
         x0_default=z0,
         horizon=9.2,
-        extras={"h": h, "L": L, "x_inf": x_inf, "Z": Z, "P": P,
-                "F_unshifted": Z.T @ P @ L @ Z, "x0_uniform": z0_uniform},
     )
 
 
 def fokker_planck_unshifted(model: ControlledDynamics) -> ControlledDynamics:
     """Physical (shift-free) variant used for closed-loop evaluation."""
-    return replace(model, name="fokker_planck_unshifted",
-                   lin_A=model.extras["F_unshifted"],
-                   admissible_uncontrolled=True, extras=dict(model.extras))
+    return replace(model, name="fokker_planck_unshifted", lin_A=model.unshifted_A,
+                   unshifted_A=None, admissible_uncontrolled=True)
 
 
 # ---------------------------------------------------------------------------

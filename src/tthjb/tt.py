@@ -75,6 +75,13 @@ def _chop(s: np.ndarray, budget: float, max_rank: int | None) -> int:
     return keep
 
 
+def _capacity(dims) -> list:
+    """min(prod dims[:k], prod dims[k:]) for k = 0..d in Python integers:
+    the largest rank interface k of a tensor of these mode sizes can have."""
+    dims = [int(n) for n in dims]
+    return [min(math.prod(dims[:k]), math.prod(dims[k:])) for k in range(len(dims) + 1)]
+
+
 def _check(info: int, routine: str, shape) -> None:
     if info:
         raise np.linalg.LinAlgError(f"{routine} failed (info {info}) on a matrix of shape {shape}")

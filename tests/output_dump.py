@@ -1,21 +1,23 @@
-"""Dump the outputs of three solves, and compare two dumps item by item.
+"""Dump the outputs of four solves, and compare two dumps item by item.
 
     python tests/output_dump.py dump OUT.pkl
     python tests/output_dump.py compare A.pkl B.pkl
 
 The solves are lq(6) at the lq preset's solver settings, allen_cahn_1d(8)
-at paper-allen-cahn-d14's and fokker_planck(11) at
-paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
+at paper-allen-cahn-d14's, allen_cahn_1d(5, u_max=1.0, omega=(-0.8, 0.1))
+at paper-allen-cahn-d14's for 3 rows (ac5b: the bounded path, where the
+cap and the penalty run through cross on every row) and fokker_planck(11)
+at paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
 blocks, every history value but the timings (the *_s and seconds columns),
-the feedback at 50 seeded states and hjb_residual.  lq6 (preset x0,
-horizon 10) and ac8 (x0_default, the model's horizon) also keep the
-closed-loop total cost of each controller cli.run builds there: hjb, lqr,
-and uncontrolled when the model is admissible, rolled out at tolerance
-1e-8.  compare prints one equal/unequal line per item and exits 1 on any
-difference.  The costs are compared to relative COST_RTOL (1e-8, the
-rollout tolerance), since they depend on the integrator; every other item
-must be bitwise equal.  Histories are compared on the columns both dumps
-share; a column only one dump has is named, not counted as a difference.
+the feedback at 50 seeded states and hjb_residual.  lq6 and ac8 also keep
+the closed-loop total cost of each controller cli.run builds there, from
+the model's x0_default over its horizon: hjb, lqr, and uncontrolled when
+the model is admissible, rolled out at tolerance 1e-8.  compare prints one
+equal/unequal line per item and exits 1 on any difference.  The costs are
+compared to relative COST_RTOL (1e-8, the rollout tolerance), since they
+depend on the integrator; every other item must be bitwise equal.
+Histories are compared on the columns both dumps share; a column only one
+dump has is named, not counted as a difference.
 
 The solves import tthjb from the src/ next to this file and run on one BLAS
 thread, so a dump of one tree compares bitwise with a dump of another.
@@ -41,30 +43,31 @@ from tthjb.rollout import rollout  # noqa: E402
 COST_RTOL = 1e-8
 ROLLOUT_TOL = 1e-8
 
-# name: (model, solver settings, horizon of the rollouts or None for none)
+# name: (model, solver settings, whether to roll the controllers out)
 WORKLOADS = {
-    "lq6": (lambda: lq(6), dict(PRESETS["lq"]["solver"]), lambda model: 10.0),
-    "ac8": (lambda: allen_cahn_1d(8), dict(PRESETS["paper-allen-cahn-d14"]["solver"]),
-            lambda model: model.horizon),
+    "lq6": (lambda: lq(6), dict(PRESETS["lq"]["solver"]), True),
+    "ac8": (lambda: allen_cahn_1d(8), dict(PRESETS["paper-allen-cahn-d14"]["solver"]), True),
+    "ac5b": (lambda: allen_cahn_1d(5, u_max=1.0, omega=(-0.8, 0.1)),
+             dict(PRESETS["paper-allen-cahn-d14"]["solver"], max_policy_iters=3), False),
     "fp11": (lambda: fokker_planck(11),
-             dict(PRESETS["paper-fokker-planck-d10"]["solver"], max_policy_iters=2), None),
+             dict(PRESETS["paper-fokker-planck-d10"]["solver"], max_policy_iters=2), False),
 }
 
 
-def _costs(V, model, horizon) -> dict:
+def _costs(V, model) -> dict:
     """The closed-loop total cost of each controller cli.run builds, from
-    the model's x0_default."""
+    the model's x0_default over its horizon."""
     controllers = {"hjb": feedback(V, model),
                    "lqr": solve_riccati(model.lin_A, model.lin_B, model.cost_matrix,
                                         model.gamma).feedback}
     if model.admissible_uncontrolled:
         controllers["uncontrolled"] = None
-    return {f"cost {name}": rollout(model, ctrl, model.x0_default, horizon,
+    return {f"cost {name}": rollout(model, ctrl, model.x0_default, model.horizon,
                                     tol=ROLLOUT_TOL).total_cost
             for name, ctrl in controllers.items()}
 
 
-def _outputs(model, config: SolverConfig, horizon) -> dict:
+def _outputs(model, config: SolverConfig, rolls: bool) -> dict:
     V, state = policy_iterate(model, config)
     a = V.basis.a
     X = np.random.default_rng(0).uniform(-0.5 * a, 0.5 * a, size=(50, V.d))
@@ -73,14 +76,14 @@ def _outputs(model, config: SolverConfig, horizon) -> dict:
     out = {"V blocks": [np.ascontiguousarray(blk) for blk in V.v.blocks],
            "history": history, "feedback@50": feedback(V, model)(X),
            "hjb_residual": hjb_residual(V, model)}
-    if horizon is not None:
-        out.update(_costs(V, model, horizon(model)))
+    if rolls:
+        out.update(_costs(V, model))
     return out
 
 
 def dump(path) -> None:
-    out = {name: _outputs(make(), SolverConfig(**settings), horizon)
-           for name, (make, settings, horizon) in WORKLOADS.items()}
+    out = {name: _outputs(make(), SolverConfig(**settings), rolls)
+           for name, (make, settings, rolls) in WORKLOADS.items()}
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 

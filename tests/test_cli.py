@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -211,23 +212,71 @@ class TestRun:
         ({"name": "lq", "d": 4}, "right-sided"),
         ({"name": "allen_cahn_1d", "d": 3}, "right-sided"),
         ({"name": "fokker_planck", "D": 8}, "cos-bump"),
+        ({"name": "allen_cahn_1d", "d": 3}, "cos-bump"),
+        ({"name": "fokker_planck", "D": 8}, "right-sided"),
+        ({"name": "fokker_planck", "D": 8}, "uniform"),
     ])
     def test_x0_preset_of_another_model(self, tmp_path, caplog, model, x0):
-        # a named initial state is its own model's; it never stands in for
-        # another model's default
+        # the named initial states are gone: each was an alias of its own
+        # model's default (uniform a Fokker-Planck state no preset used),
+        # and on any model, its own included, it is a config error; any
+        # other state is passed as a list
         cfg = resolve_config(overrides={"rollout": {"x0": x0}})
         cfg["model"] = model
         out = tmp_path / "o"
         with caplog.at_level("ERROR", logger="tthjb.cli"):
             assert run(cfg, out) == EXIT_CONFIG
-        assert f"x0 preset {x0!r} belongs to model" in caplog.text
+        assert f'x0 must be "default" or a list of numbers, got {x0!r}' in caplog.text
         assert not out.exists()
 
     def test_x0_preset_of_own_model(self):
-        for preset in ("paper-allen-cahn-d14", "paper-fokker-planck-d10"):
+        # every preset rolls out from its model's default state, over the
+        # model's own horizon (lq's is 10)
+        for preset in PRESETS:
             cfg = resolve_config(preset=preset)
             model = _build_model(cfg)
+            assert cfg["rollout"]["x0"] == "default"
+            assert cfg["rollout"]["horizon"] is None
             assert np.array_equal(cli._resolve_x0(cfg, model), model.x0_default)
+        assert _build_model(resolve_config(preset="lq")).horizon == 10.0
+
+    @pytest.mark.parametrize("preset, rollout", [
+        ("paper-allen-cahn-d14", {"x0": "cos-bump"}),
+        ("paper-fokker-planck-d10", {"x0": "right-sided"}),
+        ("lq", {"x0": "default", "horizon": 10.0}),
+    ])
+    def test_preset_cache_key_ignores_the_dropped_rollout(self, preset, rollout):
+        # the rollout entries the presets dropped never reached the cache
+        # key, which covers the model, solver, seed and version
+        cfg = resolve_config(preset=preset)
+        old = resolve_config(preset=preset, overrides={"rollout": rollout})
+        assert {k: cfg[k] for k in ("model", "solver", "seed")} == \
+            {k: old[k] for k in ("model", "solver", "seed")}
+        assert _cache_key(cfg) == _cache_key(old)
+
+    def test_shifted_model_is_judged_unshifted(self, tmp_path, monkeypatch):
+        # cli.run picks the evaluation model by the model's unshifted drift,
+        # not by its name: a Fokker-Planck model registered under another
+        # name is judged on its unshifted drift too
+        seen = []
+        original = cli.rollout
+
+        def recording(model, *args, **kwargs):
+            seen.append(model)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "rollout", recording)
+        monkeypatch.setitem(cli.MODELS, "renamed_fp", lambda **kw: dataclasses.replace(
+            cli.MODELS["fokker_planck"](**kw), name="renamed_fp"))
+        cfg = resolve_config(overrides={
+            "model": {"name": "renamed_fp", "D": 8},
+            "solver": {"delta": 1e-3, "n": 3, "mu0": 50.0, "max_policy_iters": 2},
+            "rollout": {"horizon": 0.5},
+        })
+        assert run(cfg, tmp_path / "o") == 0
+        shifted = _build_model(cfg)
+        assert seen and all(np.array_equal(m.lin_A, shifted.unshifted_A) for m in seen)
+        assert all(m.unshifted_A is None and m.admissible_uncontrolled for m in seen)
 
 
 class TestBoundedControlRun:

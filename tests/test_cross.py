@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tthjb import cross
+from tthjb import cross, tt
 from tthjb.cross import _fibres, maxvol, random_index_sets, rank_adapt, tt_cross
 from tthjb.tt import Accuracy, TTTensor, linear_to_tt, quadratic_to_tt, tt_norm
 
@@ -130,6 +130,50 @@ class TestCross:
 
 
 class TestRankAdapt:
+    @pytest.mark.parametrize("dims, rank", [((4, 4, 4), 3), ((2, 3, 2, 5), 10),
+                                            ((5,) * 6, 4), ((3, 1, 3), 2)])
+    def test_random_sets_are_grown_empty_sets(self, dims, rank):
+        # set k holds min(rank, capacity of interface k + 1) distinct rows,
+        # drawn set by set in order, as an explicit draw from the same seed
+        got = random_index_sets(dims, rank, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        cap = tt._capacity(dims)
+        for k, rows in enumerate(got.right):
+            want = cross._distinct_rows(dims[k + 1 :], min(rank, cap[k + 1]), rng,
+                                        np.zeros((0, len(dims) - k - 1), dtype=int))
+            assert np.array_equal(rows, want) and rows.dtype == want.dtype
+            assert len(set(map(tuple, rows))) == len(rows)
+
+    def test_growth_keeps_rows_and_nestedness(self, rng):
+        dims = (2, 5, 5, 2)
+        state = random_index_sets(dims, 1, rng)
+        for _ in range(4):
+            new = rank_adapt(state, 1.0, Accuracy(1e-6), rng)
+            counts = [rows.shape[0] for rows in new.right]
+            for k, (old, rows) in enumerate(zip(state.right, new.right)):
+                # old rows stay first; a set grows by the step, up to its
+                # interface's capacity
+                assert np.array_equal(rows[: len(old)], old)
+                assert len(old) <= len(rows) <= len(old) + cross._RANK_STEP
+                assert len(rows) <= tt._capacity(dims)[k + 1]
+            # the nestedness chain, both ways
+            for k in range(len(dims) - 1):
+                assert counts[k] <= (counts[k - 1] if k else 1) * dims[k]
+                assert counts[k] <= (counts[k + 1] if k < len(dims) - 2 else 1) * dims[k + 1]
+            state = new
+        assert [rows.shape[0] for rows in state.right] == [2, 9, 2]
+
+    def test_cut_to_the_nestedness_chain(self, rng):
+        # a set above max_rank does not grow, and its neighbours' counts
+        # times the mode sizes cut it: 7 rows > 2 * 3
+        dims = (3, 3, 3, 3)
+        rows = np.array([(i, j) for i in range(3) for j in range(3)][:7])
+        state = cross.CrossIndexSets(dims=dims, right=(np.array([[0, 0, 0]]), rows,
+                                                       np.array([[1]])))
+        new = rank_adapt(state, 1.0, Accuracy(1e-6, max_rank=2), rng)
+        assert [r.shape[0] for r in new.right] == [2, 6, 2]
+        assert np.array_equal(new.right[1], rows[:6])
+
     def test_error_below_delta_keeps_ranks(self, rng):
         state = random_index_sets((4, 4, 4), 2, rng)
         new = rank_adapt(state, 1e-9, Accuracy(1e-6), rng)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,12 +7,33 @@ from scipy.integrate import solve_ivp
 
 from tthjb.models import (
     MODELS,
+    _bernoulli,
+    _control_potential_deriv,
+    _diff_matrix,
+    _fp_operators,
+    _ground_potential_deriv,
+    _neumann_closure,
     allen_cahn_1d,
     fokker_planck,
     fokker_planck_unshifted,
     lq,
     solve_riccati,
 )
+
+
+def ac_nodes(d):
+    """The interior Chebyshev nodes of allen_cahn_1d(d)."""
+    return _neumann_closure(d)[2][1 : d + 1]
+
+
+def fp_pieces(D, nu=1.0):
+    """h, L, x_inf, Z and P of fokker_planck(D, nu), rebuilt as it builds them:
+    the cell width, the drift operator, the steady state, an orthonormal
+    basis of the zero-mass vectors and the projection onto them along x_inf."""
+    _, h, L, _, x_inf = _fp_operators(D, nu)
+    Z = scipy.linalg.null_space((np.ones((D, 1)) / np.sqrt(D)).T)
+    P = np.eye(D) - np.outer(x_inf, np.ones(D)) * h / (np.sum(x_inf) * h)
+    return h, L, x_inf, Z, P
 
 
 def fd_jacobian(f, d, h=1e-7):
@@ -36,7 +59,7 @@ class TestAllenCahn1D:
         m = allen_cahn_1d(8)
         J = fd_jacobian(m.drift, 8)
         assert np.allclose(J, m.lin_A, atol=1e-5)
-        # the linear part stored in extras is the diffusion operator alone
+        # lin_A less the reaction's identity is the diffusion operator alone
         sigma_L = m.lin_A - np.eye(8)
         assert np.allclose(J - np.eye(8), sigma_L, atol=1e-5)
 
@@ -48,7 +71,7 @@ class TestAllenCahn1D:
 
     def test_actuator_support(self):
         m = allen_cahn_1d(10)
-        xi = m.extras["xi"]
+        xi = ac_nodes(10)
         B = m.lin_B.reshape(-1)
         inside = (xi >= -0.5 - 1e-9) & (xi <= 0.2 + 1e-9)
         assert np.array_equal(B != 0.0, inside)
@@ -59,23 +82,43 @@ class TestAllenCahn1D:
         assert np.isclose(m.state_cost(np.ones((1, 12)))[0], 2.0, atol=1e-6)
 
     def test_pseudospectral_derivative_exactness(self):
-        d = 10
-        m = allen_cahn_1d(d)
-        xi = m.extras["xi"]
+        d, sigma = 10, 0.2
+        m = allen_cahn_1d(d, sigma=sigma)
+        xi = ac_nodes(d)
         # quadratic with zero Neumann data at +-1: p(x) = 1 (trivial) is too
         # weak; use the sigma-Laplacian on cos(pi x), whose derivative
         # vanishes at the boundary
         x = np.cos(np.pi * xi)
         lap = m.lin_A - np.eye(d)   # sigma * D2 with Neumann closure
-        want = m.extras["sigma"] * (-np.pi**2) * np.cos(np.pi * xi)
+        want = sigma * (-np.pi**2) * np.cos(np.pi * xi)
         got = lap @ x
         assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
 
     def test_cos_bump_initial_state(self):
         m = allen_cahn_1d(10)
-        xi = m.extras["xi"]
+        xi = ac_nodes(10)
         assert np.allclose(m.x0_default,
                            2.0 + np.cos(2 * np.pi * xi) * np.cos(np.pi * xi))
+
+    @pytest.mark.parametrize("d", [3, 4, 9, 20])
+    def test_diff_matrix_entries(self, d):
+        # entry by entry: (w_j / w_i) / (x_i - x_j) off the diagonal, minus
+        # the row sum on it, with the barycentric weights of second-kind
+        # Chebyshev points; the vectorized matrix holds the same bits
+        x = _neumann_closure(d)[2]
+        n = x.size
+        w = (-1.0) ** np.arange(n)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    want[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+            want[i, i] = -np.sum(want[i, :])
+        assert np.array_equal(_diff_matrix(x), want)
+        # exact on the quadratic x^2
+        assert np.allclose(_diff_matrix(x) @ x**2, 2 * x, atol=1e-12)
 
     def test_constrained_variant(self):
         m = allen_cahn_1d(10, u_max=2.0)
@@ -86,17 +129,14 @@ class TestAllenCahn1D:
 
 class TestFokkerPlanck:
     def test_steady_state_annihilated(self):
-        m = fokker_planck(D=32)
-        L = m.extras["L"]
-        x_inf = m.extras["x_inf"]
+        _, L, x_inf, _, _ = fp_pieces(32)
         assert np.linalg.norm(L @ x_inf) <= 1e-8 * np.linalg.norm(x_inf)
 
     def test_projection_is_zero_mass(self, rng):
         m = fokker_planck(D=16)
-        Z = m.extras["Z"]
+        _, _, _, Z, P = fp_pieces(16)
         y = Z @ rng.standard_normal(m.dim)
         assert abs(np.sum(y)) <= 1e-10
-        P = m.extras["P"]
         w = rng.standard_normal(16)
         assert abs(np.sum(P @ w)) <= 1e-9 * np.linalg.norm(w)
 
@@ -107,9 +147,49 @@ class TestFokkerPlanck:
 
     def test_x0_presets_are_zero_mass(self):
         m = fokker_planck(D=16)
-        Z = m.extras["Z"]
-        for z0 in (m.x0_default, m.extras["x0_uniform"]):
-            assert abs(np.sum(Z @ z0)) <= 1e-8
+        Z = fp_pieces(16)[3]
+        assert abs(np.sum(Z @ m.x0_default)) <= 1e-8
+
+    def test_unshifted_drift_is_the_projected_operator(self):
+        # the closed loop is judged on Z' P L Z, bit for bit, and the
+        # unshifted model is judged on its own drift
+        m = fokker_planck(D=16)
+        _, L, _, Z, P = fp_pieces(16)
+        m0 = fokker_planck_unshifted(m)
+        assert np.array_equal(m.unshifted_A, Z.T @ P @ L @ Z)
+        assert np.array_equal(m0.lin_A, Z.T @ P @ L @ Z)
+        assert m0.unshifted_A is None
+        assert allen_cahn_1d(5).unshifted_A is None and lq(3).unshifted_A is None
+
+    def test_non_finite_unshifted_drift_rejected(self):
+        m = fokker_planck(D=8)
+        with pytest.raises(ValueError, match="unshifted_A"):
+            dataclasses.replace(m, unshifted_A=np.full_like(m.lin_A, np.nan))
+
+    @pytest.mark.parametrize("D, nu", [(8, 1.0), (11, 1.0), (40, 0.3), (255, 1.0)])
+    def test_operators_are_face_fluxes(self, D, nu):
+        # entry by entry, face by face: the three-diagonal build holds the
+        # same bits
+        h = 12.0 / D
+        faces = -6.0 + np.arange(1, D) * h
+        z = _ground_potential_deriv(faces) * h / nu
+        bp, bm = _bernoulli(z), _bernoulli(-z)
+        hp = _control_potential_deriv(faces)
+        L, N = np.zeros((D, D)), np.zeros((D, D))
+        for j in range(D - 1):
+            c = nu / (h * h)
+            L[j, j] -= c * bp[j]
+            L[j, j + 1] += c * bm[j]
+            L[j + 1, j] += c * bp[j]
+            L[j + 1, j + 1] -= c * bm[j]
+            c = hp[j] / (2.0 * h)
+            N[j, j] -= c
+            N[j, j + 1] -= c
+            N[j + 1, j] += c
+            N[j + 1, j + 1] += c
+        _, _, L_got, N_got, _ = _fp_operators(D, nu)
+        assert np.array_equal(L_got, L)
+        assert np.array_equal(N_got, N)
 
     def test_uncontrolled_reference_decay_rate(self):
         # high-resolution reference: squared deviation decays near exp(-0.29 t).
@@ -121,7 +201,7 @@ class TestFokkerPlanck:
                         m.x0_default, method="BDF", rtol=1e-8, atol=1e-10,
                         jac=m0.lin_A, dense_output=True)
         ts = np.linspace(2.0, 9.2, 200)
-        e2 = np.sum(sol.sol(ts) ** 2, axis=0) * m.extras["h"]
+        e2 = np.sum(sol.sol(ts) ** 2, axis=0) * fp_pieces(255)[0]
         rate = np.polyfit(ts, np.log(e2), 1)[0]
         assert -0.40 <= rate <= -0.20
 
@@ -232,7 +312,7 @@ class TestRegistry:
             assert abs(m.state_cost(z)[0]) <= 1e-12
 
     def test_interior_nodes(self):
-        xi = allen_cahn_1d(5).extras["xi"]
+        xi = ac_nodes(5)
         assert np.all(np.diff(xi) > 0)
         assert np.all(np.abs(xi) < 1)
 

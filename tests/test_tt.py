@@ -108,6 +108,21 @@ def chop_by_cumsum(s, budget, max_rank):
     return keep if max_rank is None else min(keep, max_rank)
 
 
+class TestCapacity:
+    def test_smaller_side_of_each_interface(self):
+        assert tt._capacity((2, 3, 4)) == [1, 2, 4, 1]
+        assert tt._capacity((2, 3, 4, 5)) == [1, 2, 6, 5, 1]
+        assert tt._capacity(()) == [1]
+
+    def test_python_integers_past_float_range(self):
+        # exact where a float product would round (2^60 + ...) or a numpy
+        # int64 product would overflow (10^20)
+        cap = tt._capacity(np.array([10] * 40))
+        assert cap[20] == 10**20 and type(cap[20]) is int
+        cap = tt._capacity((3,) * 80)
+        assert cap[40] == 3**40 and all(type(c) is int for c in cap)
+
+
 class TestChop:
     @staticmethod
     def budgets(s):
