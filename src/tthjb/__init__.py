@@ -6,6 +6,7 @@ from .basis import SpectralBasis, build_basis
 from .cross import tt_cross
 from .models import MODELS, ControlledDynamics, solve_riccati
 from .policy import (
+    NotStabilizable,
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
@@ -23,6 +24,7 @@ __all__ = [
     "ControlledDynamics",
     "GalerkinSystem",
     "MODELS",
+    "NotStabilizable",
     "PolicyDivergence",
     "SolverConfig",
     "SpectralBasis",

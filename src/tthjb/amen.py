@@ -71,22 +71,21 @@ def _advance_vec(L, vb, bb):
     return tmp.reshape(p * n, b).T @ bb.reshape(p * n, -1)
 
 
-def _right_interfaces(x: TTTensor, A: TTMatrix, vecs):
-    """Right interfaces against the frames of x: of A and of vecs.
+def _right_interfaces(x: TTTensor, A: TTMatrix, f: TTTensor):
+    """Right interfaces against the frames of x: of A and of f.
 
     Entry j contracts blocks j..d-1, so block k meets entry k + 1; entry d is
     the empty product.  Each is the advance kernel on blocks whose rank axes
-    are reversed.  Returns (interfaces of A, one list per vector).
+    are reversed.  Returns (interfaces of A, interfaces of f).
     """
     d = x.d
     RA = [None] * d + [np.ones((1, 1, 1))]
-    Rs = [[None] * d + [np.ones((1, 1))] for _ in vecs]
+    Rf = [None] * d + [np.ones((1, 1))]
     for j in range(d - 1, 0, -1):
         xb = x.blocks[j].transpose(2, 1, 0)
         RA[j] = _advance_op(RA[j + 1], xb, A.blocks[j].transpose(3, 1, 2, 0), xb)
-        for R, t in zip(Rs, vecs):
-            R[j] = _advance_vec(R[j + 1], xb, t.blocks[j].transpose(2, 1, 0))
-    return RA, Rs
+        Rf[j] = _advance_vec(Rf[j + 1], xb, f.blocks[j].transpose(2, 1, 0))
+    return RA, Rf
 
 
 def _left_op(LA, Ab):
@@ -101,21 +100,6 @@ def _local_matrix(LA, Ab, RA):
     H = _left_op(LA, Ab) @ RA.transpose(1, 0, 2).reshape(R1, r1 * r1)
     H = H.reshape(r0, r0, n, n, r1, r1).transpose(0, 2, 4, 1, 3, 5)  # a i b c j d
     return H.reshape(r0 * n * r1, r0 * n * r1)
-
-
-def _project(terms, Ls, Rs, k):
-    """Block (a, i, b) of sum_i c_i t_i projected onto the frames around k.
-
-    Ls holds each term's left interface at k, Rs its right interface list;
-    the terms are summed in order.
-    """
-    out = None
-    for (coef, t), L, R in zip(terms, Ls, Rs):
-        p, n, q = t.blocks[k].shape
-        tmp = (L @ t.blocks[k].reshape(p, n * q)).reshape(-1, q)   # a i q
-        piece = coef * (tmp @ R[k + 1].T).reshape(L.shape[0], n, -1)
-        out = piece if out is None else out + piece
-    return out
 
 
 def _apply_local(LA, Ab, RA, x):
@@ -282,8 +266,7 @@ def amen_solve_shifted(
     v = orthogonalize_right(v_prev)
     d = v.d
     ell = [min(_RHO, m) for m in _capacity(v.dims)]
-    rhs = [(1.0, b), (shift, v_prev)]
-    vecs = [b, v_prev]
+    f = b + v_prev * shift
     stats = {} if stats is None else stats
     stats.update(max_local_res=0.0, gmres_fallbacks=0, gmres_unconverged=0)
     # A v as a product term: A's columns are the contracted axis q, its rows j
@@ -291,13 +274,15 @@ def amen_solve_shifted(
     ones = [np.ones((m, 1)) for m in A.col_dims]
     res = _sketch([_tt_term(b), _product_term(tt_scale(v, -1.0), A_qj, ones)], v, ell,
                   np.random.default_rng(seed + 1))
-    RA, Rs = _right_interfaces(v, A, vecs)
+    RA, Rf = _right_interfaces(v, A, f)
     LA = np.ones((1, 1, 1))
-    Ls = [np.ones((1, 1)) for _ in vecs]
+    Lf = np.ones((1, 1))
     Lz = np.ones((1, 1))
     blocks = list(v.blocks)
     for k in range(d):
-        g = _project(rhs, Ls, Rs, k).reshape(-1)
+        # f projected onto the frames around block k: (a, i, b), flat
+        fb = Lf @ f.blocks[k].reshape(Lf.shape[1], -1)
+        g = (fb.reshape(-1, Rf[k + 1].shape[1]) @ Rf[k + 1].T).reshape(-1)
         x, local_res = _solve_local((LA, A.blocks[k], RA[k + 1]), g, shift,
                                     blocks[k], acc.delta, stats)
         # relative to ||g||; absolute for a zero right-hand side
@@ -321,7 +306,7 @@ def amen_solve_shifted(
         carry = rm @ np.vstack([carry, np.zeros((rho_k, r1))])
         blocks[k + 1] = _carry_left(carry, blocks[k + 1])
         LA = _advance_op(LA, blocks[k], A.blocks[k], blocks[k])
-        Ls = [_advance_vec(L, blocks[k], t.blocks[k]) for L, t in zip(Ls, vecs)]
+        Lf = _advance_vec(Lf, blocks[k], f.blocks[k])
         Lz = _advance_vec(Lz, blocks[k], res.blocks[k])
     v = TTTensor(blocks)
     log.debug("amen sweep: shift=%.3g max_rank=%d max_local_res=%.3g",

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .models import MODELS, fokker_planck_unshifted, solve_riccati
 from .policy import (
+    NotStabilizable,
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
@@ -120,6 +121,25 @@ def resolve_config(preset: str | None = None, config_path=None,
     return cfg
 
 
+def _check_shape(cfg: dict) -> None:
+    """Every section a JSON object of known keys and store_states a bool;
+    the model's keys are its constructor's to judge."""
+    unknown = set(cfg) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for section in ("model", "solver", "rollout", "outputs"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section} must be a JSON object, got {cfg[section]!r}")
+    for section, known in (("solver", _SOLVER_FIELDS), ("rollout", DEFAULT_CONFIG["rollout"]),
+                           ("outputs", DEFAULT_CONFIG["outputs"])):
+        unknown = set(cfg[section]) - set(known)
+        if unknown:
+            raise ConfigError(f"unknown {section} fields: {sorted(unknown)}")
+    store_states = cfg["outputs"].get("store_states", False)
+    if not isinstance(store_states, bool):
+        raise ConfigError(f"outputs store_states must be true or false, got {store_states!r}")
+
+
 def _build_model(cfg: dict):
     model_cfg = dict(cfg["model"])
     name = model_cfg.pop("name", None)
@@ -142,9 +162,6 @@ def _seed(cfg: dict) -> int:
 
 def _build_solver_config(cfg: dict, seed: int) -> SolverConfig:
     solver_cfg = dict(cfg["solver"])
-    unknown = set(solver_cfg) - _SOLVER_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
     solver_cfg.setdefault("seed", seed)
     try:
         return SolverConfig(**solver_cfg)
@@ -216,6 +233,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     """Execute one configured experiment; returns a process exit code."""
     t_start = time.perf_counter()
     try:
+        _check_shape(cfg)
         model = _build_model(cfg)
         seed = _seed(cfg)
         config = _build_solver_config(cfg, seed)
@@ -229,9 +247,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         return EXIT_CONFIG
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cache = Path(cache_dir) if cache_dir is not None else out / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
     key = _cache_key(cfg)
     tt_path = cache / f"{key}.tt"
     meta_path = cache / f"{key}.json"
@@ -251,16 +267,21 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
     else:
         try:
             V, state = policy_iterate(model, config)
+        except NotStabilizable as exc:
+            log.error("configuration error: %s", exc)
+            return EXIT_CONFIG
         except PolicyDivergence as exc:
             log.error("solver diverged: %s", exc)
             return EXIT_DIVERGENCE
         history = state.history
         iterations, converged = state.iteration, state.converged
+        cache.mkdir(parents=True, exist_ok=True)
         # each file written whole, the .json last: a sweep's workers share the cache
         _write_whole(tt_path, lambda path: save_tt(V.v, path))
         _write_whole(meta_path, lambda path: path.write_text(json.dumps(
             {"history": history, "iterations": iterations, "converged": converged})))
 
+    out.mkdir(parents=True, exist_ok=True)
     save_tt(V.v, out / "value_function.tt")
     history_to_csv(history, out / "history.csv")
 
@@ -279,7 +300,7 @@ def run(cfg: dict, out_dir, cache_dir=None) -> int:
         lqr = None
         log.info("no LQR baseline (linearization not stabilizable)")
 
-    store_states = bool(cfg["outputs"].get("store_states", False))
+    store_states = cfg["outputs"].get("store_states", False)
     trajectories = {}
     for name, ctrl in controllers.items():
         traj = rollout(eval_model, ctrl, x0, horizon, tol=tol)
@@ -372,9 +393,9 @@ def sweep(cfg: dict, grids: list, out_dir, jobs: int = 1) -> Path:
     """Run a one- or two-parameter grid; one CSV row per run."""
     if len(grids) > 2:
         raise ConfigError("at most two sweep parameters are supported")
+    _check_shape(cfg)
     keys = [k for k, _ in grids]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cache_dir = out / "cache"
     combos = list(itertools.product(*[vals for _, vals in grids]))
     tasks = []
@@ -382,11 +403,14 @@ def sweep(cfg: dict, grids: list, out_dir, jobs: int = 1) -> Path:
         run_cfg = cfg
         for key, val in zip(keys, combo):
             run_cfg = _apply_sweep_value(run_cfg, key, val)
+        _check_shape(run_cfg)                    # a sweep key may name no field
         tag = "_".join(f"{k.split('.')[-1]}{v}" for k, v in zip(keys, combo))
         tasks.append((run_cfg, out / f"run_{i:03d}_{tag}", cache_dir))
 
+    out.mkdir(parents=True, exist_ok=True)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -436,6 +460,8 @@ def main(argv=None) -> int:
     if args.store_states:
         overrides["outputs"] = {"store_states": True}
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = resolve_config(args.preset, args.config, overrides)
         if args.sweep:
             grids = [_parse_sweep_arg(s) for s in args.sweep]

@@ -42,6 +42,7 @@ __all__ = [
     "PolicyIterationState",
     "ValueFunction",
     "PolicyDivergence",
+    "NotStabilizable",
     "initial_policy",
     "solver_basis",
     "policy_iterate",
@@ -73,6 +74,11 @@ def _cross_record(prefix: str, res) -> dict:
 class PolicyDivergence(RuntimeError):
     """Raised when, for too many iterations in a row, the residual grows, the
     norm of the value tensor more than doubles or the shift exceeds mu0."""
+
+
+class NotStabilizable(ValueError):
+    """Raised when the starting feedback needs an LQR warm start and the
+    model's linearization admits none."""
 
 
 @dataclass(frozen=True)
@@ -299,7 +305,7 @@ def initial_policy(model: ControlledDynamics, basis: SpectralBasis) -> TTTensor:
     try:
         sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
     except ValueError as exc:
-        raise ValueError(
+        raise NotStabilizable(
             "uncontrolled dynamics inadmissible and linearization not "
             "stabilizable; supply a custom initial policy"
         ) from exc

@@ -13,7 +13,6 @@ from tthjb.amen import (
     _block_jacobi,
     _gmres,
     _local_matrix,
-    _project,
     _right_interfaces,
     _solve_local,
     amen_solve_shifted,
@@ -143,12 +142,12 @@ class TestKernels:
 
     def test_right_interfaces(self, rng):
         # the advance kernels on blocks with reversed rank axes; x, A and
-        # the vector have different ranks
+        # the right-hand side have different ranks
         dims = (2, 3, 4, 5)
         x = TTTensor.random(dims, [1, 2, 3, 4, 1], rng)
         A = random_tt_matrix(rng, dims, [1, 5, 6, 7, 1])
         t = TTTensor.random(dims, [1, 6, 5, 3, 1], rng)
-        RA, (Rt,) = _right_interfaces(x, A, [t])
+        RA, Rt = _right_interfaces(x, A, t)
         want_A, want_t = np.ones((1, 1, 1)), np.ones((1, 1))
         for j in range(x.d - 1, 0, -1):
             want_A = np.einsum("aib,AijB,cjd,bBd->aAc", x.blocks[j], A.blocks[j],
@@ -181,21 +180,6 @@ class TestKernels:
         y = np.einsum("ibjb,jb->ib", H, x) + shift * x
         solve_M = _block_jacobi(LA, Ab, RA, shift)
         assert np.allclose(solve_M(y.reshape(-1)), x.reshape(-1), rtol=1e-10, atol=1e-10)
-
-    def test_project(self, rng):
-        blocks = [rng.standard_normal((self.p, self.n, self.q)),
-                  rng.standard_normal((self.c, self.n, self.d))]
-        t1 = TTTensor([rng.standard_normal((1, 2, self.p)), blocks[0],
-                       rng.standard_normal((self.q, 3, 1))])
-        t2 = TTTensor([rng.standard_normal((1, 2, self.c)), blocks[1],
-                       rng.standard_normal((self.d, 3, 1))])
-        Ls = [rng.standard_normal((self.a, self.p)), rng.standard_normal((self.a, self.c))]
-        Rs = [[None, None, rng.standard_normal((self.b, self.q))],
-              [None, None, rng.standard_normal((self.b, self.d))]]
-        got = _project([(0.5, t1), (-2.0, t2)], Ls, Rs, 1)
-        want = sum(coef * np.einsum("ap,piq,bq->aib", L, blk, R[2])
-                   for coef, L, blk, R in zip((0.5, -2.0), Ls, blocks, Rs))
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestLocalSolve:
@@ -461,6 +445,21 @@ class TestAmenSolve:
         v = amen_solve_shifted(A, b, v_prev, 1.0, Accuracy(1e-10))
         want = np.linalg.solve(M + np.eye(N), full(b).reshape(-1))
         assert np.allclose(full(v).reshape(-1), want, atol=1e-7)
+
+    def test_nonzero_previous_iterate_of_other_rank(self, rng):
+        # v_prev != 0 of rank 3 against b of rank 2: the right-hand side
+        # b + mu v_prev has rank 5, above the capacity 3 of dims (3, 5), and
+        # the enrichment fills the left frame to the mode size 3, so one call
+        # is the dense shifted step
+        dims, mu = (3, 5), 0.7
+        A = random_tt_matrix(rng, dims, [1, 2, 1]) + 6.0 * identity(dims)
+        b = TTTensor.random(dims, [1, 2, 1], rng)
+        v_prev = TTTensor.random(dims, [1, 3, 1], rng)
+        v = amen_solve_shifted(A, b, v_prev, mu, Accuracy(1e-12))
+        assert v.ranks == (1, 3, 1)
+        want = np.linalg.solve(full(A) + mu * np.eye(15),
+                               full(b).reshape(-1) + mu * full(v_prev).reshape(-1))
+        assert np.linalg.norm(full(v).reshape(-1) - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_enrichment_follows_seed(self, rng):
         # from a rank-1 start one sweep's ranks come from the residual

@@ -429,6 +429,67 @@ class TestMain:
         assert "unknown solver fields" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, says", [
+        ({"model": 5}, "model must be a JSON object, got 5"),
+        ({"solver": 5}, "solver must be a JSON object, got 5"),
+        ({"rollout": 5}, "rollout must be a JSON object, got 5"),
+        ({"outputs": 5}, "outputs must be a JSON object, got 5"),
+        ({"solvr": {"delta": 0.5}}, "unknown config keys: ['solvr']"),
+        ({"rollout": {"horizn": 5.0}}, "unknown rollout fields: ['horizn']"),
+        ({"outputs": {"store": True}}, "unknown outputs fields: ['store']"),
+        ({"outputs": {"store_states": "no"}}, "store_states must be true or false, got 'no'"),
+    ], ids=["model-number", "solver-number", "rollout-number", "outputs-number",
+            "unknown-section", "unknown-rollout-key", "unknown-outputs-key",
+            "store_states-text"])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+    def test_config_shape_exit_2(self, tmp_path, caplog, capsys, override, says, sweep):
+        # a section that is not an object, a key no section knows and a
+        # store_states that is not a bool are named before anything runs,
+        # for one run and for each run of a sweep
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, **override}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        with caplog.at_level("ERROR", logger="tthjb.cli"):
+            assert main(argv + (["--sweep", "seed=0,1"] if sweep else [])) == EXIT_CONFIG
+        assert says in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"name": "allen_cahn_1d", "d": 4, "sigma": 0.0},
+        {"name": "fokker_planck", "D": 8, "sigma_shift": 50},
+        {"name": "fokker_planck", "D": 8, "nu": -1},
+    ], ids=["ac-unactuated", "fp-shift-50", "fp-nu-negative"])
+    def test_unstabilizable_model_exit_2(self, tmp_path, caplog, model):
+        # the LQR warm start of these linearizations fails inside the solve;
+        # that failure alone is a config error, found before anything is written
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, "model": model}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="tthjb.cli"):
+            assert main(["--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error:" in caplog.text and "not stabilizable" in caplog.text
+        assert not out.exists()
+
+    def test_other_solver_errors_propagate(self, tmp_path, monkeypatch):
+        # NotStabilizable is a ValueError, so API callers catching ValueError
+        # still see it; any other ValueError from the solve is not a config error
+        assert issubclass(tthjb.NotStabilizable, ValueError)
+
+        def fail(model, config):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "policy_iterate", fail)
+        with pytest.raises(ValueError, match="boom"):
+            run(resolve_config(overrides=FAST_LQ), tmp_path / "o")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert main(["--sweep", "d=3,4", "--jobs", jobs, "--out", str(out)]) == EXIT_CONFIG
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["--preset", "bogus", "--out", str(tmp_path / "o")]) \
             == EXIT_CONFIG
@@ -493,6 +554,37 @@ class TestSweep:
         bad = lines[2].split(",")
         assert ok[0] == "4" and ok[-1] == "False"
         assert bad[0] == "-2" and bad[-1] == "True"
+
+    def test_pool_never_exceeds_the_runs(self, tmp_path, monkeypatch):
+        # a fork pool starts all max_workers processes up front: the sweep
+        # asks for no more than it has runs (the fake maps serially, and no
+        # process is started)
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: (None, np.nan, 0.0, True))
+        cfg = resolve_config(overrides=FAST_LQ)
+        path = sweep(cfg, [("d", [3, 4])], tmp_path / "sw", jobs=5000)
+        assert started == [2]
+        assert len(path.read_text().strip().splitlines()) == 3
+
+    def test_sweep_key_of_no_field_exit_2(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--sweep", "rollout.horizn=1,2", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_too_many_parameters(self, tmp_path):
         cfg = resolve_config(overrides=FAST_LQ)
