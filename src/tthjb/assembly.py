@@ -10,18 +10,17 @@ in the unconstrained case).  With the minus sign the operator of a stable
 closed loop has spectrum in the right half plane, so positive shifts
 regularize rather than destabilize the linear solves.
 
-f and g come as flag fields (see models).  Each field gives one exact TT
-operator, a flag chain of weighted blocks: the drift's against the basis and
-the control map's against the nodes.  The coupling -< (g u) . grad phi_j,
-phi_i > is then 2 gamma wphi^T diag(u) bmap, for wphi the weighted basis on
-the nodes and bmap the control map: one TT of ranks r_u r_bmap per feedback,
-formed only while its sum with the drift is within the rank cap.  Over the
-cap the sketch meets it as a product term of u and bmap (tt._product_term),
-as it meets the penalty gamma P(u^2) of the right-hand side.
+f and g come as flag fields (see models).  The F fields of each are one
+exact flag chain of rank 2F, weighted in one batch: the drift's against the
+basis, the control map's against the nodes.  The coupling -< (g u) . grad
+phi_j, phi_i > is then 2 gamma wphi^T diag(u) bmap, for wphi the weighted
+basis on the nodes and bmap the control map: one TT of ranks r_u r_bmap per
+feedback, formed only while its sum with the drift is within the rank cap.
+Over the cap the sketch meets it as a product term of u and bmap
+(tt._product_term), as it meets the penalty gamma P(u^2) of the right-hand side.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -97,24 +96,27 @@ def project_to_basis(t: TTTensor, basis: SpectralBasis) -> TTTensor:
     return TTTensor([np.einsum("aqb,qi->aib", blk, basis.wphi) for blk in t.blocks])
 
 
-def _weighted_block(blk, test, trial):
-    """Block (r0, q, r1) met along its node mode q by test[q, i] trial[q, j]:
-    an operator block (r0, i, j, r1)."""
-    out = np.tensordot(blk, test[:, :, None] * trial[:, None, :], axes=(1, 0))
-    return out.transpose(0, 2, 3, 1)
+def _fields_chain(fields, test, trial, dtrial) -> TTMatrix:
+    """sum over the flag fields and over p of the operators that meet
+    component p of the field by test and, along every dimension k, trial
+    (dtrial for k = p).
 
-
-def _field_chain(field, test, trial, dtrial) -> TTMatrix:
-    """sum_p of the operators that meet component p of the flag field by
-    test and, along every dimension k, trial (dtrial for k = p).
-
-    Component p of field = (g, h) is h_p(x_p) prod_{k != p} g_k(x_k), so the
-    chain has rank 2.
+    Component p of field (g, h) is h_p(x_p) prod_{k != p} g_k(x_k): a flag
+    chain of rank 2.  The F fields' node vectors, stacked (F, d, m), are
+    weighted by one GEMM against test x trial and one against test x dtrial,
+    and the exact sum is one flag chain of rank 2F whose G and H blocks are
+    block-diagonal over the fields.
     """
-    g, h = field
-    return TTMatrix(flag_chain(
-        [_weighted_block(gk.reshape(1, -1, 1), test, trial) for gk in g],
-        [_weighted_block(hk.reshape(1, -1, 1), test, dtrial) for hk in h]))
+    g, h = (np.array([f[i] for f in fields], dtype=float) for i in (0, 1))
+    F, d, m = g.shape
+    eye = np.eye(F)
+
+    def weighted(x, right):
+        kernel = (test[:, :, None] * right[:, None, :]).reshape(m, -1)
+        w = (x.reshape(F * d, m) @ kernel).reshape(F, d, test.shape[1], right.shape[1])
+        return list(w.transpose(1, 0, 2, 3)[..., None] * eye[:, None, None, :])
+
+    return TTMatrix(flag_chain(weighted(g, trial), weighted(h, dtrial)))
 
 
 def _coupling(bmap: TTMatrix, u: TTTensor, wphi) -> TTMatrix:
@@ -130,24 +132,17 @@ def _coupling(bmap: TTMatrix, u: TTTensor, wphi) -> TTMatrix:
     return TTMatrix(blocks)
 
 
-def _sum_round(ops: list, acc: Accuracy) -> TTMatrix:
-    """round(sum of the operators, acc): the exact sum, rounded once."""
-    return tt_round(functools.reduce(tt_add, ops), acc)
-
-
 def assemble_drift(fields, basis: SpectralBasis, acc: Accuracy) -> TTMatrix:
     """-< f . grad phi_j, phi_i > for the drift's flag fields, rounded."""
-    return -1.0 * _sum_round([_field_chain(f, basis.wphi, basis.phi, basis.dphi)
-                              for f in fields], acc)
+    return -1.0 * tt_round(_fields_chain(fields, basis.wphi, basis.phi, basis.dphi), acc)
 
 
 def control_map(fields, basis: SpectralBasis, gamma: float, acc: Accuracy) -> TTMatrix:
     """Operator taking value coefficients to nodal values of the minimizing
     control, u(x) = -(1 / 2 gamma) g(x) . grad V(x), for the channel's flag
-    fields: each chain meets the nodes by the identity."""
-    eye = np.eye(basis.m)
-    chains = [_field_chain(f, eye, basis.phi, basis.dphi) for f in fields]
-    return (-0.5 / gamma) * _sum_round(chains, acc)
+    fields: the chain meets the nodes by the identity."""
+    chain = _fields_chain(fields, np.eye(basis.m), basis.phi, basis.dphi)
+    return (-0.5 / gamma) * tt_round(chain, acc)
 
 
 @dataclass
@@ -184,7 +179,7 @@ class GalerkinSystem:
         full = [min(drift.ranks[k] + u.ranks[k] * bmap.ranks[k], m)
                 for k, m in enumerate(_capacity(dims))]
         if acc.max_rank is None or max(full) <= acc.max_rank + _SUM_OVERSAMPLE:
-            return _sum_round([drift, _coupling(bmap, u, self.basis.wphi)], acc)
+            return tt_round(tt_add(drift, _coupling(bmap, u, self.basis.wphi)), acc)
         cap = [min(f, acc.max_rank + _SUM_OVERSAMPLE) for f in full]
         terms = [_tt_term(drift), _product_term(u, bmap.blocks, [self.basis.wphi] * u.d)]
         return _sketch_round(terms, drift, cap, cap, acc, self.seed)

@@ -97,7 +97,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def resolve_config(preset: str | None = None, config_path=None,
                    overrides: dict | None = None) -> dict:
-    """Layer defaults <- preset <- config file <- CLI overrides."""
+    """Layer defaults <- preset <- config file <- CLI overrides.  The layers
+    under the overrides are checked first: an override would replace a
+    malformed section or seed."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if preset is not None:
         if preset not in PRESETS:
@@ -117,6 +119,8 @@ def resolve_config(preset: str | None = None, config_path=None,
             raise ConfigError("config file must contain a JSON object")
         cfg = _deep_merge(cfg, user)
     if overrides:
+        _check_shape(cfg)
+        _seed(cfg)
         cfg = _deep_merge(cfg, overrides)
     return cfg
 

@@ -306,8 +306,8 @@ def initial_policy(model: ControlledDynamics, basis: SpectralBasis) -> TTTensor:
         sol = solve_riccati(model.lin_A, model.lin_B, model.cost_matrix, model.gamma)
     except ValueError as exc:
         raise NotStabilizable(
-            "uncontrolled dynamics inadmissible and linearization not "
-            "stabilizable; supply a custom initial policy"
+            "uncontrolled dynamics inadmissible and linearization not stabilizable: "
+            "(lin_A, lin_B) has no stabilizing feedback, so the model's parameters must change"
         ) from exc
     return linear_to_tt(-sol.K.reshape(-1), grids)
 

@@ -487,7 +487,8 @@ def flag_chain(G: list, H: list) -> list:
 
     The chain carries a single flag for whether the H factor has been spent,
     giving blocks [[G, H], [0, G]] instead of a d-term sum; ranks only double.
-    Block 0 keeps its unflagged row and block d-1 its flagged column.
+    Block 0 sums its unflagged rows and block d-1 its flagged columns, so G
+    and H block-diagonal over several chains give the sum of those chains.
     """
     blocks = []
     for g, h in zip(G, H):
@@ -497,8 +498,8 @@ def flag_chain(G: list, H: list) -> list:
         blk[:r0, ..., r1:] = h
         blk[r0:, ..., r1:] = g
         blocks.append(blk)
-    blocks[0] = blocks[0][:1]
-    blocks[-1] = np.ascontiguousarray(blocks[-1][..., -1:])
+    blocks[0] = blocks[0][:G[0].shape[0]].sum(axis=0, keepdims=True)
+    blocks[-1] = blocks[-1][..., G[-1].shape[-1]:].sum(axis=-1, keepdims=True)
     return blocks
 
 

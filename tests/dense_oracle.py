@@ -1,13 +1,15 @@
-"""Dense oracles of the tests: TT chains to and from full arrays.
+"""Dense oracles of the tests: TT chains to and from full arrays, and the
+per-field reference of the operator builder.
 
 The library never forms a dense tensor; the tests compare against one on
 small cases only.
 """
+import functools
 import math
 
 import numpy as np
 
-from tthjb.tt import TTMatrix, TTTensor
+from tthjb.tt import TTMatrix, TTTensor, flag_chain, tt_add
 
 
 def full(t):
@@ -50,3 +52,20 @@ def from_full(array, delta) -> TTTensor:
         cur = s[:keep, None] * vt[:keep]
     blocks.append(cur.reshape(-1, dims[-1], 1))
     return TTTensor(blocks)
+
+
+def weighted_block(blk, test, trial):
+    """Block (r0, q, r1) met along its node mode q by test[q, i] trial[q, j]:
+    an operator block (r0, i, j, r1)."""
+    out = np.tensordot(blk, test[:, :, None] * trial[:, None, :], axes=(1, 0))
+    return out.transpose(0, 2, 3, 1)
+
+
+def field_sum(fields, test, trial, dtrial) -> TTMatrix:
+    """The exact sum over the flag fields (g, h) of their rank-2 flag
+    chains, each weighted one dimension at a time (test x trial for g,
+    test x dtrial for h) and summed pairwise by tt_add."""
+    return functools.reduce(tt_add, [TTMatrix(flag_chain(
+        [weighted_block(gk.reshape(1, -1, 1), test, trial) for gk in g],
+        [weighted_block(hk.reshape(1, -1, 1), test, dtrial) for hk in h]))
+        for g, h in fields])

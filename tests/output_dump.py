@@ -8,16 +8,22 @@ at paper-allen-cahn-d14's, allen_cahn_1d(5, u_max=1.0, omega=(-0.8, 0.1))
 at paper-allen-cahn-d14's for 3 rows (ac5b: the bounded path, where the
 cap and the penalty run through cross on every row) and fokker_planck(11)
 at paper-fokker-planck-d10's for 2 rows.  Each keeps the value tensor's
-blocks, every history value but the timings (the *_s and seconds columns),
+blocks, the blocks of the rounded drift and control map the solve starts
+from, every history value but the timings (the *_s and seconds columns),
 the feedback at 50 seeded states and hjb_residual.  lq6 and ac8 also keep
 the closed-loop total cost of each controller cli.run builds there, from
 the model's x0_default over its horizon: hjb, lqr, and uncontrolled when
 the model is admissible, rolled out at tolerance 1e-8.  compare prints one
 equal/unequal line per item and exits 1 on any difference.  The costs are
 compared to relative COST_RTOL (1e-8, the rollout tolerance), since they
-depend on the integrator; every other item must be bitwise equal.
-Histories are compared on the columns both dumps share; a column only one
-dump has is named, not counted as a difference.
+depend on the integrator; every other item must be bitwise equal.  An
+unequal array item is printed with its largest relative difference: the
+largest entrywise difference over the largest entry for an array or a
+number, and for a TT chain (the value, drift and bmap blocks) the norm of
+the difference of the chains over the norm of the first, which two gauges
+of one tensor do not move.  Histories are compared on the columns both
+dumps share; a column only one dump has is named, not counted as a
+difference, and so is an item only one dump has.
 
 The solves import tthjb from the src/ next to this file and run on one BLAS
 thread, so a dump of one tree compares bitwise with a dump of another.
@@ -37,8 +43,10 @@ import numpy as np  # noqa: E402
 
 from tthjb.cli import PRESETS  # noqa: E402
 from tthjb.models import allen_cahn_1d, fokker_planck, lq, solve_riccati  # noqa: E402
-from tthjb.policy import SolverConfig, feedback, hjb_residual, policy_iterate  # noqa: E402
+from tthjb.policy import (SolverConfig, _build_system, feedback, hjb_residual,  # noqa: E402
+                          policy_iterate, solver_basis)
 from tthjb.rollout import rollout  # noqa: E402
+from tthjb.tt import TTMatrix, TTTensor, tt_add, tt_norm, tt_scale  # noqa: E402
 
 COST_RTOL = 1e-8
 ROLLOUT_TOL = 1e-8
@@ -73,7 +81,9 @@ def _outputs(model, config: SolverConfig, rolls: bool) -> dict:
     X = np.random.default_rng(0).uniform(-0.5 * a, 0.5 * a, size=(50, V.d))
     history = [{k: v for k, v in row.items() if not (k.endswith("_s") or k == "seconds")}
                for row in state.history]
+    system = _build_system(model, solver_basis(model, config), config)
     out = {"V blocks": [np.ascontiguousarray(blk) for blk in V.v.blocks],
+           "drift": list(system.drift.blocks), "bmap": list(system.bmap.blocks),
            "history": history, "feedback@50": feedback(V, model)(X),
            "hjb_residual": hjb_residual(V, model)}
     if rolls:
@@ -99,6 +109,28 @@ def _shared_history(va, vb):
             [{k: row.get(k) for k in shared} for row in vb], note)
 
 
+def _difference(va, vb) -> str:
+    """The largest relative difference of two unequal array items (see the
+    module docstring), with a chain's ranks; empty for other items and
+    mismatched shapes."""
+    if isinstance(va, list) and isinstance(vb, list) and all(
+            isinstance(x, np.ndarray) for x in va + vb):
+        kind = TTMatrix if va[0].ndim == 4 else TTTensor
+        a, b = kind(va), kind(vb)
+        try:
+            rel = tt_norm(tt_add(a, tt_scale(b, -1.0))) / tt_norm(a)
+        except ValueError:
+            return ""
+        ranks = "ranks equal" if a.ranks == b.ranks else f"ranks {a.ranks} vs {b.ranks}"
+        return f" ({ranks}, largest relative difference {rel:.1e})"
+    if isinstance(va, (np.ndarray, float)) and isinstance(vb, (np.ndarray, float)):
+        a, b = np.asarray(va), np.asarray(vb)
+        if a.shape != b.shape:
+            return ""
+        return f" (largest relative difference {np.max(np.abs(a - b)) / np.max(np.abs(a)):.1e})"
+    return ""
+
+
 def compare(path_a, path_b) -> int:
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
@@ -108,17 +140,20 @@ def compare(path_a, path_b) -> int:
     for name in sorted(set(a) | set(b)):
         for item in sorted(set(a.get(name, {})) | set(b.get(name, {}))):
             va, vb = a.get(name, {}).get(item), b.get(name, {}).get(item)
+            if va is None or vb is None:
+                print(f"{name} {item}: only in {'A' if vb is None else 'B'}")
+                continue
             detail = f" ({va!r} vs {vb!r})" if item == "hjb_residual" else ""
             if item == "history":
-                note = ""
-                if va is not None and vb is not None:
-                    va, vb, note = _shared_history(va, vb)
-                detail = f" ({len(va or [])} vs {len(vb or [])} rows{note})"
-            if item.startswith("cost ") and va is not None and vb is not None:
+                va, vb, note = _shared_history(va, vb)
+                detail = f" ({len(va)} vs {len(vb)} rows{note})"
+            if item.startswith("cost "):
                 same = abs(va - vb) <= COST_RTOL * abs(va)
                 detail = f" ({va!r} vs {vb!r}, relative {abs(va - vb) / abs(va):.1e})"
             else:
-                same = va is not None and pickle.dumps(va) == pickle.dumps(vb)
+                same = pickle.dumps(va) == pickle.dumps(vb)
+                if not same:
+                    detail += _difference(va, vb)
             unequal += not same
             print(f"{name} {item}: {'equal' if same else 'UNEQUAL'}{detail}")
     return 1 if unequal else 0

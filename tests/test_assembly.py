@@ -9,7 +9,6 @@ from tthjb.assembly import (
     ControlPenalty,
     GalerkinSystem,
     _coupling,
-    _sum_round,
     assemble_drift,
     control_map,
     penalty_cost,
@@ -17,11 +16,11 @@ from tthjb.assembly import (
 )
 from tthjb.basis import build_basis
 from tthjb.cross import tt_cross
-from tthjb.models import ControlledDynamics
+from tthjb.models import ControlledDynamics, allen_cahn_1d, fokker_planck, lq
 from tthjb.tt import (Accuracy, TTMatrix, TTTensor, _product_term, _tt_term, tt_hadamard,
                       tt_matvec, tt_norm, tt_scale)
 
-from dense_oracle import from_full, full
+from dense_oracle import field_sum, from_full, full
 
 ACC = Accuracy(1e-12)
 
@@ -127,6 +126,48 @@ class TestDriftAssembly:
         A = full(assemble_drift(model.channel_builder([basis.nodes] * 3), basis, ACC))
         want = dense_drift_oracle(channel_funcs(model), basis, 3)
         assert np.allclose(A, want, atol=1e-10)
+
+
+# name: (model, basis size n); fokker_planck(8) is d = 7, dense only at n = 2
+MODELS = {"lq4": (lambda: lq(4), 3), "ac5": (lambda: allen_cahn_1d(5), 3),
+          "fp8": (lambda: fokker_planck(8), 2)}
+
+
+class TestFieldsChain:
+    """The one chain of all the flag fields, weighted in one batch, against
+    the per-field sum of rank-2 chains (dense_oracle.field_sum): lq's
+    column fields, Allen-Cahn's cubic field, Fokker-Planck's affine channel."""
+
+    @staticmethod
+    def _cases(model, basis):
+        grids = [basis.nodes] * model.dim
+        return (("drift", model.f_tt_builder(grids), basis.wphi, -1.0,
+                 assemble_drift(model.f_tt_builder(grids), basis, ACC)),
+                ("bmap", model.channel_builder(grids), np.eye(basis.m), -0.5 / model.gamma,
+                 control_map(model.channel_builder(grids), basis, model.gamma, ACC)))
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rounded_operators_match_the_per_field_sum(self, name):
+        make, n = MODELS[name]
+        model = make()
+        basis = build_basis(n, model.a)
+        for what, fields, test, scale, got in self._cases(model, basis):
+            want = tt.tt_scale(tt.tt_round(field_sum(fields, test, basis.phi, basis.dphi), ACC),
+                               scale)
+            assert got.ranks == want.ranks, what
+            G, W = full(got), full(want)
+            assert np.abs(G - W).max() <= 1e-13 * np.abs(W).max(), what
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_exact_chain_has_rank_twice_the_fields(self, name):
+        make, n = MODELS[name]
+        model = make()
+        basis = build_basis(n, model.a)
+        for what, fields, test, _, _ in self._cases(model, basis):
+            got = assembly._fields_chain(fields, test, basis.phi, basis.dphi)
+            assert got.ranks == (1,) + (2 * len(fields),) * (model.dim - 1) + (1,), what
+            W = full(field_sum(fields, test, basis.phi, basis.dphi))
+            assert np.abs(full(got) - W).max() <= 1e-13 * np.abs(W).max(), what
 
 
 class TestRhsProjection:
@@ -433,7 +474,7 @@ class TestOperatorSketch:
         coupling = _coupling(system.bmap, tt_scale(u, 2.0 * system.penalty.gamma),
                              system.basis.wphi)
         assert sketches == []
-        assert same_bits(A, _sum_round([system.drift, coupling], system.acc))
+        assert same_bits(A, tt.tt_round(tt.tt_add(system.drift, coupling), system.acc))
 
     def test_over_the_cap_meets_delta(self, rng, monkeypatch):
         # drift, control map and u whose rank directions decay by 0.03 each:

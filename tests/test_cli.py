@@ -455,6 +455,23 @@ class TestMain:
         assert says in caplog.text + capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, says", [
+        ({"outputs": 5}, "outputs must be a JSON object, got 5"),
+        ({"outputs": {"store_states": "no"}}, "store_states must be true or false, got 'no'"),
+        ({"seed": "x"}, "seed must be an integer >= 0, got 'x'"),
+    ], ids=["outputs-number", "store_states-text", "seed-text"])
+    @pytest.mark.parametrize("flag", [["--store-states"], ["--seed", "3"]],
+                             ids=["store-states", "seed"])
+    def test_config_shape_exit_2_under_flags(self, tmp_path, capsys, override, says, flag):
+        # the file is checked before --store-states and --seed are laid over
+        # it, so a flag never replaces a malformed section or seed
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**FAST_LQ, **override}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), *flag]) == EXIT_CONFIG
+        assert says in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", [
         {"name": "allen_cahn_1d", "d": 4, "sigma": 0.0},
         {"name": "fokker_planck", "D": 8, "sigma_shift": 50},

@@ -139,9 +139,9 @@ def test_operator_sums_two_terms(small_model, monkeypatch):
     from tthjb.policy import _build_system, initial_policy, solver_basis
 
     counts = []
-    original = assembly._sum_round
-    monkeypatch.setattr(assembly, "_sum_round",
-                        lambda ops, *args: counts.append(len(ops)) or original(ops, *args))
+    original = assembly.tt_add
+    monkeypatch.setattr(assembly, "tt_add",
+                        lambda *ops: counts.append(len(ops)) or original(*ops))
     config = SolverConfig(n=2)
     basis = solver_basis(small_model, config)
     system = _build_system(small_model, basis, config)

@@ -9,6 +9,7 @@ from tthjb.policy import (
     _DIVERGENCE_WINDOW,
     _FASTEST_FALL,
     _MIN_SHIFT,
+    NotStabilizable,
     PolicyDivergence,
     SolverConfig,
     ValueFunction,
@@ -22,7 +23,7 @@ from tthjb.policy import (
 from tthjb.tt import (Accuracy, TTMatrix, TTTensor, flag_chain, quadratic_to_tt, tt_add, tt_dot,
                       tt_norm, tt_round, tt_scale)
 
-from dense_oracle import full
+from dense_oracle import full, weighted_block
 
 
 def scalar_unstable_model(u_max=None):
@@ -54,8 +55,19 @@ class TestInitialPolicy:
         # d = 3 actuates only the middle node, which the unstable mode
         # antisymmetric about it does not see
         model = allen_cahn_1d(3)
-        with pytest.raises(ValueError, match="supply a custom initial policy"):
+        with pytest.raises(ValueError, match="model's parameters must change"):
             initial_policy(model, build_basis(3, model.a))
+
+    def test_unstabilizable_message_names_the_linearization(self):
+        # sigma 0 leaves lin_A the identity: every node is unstable and
+        # uncoupled, and the actuator misses some; no entry point takes an
+        # initial policy, so the message points at the model
+        model = allen_cahn_1d(4, sigma=0.0)
+        with pytest.raises(NotStabilizable) as info:
+            initial_policy(model, build_basis(3, model.a))
+        assert str(info.value) == (
+            "uncontrolled dynamics inadmissible and linearization not stabilizable: "
+            "(lin_A, lin_B) has no stabilizing feedback, so the model's parameters must change")
 
 
 class TestValueGradient:
@@ -633,9 +645,9 @@ class TestStateDependentChannel:
         # field: -< (component p of the field) u d/dx_p phi_j, phi_i >
         basis = system.basis
         chains = [-1.0 * TTMatrix(flag_chain(
-            [assembly._weighted_block(b * gk[:, None], basis.wphi, basis.phi)
+            [weighted_block(b * gk[:, None], basis.wphi, basis.phi)
              for b, gk in zip(u.blocks, g)],
-            [assembly._weighted_block(b * hk[:, None], basis.wphi, basis.dphi)
+            [weighted_block(b * hk[:, None], basis.wphi, basis.dphi)
              for b, hk in zip(u.blocks, h)]))
             for g, h in model.channel_builder([basis.nodes] * model.dim)]
         terms = [system.drift, *chains]

@@ -460,10 +460,15 @@ class TestRoundSketch:
             assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
 
 
+def sum_round(ops, acc):
+    """The exact sum of TT operators by tt_add, rounded once by tt_round."""
+    return tt_round(functools.reduce(tt_add, ops), acc)
+
+
 class TestSumRound:
-    """assembly._sum_round(ops), the exact sum of TT operators rounded once,
-    against the dense sum of the operators; a fused mode of 12 is a 3 x 4
-    operator block."""
+    """sum_round(ops), the exact sum of TT operators rounded once, against
+    the dense sum of the operators; a fused mode of 12 is a 3 x 4 operator
+    block."""
 
     N = 12
 
@@ -478,22 +483,18 @@ class TestSumRound:
     def _exact(ops, acc, monkeypatch):
         # the rounded sum, checked never to be sketched, against the
         # rounded sum of the fused blocks
-        from tthjb import assembly
-
         def no_sketch(*args):
             raise AssertionError("an exact sum was sketched")
 
         monkeypatch.setattr(tt, "_sketch", no_sketch)
         want = tt_round(functools.reduce(tt_add, [fused(op) for op in ops]), acc)
-        return same_fused_bits(assembly._sum_round(ops, acc), want)
+        return same_fused_bits(sum_round(ops, acc), want)
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])
     def test_dense_oracle(self, rng, d, delta):
-        from tthjb.assembly import _sum_round
-
         ops, want = self._case(rng, d)
-        b = full(fused(_sum_round(ops, Accuracy(delta))))
+        b = full(fused(sum_round(ops, Accuracy(delta))))
         assert np.linalg.norm(b - want) <= 1.25 * delta * np.linalg.norm(want)
 
     @pytest.mark.parametrize("count, r", [(2, 6), (3, 6), (3, 20)])
@@ -510,10 +511,8 @@ class TestSumRound:
         assert self._exact(ops, Accuracy(1e-3), monkeypatch)
 
     def test_mismatched_modes(self):
-        from tthjb.assembly import _sum_round
-
         with pytest.raises(ValueError):
-            _sum_round([identity((3, 4)), identity((3, 5))], Accuracy(1e-3))
+            sum_round([identity((3, 4)), identity((3, 5))], Accuracy(1e-3))
 
 
 class TestOrthogonalize:
@@ -625,6 +624,26 @@ class TestChainBuilders:
         assert chain.ranks == (1,) + (4,) * (d - 1) + (1,)
         want = sum(full(kind(g.blocks[:k] + h.blocks[k:k + 1] + g.blocks[k + 1:]))
                    for k in range(d))
+        assert np.allclose(full(chain), want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("op", [False, True], ids=["tensor", "operator"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_block_diagonal_flag_chain_sums_the_chains(self, rng, d, op):
+        # G and H block-diagonal over two chains: block 0 sums their
+        # unflagged rows and block d-1 their flagged columns
+        (g1, h1), (g2, h2) = self._chains(rng, d, op), self._chains(rng, d, op)
+        kind = TTMatrix if op else TTTensor
+
+        def diag(a, b):
+            blk = np.zeros((a.shape[0] + b.shape[0], *a.shape[1:-1], a.shape[-1] + b.shape[-1]))
+            blk[:a.shape[0], ..., :a.shape[-1]] = a
+            blk[a.shape[0]:, ..., a.shape[-1]:] = b
+            return blk
+
+        chain = kind(flag_chain([diag(a, b) for a, b in zip(g1.blocks, g2.blocks)],
+                                [diag(a, b) for a, b in zip(h1.blocks, h2.blocks)]))
+        assert chain.ranks == (1,) + (8,) * (d - 1) + (1,)
+        want = sum(full(kind(flag_chain(g.blocks, h.blocks))) for g, h in ((g1, h1), (g2, h2)))
         assert np.allclose(full(chain), want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
